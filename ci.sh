@@ -139,19 +139,21 @@ for entry in "${analyze_groups[@]}"; do
         exit 1
     }
 done
-# The analysis-on/off equivalence sweep (results and counters must be
-# byte-identical with GBC_NO_ANALYZE semantics, threads 1 and 4).
+# The oracle sweep: every greedy-planned group (plus two inline rules on
+# the binding-frame feed) must agree with the generic choice fixpoint and
+# pass the Theorem 1 stable-model check, at threads 1, 2 and 4.
+cargo test -q --offline -p gbc-bench --test oracle_equivalence
+# The specializations against hand-made twins: dead rules and a
+# constant-true comparison must leave no trace, and a framed-feed twin
+# must match the columnar feed, counters included, at threads 1-8.
 cargo test -q --offline -p gbc-bench --test analysis_equivalence
 
 echo "== ci-par: parallel saturation equivalence =="
-# The determinism contract (DESIGN.md §9, §14): every thread count and
-# both settings of the batched γ feed kernel produce byte-identical
-# relations and semantic counters. The in-process sweep covers threads
-# {1,2,4,8} × batch on/off; the CLI pass re-runs every shipped program
+# The determinism contract (DESIGN.md §9): every thread count produces
+# byte-identical relations and semantic counters. The in-process sweep
+# covers threads {1,2,4,8}; the CLI pass re-runs every shipped program
 # profiled at 4 workers, which must succeed and keep its attribution
-# line just like the serial profile above, and the batch-off sweep
-# re-runs each program under GBC_NO_GAMMA_BATCH=1 asserting the derived
-# facts match the default run byte for byte.
+# line just like the serial profile above.
 cargo test -q --offline -p gbc-bench --test parallel_equivalence
 for entry in "${obs_groups[@]}"; do
     files="${entry%%|*}"
@@ -162,20 +164,6 @@ for entry in "${obs_groups[@]}"; do
     }
     grep -q 'attributed' "$diag_json" || {
         echo "parallel profile missing attribution line for: $files" >&2
-        exit 1
-    }
-    # shellcheck disable=SC2086
-    ./target/release/gbc run $files >"$stats_json" || {
-        echo "gbc run failed for: $files" >&2
-        exit 1
-    }
-    # shellcheck disable=SC2086
-    GBC_NO_GAMMA_BATCH=1 ./target/release/gbc run $files >"$diag_json" || {
-        echo "gbc run with GBC_NO_GAMMA_BATCH=1 failed for: $files" >&2
-        exit 1
-    }
-    diff "$stats_json" "$diag_json" || {
-        echo "batch-off run diverged from the default for: $files" >&2
         exit 1
     }
 done
@@ -207,13 +195,12 @@ grep -q '"label": "post-PR8"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR8 run" >&2
     exit 1
 }
-# And the post-PR10 record (batched γ feed + clique scheduling), which
-# introduced the heap_batch_pushes / feed_cliques columns.
+# And the post-PR10 record (batched γ feed), the --compare baseline below.
 grep -q '"label": "post-PR10"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR10 run" >&2
     exit 1
 }
-for col in dict_entries encode_hits decode_calls heap_batch_pushes feed_cliques; do
+for col in dict_entries encode_hits decode_calls; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1
@@ -261,8 +248,8 @@ http_post /load '{"name": "prim", "files": ["programs/prim.dl", "programs/graph_
 http_post /run '{"session": "prim", "threads": 2, "journal": true}' \
     | grep -q '"gamma_steps":5' || {
     echo "POST /run gave unexpected gamma_steps (want the gbc-run-pinned 5)" >&2; exit 1; }
-http_get '/stats?session=prim' | grep -q '"schema_version": 2' || {
-    echo "GET /stats missing the schema-v2 report" >&2; exit 1; }
+http_get '/stats?session=prim' | grep -q '"schema_version": 3' || {
+    echo "GET /stats missing the schema-v3 report" >&2; exit 1; }
 http_get '/journal?session=prim' | grep -q '"type":"stage_commit"' || {
     echo "GET /journal carries no choice-audit events" >&2; exit 1; }
 http_get /programs | grep -q '"name": "prim"' || {

@@ -419,8 +419,6 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
                     ("tuples_derived", Json::UInt(run.snapshot.tuples_derived)),
                     ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
                     ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
-                    ("heap_batch_pushes", Json::UInt(run.snapshot.heap_batch_pushes)),
-                    ("feed_cliques", Json::UInt(run.stats.feed_cliques as u64)),
                     ("dict_entries", Json::UInt(dict.dict_entries)),
                     ("encode_hits", Json::UInt(dict.encode_hits)),
                     ("decode_calls", Json::UInt(dict.decode_calls)),
@@ -523,8 +521,6 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
                     ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
                     ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
                     ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
-                    ("heap_batch_pushes", Json::UInt(run.snapshot.heap_batch_pushes)),
-                    ("feed_cliques", Json::UInt(run.stats.feed_cliques as u64)),
                     ("dict_entries", Json::UInt(dict.dict_entries)),
                     ("encode_hits", Json::UInt(dict.encode_hits)),
                     ("decode_calls", Json::UInt(dict.decode_calls)),

@@ -4,7 +4,6 @@
 //! compile time".
 
 pub mod classify;
-pub mod cliques;
 pub mod constraints;
 pub mod reachability;
 pub mod report;
@@ -12,7 +11,6 @@ pub mod stage;
 pub mod typeinfer;
 
 pub use classify::{classify, Analysis, CliqueInfo, ProgramClass, StageViolation};
-pub use cliques::{feed_groups, FeedGroups};
 pub use constraints::Constraints;
 pub use reachability::{ConstComparison, DeadRule, ReachInfo};
 pub use report::{analyze_program, AnalyzeReport, PlanFacts, ANALYSIS_SCHEMA_VERSION};

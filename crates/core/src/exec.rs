@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use gbc_ast::{CmpOp, Literal, Program, Rule, Symbol, Term, Value, VarId};
+use gbc_ast::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term, Value, VarId};
 use gbc_engine::bindings::Bindings;
 use gbc_engine::eval::{
     eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
@@ -44,7 +44,7 @@ use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache, RuleStatics};
 use gbc_engine::pool::{FanoutObs, PoolReport, PoolStats, WorkerPool};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
-use gbc_storage::{Database, FxHashMap, FxHashSet, Row, Rql, DICT_MISS, NO_GOAL};
+use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
 use gbc_telemetry::{DiscardReason, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
@@ -52,7 +52,7 @@ use crate::analysis::{reachability, typeinfer};
 use crate::error::CoreError;
 use crate::rewrite::choice::choice_vars;
 
-/// Execution limits and switches.
+/// Execution limits.
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyConfig {
     /// γ-step budget.
@@ -63,31 +63,11 @@ pub struct GreedyConfig {
     /// choice commits and `(R,Q,L)` heap maintenance stay sequential
     /// regardless (see DESIGN.md §9).
     pub threads: usize,
-    /// Run whole-program type/reachability analysis at setup and apply
-    /// its specializations: dead-rule pruning, folded constants, the
-    /// decode-free `Int` cost heap, and the bindings-free feed fast
-    /// path. On by default; `GBC_NO_ANALYZE=1` in the environment (or
-    /// setting this to `false`) reverts to the unanalyzed engine —
-    /// results and counters are byte-identical either way.
-    pub analyze: bool,
-    /// Feed new `Q_r` rows through the fused feed→heap batch kernel
-    /// ([`gbc_storage::Rql::extend_batch`]) and allow FD-independent
-    /// stage cliques to collect their feeds concurrently. On by
-    /// default; `GBC_NO_GAMMA_BATCH=1` in the environment (or setting
-    /// this to `false`) reverts to per-row inserts on the coordinator.
-    /// Results and counters are byte-identical either way — only the
-    /// which-path counter `heap_batch_pushes` moves.
-    pub gamma_batch: bool,
 }
 
 impl Default for GreedyConfig {
     fn default() -> Self {
-        GreedyConfig {
-            max_steps: 100_000_000,
-            threads: 1,
-            analyze: std::env::var_os("GBC_NO_ANALYZE").is_none(),
-            gamma_batch: std::env::var_os("GBC_NO_GAMMA_BATCH").is_none(),
-        }
+        GreedyConfig { max_steps: 100_000_000, threads: 1 }
     }
 }
 
@@ -122,11 +102,6 @@ pub struct GreedyStats {
     pub flat_new_facts: u64,
     /// Largest `Q_r` size observed.
     pub queue_peak: usize,
-    /// FD-independent stage cliques the feed scheduler identified —
-    /// the fan-out width of the parallel γ feed phase (1 for every
-    /// single-program session: its predicates are one connected
-    /// component).
-    pub feed_cliques: usize,
 }
 
 /// The result of a run.
@@ -179,9 +154,7 @@ pub struct NextPlan {
     /// every pre-check compares source columns and constants — so each
     /// row's admission reduces to the columnar [`FeedCheck`] sequence
     /// below, and the cost/key columns are read straight off the
-    /// arena. Applied only when analysis is on
-    /// ([`GreedyConfig::analyze`]); surfaced to users as the GBC032
-    /// note.
+    /// arena. Surfaced to users as the GBC032 note.
     fast_feed: bool,
     /// The compiled per-row checks of the fast path (empty for the
     /// original all-distinct-variables shape, where every row feeds).
@@ -213,7 +186,70 @@ impl NextPlan {
     pub fn is_fast_feed(&self) -> bool {
         self.fast_feed
     }
+
+    /// The source atom feeding `Q_r`.
+    fn source(&self) -> &Atom {
+        let Literal::Pos(source) = &self.rule.body[self.source_lit] else { unreachable!() };
+        source
+    }
+
+    /// The feed triple of source row `r` with cost id `cost`.
+    fn triple(&self, rows: &RowsView, r: usize, cost: u32) -> FeedTriple {
+        (self.cong_cols.iter().map(|&c| rows.cell(r, c)).collect(), cost, rows.id_row(r))
+    }
+
+    /// Admit new source rows by the compiled columnar checks alone; the
+    /// cost id is the cost column's cell. Agrees with
+    /// [`NextPlan::admit_framed`] on every fast-feed rule:
+    /// `match_term_id` would bind each variable to exactly the cell id
+    /// read here, and `FeedCheck` reproduces the pre-check comparisons
+    /// in id space.
+    fn admit_columnar(&self, rows: &RowsView, nil_cost: u32) -> Vec<FeedTriple> {
+        (0..rows.len())
+            .filter(|&r| self.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))))
+            .map(|r| self.triple(rows, r, self.cost.map_or(nil_cost, |(_, c)| rows.cell(r, c))))
+            .collect()
+    }
+
+    /// Admit new source rows by matching each into a binding frame and
+    /// running the pre-checks over it: the feed for shapes the columnar
+    /// checks cannot express (arithmetic over a source variable, a
+    /// non-ground compound argument).
+    fn admit_framed(&self, rows: &RowsView, nil_cost: u32) -> Result<Vec<FeedTriple>, CoreError> {
+        let source = self.source();
+        let mut out = Vec::new();
+        let mut b = Bindings::new(self.rule.num_vars());
+        let mut trail: Vec<VarId> = Vec::new();
+        for r in 0..rows.len() {
+            for v in trail.drain(..) {
+                b.unbind(v);
+            }
+            let matched = source
+                .args
+                .iter()
+                .enumerate()
+                .all(|(c, t)| match_term_id(t, rows.cell(r, c), &mut b, &mut trail));
+            if !matched || !apply_comparisons(&self.pre_checks, &mut b, &mut trail)? {
+                continue;
+            }
+            let cost = match self.cost {
+                Some((cv, _)) => match b.id_of(cv) {
+                    DICT_MISS => {
+                        dictionary::encode(b.get(cv).expect("cost variable bound by source match"))
+                    }
+                    id => id,
+                },
+                None => nil_cost,
+            };
+            out.push(self.triple(rows, r, cost));
+        }
+        Ok(out)
+    }
 }
+
+/// A `(congruence key, cost id, row)` triple bound for
+/// [`Rql::extend_batch`].
+type FeedTriple = (Vec<u32>, u32, Vec<u32>);
 
 /// Build plans for every next rule of a validated, stage-stratified
 /// program. Errors with [`CoreError::NoGreedyPlan`] when a next rule
@@ -338,9 +374,8 @@ fn build_plan(
 
     // Bindings-free feed eligibility (see the field docs): the source
     // args and pre-checks compile to a columnar check sequence, or the
-    // feed keeps its binding frames. Built unconditionally — constant
-    // operands intern here, at plan-build time, so dictionary counters
-    // cannot differ between the fast and frame-based paths.
+    // feed keeps its binding frames. Constant operands intern here, at
+    // plan-build time, so the feed itself never interns them.
     let feed_spec = columnar_feed_spec(&source.args, &pre_checks);
     let fast_feed = feed_spec.is_some();
     let feed_checks = feed_spec.unwrap_or_default();
@@ -455,68 +490,6 @@ struct NextState {
     w_used: FxHashSet<Vec<u32>>,
 }
 
-/// The read-only harvest of one fast-feed rule's feed phase:
-/// everything `GreedyExecutor::feed` observes, none of what it
-/// mutates. Collected on a clique worker (or inline on the
-/// coordinator) and applied in rule order.
-struct FeedBatch {
-    /// New head-relation high-water mark.
-    head_len: usize,
-    /// New source-relation high-water mark.
-    src_len: usize,
-    /// Max stage among the new head rows (`i64::MIN` when none).
-    stage_max: i64,
-    /// W-projections of the new head rows.
-    new_w: Vec<Vec<u32>>,
-    /// `(congruence key, cost id, row)` triples for `Rql::extend_batch`.
-    triples: Vec<(Vec<u32>, u32, Vec<u32>)>,
-}
-
-/// Collect next rule `ns`'s feed batch without mutating anything: scan
-/// the new head rows for the stage high-water mark and W-projections,
-/// then admit new source rows through the compiled columnar checks.
-/// Pure arena reads — callable from a pool worker under the no-intern
-/// guard.
-fn collect_feed(ns: &NextState, db: &Database, nil_cost: u32) -> Result<FeedBatch, CoreError> {
-    let plan = &ns.plan;
-    let head_rel = db.relation(plan.head_pred);
-    let head_rows = head_rel.since(ns.head_mark);
-    let mut stage_max = i64::MIN;
-    let mut new_w: Vec<Vec<u32>> = Vec::new();
-    for r in 0..head_rows.len() {
-        match head_rows.try_cell(r, plan.stage_pos).map(decode_ref) {
-            Some(Value::Int(s)) => stage_max = stage_max.max(*s),
-            Some(other) => return Err(CoreError::NonIntegerStage { found: other.to_string() }),
-            None => {}
-        }
-        new_w.push(
-            (0..head_rows.arity())
-                .filter(|&c| c != plan.stage_pos)
-                .map(|c| head_rows.cell(r, c))
-                .collect(),
-        );
-    }
-    let src_rel = db.relation(plan.source_pred);
-    let rows = src_rel.since(ns.src_mark);
-    let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
-    let mut triples: Vec<(Vec<u32>, u32, Vec<u32>)> = Vec::new();
-    if rows.arity() == source.args.len() {
-        let cost_col = plan.cost.map(|(_, col)| col);
-        for r in 0..rows.len() {
-            if !plan.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))) {
-                continue;
-            }
-            let cost = match cost_col {
-                Some(c) => rows.cell(r, c),
-                None => nil_cost,
-            };
-            let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-            triples.push((key, cost, rows.id_row(r)));
-        }
-    }
-    Ok(FeedBatch { head_len: head_rel.len(), src_len: src_rel.len(), stage_max, new_w, triples })
-}
-
 /// The executor. Create with [`GreedyExecutor::new`], then [`GreedyExecutor::run`].
 pub struct GreedyExecutor {
     flat: Seminaive,
@@ -526,7 +499,7 @@ pub struct GreedyExecutor {
     /// Compiled join plans of the exit rules, one slot per rule.
     exit_plans: PlanCache,
     /// Per exit rule: analysis facts (constant-true comparisons to fold
-    /// out of the compiled plan). Defaults when analysis is off.
+    /// out of the compiled plan).
     exit_statics: Vec<RuleStatics>,
     exit_memos: Vec<Vec<FdMap>>,
     /// Per exit rule: the body-relation size total at the last fruitless
@@ -538,15 +511,10 @@ pub struct GreedyExecutor {
     stats: GreedyStats,
     tel: Telemetry,
     /// Worker pool for the executor's own fan-outs (exit-rule match
-    /// collection, extrema sharding, clique-level feed collection).
-    /// Serial at `threads: 1` — every fan-out then runs inline on the
-    /// coordinator, byte for byte the sequential engine.
+    /// collection, extrema sharding). Serial at `threads: 1` — every
+    /// fan-out then runs inline on the coordinator, byte for byte the
+    /// sequential engine.
     pool: WorkerPool,
-    /// FD-independent stage-clique groups: indices into `nexts`, each
-    /// group's feed collectable concurrently with the others (see
-    /// `analysis::cliques`). Always computed; one group for every
-    /// single-clique program.
-    feed_groups: Vec<Vec<usize>>,
     /// Pool occupancy accumulator, allocated only for parallel runs.
     pool_stats: Option<Arc<PoolStats>>,
 }
@@ -562,13 +530,12 @@ impl GreedyExecutor {
         config: GreedyConfig,
     ) -> GreedyExecutor {
         let mut db = edb.clone();
-        // Whole-program analysis (PR 8): dead rules are dropped before
+        // Whole-program analysis: dead rules are dropped before
         // partitioning, constant-true comparisons are folded out of the
         // exit plans, and (below, once the EDB is loaded) proved-`int`
         // cost columns switch their `Q_r` onto the decode-free heap.
-        // `GBC_NO_ANALYZE=1` disables all of it; outputs are identical.
-        let reach = config.analyze.then(|| reachability::analyze(program));
-        let dead = reach.as_ref().map(|r| r.dead_rule_set()).unwrap_or_default();
+        let reach = reachability::analyze(program);
+        let dead = reach.dead_rule_set();
         let mut flat_rules = Vec::new();
         let mut flat_ids = Vec::new();
         let mut exits = Vec::new();
@@ -590,13 +557,8 @@ impl GreedyExecutor {
             } else if r.has_choice() {
                 let goals = r.body.iter().filter(|l| matches!(l, Literal::Choice { .. })).count();
                 exit_memos.push(vec![FdMap::default(); goals]);
-                exit_statics.push(RuleStatics {
-                    dead: false,
-                    const_true_lits: reach
-                        .as_ref()
-                        .map(|info| info.const_true_lits(ri))
-                        .unwrap_or_default(),
-                });
+                exit_statics
+                    .push(RuleStatics { dead: false, const_true_lits: reach.const_true_lits(ri) });
                 exits.push((ri, r.clone()));
             } else {
                 flat_rules.push(r.clone());
@@ -605,23 +567,14 @@ impl GreedyExecutor {
         }
         // Column types need the loaded EDB: scan the concrete relations
         // for seeds, then run the head/body fixpoint over the rules.
-        let types = config.analyze.then(|| {
-            let seeds = typeinfer::scan_seeds(&db);
-            typeinfer::infer_seeded(program, &seeds)
-        });
+        let types = typeinfer::infer_seeded(program, &typeinfer::scan_seeds(&db));
         let nexts: Vec<NextState> = plans
             .into_iter()
-            .map(|mut plan| {
+            .map(|plan| {
                 let goals = plan.choice_goals.len();
                 let mut rql = if plan.descending { Rql::new_descending() } else { Rql::new() };
-                match (&types, plan.cost) {
-                    (Some(t), Some((_, col))) if t.col_is_int(plan.source_pred, col) => {
-                        rql.set_int_costs(true);
-                    }
-                    _ => {}
-                }
-                if !config.analyze {
-                    plan.fast_feed = false;
+                if plan.cost.is_some_and(|(_, col)| types.col_is_int(plan.source_pred, col)) {
+                    rql.set_int_costs(true);
                 }
                 NextState {
                     plan,
@@ -636,9 +589,6 @@ impl GreedyExecutor {
             .collect();
         let exit_stale = vec![None; exits.len()];
         let exit_plans = PlanCache::new(exits.len());
-        let next_heads: Vec<Symbol> =
-            nexts.iter().map(|ns: &NextState| ns.plan.head_pred).collect();
-        let feed_groups = crate::analysis::cliques::feed_groups(program).partition(&next_heads);
         let mut flat = Seminaive::new(flat_rules);
         flat.set_rule_ids(flat_ids);
         flat.set_threads(config.threads);
@@ -655,10 +605,9 @@ impl GreedyExecutor {
             db,
             config,
             chosen: Vec::new(),
-            stats: GreedyStats { feed_cliques: feed_groups.len(), ..GreedyStats::default() },
+            stats: GreedyStats::default(),
             tel: Telemetry::default(),
             pool: WorkerPool::new(config.threads),
-            feed_groups,
             pool_stats,
         };
         ex.attach_telemetry();
@@ -891,102 +840,20 @@ impl GreedyExecutor {
         Ok(false)
     }
 
-    /// Feed every next rule in index order. Serial runs (and
-    /// single-clique programs — all nine shipped ones) walk the rules
-    /// on the coordinator. With several FD-independent stage cliques, a
-    /// parallel pool, and the batch kernel enabled, the read-only
-    /// *collection* of each clique's fast-feed batches fans out over
-    /// the pool — one clique-level task per group — and the coordinator
-    /// applies the collected batches in rule order. Collection touches
-    /// no shared state (workers read arenas and plan data only; the
-    /// debug no-intern guard is armed), so the applied queue state and
-    /// every counter are byte-identical to the serial walk.
+    /// Feed every next rule in index order.
     fn feed_all(&mut self) -> Result<(), CoreError> {
-        // Interned once per feed phase, before any fan-out: the
-        // coordinator owns all interning, and hoisting it keeps the
-        // encode-hit count identical at every thread count.
+        // Interned once per feed phase, so the encode-hit count does not
+        // depend on how many rules or rows the phase visits.
         let nil_cost = dictionary::encode(&Value::Nil);
-        let parallel = self.pool.is_parallel()
-            && self.config.gamma_batch
-            && self.feed_groups.len() > 1
-            && self.nexts.iter().any(|ns| ns.plan.fast_feed);
-        if !parallel {
-            for i in 0..self.nexts.len() {
-                self.feed(i, nil_cost)?;
-            }
-            return Ok(());
-        }
-        let mut slots: Vec<Option<Result<FeedBatch, CoreError>>> =
-            (0..self.nexts.len()).map(|_| None).collect();
-        {
-            let nexts = &self.nexts;
-            let db = &self.db;
-            let groups = &self.feed_groups;
-            let profiler = self.tel.profiler.is_enabled().then_some(&*self.tel.profiler);
-            let collected =
-                self.pool.run_stats(groups.len(), self.pool_stats.as_deref(), |gi, worker| {
-                    dictionary::forbid_intern_on_this_thread(true);
-                    let t0 = profiler.and_then(|p| p.lane_start());
-                    let out: Vec<(usize, Result<FeedBatch, CoreError>)> = groups[gi]
-                        .iter()
-                        .filter(|&&i| nexts[i].plan.fast_feed)
-                        .map(|&i| (i, collect_feed(&nexts[i], db, nil_cost)))
-                        .collect();
-                    if let (Some(p), Some(t0)) = (profiler, t0) {
-                        p.record_lane(worker, t0.elapsed());
-                    }
-                    out
-                });
-            for (i, batch) in collected.into_iter().flatten() {
-                slots[i] = Some(batch);
-            }
-        }
-        // Apply in rule order — mutation happens here only, so the
-        // merge order (and any error surfaced) matches the serial walk.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            match slot.take() {
-                Some(batch) => self.apply_feed(i, batch?),
-                None => self.feed(i, nil_cost)?,
-            }
+        for i in 0..self.nexts.len() {
+            self.feed(i, nil_cost)?;
         }
         Ok(())
-    }
-
-    /// Apply one collected [`FeedBatch`] to next rule `i` (coordinator
-    /// side of the clique fan-out).
-    fn apply_feed(&mut self, i: usize, batch: FeedBatch) {
-        let GreedyExecutor { nexts, stats, tel, .. } = self;
-        let ns = &mut nexts[i];
-        let t0 = tel.profiler.start();
-        ns.stage = ns.stage.max(batch.stage_max);
-        ns.head_mark = batch.head_len;
-        ns.w_used.extend(batch.new_w);
-        ns.src_mark = batch.src_len;
-        ns.rql.extend_batch(batch.triples);
-        stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
     }
 
     /// Push newly derived source facts of next rule `i` into its `Q_r`,
     /// and refresh the rule's stage high-water mark.
     fn feed(&mut self, i: usize, nil_cost: u32) -> Result<(), CoreError> {
-        // Fused batch path: harvest the batch read-only (exactly what a
-        // clique worker would collect), then apply it — one decode-free
-        // sift pass through `Rql::extend_batch`.
-        if self.nexts[i].plan.fast_feed && self.config.gamma_batch {
-            let t0 = self.tel.profiler.start();
-            let batch = collect_feed(&self.nexts[i], &self.db, nil_cost)?;
-            let GreedyExecutor { nexts, stats, .. } = self;
-            let ns = &mut nexts[i];
-            ns.stage = ns.stage.max(batch.stage_max);
-            ns.head_mark = batch.head_len;
-            ns.w_used.extend(batch.new_w);
-            ns.src_mark = batch.src_len;
-            ns.rql.extend_batch(batch.triples);
-            stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-            self.tel.profiler.finish(t0, self.nexts[i].plan.rule_idx, 0, 0);
-            return Ok(());
-        }
         let GreedyExecutor { nexts, db, stats, tel, .. } = self;
         let ns = &mut nexts[i];
         let t0 = tel.profiler.start();
@@ -1000,14 +867,13 @@ impl GreedyExecutor {
         // re-commit an exit tuple at a fresh stage forever.
         let head_rel = db.relation(plan.head_pred);
         let head_rows = head_rel.since(ns.head_mark);
-        let mut new_w: Vec<Vec<u32>> = Vec::new();
         for r in 0..head_rows.len() {
             match head_rows.try_cell(r, plan.stage_pos).map(decode_ref) {
                 Some(Value::Int(s)) => ns.stage = ns.stage.max(*s),
                 Some(other) => return Err(CoreError::NonIntegerStage { found: other.to_string() }),
                 None => {}
             }
-            new_w.push(
+            ns.w_used.insert(
                 (0..head_rows.arity())
                     .filter(|&c| c != plan.stage_pos)
                     .map(|c| head_rows.cell(r, c))
@@ -1015,79 +881,23 @@ impl GreedyExecutor {
             );
         }
         ns.head_mark = head_rel.len();
-        ns.w_used.extend(new_w);
 
         // The new rows are read in place from the relation's column
         // arenas; the only copy made is the id row that enters `Q_r`.
         let src_rel = db.relation(plan.source_pred);
         let rows = src_rel.since(ns.src_mark);
         ns.src_mark = src_rel.len();
-
-        let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
-
-        // Bindings-free fast path (GBC032 rules, analysis on), per-row
-        // variant — taken when the batch kernel is opted out
-        // (`GBC_NO_GAMMA_BATCH=1`). Each row's admission is decided by
-        // the compiled columnar checks; the cost id IS the cost
-        // column's cell and the congruence key is read straight off the
-        // arena. Byte-identical to the generic loop below —
-        // `match_term_id` would bind each variable to exactly the cell
-        // id we read here, and `FeedCheck` reproduces the pre-check
-        // comparisons in id space.
-        if plan.fast_feed {
-            if rows.arity() == source.args.len() {
-                let cost_col = plan.cost.map(|(_, col)| col);
-                for r in 0..rows.len() {
-                    if !plan.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))) {
-                        continue;
-                    }
-                    let cost = match cost_col {
-                        Some(c) => rows.cell(r, c),
-                        None => nil_cost,
-                    };
-                    let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-                    ns.rql.insert(key, cost, rows.id_row(r));
-                    stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-                }
-            }
-            tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
-            return Ok(());
-        }
-
-        let mut b = Bindings::new(plan.rule.num_vars());
-        let mut trail: Vec<VarId> = Vec::new();
-        for r in 0..rows.len() {
-            for v in trail.drain(..) {
-                b.unbind(v);
-            }
-            let matched = rows.arity() == source.args.len()
-                && source
-                    .args
-                    .iter()
-                    .enumerate()
-                    .all(|(c, t)| match_term_id(t, rows.cell(r, c), &mut b, &mut trail));
-            if !matched {
-                continue;
-            }
-            if !apply_comparisons(&plan.pre_checks, &mut b, &mut trail)? {
-                continue;
-            }
-            let cost = match plan.cost {
-                Some((cv, _)) => {
-                    let id = b.id_of(cv);
-                    if id != DICT_MISS {
-                        id
-                    } else {
-                        let v = b.get(cv).expect("cost variable bound by source match");
-                        dictionary::encode(v)
-                    }
-                }
-                None => nil_cost,
-            };
-            let key: Vec<u32> = plan.cong_cols.iter().map(|&c| rows.cell(r, c)).collect();
-            ns.rql.insert(key, cost, rows.id_row(r));
-            stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-        }
+        let triples = if rows.arity() != plan.source().args.len() {
+            Vec::new()
+        } else if plan.fast_feed {
+            plan.admit_columnar(&rows, nil_cost)
+        } else {
+            plan.admit_framed(&rows, nil_cost)?
+        };
+        // One insert pass into (R,Q,L): each triple runs the paper's full
+        // case analysis against the live queue, as row-by-row inserts would.
+        ns.rql.extend_batch(triples);
+        stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
         tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
         Ok(())
     }
@@ -1131,8 +941,8 @@ impl GreedyExecutor {
                 b.unbind(v);
             }
             let plan = &ns.plan;
-            let Literal::Pos(source) = &plan.rule.body[plan.source_lit] else { unreachable!() };
-            let ok = source
+            let ok = plan
+                .source()
                 .args
                 .iter()
                 .zip(popped.row.iter())

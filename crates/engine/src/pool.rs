@@ -327,11 +327,11 @@ impl WorkerPool {
                 });
             }
         });
-        // Coarse fan-outs (fewer tasks than threads — e.g. one task per
-        // stage clique) spawn only `workers` lanes; the remaining lanes
-        // sat out the whole fan-out. Charge them the fan-out's wall
-        // time as idle so the utilization table reports occupancy over
-        // the pool's configured width, not just the lanes that ran.
+        // Coarse fan-outs (fewer tasks than threads) spawn only
+        // `workers` lanes; the remaining lanes sat out the whole
+        // fan-out. Charge them the fan-out's wall time as idle so the
+        // utilization table reports occupancy over the pool's
+        // configured width, not just the lanes that ran.
         if let (Some(st), Some(t0)) = (stats, t_fanout) {
             let wall = t0.elapsed().as_nanos() as u64;
             for lane in st.lanes.iter().skip(workers) {

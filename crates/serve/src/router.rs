@@ -4,7 +4,7 @@
 //! |--------|-------------|------------------------------|--------|
 //! | GET    | `/healthz`  | —                            | liveness JSON |
 //! | GET    | `/metrics`  | —                            | Prometheus text |
-//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v2 stats JSON |
+//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v3 stats JSON |
 //! | GET    | `/journal`  | `?session=NAME`              | choice-audit JSON-lines |
 //! | GET    | `/programs` | —                            | loaded-session table |
 //! | POST   | `/load`     | `{"name", "program"|"files"}`| compile summary |
@@ -235,10 +235,19 @@ fn run(state: &ServerState, req: &Request) -> Response {
     let Some(name) = body.get("session").and_then(Json::as_str) else {
         return Response::error(400, "POST /run requires a string `session`");
     };
+    // The engine sizes per-worker state up front, so the client-chosen
+    // count is capped at the machine's parallelism.
+    let max_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = match body.get("threads") {
         None => 1,
         Some(v) => match v.as_u64() {
-            Some(t) if t >= 1 => t as usize,
+            Some(t) if t >= 1 && t <= max_threads as u64 => t as usize,
+            Some(t) if t > max_threads as u64 => {
+                return Response::error(
+                    400,
+                    &format!("`threads` is {t}; this server allows at most {max_threads}"),
+                )
+            }
             _ => return Response::error(400, "`threads` must be a positive integer"),
         },
     };
@@ -278,7 +287,7 @@ fn run(state: &ServerState, req: &Request) -> Response {
     state.metrics.runs.inc();
     session.runs.fetch_add(1, Ordering::Relaxed);
 
-    // Assemble the schema-v2 stats report — same shape `gbc run
+    // Assemble the schema-v3 stats report — same shape `gbc run
     // --stats-json` writes (counters + phases + latency + dictionary,
     // plus the journal when recorded) — and pin it to the session.
     let mut stats = tel.to_json();

@@ -37,7 +37,7 @@ pub struct Session {
     pub edb: Arc<Database>,
     /// Completed `/run` requests against this session.
     pub runs: AtomicU64,
-    /// Stats report (schema v2, same shape as `--stats-json`) of the
+    /// Stats report (schema v3, same shape as `--stats-json`) of the
     /// most recent run, served by `GET /stats`.
     pub last_stats: RwLock<Option<Json>>,
     /// Choice-audit journal of the most recent journaled run, served as

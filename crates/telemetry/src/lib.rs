@@ -55,8 +55,10 @@ pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 /// Version of the `--stats-json` payload schema ([`Telemetry::to_json`]).
 /// Bump when the report shape changes incompatibly; consumers should
 /// check it before parsing (see DESIGN.md, "JSON schemas").
-/// v2 added the `dictionary` block (value-interning counters).
-pub const STATS_SCHEMA_VERSION: u64 = 2;
+/// v2 added the `dictionary` block (value-interning counters); v3
+/// dropped the batch-feed push counter, which only recounted heap
+/// inserts.
+pub const STATS_SCHEMA_VERSION: u64 = 3;
 
 /// The instrumentation bundle threaded through the executors.
 ///

@@ -95,12 +95,6 @@ pub struct Metrics {
     /// (the type-analysis-licensed specialization; zero when the cost
     /// column is not proved `int` or analysis is off).
     pub heap_int_fast_compares: Counter,
-    /// Rows that entered some `Q_r` through the fused feed→heap batch
-    /// kernel (`Rql::extend_batch`). Like `heap_int_fast_compares`,
-    /// this counter reports *which path* ran, not what was computed:
-    /// it is the only counter allowed to differ between
-    /// `GBC_NO_GAMMA_BATCH` on and off.
-    pub heap_batch_pushes: Counter,
     // -- γ --
     /// Committed γ steps (next-rule and exit-rule firings).
     pub gamma_steps: Counter,
@@ -160,7 +154,6 @@ impl Metrics {
             rql_used_blocked: self.rql_used_blocked.get(),
             queue_peak: self.queue_peak.get(),
             heap_int_fast_compares: self.heap_int_fast_compares.get(),
-            heap_batch_pushes: self.heap_batch_pushes.get(),
             gamma_steps: self.gamma_steps.get(),
             discarded_pops: self.discarded_pops.get(),
             diffchoice_rejections: self.diffchoice_rejections.get(),
@@ -189,7 +182,6 @@ pub struct Snapshot {
     pub rql_used_blocked: u64,
     pub queue_peak: u64,
     pub heap_int_fast_compares: u64,
-    pub heap_batch_pushes: u64,
     pub gamma_steps: u64,
     pub discarded_pops: u64,
     pub diffchoice_rejections: u64,
@@ -213,7 +205,6 @@ impl Snapshot {
             ("rql_used_blocked", self.rql_used_blocked),
             ("queue_peak", self.queue_peak),
             ("heap_int_fast_compares", self.heap_int_fast_compares),
-            ("heap_batch_pushes", self.heap_batch_pushes),
             ("discarded_pops", self.discarded_pops),
             ("diffchoice_rejections", self.diffchoice_rejections),
             ("stage_reuse_rejections", self.stage_reuse_rejections),
@@ -279,7 +270,6 @@ impl Snapshot {
             rql_used_blocked: field("rql_used_blocked")?,
             queue_peak: field("queue_peak")?,
             heap_int_fast_compares: field("heap_int_fast_compares")?,
-            heap_batch_pushes: field("heap_batch_pushes")?,
             gamma_steps: field("gamma_steps")?,
             discarded_pops: field("discarded_pops")?,
             diffchoice_rejections: field("diffchoice_rejections")?,

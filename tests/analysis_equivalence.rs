@@ -1,20 +1,22 @@
-//! Analysis-specialization equivalence sweep — the PR 8 contract,
-//! extended by PR 10: whole-program analysis (dead-rule pruning, folded
-//! constants, the decode-free `Int` cost heap, the bindings-free feed)
-//! and the batched γ feed kernel are pure optimizations. Every shipped
-//! program must produce byte-identical results with analysis on and off
-//! (`GBC_NO_ANALYZE=1` territory) and with the batch kernel on and off
-//! (`GBC_NO_GAMMA_BATCH=1` territory), across worker thread counts —
-//! same canonical relation dump, same chosen records, same semantic
-//! counters.
+//! The executor's analysis specializations checked against hand-made
+//! twins that leave them nothing to do.
 //!
-//! Two counters *may* differ, one per switch: `heap_int_fast_compares`
-//! (the point of the Int-heap specialization) and `heap_batch_pushes`
-//! (the point of the batch kernel). Both are zeroed on both sides
-//! before the snapshot comparison and asserted positive/zero where the
-//! switch pins them.
+//! Dead-rule pruning, folded constant comparisons and the columnar feed
+//! are applied from facts the analysis proves about the program text,
+//! and none has a switch. So each is pinned by a twin program: the
+//! shipped program with dead rules or a constant-true comparison added
+//! (which the analysis must erase without a trace), or with a
+//! pre-check the columnar checks cannot express (which sends every
+//! next rule through the frame-building feed). Every greedy-planned
+//! shipped group must run byte-identically to its twin — same
+//! canonical relation dump, same chosen records, same counters.
+//! `tests/oracle_equivalence.rs` checks the same runs against the
+//! generic fixpoint.
 
-use gbc_core::{ChosenRecord, GreedyConfig};
+use gbc_ast::term::ArithOp;
+use gbc_ast::{CmpOp, Expr, Literal, Program, Term, Value};
+use gbc_core::exec::build_plans;
+use gbc_core::{ChosenRecord, Compiled, GreedyConfig};
 use gbc_storage::Database;
 use gbc_telemetry::{Snapshot, Telemetry};
 
@@ -32,8 +34,7 @@ const PROGRAMS: [&[&str]; 9] = [
     &["programs/assignment.dl"],
 ];
 
-/// Everything that must be invariant under the analysis and batch
-/// switches, plus the two counters that are allowed to move.
+/// Everything a greedy run exposes.
 #[derive(Debug, PartialEq)]
 struct RunFingerprint {
     canonical: String,
@@ -41,14 +42,7 @@ struct RunFingerprint {
     snapshot: Snapshot,
 }
 
-/// The raw values of the two which-path counters, zeroed inside the
-/// fingerprint so the equality assertion pins everything else.
-struct PathCounters {
-    int_fast: u64,
-    batch_pushes: u64,
-}
-
-fn compile_group(files: &[&str]) -> gbc_core::Compiled {
+fn read_group(files: &[&str]) -> String {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut source = String::new();
     for f in files {
@@ -57,122 +51,140 @@ fn compile_group(files: &[&str]) -> gbc_core::Compiled {
         source.push_str(&text);
         source.push('\n');
     }
-    let program = gbc_parser::parse_program(&source).expect("shipped program parses");
-    gbc_core::compile(program).expect("shipped program compiles")
+    source
 }
 
-/// Run one group, mirroring `gbc run`: greedy when planned, generic
-/// otherwise.
-fn run_group(
-    files: &[&str],
-    threads: usize,
-    analyze: bool,
-    gamma_batch: bool,
-) -> (RunFingerprint, PathCounters) {
-    let compiled = compile_group(files);
-    let edb = Database::new();
+fn parse(source: &str) -> Program {
+    gbc_parser::parse_program(source).expect("program parses")
+}
+
+fn run(compiled: &Compiled, threads: usize) -> RunFingerprint {
     let tel = Telemetry::enabled();
-    let (db, chosen) = if compiled.has_greedy_plan() {
-        let config = GreedyConfig { threads, analyze, gamma_batch, ..GreedyConfig::default() };
-        let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("greedy run");
-        (run.db, run.chosen)
-    } else {
-        // The generic fixpoint has no analysis-gated specializations;
-        // it anchors the sweep so every shipped program is covered.
-        let mut fixpoint =
-            gbc_engine::ChoiceFixpoint::new(compiled.expanded(), &edb).expect("fixpoint");
-        fixpoint.set_telemetry(tel.clone());
-        fixpoint.run(&mut gbc_engine::DeterministicFirst).expect("fixpoint run");
-        let chosen = gbc_core::verify::records_from_engine(&fixpoint, compiled.expanded());
-        (fixpoint.into_database(), chosen)
-    };
-    let mut snapshot = tel.snapshot();
-    let raw = PathCounters {
-        int_fast: snapshot.heap_int_fast_compares,
-        batch_pushes: snapshot.heap_batch_pushes,
-    };
-    snapshot.heap_int_fast_compares = 0;
-    snapshot.heap_batch_pushes = 0;
-    (RunFingerprint { canonical: db.canonical_form(), chosen, snapshot }, raw)
+    let run = compiled
+        .run_greedy_telemetry(&Database::new(), GreedyConfig::with_threads(threads), &tel)
+        .expect("greedy run");
+    RunFingerprint {
+        canonical: run.db.canonical_form(),
+        chosen: run.chosen,
+        snapshot: tel.snapshot(),
+    }
+}
+
+/// The shipped groups that have a greedy plan, as `(name, source)`.
+fn greedy_groups() -> Vec<(String, String)> {
+    let groups: Vec<_> = PROGRAMS
+        .iter()
+        .map(|files| (format!("{files:?}"), read_group(files)))
+        .filter(|(_, source)| gbc_core::compile(parse(source)).expect("compiles").has_greedy_plan())
+        .collect();
+    // kruskal and assignment have no greedy plan.
+    assert_eq!(groups.len(), 7, "shipped groups with a greedy plan");
+    groups
+}
+
+fn fast_feed_flags(compiled: &Compiled) -> Vec<bool> {
+    build_plans(compiled.program(), compiled.expanded(), &compiled.analysis().stages)
+        .expect("greedy plan")
+        .iter()
+        .map(|p| p.is_fast_feed())
+        .collect()
+}
+
+/// Two dead rules for `program`: a mutually recursive pair with no base
+/// case, and a rule reading the first next rule's source relation
+/// behind a constant-false comparison. Unpruned, the saturator would
+/// scan that relation every round.
+fn dead_rules(program: &Program) -> String {
+    let source = program
+        .rules
+        .iter()
+        .filter(|r| r.has_next())
+        .find_map(|r| {
+            r.body.iter().find_map(|l| match l {
+                Literal::Pos(a) => Some(a),
+                _ => None,
+            })
+        })
+        .expect("a next rule with a source atom");
+    let vars: Vec<String> = (0..source.args.len()).map(|i| format!("V{i}")).collect();
+    format!(
+        "gbc_dead_a(X) <- gbc_dead_b(X).\n\
+         gbc_dead_b(X) <- gbc_dead_a(X).\n\
+         gbc_dead_read(V0) <- {}({}), 2 < 1.\n",
+        source.pred,
+        vars.join(", ")
+    )
+}
+
+fn int(i: i64) -> Expr {
+    Expr::Term(Term::Const(Value::Int(i)))
 }
 
 #[test]
 fn analysis_specializations_change_nothing_observable() {
-    for files in PROGRAMS {
+    let mut folded = 0;
+    for (name, source) in greedy_groups() {
+        let original = gbc_core::compile(parse(&source)).expect("compiles");
+        let mut twin = parse(&format!("{source}\n{}", dead_rules(original.program())));
+        // A constant-true comparison on every exit choice rule, folded
+        // out of its join plan.
+        for rule in twin.rules.iter_mut().filter(|r| r.has_choice() && !r.has_next()) {
+            rule.body.push(Literal::cmp(CmpOp::Lt, int(1), int(2)));
+            folded += 1;
+        }
+        let twin = gbc_core::compile(twin).expect("twin compiles");
+        assert!(twin.has_greedy_plan(), "{name}: the twin lost its greedy plan");
         for threads in [1, 4] {
-            let (on, _) = run_group(files, threads, true, true);
-            let (off, off_raw) = run_group(files, threads, false, true);
-            assert!(!on.canonical.is_empty(), "{files:?} produced no facts");
+            let want = run(&original, threads);
+            assert!(!want.canonical.is_empty(), "{name} produced no facts");
             assert_eq!(
-                on, off,
-                "{files:?} diverged between analysis on/off at {threads} thread(s)"
-            );
-            assert_eq!(
-                off_raw.int_fast, 0,
-                "{files:?}: analysis off must never take the Int heap fast path"
-            );
-            // The batch kernel rides on the analysis-gated fast feed,
-            // so analysis off also forces the sequential insert path.
-            assert_eq!(
-                off_raw.batch_pushes, 0,
-                "{files:?}: analysis off must never take the batch feed path"
+                want,
+                run(&twin, threads),
+                "{name}: dead rules or a folded comparison left a trace at {threads} thread(s)"
             );
         }
     }
+    assert!(folded > 0, "no shipped group has an exit choice rule to fold into");
 }
 
 #[test]
 fn gamma_batch_kernel_changes_nothing_observable() {
-    for files in PROGRAMS {
+    for (name, source) in greedy_groups() {
+        let original = gbc_core::compile(parse(&source)).expect("compiles");
+        // `max(V, V) = V` over each next rule's first source variable:
+        // always true, but arithmetic over a source variable, so the
+        // twin admits every row through a binding frame.
+        let mut twin = parse(&source);
+        for rule in twin.rules.iter_mut().filter(|r| r.has_next()) {
+            let var = rule
+                .body
+                .iter()
+                .find_map(|l| match l {
+                    Literal::Pos(a) => a.args.iter().find(|t| matches!(t, Term::Var(_))).cloned(),
+                    _ => None,
+                })
+                .expect("next rule has a source variable");
+            let max = Expr::Binary(
+                ArithOp::Max,
+                Box::new(Expr::Term(var.clone())),
+                Box::new(Expr::Term(var.clone())),
+            );
+            rule.body.push(Literal::cmp(CmpOp::Eq, max, Expr::Term(var)));
+        }
+        let twin = gbc_core::compile(twin).expect("twin compiles");
+        assert!(
+            fast_feed_flags(&original).iter().all(|&f| f),
+            "{name}: expected the columnar feed"
+        );
+        assert!(fast_feed_flags(&twin).iter().all(|&f| !f), "{name}: expected the framed feed");
         for threads in [1, 2, 4, 8] {
-            let (on, _) = run_group(files, threads, true, true);
-            let (off, off_raw) = run_group(files, threads, true, false);
-            assert!(!on.canonical.is_empty(), "{files:?} produced no facts");
-            assert_eq!(on, off, "{files:?} diverged between batch on/off at {threads} thread(s)");
+            let want = run(&original, threads);
+            assert!(!want.canonical.is_empty(), "{name} produced no facts");
             assert_eq!(
-                off_raw.batch_pushes, 0,
-                "{files:?}: batch off must never take the batch feed path"
+                want,
+                run(&twin, threads),
+                "{name}: columnar and framed feeds diverged at {threads} thread(s)"
             );
         }
     }
-}
-
-#[test]
-fn batch_kernel_engages_on_fast_feed_programs() {
-    // prim's feed (source scan + `Y != 0` pre-check) compiles to
-    // columnar checks, so the batch kernel must actually run.
-    let (_, raw) = run_group(&["programs/prim.dl", "programs/graph_small.dl"], 1, true, true);
-    assert!(raw.batch_pushes > 0, "prim: fast feed is columnar, the batch kernel should engage");
-}
-
-#[test]
-fn int_cost_heap_engages_on_integer_cost_programs() {
-    for files in [&["programs/prim.dl", "programs/graph_small.dl"][..], &["programs/sort.dl"][..]] {
-        let (_, raw) = run_group(files, 1, true, true);
-        assert!(
-            raw.int_fast > 0,
-            "{files:?}: cost column is provably int, the fast heap should engage"
-        );
-    }
-}
-
-#[test]
-fn no_analyze_env_var_flips_the_default() {
-    // The env var is read at `GreedyConfig::default()` time; exercise
-    // both explicit values instead of mutating the process environment
-    // (tests run concurrently).
-    let on = GreedyConfig { analyze: true, ..GreedyConfig::default() };
-    let off = GreedyConfig { analyze: false, ..GreedyConfig::default() };
-    assert!(on.analyze && !off.analyze);
-    assert_eq!(on.max_steps, off.max_steps);
-}
-
-#[test]
-fn no_gamma_batch_env_var_flips_the_default() {
-    // Same pattern as `no_analyze_env_var_flips_the_default`: explicit
-    // construction, never mutate the process environment.
-    let on = GreedyConfig { gamma_batch: true, ..GreedyConfig::default() };
-    let off = GreedyConfig { gamma_batch: false, ..GreedyConfig::default() };
-    assert!(on.gamma_batch && !off.gamma_batch);
-    assert_eq!(on.max_steps, off.max_steps);
 }

@@ -81,12 +81,8 @@ fn fingerprint(db: &Database, tel: &Telemetry) -> RunFingerprint {
 /// Run one program group at `threads` workers, mirroring `gbc run`:
 /// the Section 6 greedy executor when the program compiles to a greedy
 /// plan, the generic fixpoint (always serial — choice resolution is
-/// inherently sequential) otherwise. `gamma_batch` toggles the PR 10
-/// batched feed kernel (`GBC_NO_GAMMA_BATCH=1` territory): the counter
-/// it moves, `heap_batch_pushes`, is itself thread-count invariant, so
-/// each batch setting is swept for full byte-identity — the cross-batch
-/// comparison (counter zeroed) lives in `analysis_equivalence.rs`.
-fn run_group(files: &[&str], threads: usize, gamma_batch: bool) -> RunFingerprint {
+/// inherently sequential) otherwise.
+fn run_group(files: &[&str], threads: usize) -> RunFingerprint {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut source = String::new();
     for f in files {
@@ -100,7 +96,7 @@ fn run_group(files: &[&str], threads: usize, gamma_batch: bool) -> RunFingerprin
     let edb = Database::new();
     let tel = Telemetry::enabled();
     if compiled.has_greedy_plan() {
-        let config = GreedyConfig { gamma_batch, ..GreedyConfig::with_threads(threads) };
+        let config = GreedyConfig::with_threads(threads);
         let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("greedy run");
         fingerprint(&run.db, &tel)
     } else {
@@ -115,17 +111,14 @@ fn run_group(files: &[&str], threads: usize, gamma_batch: bool) -> RunFingerprin
 #[test]
 fn shipped_programs_are_thread_count_invariant() {
     for files in PROGRAMS {
-        for gamma_batch in [true, false] {
-            let serial = run_group(files, 1, gamma_batch);
-            assert!(!serial.canonical.is_empty(), "{files:?} produced no facts");
-            for threads in &THREAD_COUNTS[1..] {
-                let parallel = run_group(files, *threads, gamma_batch);
-                assert_eq!(
-                    serial, parallel,
-                    "{files:?} (batch={gamma_batch}) diverged from the serial run at \
-                     {threads} threads"
-                );
-            }
+        let serial = run_group(files, 1);
+        assert!(!serial.canonical.is_empty(), "{files:?} produced no facts");
+        for threads in &THREAD_COUNTS[1..] {
+            let parallel = run_group(files, *threads);
+            assert_eq!(
+                serial, parallel,
+                "{files:?} diverged from the serial run at {threads} threads"
+            );
         }
     }
 }
@@ -137,21 +130,16 @@ fn shipped_programs_are_thread_count_invariant() {
 fn large_prim_fans_out_identically() {
     let g = workload::connected_graph(512, 3 * 512, 1_000_000, 42);
     let (compiled, edb) = prim::prepared(&g, 0);
-    for gamma_batch in [true, false] {
-        let mut serial = None;
-        for threads in THREAD_COUNTS {
-            let tel = Telemetry::enabled();
-            let config = GreedyConfig { gamma_batch, ..GreedyConfig::with_threads(threads) };
-            let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("prim run");
-            assert_eq!(prim::decode(&run).len(), 511, "spanning tree edges");
-            let fp = fingerprint(&run.db, &tel);
-            match &serial {
-                None => serial = Some(fp),
-                Some(s) => assert_eq!(
-                    s, &fp,
-                    "prim n=512 (batch={gamma_batch}) diverged at {threads} threads"
-                ),
-            }
+    let mut serial = None;
+    for threads in THREAD_COUNTS {
+        let tel = Telemetry::enabled();
+        let config = GreedyConfig::with_threads(threads);
+        let run = compiled.run_greedy_telemetry(&edb, config, &tel).expect("prim run");
+        assert_eq!(prim::decode(&run).len(), 511, "spanning tree edges");
+        let fp = fingerprint(&run.db, &tel);
+        match &serial {
+            None => serial = Some(fp),
+            Some(s) => assert_eq!(s, &fp, "prim n=512 diverged at {threads} threads"),
         }
     }
 }

@@ -193,6 +193,15 @@ fn error_paths_are_structured_not_fatal() {
     assert_eq!(status, 400);
     assert!(body.contains("nesting deeper than"), "{body}");
 
+    // A client-chosen worker count above the machine's parallelism is
+    // refused before the engine sizes anything by it.
+    load_prim(&addr);
+    let (status, body) =
+        client::post_json(&addr, "/run", "{\"session\": \"prim\", \"threads\": 1000000000000}")
+            .unwrap();
+    assert_eq!(status, 400);
+    assert!(body.contains("\"error\"") && body.contains("at most"), "{body}");
+
     let (status, _) = client::get(&addr, "/nowhere").unwrap();
     assert_eq!(status, 404);
     let (status, _) = client::request(&addr, "DELETE", "/metrics", None).unwrap();
