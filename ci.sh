@@ -11,6 +11,9 @@ cargo build --release --offline --workspace
 
 echo "== tests =="
 cargo test -q --offline --workspace
+# The profiler's attribution bound must hold in the optimised build too,
+# where the per-rule intervals are shortest relative to loop bookkeeping.
+cargo test --release -q --offline -p gbc-bench --test trace_shape
 
 echo "== lints =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -89,6 +92,18 @@ for group in "${check_groups[@]}"; do
     # shellcheck disable=SC2086
     ./target/release/gbc check $group --deny-warnings >/dev/null || {
         echo "gbc check --deny-warnings failed for: $group" >&2
+        exit 1
+    }
+done
+
+echo "== verify: shipped runs are stable models (Theorem 1) =="
+# `gbc verify` checks each run against the rewritten negative program.
+# kruskal is left out: its generic-fixpoint run fails the check (an open
+# correctness item in ROADMAP.md).
+for group in "${check_groups[@]}"; do
+    # shellcheck disable=SC2086
+    ./target/release/gbc verify $group | grep -q 'stable model check: PASS' || {
+        echo "gbc verify did not PASS for: $group" >&2
         exit 1
     }
 done

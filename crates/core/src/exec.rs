@@ -147,8 +147,9 @@ pub struct NextPlan {
     pre_checks: Vec<Literal>,
     /// Comparison literals needing the stage variable.
     post_checks: Vec<Literal>,
-    /// The original rule's choice goals.
-    choice_goals: Vec<(Vec<Term>, Vec<Term>)>,
+    /// The expanded rule's choice variables: a commit's `chosen_i`
+    /// arguments.
+    chosen_vars: Vec<VarId>,
     /// The feed can skip per-row `Bindings` entirely: every source
     /// argument is a bare variable, a repeat of one, or ground, and
     /// every pre-check compares source columns and constants — so each
@@ -399,15 +400,11 @@ fn build_plan(
     });
 
     // Choice goals of the original rule; their variables must be bound.
-    let mut choice_goals = Vec::new();
-    for lit in &rule.body {
-        let Literal::Choice { left, right } = lit else { continue };
-        let vars = lit.vars();
-        if vars.iter().any(|v| !source_vars.contains(v) && *v != stage_var) {
-            return Err(template_err(rule, "choice variable not bound by the source atom"));
-        }
-        choice_goals.push((left.clone(), right.clone()));
+    let choice_lits = rule.body.iter().filter(|l| matches!(l, Literal::Choice { .. }));
+    if choice_lits.flat_map(Literal::vars).any(|v| !source_vars.contains(&v) && v != stage_var) {
+        return Err(template_err(rule, "choice variable not bound by the source atom"));
     }
+    let choice_goals: Vec<(&[Term], &[Term])> = choice_goals(rule).collect();
 
     // Congruence key (see module docs).
     let mut key: Vec<usize> = (0..source.args.len()).collect();
@@ -426,7 +423,7 @@ fn build_plan(
     // in `Q_r`.
     let col_vars: Vec<Vec<VarId>> = source.args.iter().map(Term::vars).collect();
     let cost_col = cost.map(|(_, col)| col);
-    if let [(left, right)] = choice_goals.as_slice() {
+    if let [(left, right)] = choice_goals[..] {
         let l_vars: Vec<VarId> = left.iter().flat_map(Term::vars).collect();
         let r_vars: Vec<VarId> = right.iter().flat_map(Term::vars).collect();
         let key_vars: Vec<VarId> = key
@@ -463,13 +460,24 @@ fn build_plan(
         cong_cols: key,
         pre_checks,
         post_checks,
-        choice_goals,
+        chosen_vars: choice_vars(expanded),
         fast_feed,
         feed_checks,
     })
 }
 
-type FdMap = FxHashMap<Vec<Value>, Vec<Value>>;
+/// An FD memo of one choice goal: committed left ids → right ids.
+type FdMap = FxHashMap<Vec<u32>, Vec<u32>>;
+
+/// Reusable id buffers for the diffChoice probe and the head build, so
+/// a rejected candidate allocates nothing.
+#[derive(Default)]
+struct IdScratch {
+    left: Vec<u32>,
+    right: Vec<u32>,
+    head: Vec<u32>,
+    w: Vec<u32>,
+}
 
 struct NextState {
     plan: NextPlan,
@@ -488,6 +496,11 @@ struct NextState {
     /// stage (the head differs only in `I`) and never terminate.
     /// Projections are stored as dictionary ids.
     w_used: FxHashSet<Vec<u32>>,
+    /// The retrieve-least loop's scratch binding frame and its trail,
+    /// kept across γ steps: the trail rewinds the frame between pops.
+    frame: Bindings,
+    trail: Vec<VarId>,
+    scratch: IdScratch,
 }
 
 /// The executor. Create with [`GreedyExecutor::new`], then [`GreedyExecutor::run`].
@@ -505,6 +518,9 @@ pub struct GreedyExecutor {
     /// Per exit rule: the body-relation size total at the last fruitless
     /// attempt — unchanged inputs ⇒ still fruitless, skip the re-scan.
     exit_stale: Vec<Option<usize>>,
+    /// The id of `nil`, the cost of every candidate of a rule without
+    /// an extremum.
+    nil_cost: u32,
     db: Database,
     config: GreedyConfig,
     chosen: Vec<ChosenRecord>,
@@ -571,19 +587,22 @@ impl GreedyExecutor {
         let nexts: Vec<NextState> = plans
             .into_iter()
             .map(|plan| {
-                let goals = plan.choice_goals.len();
+                let goals = choice_goals(&plan.rule).count();
                 let mut rql = if plan.descending { Rql::new_descending() } else { Rql::new() };
                 if plan.cost.is_some_and(|(_, col)| types.col_is_int(plan.source_pred, col)) {
                     rql.set_int_costs(true);
                 }
                 NextState {
-                    plan,
                     rql,
                     src_mark: 0,
                     head_mark: 0,
                     stage: i64::MIN,
                     memos: vec![FdMap::default(); goals],
                     w_used: FxHashSet::default(),
+                    frame: Bindings::new(plan.rule.num_vars()),
+                    trail: Vec::new(),
+                    scratch: IdScratch::default(),
+                    plan,
                 }
             })
             .collect();
@@ -602,6 +621,7 @@ impl GreedyExecutor {
             exit_statics,
             exit_memos,
             exit_stale,
+            nil_cost: dictionary::encode(&Value::Nil),
             db,
             config,
             chosen: Vec::new(),
@@ -637,14 +657,7 @@ impl GreedyExecutor {
     /// Run to fixpoint.
     pub fn run(mut self) -> Result<GreedyRun, CoreError> {
         let tel = self.tel.clone();
-        // Phase and overhead accounting use *chained* timestamps: each
-        // boundary reads the clock once and every interval between two
-        // boundaries is charged somewhere (a phase, a rule, or the
-        // profiler's overhead bucket). That keeps the attribution gap —
-        // time the instrumentation itself cannot see — to the one
-        // accumulator update per boundary, which is what lets
-        // `--profile` account for nearly all of the run's wall time.
-        let clocked = tel.phases.is_enabled() || tel.profiler.is_enabled();
+        let mut laps = Laps::start(&tel);
         // Per-round latency, recorded only when the handle asked for it
         // (`--stats-json`). A "round" is one full trip around this loop:
         // saturation plus the γ (or exit) decision it enables.
@@ -652,27 +665,15 @@ impl GreedyExecutor {
         let mut flat_round: u64 = 0;
         loop {
             let t_round = rounds_on.then(std::time::Instant::now);
-            let mut t_prev = clocked.then(std::time::Instant::now);
+            laps.lap(&[]);
             let new_facts = self.flat.saturate(&mut self.db)?;
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
-                tel.phases.add("run/flat", t - t0);
-                t_prev = Some(t);
-            }
+            laps.lap(&["run/flat"]);
             self.stats.flat_new_facts += new_facts;
             flat_round += 1;
             tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
-                tel.profiler.add_overhead(t - t0);
-                t_prev = Some(t);
-            }
+            laps.lap(&[]);
             let exited = self.fire_exit_rule()?;
-            if let Some(t0) = t_prev {
-                let t = std::time::Instant::now();
-                tel.phases.add("run/exit", t - t0);
-                t_prev = Some(t);
-            }
+            laps.lap(&["run/exit"]);
             if exited {
                 if let Some(t0) = t_round {
                     tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
@@ -680,16 +681,11 @@ impl GreedyExecutor {
                 continue;
             }
             self.feed_all()?;
-            if let Some(t0) = t_prev {
-                // The γ phase splits into feed/choose/commit buckets;
-                // the parent accumulates the same boundary intervals so
-                // it is first-used before any child and owns the loop
-                // overhead the children don't see.
-                let t = std::time::Instant::now();
-                tel.phases.add("run/gamma", t - t0);
-                tel.phases.add("run/gamma/feed", t - t0);
-                t_prev = Some(t);
-            }
+            // The γ phase splits into feed/choose/commit buckets; the
+            // parent accumulates the same boundary intervals so it is
+            // first-used before any child and owns the loop overhead the
+            // children don't see.
+            laps.lap(&["run/gamma", "run/gamma/feed"]);
             let mut fired = false;
             for i in 0..self.nexts.len() {
                 if self.fire_next_rule(i)? {
@@ -697,9 +693,7 @@ impl GreedyExecutor {
                     break;
                 }
             }
-            if let Some(t0) = t_prev {
-                tel.phases.add("run/gamma", t0.elapsed());
-            }
+            laps.lap(&["run/gamma"]);
             if let Some(t0) = t_round {
                 tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
             }
@@ -710,6 +704,7 @@ impl GreedyExecutor {
                 return Err(CoreError::StepLimit { steps: self.stats.gamma_steps });
             }
         }
+        laps.lap(&[]);
         let snapshot = self.tel.metrics.snapshot();
         let pool = self.pool_stats.as_ref().map(|s| s.report());
         Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool })
@@ -732,6 +727,7 @@ impl GreedyExecutor {
             ..
         } = self;
         let prov = db.provenance().cloned();
+        let mut scratch = IdScratch::default();
         for (ei, (ri, rule)) in exits.iter().enumerate() {
             let body_size: usize = rule.positive_atoms().map(|a| db.count(a.pred)).sum();
             if exit_stale[ei] == Some(body_size) {
@@ -761,28 +757,30 @@ impl GreedyExecutor {
             };
             let considered = frames.len() as u64;
             tel.metrics.choice_candidates_considered.add(considered);
+            let memos = &mut exit_memos[ei];
             let mut consistent = Vec::new();
             let mut rejected: u64 = 0;
             for b in frames {
-                match fd_first_conflict(rule, &exit_memos[ei], &b)? {
-                    None => consistent.push(b),
-                    Some((gi, left, attempted, committed)) => {
-                        rejected += 1;
-                        tel.metrics.diffchoice_rejections.inc();
-                        if let Some(arena) = &prov {
-                            let head = instantiate_head(rule, &b)?;
-                            arena.record_rejection(
-                                *ri,
-                                gi,
-                                "diffchoice",
-                                rule.head.pred,
-                                &head,
-                                left,
-                                attempted,
-                                committed,
-                            );
-                        }
-                    }
+                let Some(gi) = fd_first_conflict(rule, memos, &b, &mut scratch)? else {
+                    consistent.push(b);
+                    continue;
+                };
+                rejected += 1;
+                tel.metrics.diffchoice_rejections.inc();
+                if let Some(arena) = &prov {
+                    let head = instantiate_head(rule, &b)?;
+                    let (left, attempted, committed) =
+                        conflict_values(rule, gi, memos, &b, &scratch)?;
+                    arena.record_rejection(
+                        *ri,
+                        gi,
+                        "diffchoice",
+                        rule.head.pred,
+                        &head,
+                        left,
+                        attempted,
+                        committed,
+                    );
                 }
             }
             if considered > 0 {
@@ -801,13 +799,14 @@ impl GreedyExecutor {
             // Deterministic pick: smallest (head, chosen-args).
             let mut best: Option<(Row, Vec<Value>, Bindings)> = None;
             for b in minimal {
-                let head = instantiate_head(rule, &b)?;
-                let args = eval_choice_vars(rule, &b)?;
-                if db.contains(rule.head.pred, &head)
-                    && all_pairs_present(rule, &exit_memos[ei], &b)?
+                terms_ids(rule, &rule.head.args, &b, false, &mut scratch.head)?;
+                if db.relation(rule.head.pred).contains_ids(&scratch.head)
+                    && all_pairs_present(rule, memos, &b, &mut scratch)?
                 {
                     continue; // not new
                 }
+                let head = instantiate_head(rule, &b)?;
+                let args = eval_vars(rule, &choice_vars(rule), &b)?;
                 if best.as_ref().map_or(true, |(h, a, _)| (&head, &args) < (h, a)) {
                     best = Some((head, args, b));
                 }
@@ -817,7 +816,7 @@ impl GreedyExecutor {
                 tel.profiler.finish(t0, *ri, 0, 0);
                 continue;
             };
-            let pairs = eval_goal_pairs(rule, &b)?;
+            let pairs = commit_goal_pairs(rule, &b, memos)?;
             tel.trace_with(|| TraceEvent::ExitCommit {
                 pred: rule.head.pred.to_string(),
                 fact: head.to_string(),
@@ -827,10 +826,8 @@ impl GreedyExecutor {
                 arena.record_derivation(rule.head.pred, &head, *ri, &parent_rows(rule, &b));
                 arena.record_commit(*ri, rule.head.pred, &head, pairs.clone());
             }
-            db.insert(rule.head.pred, head);
-            for (gi, (l, r)) in pairs.iter().enumerate() {
-                exit_memos[ei][gi].insert(l.clone(), r.clone());
-            }
+            terms_ids(rule, &rule.head.args, &b, true, &mut scratch.head)?;
+            db.insert_ids(rule.head.pred, std::mem::take(&mut scratch.head));
             chosen.push(ChosenRecord { rule_idx: *ri, pairs, chosen_args: args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
@@ -842,19 +839,17 @@ impl GreedyExecutor {
 
     /// Feed every next rule in index order.
     fn feed_all(&mut self) -> Result<(), CoreError> {
-        // Interned once per feed phase, so the encode-hit count does not
-        // depend on how many rules or rows the phase visits.
-        let nil_cost = dictionary::encode(&Value::Nil);
         for i in 0..self.nexts.len() {
-            self.feed(i, nil_cost)?;
+            self.feed(i)?;
         }
         Ok(())
     }
 
     /// Push newly derived source facts of next rule `i` into its `Q_r`,
     /// and refresh the rule's stage high-water mark.
-    fn feed(&mut self, i: usize, nil_cost: u32) -> Result<(), CoreError> {
-        let GreedyExecutor { nexts, db, stats, tel, .. } = self;
+    fn feed(&mut self, i: usize) -> Result<(), CoreError> {
+        let GreedyExecutor { nexts, db, stats, tel, nil_cost, .. } = self;
+        let nil_cost = *nil_cost;
         let ns = &mut nexts[i];
         let t0 = tel.profiler.start();
         let plan = &ns.plan;
@@ -903,24 +898,30 @@ impl GreedyExecutor {
     }
 
     /// γ for next rule `i`: pop candidates until one passes every check.
+    ///
+    /// The step runs in id space: the popped row binds its ids into the
+    /// frame, the FD memos are probed with id tuples read off the frame,
+    /// and the committed head is an id row. Only the new stage value is
+    /// interned (once per step); values are decoded only for the chosen
+    /// record, provenance and trace events.
     fn fire_next_rule(&mut self, i: usize) -> Result<bool, CoreError> {
-        let tel = self.tel.clone();
-        let prov = self.db.provenance().cloned();
-        // Split the borrow: take what we need out of `self.nexts[i]`.
-        let ns = &mut self.nexts[i];
-        if ns.stage == i64::MIN {
+        let GreedyExecutor { nexts, db, chosen, stats, tel, .. } = self;
+        let prov = db.provenance().cloned();
+        let NextState { plan, rql, stage, memos, w_used, frame: b, trail, scratch, .. } =
+            &mut nexts[i];
+        if *stage == i64::MIN {
             // No committed stage yet (exit facts absent): nothing to do.
-            if ns.rql.is_queue_empty() {
+            if rql.is_queue_empty() {
                 return Ok(false);
             }
             return Err(CoreError::NoGreedyPlan {
                 detail: format!(
                     "next rule for `{}` has candidates but no initial stage fact",
-                    ns.plan.head_pred
+                    plan.head_pred
                 ),
             });
         }
-        let next_stage = ns.stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
+        let next_stage = stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
         let t0 = tel.profiler.start();
         // γ bucket accounting: everything up to a commit decision is
         // "choose" (pops, re-checks, FD tests, discards); the committed
@@ -928,36 +929,30 @@ impl GreedyExecutor {
         // `run/gamma` parent charged by the run loop.
         let t_phase = tel.phases.is_enabled().then(std::time::Instant::now);
 
-        // One scratch frame for the whole retrieve-least loop: the trail
-        // rewinds it between pops instead of reallocating per candidate.
-        let mut b = Bindings::new(ns.plan.rule.num_vars());
-        let mut trail: Vec<VarId> = Vec::new();
+        let mut stage_id = None;
         let mut pops: u64 = 0;
         let mut rejected: u64 = 0;
-        while let Some(popped) = ns.rql.pop_least() {
+        while let Some(popped) = rql.pop_least() {
             pops += 1;
             tel.metrics.choice_candidates_considered.inc();
             for v in trail.drain(..) {
                 b.unbind(v);
             }
-            let plan = &ns.plan;
             let ok = plan
                 .source()
                 .args
                 .iter()
                 .zip(popped.row.iter())
-                .all(|(t, &id)| match_term_id(t, id, &mut b, &mut trail));
+                .all(|(t, &id)| match_term_id(t, id, b, trail));
             debug_assert!(ok, "queued row must re-match its source atom");
-            b.bind(plan.stage_var, Value::Int(next_stage));
+            let sid = *stage_id.get_or_insert_with(|| dictionary::encode(&Value::Int(next_stage)));
+            b.bind_encoded(plan.stage_var, sid);
             trail.push(plan.stage_var);
 
-            let stage_ok = apply_comparisons(&plan.pre_checks, &mut b, &mut trail)?
-                && apply_comparisons(&plan.post_checks, &mut b, &mut trail)?;
-            let conflict = if stage_ok {
-                fd_first_conflict_goals(&plan.choice_goals, &ns.memos, &plan.rule, &b)?
-            } else {
-                None
-            };
+            let stage_ok = apply_comparisons(&plan.pre_checks, b, trail)?
+                && apply_comparisons(&plan.post_checks, b, trail)?;
+            let conflict =
+                if stage_ok { fd_first_conflict(&plan.rule, memos, b, scratch)? } else { None };
             if !stage_ok || conflict.is_some() {
                 let reason = if stage_ok {
                     tel.metrics.diffchoice_rejections.inc();
@@ -968,16 +963,20 @@ impl GreedyExecutor {
                 if let Some(arena) = &prov {
                     let src_row = dictionary::decode_row(&popped.row);
                     match conflict {
-                        Some((gi, left, attempted, committed)) => arena.record_rejection(
-                            plan.rule_idx,
-                            gi,
-                            "diffchoice",
-                            plan.source_pred,
-                            &src_row,
-                            left,
-                            attempted,
-                            committed,
-                        ),
+                        Some(gi) => {
+                            let (left, attempted, committed) =
+                                conflict_values(&plan.rule, gi, memos, b, scratch)?;
+                            arena.record_rejection(
+                                plan.rule_idx,
+                                gi,
+                                "diffchoice",
+                                plan.source_pred,
+                                &src_row,
+                                left,
+                                attempted,
+                                committed,
+                            )
+                        }
                         None => arena.record_rejection(
                             plan.rule_idx,
                             NO_GOAL,
@@ -997,35 +996,31 @@ impl GreedyExecutor {
                     reason,
                     row: dictionary::decode_row(&popped.row).to_string(),
                 });
-                ns.rql.discard(popped);
-                self.stats.discarded += 1;
+                rql.discard(popped);
+                stats.discarded += 1;
                 continue;
             }
-            let head = instantiate_head(&plan.rule, &b)?;
-            // The next-expansion's choice(W, I): one stage per W. The
-            // projection is interned here (on the coordinator) so the
-            // membership test is an id-row comparison.
-            let w: Vec<u32> = head
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != plan.stage_pos)
-                .map(|(_, v)| dictionary::encode(v))
-                .collect();
-            if ns.w_used.contains(&w) {
+            // The next-expansion's choice(W, I): one stage per W, tested
+            // on the head's id row without its stage column.
+            terms_ids(&plan.rule, &plan.rule.head.args, b, true, &mut scratch.head)?;
+            scratch.w.clear();
+            scratch.w.extend(
+                scratch
+                    .head
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, _)| c != plan.stage_pos)
+                    .map(|(_, &id)| id),
+            );
+            if w_used.contains(scratch.w.as_slice()) {
                 if let Some(arena) = &prov {
-                    let w_vals: Vec<Value> = head
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != plan.stage_pos)
-                        .map(|(_, v)| v.clone())
-                        .collect();
                     arena.record_rejection(
                         plan.rule_idx,
                         NO_GOAL,
                         "stage-reuse",
                         plan.head_pred,
                         &dictionary::decode_row(&popped.row),
-                        w_vals,
+                        decode_ids(&scratch.w),
                         vec![Value::Int(next_stage)],
                         Vec::new(),
                     );
@@ -1038,8 +1033,8 @@ impl GreedyExecutor {
                     reason: DiscardReason::StageReuse,
                     row: dictionary::decode_row(&popped.row).to_string(),
                 });
-                ns.rql.discard(popped);
-                self.stats.discarded += 1;
+                rql.discard(popped);
+                stats.discarded += 1;
                 continue;
             }
 
@@ -1049,12 +1044,10 @@ impl GreedyExecutor {
                 tel.phases.add("run/gamma/choose", now - t);
                 now
             });
-            ns.w_used.insert(w);
-            let pairs = eval_goal_pairs(&plan.expanded, &b)?;
-            let chosen_args = eval_choice_vars(&plan.expanded, &b)?;
-            for (gi, (l, r)) in pairs.iter().take(plan.choice_goals.len()).enumerate() {
-                ns.memos[gi].insert(l.clone(), r.clone());
-            }
+            w_used.insert(scratch.w.clone());
+            let pairs = commit_goal_pairs(&plan.expanded, b, memos)?;
+            let chosen_args = eval_vars(&plan.expanded, &plan.chosen_vars, b)?;
+            let head = std::mem::take(&mut scratch.head);
             tel.trace_with(|| TraceEvent::StageCommit {
                 pred: plan.head_pred.to_string(),
                 stage: next_stage,
@@ -1063,32 +1056,32 @@ impl GreedyExecutor {
                 } else {
                     String::new()
                 },
-                fact: head.to_string(),
+                fact: Row::new(decode_ids(&head)).to_string(),
             });
             if let Some(arena) = &prov {
+                let head_row = Row::new(decode_ids(&head));
                 arena.advance_step();
                 arena.record_derivation(
                     plan.head_pred,
-                    &head,
+                    &head_row,
                     plan.rule_idx,
                     &[(plan.source_pred, dictionary::decode_row(&popped.row))],
                 );
-                arena.record_commit(plan.rule_idx, plan.head_pred, &head, pairs.clone());
+                arena.record_commit(plan.rule_idx, plan.head_pred, &head_row, pairs.clone());
             }
-            ns.rql.commit(popped);
-            ns.stage = next_stage;
-            let rule_idx = ns.plan.rule_idx;
+            rql.commit(popped);
+            *stage = next_stage;
             tel.trace_with(|| TraceEvent::ChoiceAudit {
-                rule: rule_idx,
-                pred: ns.plan.head_pred.to_string(),
+                rule: plan.rule_idx,
+                pred: plan.head_pred.to_string(),
                 considered: pops,
                 rejected,
             });
-            self.db.insert(ns.plan.head_pred, head);
-            self.chosen.push(ChosenRecord { rule_idx, pairs, chosen_args });
-            self.stats.gamma_steps += 1;
+            db.insert_ids(plan.head_pred, head);
+            chosen.push(ChosenRecord { rule_idx: plan.rule_idx, pairs, chosen_args });
+            stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
-            tel.profiler.finish(t0, rule_idx, 1, 1);
+            tel.profiler.finish(t0, plan.rule_idx, 1, 1);
             if let Some(t) = t_commit {
                 tel.phases.add("run/gamma/commit", t.elapsed());
             }
@@ -1099,14 +1092,55 @@ impl GreedyExecutor {
         }
         if pops > 0 {
             tel.trace_with(|| TraceEvent::ChoiceAudit {
-                rule: ns.plan.rule_idx,
-                pred: ns.plan.head_pred.to_string(),
+                rule: plan.rule_idx,
+                pred: plan.head_pred.to_string(),
                 considered: pops,
                 rejected,
             });
         }
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
+        tel.profiler.finish(t0, plan.rule_idx, 0, 0);
         Ok(false)
+    }
+}
+
+/// The run loop's chained clock. Each [`Laps::lap`] reads the clock
+/// once and closes the interval since the previous boundary: the
+/// interval is charged to the given phases, and whatever share of it no
+/// profiler row claimed (phase accumulation, clock reads, the exit
+/// rules' staleness checks) goes to the profiler's overhead bucket, so
+/// `--profile` accounts for the whole loop. A handle with neither
+/// phases nor profiler never reads the clock.
+struct Laps<'a> {
+    tel: &'a Telemetry,
+    last: Option<std::time::Instant>,
+    /// The profiler's charged total at `last`.
+    charged: u64,
+}
+
+impl Laps<'_> {
+    fn start(tel: &Telemetry) -> Laps<'_> {
+        let clocked = tel.phases.is_enabled() || tel.profiler.is_enabled();
+        Laps {
+            tel,
+            last: clocked.then(std::time::Instant::now),
+            charged: tel.profiler.charged_nanos(),
+        }
+    }
+
+    fn lap(&mut self, phases: &[&str]) {
+        let Some(t0) = self.last else { return };
+        let t = std::time::Instant::now();
+        let span = t - t0;
+        for phase in phases {
+            self.tel.phases.add(phase, span);
+        }
+        if self.tel.profiler.is_enabled() {
+            let claimed = self.tel.profiler.charged_nanos() - self.charged;
+            let gap = (span.as_nanos() as u64).saturating_sub(claimed);
+            self.tel.profiler.add_overhead(std::time::Duration::from_nanos(gap));
+            self.charged += claimed + gap;
+        }
+        self.last = Some(t);
     }
 }
 
@@ -1166,66 +1200,109 @@ fn apply_comparisons(
 }
 
 fn eval_tuple(rule: &Rule, terms: &[Term], b: &Bindings) -> Result<Vec<Value>, CoreError> {
-    terms
-        .iter()
-        .map(|t| {
-            eval_term(t, b).ok_or_else(|| {
-                CoreError::Engine(gbc_engine::EngineError::NonGroundHead { rule: rule.to_string() })
-            })
-        })
-        .collect()
+    terms.iter().map(|t| eval_term(t, b).ok_or_else(|| non_ground(rule))).collect()
 }
 
-/// The first conflicting `(goal, left, attempted, committed)` of the
-/// on-the-fly diffChoice test over explicit goal lists — `None` means
-/// the binding is FD-consistent.
-#[allow(clippy::type_complexity)]
-fn fd_first_conflict_goals(
-    goals: &[(Vec<Term>, Vec<Term>)],
-    memos: &[FdMap],
+fn non_ground(rule: &Rule) -> CoreError {
+    CoreError::Engine(gbc_engine::EngineError::NonGroundHead { rule: rule.to_string() })
+}
+
+/// The `(left, right)` term tuples of `rule`'s choice goals, in body
+/// order.
+fn choice_goals(rule: &Rule) -> impl Iterator<Item = (&[Term], &[Term])> {
+    rule.body.iter().filter_map(|l| match l {
+        Literal::Choice { left, right } => Some((left.as_slice(), right.as_slice())),
+        _ => None,
+    })
+}
+
+/// Write the dictionary ids of `terms` under `b` into `out`. A variable
+/// bound with its id reads it off the frame; any other term is
+/// evaluated, then interned (`intern`) or only looked up — a value
+/// never interned yields [`DICT_MISS`], which equals no stored id.
+fn terms_ids(
     rule: &Rule,
+    terms: &[Term],
     b: &Bindings,
-) -> Result<Option<(usize, Vec<Value>, Vec<Value>, Vec<Value>)>, CoreError> {
-    for (gi, (l, r)) in goals.iter().enumerate() {
-        let lv = eval_tuple(rule, l, b)?;
-        let rv = eval_tuple(rule, r, b)?;
-        if let Some(prev) = memos[gi].get(&lv) {
-            if *prev != rv {
-                return Ok(Some((gi, lv, rv, prev.clone())));
+    intern: bool,
+    out: &mut Vec<u32>,
+) -> Result<(), CoreError> {
+    out.clear();
+    for t in terms {
+        let id = match t {
+            Term::Var(v) if b.id_of(*v) != DICT_MISS => b.id_of(*v),
+            _ => {
+                let v = eval_term(t, b).ok_or_else(|| non_ground(rule))?;
+                if intern {
+                    dictionary::encode(&v)
+                } else {
+                    dictionary::try_encode(&v)
+                }
             }
+        };
+        out.push(id);
+    }
+    Ok(())
+}
+
+/// Values of an id tuple, borrowed from the dictionary (uncounted: these
+/// are internal records, not output).
+fn decode_ids(ids: &[u32]) -> Vec<Value> {
+    ids.iter().map(|&id| decode_ref(id).clone()).collect()
+}
+
+/// The on-the-fly diffChoice test: the first choice goal of `rule`
+/// whose FD the frame `b` violates against the committed `memos`, or
+/// `None` when the frame is FD-consistent. Probes with `scratch`'s id
+/// buffers; on a conflict, `scratch.left` holds the goal's left ids.
+fn fd_first_conflict(
+    rule: &Rule,
+    memos: &[FdMap],
+    b: &Bindings,
+    scratch: &mut IdScratch,
+) -> Result<Option<usize>, CoreError> {
+    for (gi, (l, r)) in choice_goals(rule).enumerate() {
+        terms_ids(rule, l, b, false, &mut scratch.left)?;
+        let Some(prev) = memos[gi].get(scratch.left.as_slice()) else { continue };
+        terms_ids(rule, r, b, false, &mut scratch.right)?;
+        if *prev != scratch.right {
+            return Ok(Some(gi));
         }
     }
     Ok(None)
 }
 
-/// [`fd_first_conflict_goals`] over a rule's own choice literals.
-#[allow(clippy::type_complexity)]
-fn fd_first_conflict(
+/// The `(left, attempted, committed)` values of a diffChoice conflict.
+type ConflictValues = (Vec<Value>, Vec<Value>, Vec<Value>);
+
+/// The [`ConflictValues`] of a conflict that [`fd_first_conflict`]
+/// reported on goal `gi`, for provenance.
+fn conflict_values(
+    rule: &Rule,
+    gi: usize,
+    memos: &[FdMap],
+    b: &Bindings,
+    scratch: &IdScratch,
+) -> Result<ConflictValues, CoreError> {
+    let (_, right) = choice_goals(rule).nth(gi).expect("conflicting goal exists");
+    let committed = decode_ids(&memos[gi][scratch.left.as_slice()]);
+    Ok((decode_ids(&scratch.left), eval_tuple(rule, right, b)?, committed))
+}
+
+/// Has every choice goal of `rule` already committed exactly the pair
+/// the frame `b` would?
+fn all_pairs_present(
     rule: &Rule,
     memos: &[FdMap],
     b: &Bindings,
-) -> Result<Option<(usize, Vec<Value>, Vec<Value>, Vec<Value>)>, CoreError> {
-    let goals: Vec<(Vec<Term>, Vec<Term>)> = rule
-        .body
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Choice { left, right } => Some((left.clone(), right.clone())),
-            _ => None,
-        })
-        .collect();
-    fd_first_conflict_goals(&goals, memos, rule, b)
-}
-
-fn all_pairs_present(rule: &Rule, memos: &[FdMap], b: &Bindings) -> Result<bool, CoreError> {
-    let mut gi = 0;
-    for lit in &rule.body {
-        let Literal::Choice { left, right } = lit else { continue };
-        let lv = eval_tuple(rule, left, b)?;
-        let rv = eval_tuple(rule, right, b)?;
-        if memos[gi].get(&lv) != Some(&rv) {
+    scratch: &mut IdScratch,
+) -> Result<bool, CoreError> {
+    for (gi, (l, r)) in choice_goals(rule).enumerate() {
+        terms_ids(rule, l, b, false, &mut scratch.left)?;
+        terms_ids(rule, r, b, false, &mut scratch.right)?;
+        if memos[gi].get(scratch.left.as_slice()) != Some(&scratch.right) {
             return Ok(false);
         }
-        gi += 1;
     }
     Ok(true)
 }
@@ -1233,24 +1310,29 @@ fn all_pairs_present(rule: &Rule, memos: &[FdMap], b: &Bindings) -> Result<bool,
 /// A committed `(left, right)` value pair of one choice goal.
 type GoalPair = (Vec<Value>, Vec<Value>);
 
-/// Evaluate every choice goal of `rule` to its (L, R) value pair.
-fn eval_goal_pairs(rule: &Rule, b: &Bindings) -> Result<Vec<GoalPair>, CoreError> {
-    let mut out = Vec::new();
-    for lit in &rule.body {
-        let Literal::Choice { left, right } = lit else { continue };
-        out.push((eval_tuple(rule, left, b)?, eval_tuple(rule, right, b)?));
+/// Commit the frame's choice goals: record each goal's (left, right)
+/// ids in its memo (`rule`'s first `memos.len()` goals have one), and
+/// return every goal's pair of values, as [`ChosenRecord::pairs`] holds
+/// them.
+fn commit_goal_pairs(
+    rule: &Rule,
+    b: &Bindings,
+    memos: &mut [FdMap],
+) -> Result<Vec<GoalPair>, CoreError> {
+    let mut pairs = Vec::new();
+    for (gi, (l, r)) in choice_goals(rule).enumerate() {
+        if let Some(memo) = memos.get_mut(gi) {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            terms_ids(rule, l, b, true, &mut left)?;
+            terms_ids(rule, r, b, true, &mut right)?;
+            memo.insert(left, right);
+        }
+        pairs.push((eval_tuple(rule, l, b)?, eval_tuple(rule, r, b)?));
     }
-    Ok(out)
+    Ok(pairs)
 }
 
-/// Evaluate the rule's choice variables (the `chosen_i` argument tuple).
-fn eval_choice_vars(rule: &Rule, b: &Bindings) -> Result<Vec<Value>, CoreError> {
-    choice_vars(rule)
-        .into_iter()
-        .map(|v| {
-            b.get(v).cloned().ok_or_else(|| {
-                CoreError::Engine(gbc_engine::EngineError::NonGroundHead { rule: rule.to_string() })
-            })
-        })
-        .collect()
+/// The values of `vars` under `b` (a `chosen_i` argument tuple).
+fn eval_vars(rule: &Rule, vars: &[VarId], b: &Bindings) -> Result<Vec<Value>, CoreError> {
+    vars.iter().map(|&v| b.get(v).cloned().ok_or_else(|| non_ground(rule))).collect()
 }

@@ -35,6 +35,30 @@ pub fn expand_next(program: &Program) -> Result<Program, CoreError> {
     Ok(Program::from_rules(rules))
 }
 
+/// `program` with every next-rule `least`/`most` grouped by the rule's
+/// stage variable (`least(C)` becomes `least(C, I)`): the extremum the
+/// alternating fixpoint computes (DESIGN.md §1, repair 4). The literal
+/// rewriting of an empty group would range over every stage at once.
+pub fn with_stage_groups(program: &Program) -> Program {
+    let mut out = program.clone();
+    for rule in &mut out.rules {
+        let Some(stage) = rule.body.iter().find_map(|l| match l {
+            Literal::Next { var } => Some(*var),
+            _ => None,
+        }) else {
+            continue;
+        };
+        for lit in &mut rule.body {
+            if let Literal::Least { group, .. } | Literal::Most { group, .. } = lit {
+                if group.is_empty() {
+                    group.push(Term::Var(stage));
+                }
+            }
+        }
+    }
+    out
+}
+
 fn expand_rule(rule: &Rule) -> Result<Rule, CoreError> {
     let stage_var = rule
         .body

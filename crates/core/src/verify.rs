@@ -12,18 +12,23 @@ use gbc_storage::{Database, Row};
 
 use crate::error::CoreError;
 use crate::exec::{ChosenRecord, GreedyRun};
+use crate::rewrite::next::with_stage_groups;
 use crate::rewrite::rewrite_full;
 
 /// Check that `run` is a stable model of `program ∪ edb`.
 ///
 /// `program` is the *original* program (with `choice`/`least`/`next`);
-/// the rewriting to negation happens here. `run.chosen` must carry the
-/// committed choices (both executors record them).
+/// the rewriting to negation happens here, after each next rule's
+/// extremum is grouped by its stage variable
+/// ([`with_stage_groups`]) — the semantics the greedy executor
+/// implements. `run.chosen` must carry the committed choices (both
+/// executors record them).
 pub fn verify_stable_model(
     program: &Program,
     edb: &Database,
     run: &GreedyRun,
 ) -> Result<bool, CoreError> {
+    let program = &with_stage_groups(program);
     let fr = rewrite_full(program)?;
 
     // Choice-rule ordinals: order of appearance among choice rules of

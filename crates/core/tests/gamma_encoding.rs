@@ -1,0 +1,84 @@
+//! The γ step interns only the new stage value.
+//!
+//! The popped candidate already holds its cells as dictionary ids, so
+//! choosing (the FD probes) and committing (the memo entries, the `W`
+//! projection, the head row) reuse them; the one value a step can
+//! introduce is its stage number. Over `GreedyExecutor::run`, dictionary
+//! encodes — probes answered by an existing id plus newly minted ids —
+//! must therefore stay within the γ step count plus a constant, at every
+//! instance size.
+//!
+//! The dictionary counters are process-global, so this file holds a
+//! single test: no other test can intern inside the measured window.
+
+use gbc_core::exec::{build_plans, GreedyExecutor};
+use gbc_core::{compile, GreedyConfig};
+use gbc_storage::{dict_stats, Database};
+use gbc_telemetry::Rng;
+
+/// Encodes a run may spend outside its γ steps.
+const SLACK: u64 = 4;
+
+const SORT: &str = "sp(nil, 0, 0).\n\
+                    sp(X, C, I) <- next(I), p(X, C), least(C, I).\n";
+
+const MATCHING: &str = "matching(nil, nil, 0, 0).\n\
+                        matching(X, Y, C, I) <- next(I), g(X, Y, C), least(C, I),\n\
+                        choice(Y, X), choice(X, Y).\n";
+
+/// `n` sort facts `p(kK, C)` with random costs.
+fn sort_text(n: usize, rng: &mut Rng) -> String {
+    let mut text = SORT.to_owned();
+    for k in 0..n {
+        text.push_str(&format!("p(k{k}, {}).\n", rng.range_i64(-1000, 1000)));
+    }
+    text
+}
+
+/// `m` random arcs `g(X, Y, C)` over `n` nodes.
+fn matching_text(n: usize, m: usize, rng: &mut Rng) -> String {
+    let mut text = MATCHING.to_owned();
+    for _ in 0..m {
+        let (x, y) = (rng.below_usize(n), rng.below_usize(n));
+        text.push_str(&format!("g({x}, {y}, {}).\n", rng.range_i64(1, 10_000)));
+    }
+    text
+}
+
+/// Encodes spent by the executor's run phase, and its γ step count.
+fn run_encodes(text: &str) -> (u64, u64) {
+    let compiled = compile(gbc_parser::parse_program(text).expect("parses")).expect("compiles");
+    let plans = build_plans(compiled.program(), compiled.expanded(), &compiled.analysis().stages)
+        .expect("greedy plan");
+    let ex = GreedyExecutor::new(
+        compiled.program(),
+        compiled.expanded(),
+        plans,
+        &Database::new(),
+        GreedyConfig::default(),
+    );
+    let before = dict_stats();
+    let run = ex.run().expect("run");
+    let spent = dict_stats().since(&before);
+    (spent.encode_hits + spent.dict_entries, run.stats.gamma_steps)
+}
+
+#[test]
+fn gamma_steps_bound_dictionary_encodes() {
+    let mut rng = Rng::new(15);
+    let instances = [
+        ("sort n=64", sort_text(64, &mut rng)),
+        ("sort n=512", sort_text(512, &mut rng)),
+        ("matching e=128", matching_text(48, 128, &mut rng)),
+        ("matching e=1024", matching_text(256, 1024, &mut rng)),
+    ];
+    for (name, text) in instances {
+        let (encodes, steps) = run_encodes(&text);
+        assert!(steps > 0, "{name}: no γ steps");
+        assert!(
+            encodes <= steps + SLACK,
+            "{name}: {encodes} dictionary encodes over {steps} γ steps (allowed {})",
+            steps + SLACK
+        );
+    }
+}

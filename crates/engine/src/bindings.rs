@@ -1,18 +1,20 @@
 //! Binding frames: variable assignments during rule-body matching.
 
 use gbc_ast::{Value, VarId};
+use gbc_storage::dictionary::decode_ref;
 use gbc_storage::DICT_MISS;
 
 /// A flat binding frame indexed by [`VarId`]. Bind/unbind pairs follow a
 /// trail discipline inside the matcher, so the frame is reused across
 /// the whole enumeration of a rule body without allocation churn.
 ///
-/// Alongside each value slot the frame carries the value's dictionary
-/// id when the binder knew it ([`Bindings::bind_encoded`] — the id-space
-/// matcher always does). Scans read [`Bindings::id_of`] to build index
-/// keys and compare repeated variables as plain `u32`s; a slot bound
-/// through the value-level path ([`Bindings::bind`], e.g. arithmetic
-/// assignments) carries [`DICT_MISS`] and falls back to value
+/// A variable is bound either by its dictionary id
+/// ([`Bindings::bind_encoded`] — the id-space matcher always does) or by
+/// value ([`Bindings::bind`], e.g. arithmetic assignments). An id-bound
+/// slot decodes nothing when bound: [`Bindings::get`] borrows its value
+/// from the dictionary on access. Scans read [`Bindings::id_of`] to
+/// build index keys and compare repeated variables as plain `u32`s; a
+/// value-bound slot reports [`DICT_MISS`] and falls back to value
 /// comparison. Equality of frames is defined over the **values** only:
 /// whether a binder happened to know an id is bookkeeping, not content.
 #[derive(Clone, Debug, Default, Eq)]
@@ -23,7 +25,8 @@ pub struct Bindings {
 
 impl PartialEq for Bindings {
     fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots
+        self.len() == other.len()
+            && (0..self.len() as u32).all(|i| self.get(VarId(i)) == other.get(VarId(i)))
     }
 }
 
@@ -35,7 +38,10 @@ impl Bindings {
 
     /// The value bound to `v`, if any.
     pub fn get(&self, v: VarId) -> Option<&Value> {
-        self.slots.get(v.index()).and_then(Option::as_ref)
+        match self.id_of(v) {
+            DICT_MISS => self.slots.get(v.index()).and_then(Option::as_ref),
+            id => Some(decode_ref(id)),
+        }
     }
 
     /// The dictionary id bound to `v`, or [`DICT_MISS`] when `v` is
@@ -46,7 +52,7 @@ impl Bindings {
 
     /// True when `v` is bound.
     pub fn is_bound(&self, v: VarId) -> bool {
-        self.get(v).is_some()
+        self.id_of(v) != DICT_MISS || self.slots.get(v.index()).is_some_and(Option::is_some)
     }
 
     /// Bind `v` to `val` (id unknown).
@@ -55,14 +61,16 @@ impl Bindings {
     /// Debug-asserts that `v` was unbound — the matcher must check-and-
     /// compare rather than rebind.
     pub fn bind(&mut self, v: VarId, val: Value) {
-        debug_assert!(self.slots[v.index()].is_none(), "rebinding {v:?}");
+        debug_assert!(!self.is_bound(v), "rebinding {v:?}");
         self.slots[v.index()] = Some(val);
     }
 
-    /// Bind `v` to `val` whose dictionary id is `id`.
-    pub fn bind_encoded(&mut self, v: VarId, val: Value, id: u32) {
-        debug_assert!(self.slots[v.index()].is_none(), "rebinding {v:?}");
-        self.slots[v.index()] = Some(val);
+    /// Bind `v` to the value whose dictionary id is `id`.
+    ///
+    /// # Panics
+    /// Debug-asserts that `v` was unbound, like [`Bindings::bind`].
+    pub fn bind_encoded(&mut self, v: VarId, id: u32) {
+        debug_assert!(!self.is_bound(v), "rebinding {v:?}");
         self.ids[v.index()] = id;
     }
 
@@ -84,7 +92,7 @@ impl Bindings {
 
     /// Snapshot of the current assignment (for collecting match results).
     pub fn snapshot(&self) -> Vec<Option<Value>> {
-        self.slots.clone()
+        (0..self.len() as u32).map(|i| self.get(VarId(i)).cloned()).collect()
     }
 }
 
@@ -108,7 +116,7 @@ mod tests {
         let mut b = Bindings::new(2);
         let v = Value::int(7);
         let id = gbc_storage::dictionary::encode(&v);
-        b.bind_encoded(VarId(0), v.clone(), id);
+        b.bind_encoded(VarId(0), id);
         assert_eq!(b.get(VarId(0)), Some(&v));
         assert_eq!(b.id_of(VarId(0)), id);
         b.unbind(VarId(0));
@@ -122,7 +130,7 @@ mod tests {
         let mut a = Bindings::new(1);
         let mut b = Bindings::new(1);
         a.bind(VarId(0), v.clone());
-        b.bind_encoded(VarId(0), v, id);
+        b.bind_encoded(VarId(0), id);
         assert_eq!(a, b);
     }
 

@@ -128,9 +128,8 @@ pub fn match_term(t: &Term, v: &Value, b: &mut Bindings, trail: &mut Vec<VarId>)
 /// fast paths — the columnar scan loop's counterpart of [`match_term`]:
 ///
 /// * a variable bound with a known id compares two `u32`s;
-/// * a fresh variable binds the decoded value *and* the id (a borrow
-///   from the global dictionary — no clone of nested structure beyond
-///   the `Value`'s own cheap refcount bump);
+/// * a fresh variable binds the id alone (its value is borrowed from
+///   the global dictionary when read, so binding decodes nothing);
 /// * constants compare against the decoded borrow;
 /// * functor patterns destructure via [`func_parts`] and recurse in id
 ///   space.
@@ -144,7 +143,7 @@ pub fn match_term_id(t: &Term, id: u32, b: &mut Bindings, trail: &mut Vec<VarId>
             match b.get(*var) {
                 Some(bound) => bound == decode_ref(id),
                 None => {
-                    b.bind_encoded(*var, decode_ref(id).clone(), id);
+                    b.bind_encoded(*var, id);
                     trail.push(*var);
                     true
                 }

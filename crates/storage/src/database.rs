@@ -6,6 +6,7 @@ use std::sync::Arc;
 use gbc_ast::{Symbol, Value};
 use gbc_telemetry::Metrics;
 
+use crate::dictionary;
 use crate::provenance::ProvenanceArena;
 use crate::relation::Relation;
 use crate::tuple::Row;
@@ -66,6 +67,12 @@ impl Database {
         self.relations.entry(pred).or_insert_with(|| Database::fresh_relation(metrics)).insert(row)
     }
 
+    /// Insert a pre-encoded row `pred(ids)`. Returns `false` on
+    /// duplicate.
+    pub fn insert_ids(&mut self, pred: Symbol, ids: Vec<u32>) -> bool {
+        self.relation_mut(pred).insert_ids(ids)
+    }
+
     /// Insert from plain values.
     pub fn insert_values(&mut self, pred: impl Into<Symbol>, values: Vec<Value>) -> bool {
         self.insert(pred.into(), Row::new(values))
@@ -116,20 +123,49 @@ impl Database {
 
     /// Render the database as sorted ground facts, one per line —
     /// the canonical form used in golden tests.
+    ///
+    /// Rows are ordered in id space: each relation's row positions sort
+    /// by the `Value` order of their cells ([`dictionary::cmp_ids`]),
+    /// which is the order of the decoded rows, and the cells print
+    /// straight from their dictionary borrows into one output buffer.
+    /// Like a decoded-row render, it counts one `decode_calls` per
+    /// printed cell.
     pub fn canonical_form(&self) -> String {
-        let mut lines: Vec<String> = Vec::with_capacity(self.total_facts());
+        use std::fmt::Write;
+        let estimate: usize = self
+            .relations
+            .iter()
+            .map(|(p, rel)| rel.len() * (p.as_str().len() + 3 + 8 * rel.arity().unwrap_or(0)))
+            .sum();
+        let mut out = String::with_capacity(estimate);
         for (p, rel) in &self.relations {
-            let mut rows: Vec<Row> = rel.iter().collect();
-            rows.sort();
-            for r in rows {
-                if r.arity() == 0 {
-                    lines.push(format!("{p}."));
-                } else {
-                    lines.push(format!("{p}{r}."));
+            let rows = rel.rows();
+            let arity = rows.arity();
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_unstable_by(|&a, &b| {
+                (0..arity)
+                    .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            dictionary::count_decodes((rows.len() * arity) as u64);
+            for r in order {
+                if !out.is_empty() {
+                    out.push('\n');
                 }
+                out.push_str(p.as_str());
+                if arity > 0 {
+                    for c in 0..arity {
+                        out.push(if c == 0 { '(' } else { ',' });
+                        write!(out, "{}", dictionary::decode_ref(rows.cell(r, c)))
+                            .expect("writing to a String cannot fail");
+                    }
+                    out.push(')');
+                }
+                out.push('.');
             }
         }
-        lines.join("\n")
+        out
     }
 }
 
@@ -186,5 +222,59 @@ mod tests {
         let mut db = Database::new();
         db.insert_values("done", vec![]);
         assert_eq!(db.canonical_form(), "done.");
+    }
+
+    /// A random value of every shape, functors nested up to `depth`.
+    fn random_value(rng: &mut gbc_telemetry::Rng, depth: u32) -> Value {
+        const SYMS: [&str; 5] = ["a", "b", "zed", "nil_like", "Q"];
+        const STRS: [&str; 4] = ["", "x y", "quote\"d", "tab\tnew\nline"];
+        match rng.below(if depth == 0 { 4 } else { 5 }) {
+            0 => Value::Nil,
+            1 => Value::int(rng.range_i64(-50, 50)),
+            2 => Value::sym(SYMS[rng.below_usize(SYMS.len())]),
+            3 => Value::str(STRS[rng.below_usize(STRS.len())]),
+            _ => {
+                let args = (0..rng.below(3)).map(|_| random_value(rng, depth - 1)).collect();
+                Value::func(["t", "f"][rng.below_usize(2)], args)
+            }
+        }
+    }
+
+    /// The render by decoded rows: collect, sort the `Row`s, format.
+    fn decoded_row_render(db: &Database) -> String {
+        let mut lines = Vec::new();
+        for p in db.predicates() {
+            let mut rows = db.facts_of(p);
+            rows.sort();
+            for r in rows {
+                lines.push(if r.arity() == 0 { format!("{p}.") } else { format!("{p}{r}.") });
+            }
+        }
+        lines.join("\n")
+    }
+
+    #[test]
+    fn id_space_render_matches_sorted_decoded_rows() {
+        for seed in 0..40u64 {
+            let mut rng = gbc_telemetry::Rng::new(seed);
+            let mut db = Database::new();
+            for (i, pred) in ["r0", "r1", "r2", "r3"].into_iter().enumerate() {
+                // Arity 0 for `r0`, so zero-arity facts mix in.
+                let arity = if i == 0 { 0 } else { 1 + rng.below_usize(3) };
+                for _ in 0..rng.below(30) {
+                    let row = (0..arity).map(|_| random_value(&mut rng, 2)).collect();
+                    db.insert_values(pred, row);
+                }
+            }
+            let want = decoded_row_render(&db);
+            let cells: u64 =
+                db.relations.values().map(|r| (r.len() * r.arity().unwrap_or(0)) as u64).sum();
+            let before = dictionary::dict_stats().decode_calls;
+            let got = db.canonical_form();
+            let counted = dictionary::dict_stats().decode_calls - before;
+            assert_eq!(got, want, "seed {seed}");
+            // Other threads' decodes may land in the window; never fewer.
+            assert!(counted >= cells, "seed {seed}: {counted} decodes for {cells} cells");
+        }
     }
 }

@@ -233,6 +233,13 @@ pub fn decode(id: u32) -> Value {
     decode_ref(id).clone()
 }
 
+/// Count `n` boundary decodes served by [`decode_ref`] borrows: an
+/// output path that prints values in place still reports one
+/// `decode_calls` per printed cell, as [`decode_row`] would.
+pub fn count_decodes(n: u64) {
+    DECODE_CALLS.fetch_add(n, Ordering::Relaxed);
+}
+
 /// Functor destructuring in id space: `Some((name, arg_ids))` when
 /// `id` is a `Func`, `None` otherwise.
 pub fn func_parts(id: u32) -> Option<(Symbol, &'static [u32])> {

@@ -212,7 +212,17 @@ impl RuleProfiler {
     /// executor-overhead and parallel-merge buckets, in seconds. Worker
     /// lanes are excluded — they overlap the per-rule intervals.
     pub fn total_secs(&self) -> f64 {
-        self.rules_secs() + self.overhead_secs() + self.merge_secs()
+        self.charged_nanos() as f64 / 1e9
+    }
+
+    /// [`RuleProfiler::total_secs`] in nanoseconds: a caller that reads
+    /// it at both ends of an interval learns how much of the interval
+    /// the profile already accounts for.
+    pub fn charged_nanos(&self) -> u64 {
+        let rules: u64 = self.rules.lock().expect("profiler lock").iter().map(|p| p.nanos).sum();
+        rules
+            + self.overhead_nanos.load(Ordering::Relaxed)
+            + self.merge_nanos.load(Ordering::Relaxed)
     }
 
     /// `{rules: [{rule, firings, tuples, secs, plan_hits}, …],

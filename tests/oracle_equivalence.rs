@@ -17,15 +17,18 @@
 //! * every counter is identical across thread counts.
 //!
 //! The oracle sees each next rule's extremum with its stage variable
-//! made explicit (`least(C)` becomes `least(C, I)`): that is the group
-//! the executor computes (DESIGN.md §1, repair 4), while the literal
-//! rewriting of an empty group ranges over every stage at once.
+//! made explicit (`with_stage_groups`: `least(C)` becomes
+//! `least(C, I)`): that is the group the executor computes (DESIGN.md
+//! §1, repair 4), while the literal rewriting of an empty group ranges
+//! over every stage at once. `verify_stable_model` applies the same
+//! grouping itself.
 //!
 //! The shipped next rules all take the columnar feed, so two inline
-//! rules pin the frame-building fallback feed against the same oracle.
+//! rules pin the frame-building fallback feed against the same oracle,
+//! and four more pin the FD memo shapes the shipped programs leave out.
 
-use gbc_ast::{Literal, Program, Term};
 use gbc_core::exec::build_plans;
+use gbc_core::rewrite::next::with_stage_groups;
 use gbc_core::{verify_stable_model, Compiled, GreedyConfig};
 use gbc_storage::Database;
 use gbc_telemetry::{Snapshot, Telemetry};
@@ -63,28 +66,6 @@ fn compile_text(source: &str) -> Compiled {
     gbc_core::compile(program).expect("program compiles")
 }
 
-/// `program` with every next-rule `least`/`most` grouped by the rule's
-/// stage variable: the semantics the greedy executor implements.
-fn with_stage_groups(program: &Program) -> Program {
-    let mut out = program.clone();
-    for rule in &mut out.rules {
-        let Some(stage) = rule.body.iter().find_map(|l| match l {
-            Literal::Next { var } => Some(*var),
-            _ => None,
-        }) else {
-            continue;
-        };
-        for lit in &mut rule.body {
-            if let Literal::Least { group, .. } | Literal::Most { group, .. } = lit {
-                if group.is_empty() {
-                    group.push(Term::Var(stage));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Run `source` greedily at every thread count and check each run
 /// against the generic fixpoint, Theorem 1, and the serial run.
 fn check_against_oracle(name: &str, source: &str) {
@@ -105,7 +86,7 @@ fn check_against_oracle(name: &str, source: &str) {
         assert!(!model.is_empty(), "{name} produced no facts");
         assert_eq!(model, want_model, "{name}: greedy and generic models differ at {threads}");
         assert!(
-            verify_stable_model(reference.program(), &edb, &run).expect("stability check"),
+            verify_stable_model(compiled.program(), &edb, &run).expect("stability check"),
             "{name}: greedy run is not a stable model at {threads} thread(s)"
         );
         let got = (model, tel.snapshot());
@@ -196,4 +177,70 @@ fn int_cost_heap_engages_on_integer_cost_programs() {
             "{files:?}: cost column is provably int, the fast heap should engage"
         );
     }
+}
+
+// Memo shapes: the γ step probes each choice goal's FD memo with the id
+// tuple of its left side, so goals whose sides are tuples, constants or
+// functor terms, non-integer costs and exit-rule memos each get an
+// inline rule checked against the same oracle, with the rejection
+// counters that show the memo (not the congruence key) did the work.
+
+/// The serial greedy run's counters for `source`.
+fn counters(source: &str) -> Snapshot {
+    compile_text(source).run_greedy(&Database::new()).expect("greedy run").snapshot
+}
+
+#[test]
+fn multi_column_goal_probes_a_tuple_memo() {
+    // (a, b, z2) fails the (X, Y) → Z memo entry of (a, b, z1); (a, c, z1)
+    // fails the Z → Y entry.
+    let source = "q(nil, nil, nil, 0, 0).\n\
+                  q(X, Y, Z, C, I) <- next(I), p(X, Y, Z, C), least(C, I),\n\
+                  choice((X, Y), (Z)), choice(Z, Y).\n\
+                  p(a, b, z1, 1). p(a, b, z2, 2). p(a, c, z1, 3).\n\
+                  p(b, b, z3, 4). p(a, c, z4, 5). p(b, c, z5, 6).\n";
+    check_against_oracle("multi-column goal", source);
+    let snap = counters(source);
+    assert_eq!((snap.diffchoice_rejections, snap.gamma_steps), (2, 4), "{snap:?}");
+}
+
+#[test]
+fn constant_and_functor_goal_terms_probe_by_value() {
+    // Neither `k` nor `f(Y)` is a frame variable: the probe evaluates
+    // them, and an `f(Y)` never committed matches no memo entry.
+    let source = "r(nil, nil, 0, 0).\n\
+                  r(X, Y, C, I) <- next(I), p(X, Y, C), least(C, I),\n\
+                  choice((X, k), (f(Y))), choice(Y, X).\n\
+                  p(a, b, 1). p(a, c, 2). p(d, b, 3). p(e, g, 4).\n";
+    check_against_oracle("constant and functor goal terms", source);
+    let snap = counters(source);
+    assert_eq!((snap.diffchoice_rejections, snap.gamma_steps), (2, 2), "{snap:?}");
+}
+
+#[test]
+fn most_over_symbol_costs() {
+    // Descending symbol order: dave, carol, bob, alice. carol fails
+    // X → G, bob fails G → X.
+    let source = "t(nil, nil, nil, 0).\n\
+                  t(X, G, N, I) <- next(I), name(X, G, N), most(N, I),\n\
+                  choice(X, G), choice(G, X).\n\
+                  name(1, g1, dave). name(1, g2, carol). name(2, g1, bob). name(3, g3, alice).\n";
+    check_against_oracle("most over symbol costs", source);
+    let snap = counters(source);
+    assert_eq!((snap.diffchoice_rejections, snap.gamma_steps), (2, 2), "{snap:?}");
+    assert_eq!(snap.heap_int_fast_compares, 0, "symbol costs must not take the int heap");
+}
+
+#[test]
+fn exit_rule_memo_rejects_conflicting_frames() {
+    // Each firing of the seed rule commits its smallest new instance:
+    // seed(a, 1, 5), seed(b, 1, 4), seed(c, 3, 7). Firings 2–4 see
+    // cand(a, 2, 3) and then cand(b, 4, 1) contradict an X → Y commit.
+    let source = "seed(X, Y, C) <- cand(X, Y, C), choice(X, Y).\n\
+                  sp(nil, nil, 0).\n\
+                  sp(X, Y, I) <- next(I), seed(X, Y, C), least(C, I).\n\
+                  cand(a, 1, 5). cand(a, 2, 3). cand(b, 1, 4). cand(c, 3, 7). cand(b, 4, 1).\n";
+    check_against_oracle("exit-rule memo", source);
+    let snap = counters(source);
+    assert_eq!((snap.diffchoice_rejections, snap.gamma_steps), (5, 6), "{snap:?}");
 }
