@@ -37,6 +37,12 @@ grep -q '"gamma_steps": 5' "$stats_json" || {
     echo "unexpected gamma_steps in $stats_json" >&2
     exit 1
 }
+# An evaluation runs on one thread: `--threads` sizes the `gbc serve`
+# worker pool only, and is a usage error everywhere else.
+if ./target/release/gbc run programs/sort.dl --threads 2 >/dev/null 2>&1; then
+    echo "gbc run accepted --threads (only gbc serve takes it)" >&2
+    exit 1
+fi
 
 echo "== smoke: gbc run --profile and gbc explain over shipped programs =="
 # Every shipped program must survive a profiled run (the per-rule table
@@ -156,32 +162,12 @@ for entry in "${analyze_groups[@]}"; do
 done
 # The oracle sweep: every greedy-planned group (plus two inline rules on
 # the binding-frame feed) must agree with the generic choice fixpoint and
-# pass the Theorem 1 stable-model check, at threads 1, 2 and 4.
+# pass the Theorem 1 stable-model check.
 cargo test -q --offline -p gbc-bench --test oracle_equivalence
 # The specializations against hand-made twins: dead rules and a
 # constant-true comparison must leave no trace, and a framed-feed twin
-# must match the columnar feed, counters included, at threads 1-8.
+# must match the columnar feed, counters included.
 cargo test -q --offline -p gbc-bench --test analysis_equivalence
-
-echo "== ci-par: parallel saturation equivalence =="
-# The determinism contract (DESIGN.md §9): every thread count produces
-# byte-identical relations and semantic counters. The in-process sweep
-# covers threads {1,2,4,8}; the CLI pass re-runs every shipped program
-# profiled at 4 workers, which must succeed and keep its attribution
-# line just like the serial profile above.
-cargo test -q --offline -p gbc-bench --test parallel_equivalence
-for entry in "${obs_groups[@]}"; do
-    files="${entry%%|*}"
-    # shellcheck disable=SC2086
-    ./target/release/gbc run $files --threads 4 --profile >/dev/null 2>"$diag_json" || {
-        echo "gbc run --threads 4 --profile failed for: $files" >&2
-        exit 1
-    }
-    grep -q 'attributed' "$diag_json" || {
-        echo "parallel profile missing attribution line for: $files" >&2
-        exit 1
-    }
-done
 
 echo "== bench: machine-readable experiment record + ratio gate =="
 # Quick (0-warmup, median-of-3) run of the paper experiments; appends a
@@ -213,6 +199,11 @@ grep -q '"label": "post-PR8"' BENCH_experiments.json || {
 # And the post-PR10 record (batched γ feed), the --compare baseline below.
 grep -q '"label": "post-PR10"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR10 run" >&2
+    exit 1
+}
+# The post-PR16 record: the first E1/E2 baseline measured on 2 cores.
+grep -q '"label": "post-PR16"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR16 run" >&2
     exit 1
 }
 for col in dict_entries encode_hits decode_calls; do
@@ -257,14 +248,17 @@ http_post() { # PATH BODY -> full response on stdout
 
 http_get /healthz | grep -q '"status":"ok"' || {
     echo "/healthz is not ok" >&2; exit 1; }
-http_post /load '{"name": "prim", "files": ["programs/prim.dl", "programs/graph_small.dl"]}' \
+# /load takes program text: JSON-escape prim + its graph into one string.
+prim_program="$(cat programs/prim.dl programs/graph_small.dl \
+    | sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\t/\\t/g' | awk '{printf "%s\\n", $0}')"
+http_post /load "{\"name\": \"prim\", \"program\": \"$prim_program\"}" \
     | grep -q '"greedy_plan": true' || {
     echo "POST /load failed for prim" >&2; exit 1; }
-http_post /run '{"session": "prim", "threads": 2, "journal": true}' \
+http_post /run '{"session": "prim", "journal": true}' \
     | grep -q '"gamma_steps":5' || {
     echo "POST /run gave unexpected gamma_steps (want the gbc-run-pinned 5)" >&2; exit 1; }
-http_get '/stats?session=prim' | grep -q '"schema_version": 3' || {
-    echo "GET /stats missing the schema-v3 report" >&2; exit 1; }
+http_get '/stats?session=prim' | grep -q '"schema_version": 4' || {
+    echo "GET /stats missing the schema-v4 report" >&2; exit 1; }
 http_get '/journal?session=prim' | grep -q '"type":"stage_commit"' || {
     echo "GET /journal carries no choice-audit events" >&2; exit 1; }
 http_get /programs | grep -q '"name": "prim"' || {

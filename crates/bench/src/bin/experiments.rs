@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [prim|sort|matching|kruskal|models|huffman|tsp|spanning|
 //!              scheduling|ablation|seminaive|all]...
-//!             [--quick] [--json <path>] [--label <name>] [--threads LIST]
+//!             [--quick] [--json <path>] [--label <name>]
 //!             [--serve-load SESSIONSxTHREADS] [--compare LABEL]
 //!             [--tolerance PCT] [--ratio-gate]
 //! ```
@@ -23,11 +23,6 @@
 //! trajectory, kept in `BENCH_experiments.json` by `ci.sh`. Each run
 //! carries a `meta` block (core count, OS/arch) so numbers from
 //! different machines are never compared blind.
-//!
-//! `--threads LIST` (comma-separated, default `1`) re-runs the prim and
-//! sort rows at each worker count — the parallel flat-rule saturation
-//! scaling table. Counters must be identical across the list (the
-//! engine's determinism contract, DESIGN.md §9); only wall-clock moves.
 //!
 //! `--serve-load SESSIONSxTHREADS` (also accepts `×`) runs the
 //! multi-tenant closed-loop harness from `gbc_bench::serve` **through a
@@ -75,7 +70,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: experiments [prim|sort|matching|kruskal|models|huffman|tsp|spanning|\n\
          \u{20}                   scheduling|ablation|seminaive|all]...\n\
-         \u{20}                  [--quick] [--json <path>] [--label <name>] [--threads LIST]\n\
+         \u{20}                  [--quick] [--json <path>] [--label <name>]\n\
          \u{20}                  [--serve-load SESSIONSxTHREADS] [--compare LABEL]\n\
          \u{20}                  [--tolerance PCT] [--ratio-gate]"
     );
@@ -105,7 +100,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let mut json_path: Option<String> = None;
     let mut label = "run".to_owned();
-    let mut threads: Vec<usize> = vec![1];
     let mut serve: Option<(usize, usize)> = None;
     let mut compare: Option<String> = None;
     let mut tolerance = 25.0f64;
@@ -118,17 +112,6 @@ fn main() {
             "--ratio-gate" => gate = true,
             "--json" => json_path = Some(require_value(&mut it, "--json", "a path")),
             "--label" => label = require_value(&mut it, "--label", "a run label"),
-            "--threads" => {
-                let list = require_value(&mut it, "--threads", "a comma-separated list");
-                threads = list
-                    .split(',')
-                    .map(|t| {
-                        t.trim().parse::<usize>().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                            usage(&format!("bad thread count `{t}` in --threads"))
-                        })
-                    })
-                    .collect();
-            }
             "--serve-load" => {
                 let spec = require_value(&mut it, "--serve-load", "SESSIONSxTHREADS (e.g. 8x4)");
                 serve = Some(parse_serve_spec(&spec));
@@ -158,10 +141,10 @@ fn main() {
     let run = |name: &str| names.iter().any(|n| n == "all" || n == name);
     let mut rec = Recorder::default();
     if run("prim") {
-        e1_prim(quick, &threads, &mut rec);
+        e1_prim(quick, &mut rec);
     }
     if run("sort") {
-        e2_sort(quick, &threads, &mut rec);
+        e2_sort(quick, &mut rec);
     }
     if run("matching") {
         e3_matching(quick, &mut rec);
@@ -287,8 +270,6 @@ fn ratio_gate(rec: &Recorder) -> i32 {
         };
         let n_of = |r: &Json| r.get("n").and_then(Json::as_u64).unwrap_or(0);
         let n_max = rows.iter().map(n_of).max().unwrap_or(0);
-        // Rows are pushed threads[0]-first, so the first n-max row is
-        // the canonical serial lane.
         let Some(row) = rows.iter().find(|r| n_of(r) == n_max) else {
             eprintln!("ratio-gate FAIL: experiment \"{exp}\" recorded no rows");
             failures += 1;
@@ -297,16 +278,11 @@ fn ratio_gate(rec: &Recorder) -> i32 {
         let decl = row.get("decl_ns").and_then(Json::as_f64).unwrap_or(f64::NAN);
         let base = row.get(base_field).and_then(Json::as_f64).unwrap_or(f64::NAN);
         let ratio = decl / base.max(1.0);
-        let thr = row.get("threads").and_then(Json::as_u64).unwrap_or(0);
         let what = base_field.trim_end_matches("_ns");
         if ratio <= limit {
-            println!(
-                "ratio-gate ok:   {exp} n={n_max} thr={thr} decl/{what} = {ratio:.1} <= {limit}"
-            );
+            println!("ratio-gate ok:   {exp} n={n_max} decl/{what} = {ratio:.1} <= {limit}");
         } else {
-            eprintln!(
-                "ratio-gate FAIL: {exp} n={n_max} thr={thr} decl/{what} = {ratio:.1} > {limit}"
-            );
+            eprintln!("ratio-gate FAIL: {exp} n={n_max} decl/{what} = {ratio:.1} > {limit}");
             failures += 1;
         }
     }
@@ -363,7 +339,7 @@ fn secs(s: f64) -> String {
     format!("{:.4}", s)
 }
 
-fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
+fn e1_prim(quick: bool, rec: &mut Recorder) {
     println!("\n== E1  Prim (Example 4): declarative O(e log e) vs classical O(e log n) ==");
     let sizes: &[usize] = if quick { &[128, 256, 512] } else { &[128, 256, 512, 1024, 2048] };
     let h = harness(quick);
@@ -375,71 +351,57 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
         let e = g.num_edges();
         let (compiled, edb) = prim::prepared(&g, 0);
         let (base, t_base) = h.run(|| prim_mst(g.n, &g.edges, 0));
-        let mut serial_snapshot = None;
-        for &t in threads {
-            let config = gbc_core::GreedyConfig::with_threads(t);
-            let (run, t_decl) = h.run(|| compiled.run_greedy_with(&edb, config).unwrap());
-            let decl_edges = prim::decode(&run);
-            assert_eq!(total_cost(&decl_edges), total_cost(&base), "MST costs must agree");
-            // Determinism contract (DESIGN.md §9): every thread count
-            // derives the same tuples through the same operations.
-            match &serial_snapshot {
-                None => serial_snapshot = Some(run.snapshot.clone()),
-                Some(s) => assert_eq!(s, &run.snapshot, "counters drift at {t} threads"),
-            }
-            // Machine-independent certificate of O(e log e): total heap
-            // operations per e·log₂e stay flat as e grows.
-            let heap_ops = run.snapshot.heap_ops();
-            let elog = e as f64 * (e as f64).log2();
-            if t == threads[0] {
-                decl_samples.push(Sample { size: e as u64, secs: t_decl.median_secs });
-                base_samples.push(Sample { size: e as u64, secs: t_base.median_secs });
-            }
-            // Dictionary-counter movement of one dedicated run: the
-            // timed repetitions above interned every value this workload
-            // can produce, so the delta is the per-run interning
-            // overhead (hits and boundary decodes; zero new entries).
-            let dict = dict_delta(|| {
-                compiled.run_greedy_with(&edb, config).unwrap();
-            });
-            rec.push(
-                "prim",
-                vec![
-                    ("n", Json::UInt(n as u64)),
-                    ("e", Json::UInt(e as u64)),
-                    ("threads", Json::UInt(t as u64)),
-                    ("decl_ns", ns(t_decl.median_secs)),
-                    ("classical_ns", ns(t_base.median_secs)),
-                    ("mst_cost", Json::Int(total_cost(&decl_edges))),
-                    ("heap_ops", Json::UInt(heap_ops)),
-                    ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
-                    ("flat_rounds", Json::UInt(run.snapshot.flat_rounds)),
-                    ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
-                    ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
-                    ("tuples_derived", Json::UInt(run.snapshot.tuples_derived)),
-                    ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
-                    ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
-                    ("dict_entries", Json::UInt(dict.dict_entries)),
-                    ("encode_hits", Json::UInt(dict.encode_hits)),
-                    ("decode_calls", Json::UInt(dict.decode_calls)),
-                ],
-            );
-            rows.push(vec![
-                n.to_string(),
-                e.to_string(),
-                t.to_string(),
-                secs(t_decl.median_secs),
-                secs(t_base.median_secs),
-                format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
-                total_cost(&decl_edges).to_string(),
-                heap_ops.to_string(),
-                format!("{:.3}", heap_ops as f64 / elog),
-                run.snapshot.flat_rounds.to_string(),
-                run.snapshot.discarded_pops.to_string(),
-                run.snapshot.diffchoice_rejections.to_string(),
-                run.snapshot.plan_cache_hits.to_string(),
-            ]);
-        }
+        let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
+        let decl_edges = prim::decode(&run);
+        assert_eq!(total_cost(&decl_edges), total_cost(&base), "MST costs must agree");
+        // Machine-independent certificate of O(e log e): total heap
+        // operations per e·log₂e stay flat as e grows.
+        let heap_ops = run.snapshot.heap_ops();
+        let elog = e as f64 * (e as f64).log2();
+        decl_samples.push(Sample { size: e as u64, secs: t_decl.median_secs });
+        base_samples.push(Sample { size: e as u64, secs: t_base.median_secs });
+        // Dictionary-counter movement of one dedicated run: the
+        // timed repetitions above interned every value this workload
+        // can produce, so the delta is the per-run interning
+        // overhead (hits and boundary decodes; zero new entries).
+        let dict = dict_delta(|| {
+            compiled.run_greedy(&edb).unwrap();
+        });
+        rec.push(
+            "prim",
+            vec![
+                ("n", Json::UInt(n as u64)),
+                ("e", Json::UInt(e as u64)),
+                ("decl_ns", ns(t_decl.median_secs)),
+                ("classical_ns", ns(t_base.median_secs)),
+                ("mst_cost", Json::Int(total_cost(&decl_edges))),
+                ("heap_ops", Json::UInt(heap_ops)),
+                ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
+                ("flat_rounds", Json::UInt(run.snapshot.flat_rounds)),
+                ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
+                ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
+                ("tuples_derived", Json::UInt(run.snapshot.tuples_derived)),
+                ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
+                ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
+                ("dict_entries", Json::UInt(dict.dict_entries)),
+                ("encode_hits", Json::UInt(dict.encode_hits)),
+                ("decode_calls", Json::UInt(dict.decode_calls)),
+            ],
+        );
+        rows.push(vec![
+            n.to_string(),
+            e.to_string(),
+            secs(t_decl.median_secs),
+            secs(t_base.median_secs),
+            format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
+            total_cost(&decl_edges).to_string(),
+            heap_ops.to_string(),
+            format!("{:.3}", heap_ops as f64 / elog),
+            run.snapshot.flat_rounds.to_string(),
+            run.snapshot.discarded_pops.to_string(),
+            run.snapshot.diffchoice_rejections.to_string(),
+            run.snapshot.plan_cache_hits.to_string(),
+        ]);
     }
     println!(
         "{}",
@@ -447,7 +409,6 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
             &[
                 "n",
                 "e",
-                "thr",
                 "decl_s",
                 "classical_s",
                 "ratio",
@@ -470,7 +431,7 @@ fn e1_prim(quick: bool, threads: &[usize], rec: &mut Recorder) {
     );
 }
 
-fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
+fn e2_sort(quick: bool, rec: &mut Recorder) {
     println!("\n== E2  Sorting (Example 5): the fixpoint runs heap-sort, O(n log n) ==");
     let sizes: &[usize] = if quick { &[512, 1024, 2048] } else { &[512, 1024, 2048, 4096, 8192] };
     let h = harness(quick);
@@ -490,62 +451,49 @@ fn e2_sort(quick: bool, threads: &[usize], rec: &mut Recorder) {
             insertion_sort(&mut v);
             v
         });
-        let mut serial_snapshot = None;
-        for &t in threads {
-            let config = gbc_core::GreedyConfig::with_threads(t);
-            let (run, t_decl) = h.run(|| compiled.run_greedy_with(&edb, config).unwrap());
-            assert_eq!(run.stats.gamma_steps as usize, n);
-            match &serial_snapshot {
-                None => serial_snapshot = Some(run.snapshot.clone()),
-                Some(s) => assert_eq!(s, &run.snapshot, "counters drift at {t} threads"),
-            }
-            if t == threads[0] {
-                decl_s.push(Sample { size: n as u64, secs: t_decl.median_secs });
-                heap_s.push(Sample { size: n as u64, secs: t_heap.median_secs });
-                ins_s.push(Sample { size: n as u64, secs: t_ins.median_secs });
-            }
-            let dict = dict_delta(|| {
-                compiled.run_greedy_with(&edb, config).unwrap();
-            });
-            rec.push(
-                "sort",
-                vec![
-                    ("n", Json::UInt(n as u64)),
-                    ("threads", Json::UInt(t as u64)),
-                    ("decl_ns", ns(t_decl.median_secs)),
-                    ("heapsort_ns", ns(t_heap.median_secs)),
-                    ("insertion_ns", ns(t_ins.median_secs)),
-                    ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
-                    ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
-                    ("flat_rounds", Json::UInt(run.snapshot.flat_rounds)),
-                    ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
-                    ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
-                    ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
-                    ("dict_entries", Json::UInt(dict.dict_entries)),
-                    ("encode_hits", Json::UInt(dict.encode_hits)),
-                    ("decode_calls", Json::UInt(dict.decode_calls)),
-                ],
-            );
-            rows.push(vec![
-                n.to_string(),
-                t.to_string(),
-                secs(t_decl.median_secs),
-                secs(t_heap.median_secs),
-                secs(t_ins.median_secs),
-                run.snapshot.heap_ops().to_string(),
-                run.snapshot.gamma_steps.to_string(),
-                run.snapshot.flat_rounds.to_string(),
-                run.snapshot.diffchoice_rejections.to_string(),
-                run.snapshot.plan_cache_hits.to_string(),
-            ]);
-        }
+        let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
+        assert_eq!(run.stats.gamma_steps as usize, n);
+        decl_s.push(Sample { size: n as u64, secs: t_decl.median_secs });
+        heap_s.push(Sample { size: n as u64, secs: t_heap.median_secs });
+        ins_s.push(Sample { size: n as u64, secs: t_ins.median_secs });
+        let dict = dict_delta(|| {
+            compiled.run_greedy(&edb).unwrap();
+        });
+        rec.push(
+            "sort",
+            vec![
+                ("n", Json::UInt(n as u64)),
+                ("decl_ns", ns(t_decl.median_secs)),
+                ("heapsort_ns", ns(t_heap.median_secs)),
+                ("insertion_ns", ns(t_ins.median_secs)),
+                ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
+                ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
+                ("flat_rounds", Json::UInt(run.snapshot.flat_rounds)),
+                ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
+                ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
+                ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
+                ("dict_entries", Json::UInt(dict.dict_entries)),
+                ("encode_hits", Json::UInt(dict.encode_hits)),
+                ("decode_calls", Json::UInt(dict.decode_calls)),
+            ],
+        );
+        rows.push(vec![
+            n.to_string(),
+            secs(t_decl.median_secs),
+            secs(t_heap.median_secs),
+            secs(t_ins.median_secs),
+            run.snapshot.heap_ops().to_string(),
+            run.snapshot.gamma_steps.to_string(),
+            run.snapshot.flat_rounds.to_string(),
+            run.snapshot.diffchoice_rejections.to_string(),
+            run.snapshot.plan_cache_hits.to_string(),
+        ]);
     }
     println!(
         "{}",
         render_table(
             &[
                 "n",
-                "thr",
                 "decl_s",
                 "heapsort_s",
                 "insertion_s",

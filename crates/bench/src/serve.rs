@@ -17,15 +17,14 @@
 //! constant, which is what lets `experiments --compare` hard-gate those
 //! counters in CI while treating the timing columns as informational.
 //!
-//! Sessions are scheduled over the same in-tree [`WorkerPool`] the
-//! engine uses for saturation fan-out; each request itself runs the
-//! serial engine (`threads = 1`), so the measured concurrency is
-//! request-level, not intra-query.
+//! Sessions are scheduled over `threads` scoped worker threads; each
+//! request itself evaluates on one thread, so the measured concurrency
+//! is request-level, not intra-query.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use gbc_core::{Compiled, GreedyConfig};
-use gbc_engine::WorkerPool;
 use gbc_greedy::{matching, prim, sorting, workload};
 use gbc_storage::Database;
 use gbc_telemetry::{Histogram, Json, Snapshot};
@@ -128,10 +127,9 @@ pub fn serve_load(
     requests_per_session: u64,
 ) -> LoadReport {
     assert!(!tenants.is_empty() && sessions > 0 && requests_per_session > 0);
-    let pool = WorkerPool::new(threads);
     let t_run = Instant::now();
     // One result per session: (latency histogram, per-request snapshot).
-    let per_session: Vec<(Histogram, Snapshot)> = pool.run(sessions, |s, _worker| {
+    let per_session: Vec<(Histogram, Snapshot)> = over_workers(sessions, threads, |s| {
         let tenant = &tenants[s % tenants.len()];
         let mut latency = Histogram::default();
         let mut snapshot: Option<Snapshot> = None;
@@ -194,9 +192,8 @@ pub fn serve_load_tcp(
     let addr = server.local_addr().to_string();
     let handle = server.spawn(threads);
 
-    let pool = WorkerPool::new(threads);
     let t_run = Instant::now();
-    let per_session: Vec<(Histogram, Snapshot)> = pool.run(sessions, |s, _worker| {
+    let per_session: Vec<(Histogram, Snapshot)> = over_workers(sessions, threads, |s| {
         let tenant = &tenants[s % tenants.len()];
         let body = format!("{{\"session\": \"{}\"}}", tenant.name);
         let mut latency = Histogram::default();
@@ -247,6 +244,39 @@ pub fn serve_load_tcp(
     let wall_secs = t_run.elapsed().as_secs_f64();
     handle.shutdown();
     aggregate(tenants, per_session, sessions, threads, requests_per_session, wall_secs)
+}
+
+/// Run `session(0..sessions)` over `threads` scoped workers, each
+/// claiming the next unstarted session, and return the results in
+/// session order. A session's panic resumes on the caller.
+fn over_workers<T: Send>(
+    sessions: usize,
+    threads: usize,
+    session: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.clamp(1, sessions))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let s = next.fetch_add(1, Ordering::Relaxed);
+                        if s >= sessions {
+                            return out;
+                        }
+                        out.push((s, session(s)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_by_key(|&(s, _)| s);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Fold per-session results into per-tenant reports, asserting counter

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gbc check   FILE... [--deny-warnings] [--diag-json PATH]
-//! gbc run     FILE... [--generic] [--seed N] [--threads N] [--stats] [--trace]
+//! gbc run     FILE... [--generic] [--seed N] [--stats] [--trace]
 //!                     [--profile] [--stats-json PATH] [--trace-json PATH]
 //!                     [--journal-json PATH]
 //! gbc models  FILE... [--max N] [--stats] [--stats-json PATH]
@@ -35,13 +35,7 @@
 //!   stderr as it happens — the paper's tuple ↔ stage bijection made
 //!   visible;
 //! * `--profile` prints a per-rule profile (firings, tuples derived,
-//!   cumulative time, plan-cache hits), keyed back to `file:line`; on a
-//!   parallel run (`--threads N`) it adds per-worker busy lanes and the
-//!   merge bucket;
-//! * `--threads N` fans flat-rule saturation out over an in-tree worker
-//!   pool (γ-steps and choice commits stay sequential); output is
-//!   byte-identical at any thread count. Defaults to `GBC_THREADS` or
-//!   the machine's available parallelism;
+//!   cumulative time, plan-cache hits), keyed back to `file:line`;
 //! * `--stats-json PATH` writes the full telemetry report (counters,
 //!   per-round delta history, phase timings, per-rule profile, and —
 //!   with `--trace` — the structured event journal) as JSON to `PATH`;
@@ -94,9 +88,8 @@ struct Options {
     /// `gbc analyze --analysis-json PATH|-`: write the whole-program
     /// analysis report as JSON instead of the text rendering.
     analysis_json: Option<String>,
-    /// Worker threads for flat-rule saturation (`gbc run --threads N`).
-    /// `None` falls back to `GBC_THREADS`, then to
-    /// `available_parallelism()` — see [`gbc_engine::pool::default_threads`].
+    /// HTTP worker threads for `gbc serve --threads N`; a usage error
+    /// for every other command, since an evaluation runs on one thread.
     threads: Option<usize>,
     /// The atom after `--` (for `gbc explain`).
     query: Option<String>,
@@ -192,15 +185,6 @@ struct Observers {
 }
 
 impl Options {
-    /// Worker-thread count for flat-rule saturation: the `--threads`
-    /// flag when given, else `GBC_THREADS`, else
-    /// `available_parallelism()`. Any count produces byte-identical
-    /// output (DESIGN.md §9); the count only changes how saturation
-    /// rounds are scheduled.
-    fn resolve_threads(&self) -> usize {
-        self.threads.unwrap_or_else(gbc_engine::pool::default_threads)
-    }
-
     /// Build the telemetry bundle the flags ask for. Counters are always
     /// on; `--stats`/`--stats-json`/`--profile` additionally enable
     /// phase timers and the per-round delta history; `--profile` turns
@@ -291,10 +275,7 @@ impl Options {
                         Some((key, Json::Float(*secs)))
                     })
                     .collect();
-                let mut latency = vec![
-                    ("threads", Json::UInt(self.resolve_threads() as u64)),
-                    ("rounds", hist.to_json()),
-                ];
+                let mut latency = vec![("rounds", hist.to_json())];
                 if !gamma.is_empty() {
                     latency.push(("gamma", Json::obj(gamma)));
                 }
@@ -365,13 +346,6 @@ fn render_profile(tel: &Telemetry, program: &Program, sm: &SourceMap) -> String 
             p.plan_hits
         ));
     }
-    let lanes = tel.profiler.lane_secs();
-    if lanes.iter().any(|&s| s > 0.0) {
-        for (w, busy) in lanes.iter().enumerate() {
-            out.push_str(&format!("  worker {w}: {busy:.6}s busy\n"));
-        }
-        out.push_str(&format!("  parallel merge: {:.6}s\n", tel.profiler.merge_secs()));
-    }
     let gamma: Vec<(String, f64, u64)> = tel
         .phases
         .entries()
@@ -405,8 +379,8 @@ fn render_profile(tel: &Telemetry, program: &Program, sm: &SourceMap) -> String 
 /// on `ADDR` (port `0` picks an ephemeral port, printed on stderr),
 /// preload each `FILE` as a session named after its file stem, and
 /// serve until the process is killed. `--threads N` sizes the HTTP
-/// worker pool — engine-level parallelism is chosen per request via the
-/// `threads` field of `POST /run` bodies. Endpoints and the metric name
+/// worker pool (default: the machine's available parallelism); each
+/// request evaluates on its worker. Endpoints and the metric name
 /// registry are documented in DESIGN.md §13.
 fn cmd_serve(opts: &Options) -> Result<(), String> {
     let (addr, preload) = opts.files.split_first().expect("parse_options requires an argument");
@@ -422,7 +396,9 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         server.state().install(gbc_serve::Session::new(&name, file, compiled, Database::new()));
         eprintln!("loaded session `{name}` from {file}");
     }
-    let workers = opts.resolve_threads();
+    let workers = opts
+        .threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     eprintln!("gbc serve listening on http://{} ({workers} workers)", server.local_addr());
     server.serve(workers).map_err(|e| e.to_string())
 }
@@ -461,6 +437,11 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     let opts = parse_options(rest)?;
+    if opts.threads.is_some() && cmd != "serve" {
+        return Err(format!(
+            "`--threads` sizes the `gbc serve` worker pool; `gbc {cmd}` evaluates on one thread"
+        ));
+    }
     match cmd.as_str() {
         "check" => cmd_check(&opts),
         "analyze" => cmd_analyze(&opts),
@@ -476,7 +457,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn usage() -> String {
     "usage: gbc <check|analyze|run|models|rewrite|verify|explain> FILE... \
-     [--generic] [--seed N] [--threads N] [--stats] [--trace] [--profile] \
+     [--generic] [--seed N] [--stats] [--trace] [--profile] \
      [--stats-json PATH] [--trace-json PATH] [--journal-json PATH] [--max N] \
      [--deny-warnings] [--diag-json PATH] [--analysis-json PATH] [-- 'atom']\n\
      \x20      gbc serve ADDR [FILE...] [--threads N]    (see DESIGN.md §13)"
@@ -613,56 +594,12 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
             pool: None,
         }
     } else {
-        let config = gbc_core::GreedyConfig::with_threads(opts.resolve_threads());
-        compiled.run_greedy_telemetry(&edb, config, &tel).map_err(|e| e.to_string())?
+        compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?
     };
 
     println!("{}", run.db.canonical_form());
     opts.report(&tel, &obs, &program, &sm, &dict_base)?;
-    if opts.profile {
-        if let Some(pool) = &run.pool {
-            eprint!("{}", render_pool(pool));
-        }
-    }
     Ok(())
-}
-
-/// The `--profile` pool-utilization summary: one lane per worker with
-/// busy/idle split, task and steal counts, plus the chunk-size
-/// distribution and the serial merge cost.
-fn render_pool(report: &gbc_engine::PoolReport) -> String {
-    let mut out = String::new();
-    out.push_str("pool utilization:\n");
-    for (w, lane) in report.workers.iter().enumerate() {
-        let busy = lane.busy_nanos as f64 / 1e9;
-        let idle = lane.idle_nanos as f64 / 1e9;
-        let occupancy = if lane.busy_nanos + lane.idle_nanos > 0 {
-            100.0 * lane.busy_nanos as f64 / (lane.busy_nanos + lane.idle_nanos) as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "  worker {w}: {busy:.6}s busy, {idle:.6}s idle ({occupancy:.1}% occupied), \
-             {} tasks, {} steals\n",
-            lane.tasks, lane.steals
-        ));
-    }
-    let chunks = &report.chunks;
-    if !chunks.is_empty() {
-        out.push_str(&format!(
-            "  chunks: {} fanned out, {}/{}/{} rows (p50/p99/max)\n",
-            chunks.count(),
-            chunks.p50(),
-            chunks.p99(),
-            chunks.max()
-        ));
-    }
-    out.push_str(&format!(
-        "  merge: {:.6}s serial, {:.1}% mean occupancy\n",
-        report.merge_nanos as f64 / 1e9,
-        100.0 * report.utilization()
-    ));
-    out
 }
 
 fn cmd_explain(opts: &Options) -> Result<(), String> {

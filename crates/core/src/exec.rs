@@ -37,11 +37,8 @@ use gbc_engine::bindings::Bindings;
 use gbc_engine::eval::{
     eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
 };
-use gbc_engine::extrema::{
-    collect_matches_plan, collect_matches_plan_pooled, filter_extrema, filter_extrema_sharded,
-};
+use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache, RuleStatics};
-use gbc_engine::pool::{FanoutObs, PoolReport, PoolStats, WorkerPool};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
 use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
@@ -57,24 +54,48 @@ use crate::rewrite::choice::choice_vars;
 pub struct GreedyConfig {
     /// γ-step budget.
     pub max_steps: u64,
-    /// Worker threads for flat-rule saturation. `1` (the default) runs
-    /// the exact serial engine; higher counts fan saturation rounds out
-    /// over `gbc_engine::pool` with byte-identical results — γ-steps,
-    /// choice commits and `(R,Q,L)` heap maintenance stay sequential
-    /// regardless (see DESIGN.md §9).
-    pub threads: usize,
 }
 
 impl Default for GreedyConfig {
     fn default() -> Self {
-        GreedyConfig { max_steps: 100_000_000, threads: 1 }
+        GreedyConfig { max_steps: 100_000_000 }
     }
 }
 
 impl GreedyConfig {
-    /// The default configuration with `threads` workers.
-    pub fn with_threads(threads: usize) -> GreedyConfig {
-        GreedyConfig { threads, ..GreedyConfig::default() }
+    /// [`GreedyConfig::default`]; the thread count is ignored, since an
+    /// evaluation runs on one thread (DESIGN.md §9). Kept only for the
+    /// benchmark crate under `perfbench/`, which builds against it; the
+    /// next benchmark revision removes it together with
+    /// [`GreedyRun::pool`] and the `pool.*` metrics.
+    #[deprecated(note = "evaluation is single-threaded; use `GreedyConfig::default()`")]
+    pub fn with_threads(_threads: usize) -> GreedyConfig {
+        GreedyConfig::default()
+    }
+}
+
+/// Always-empty stand-in for the retired worker-pool report, read only
+/// by the benchmark crate under `perfbench/` (see
+/// [`GreedyConfig::with_threads`]); removed with it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PoolReport {
+    /// One entry per worker lane; always empty.
+    pub workers: Vec<LaneReport>,
+}
+
+/// One worker lane of a [`PoolReport`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaneReport {
+    /// Tasks the lane executed.
+    pub tasks: u64,
+    /// Tasks the lane claimed outside its fair share.
+    pub steals: u64,
+}
+
+impl PoolReport {
+    /// Mean busy fraction across lanes: 0, as there are none.
+    pub fn utilization(&self) -> f64 {
+        0.0
     }
 }
 
@@ -115,9 +136,7 @@ pub struct GreedyRun {
     pub stats: GreedyStats,
     /// The full telemetry counter snapshot of the run.
     pub snapshot: Snapshot,
-    /// Worker-pool occupancy report (busy/idle/steal lanes, chunk-size
-    /// histogram, merge time). `None` for serial runs — the pool never
-    /// spins up, so there is nothing to report.
+    /// Always `None`; see [`PoolReport`].
     pub pool: Option<PoolReport>,
 }
 
@@ -526,13 +545,6 @@ pub struct GreedyExecutor {
     chosen: Vec<ChosenRecord>,
     stats: GreedyStats,
     tel: Telemetry,
-    /// Worker pool for the executor's own fan-outs (exit-rule match
-    /// collection, extrema sharding). Serial at `threads: 1` — every
-    /// fan-out then runs inline on the coordinator, byte for byte the
-    /// sequential engine.
-    pool: WorkerPool,
-    /// Pool occupancy accumulator, allocated only for parallel runs.
-    pool_stats: Option<Arc<PoolStats>>,
 }
 
 impl GreedyExecutor {
@@ -610,9 +622,6 @@ impl GreedyExecutor {
         let exit_plans = PlanCache::new(exits.len());
         let mut flat = Seminaive::new(flat_rules);
         flat.set_rule_ids(flat_ids);
-        flat.set_threads(config.threads);
-        let pool_stats = (config.threads > 1).then(|| Arc::new(PoolStats::new(config.threads)));
-        flat.set_pool_stats(pool_stats.clone());
         let mut ex = GreedyExecutor {
             flat,
             nexts,
@@ -627,8 +636,6 @@ impl GreedyExecutor {
             chosen: Vec::new(),
             stats: GreedyStats::default(),
             tel: Telemetry::default(),
-            pool: WorkerPool::new(config.threads),
-            pool_stats,
         };
         ex.attach_telemetry();
         ex
@@ -706,8 +713,7 @@ impl GreedyExecutor {
         }
         laps.lap(&[]);
         let snapshot = self.tel.metrics.snapshot();
-        let pool = self.pool_stats.as_ref().map(|s| s.report());
-        Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool })
+        Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool: None })
     }
 
     /// Fire one exit choice rule instance, generic-candidate style.
@@ -722,8 +728,6 @@ impl GreedyExecutor {
             tel,
             chosen,
             stats,
-            pool,
-            pool_stats,
             ..
         } = self;
         let prov = db.provenance().cloned();
@@ -741,20 +745,7 @@ impl GreedyExecutor {
             if cached {
                 tel.profiler.record_plan_hit(*ri);
             }
-            // Parallel runs fan the match collection's first scan out
-            // over the pool (chunk-order merge — the enumeration is
-            // identical to the serial one); serial runs keep the exact
-            // sequential path.
-            let frames = if pool.is_parallel() {
-                let obs = FanoutObs {
-                    profiler: tel.profiler.is_enabled().then_some(&*tel.profiler),
-                    stats: pool_stats.as_deref(),
-                    trace: None,
-                };
-                collect_matches_plan_pooled(db, rule, &plan, pool, obs)?
-            } else {
-                collect_matches_plan(db, rule, &plan, None)?
-            };
+            let frames = collect_matches_plan(db, rule, &plan, None)?;
             let considered = frames.len() as u64;
             tel.metrics.choice_candidates_considered.add(considered);
             let memos = &mut exit_memos[ei];
@@ -791,11 +782,7 @@ impl GreedyExecutor {
                     rejected,
                 });
             }
-            let minimal = if pool.is_parallel() {
-                filter_extrema_sharded(rule, consistent, pool)?
-            } else {
-                filter_extrema(rule, consistent)?
-            };
+            let minimal = filter_extrema(rule, consistent)?;
             // Deterministic pick: smallest (head, chosen-args).
             let mut best: Option<(Row, Vec<Value>, Bindings)> = None;
             for b in minimal {

@@ -132,7 +132,7 @@ fn step_budget_is_enforced() {
     for k in 0..10i64 {
         edb.insert_values("p", vec![Value::int(k), Value::int(k)]);
     }
-    let err = c.run_greedy_with(&edb, GreedyConfig { max_steps: 3, ..GreedyConfig::default() });
+    let err = c.run_greedy_with(&edb, GreedyConfig { max_steps: 3 });
     assert!(matches!(err, Err(CoreError::StepLimit { .. })));
 }
 

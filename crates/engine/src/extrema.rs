@@ -21,8 +21,7 @@ use gbc_storage::{Database, Row};
 use crate::bindings::Bindings;
 use crate::error::EngineError;
 use crate::eval::{eval_term, for_each_match, instantiate_head, Focus};
-use crate::plan::{execute_base_chunked, for_each_match_plan, RulePlan};
-use crate::pool::{FanoutObs, WorkerPool};
+use crate::plan::{for_each_match_plan, RulePlan};
 
 /// Collect the binding frames of every body match (cloned snapshots).
 pub fn collect_matches(
@@ -52,29 +51,6 @@ pub fn collect_matches_plan(
         Ok(true)
     })?;
     Ok(frames)
-}
-
-/// [`collect_matches_plan`] with the base plan's first scan fanned out
-/// over `pool` (see [`execute_base_chunked`]): workers collect frames
-/// into per-chunk buffers, merged in chunk order, so the result is
-/// identical to the serial collection. Extrema evaluation is always
-/// unfocused, which is what makes this fan-out applicable. Falls back
-/// to the serial path when the plan has no scan to split.
-pub fn collect_matches_plan_pooled(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    pool: &WorkerPool,
-    obs: FanoutObs<'_>,
-) -> Result<Vec<Bindings>, EngineError> {
-    let chunked = execute_base_chunked::<Vec<Bindings>>(db, rule, plan, pool, obs, &|b, acc| {
-        acc.push(b.clone());
-        Ok(())
-    })?;
-    match chunked {
-        Some(chunks) => Ok(chunks.into_iter().flatten().collect()),
-        None => collect_matches_plan(db, rule, plan, None),
-    }
 }
 
 fn eval_ground(t: &Term, b: &Bindings, rule: &Rule) -> Result<Value, EngineError> {
@@ -122,77 +98,6 @@ pub fn filter_extrema(
     Ok(frames)
 }
 
-/// [`filter_extrema`] with the group/cost keying pass sharded over
-/// `pool`. Keying is the per-frame cost of the filter (a term walk per
-/// group column plus one for the cost term); the best-per-group fold
-/// and the retain stay on the caller. Workers only read frames and
-/// build value keys — no interning, no counters — and shard results
-/// merge in chunk order, so survivors and their order are identical to
-/// the serial filter: within a group, ties all carry the *same* cost
-/// value, which makes the chunk-fold of `best` order-insensitive.
-pub fn filter_extrema_sharded(
-    rule: &Rule,
-    mut frames: Vec<Bindings>,
-    pool: &WorkerPool,
-) -> Result<Vec<Bindings>, EngineError> {
-    if !pool.is_parallel() {
-        return filter_extrema(rule, frames);
-    }
-    for lit in &rule.body {
-        let (cost_t, group_t, is_least) = match lit {
-            Literal::Least { cost, group } => (cost, group, true),
-            Literal::Most { cost, group } => (cost, group, false),
-            _ => continue,
-        };
-        let ranges = pool.chunk_ranges(frames.len());
-        // Pass 1, sharded: each worker keys a contiguous frame chunk.
-        type KeyedChunk = Result<Vec<(Vec<Value>, Value)>, EngineError>;
-        let shards: Vec<KeyedChunk> = pool.run(ranges.len(), |ci, _| {
-            if ranges.len() > 1 {
-                // Fan-out workers only read frames; a single chunk
-                // runs inline on the caller, whose thread must keep
-                // its intern permission (debug-only guard).
-                gbc_storage::dictionary::forbid_intern_on_this_thread(true);
-            }
-            let (lo, hi) = ranges[ci];
-            frames[lo..hi]
-                .iter()
-                .map(|b| {
-                    let group: Vec<Value> = group_t
-                        .iter()
-                        .map(|t| eval_ground(t, b, rule))
-                        .collect::<Result<_, _>>()?;
-                    Ok((group, eval_ground(cost_t, b, rule)?))
-                })
-                .collect()
-        });
-        let mut best: std::collections::HashMap<Vec<Value>, Value> =
-            std::collections::HashMap::new();
-        let mut keyed: Vec<(Vec<Value>, Value)> = Vec::with_capacity(frames.len());
-        for shard in shards {
-            for (group, cost) in shard? {
-                match best.get_mut(&group) {
-                    Some(cur) => {
-                        let better = if is_least { cost < *cur } else { cost > *cur };
-                        if better {
-                            *cur = cost.clone();
-                        }
-                    }
-                    None => {
-                        best.insert(group.clone(), cost.clone());
-                    }
-                }
-                keyed.push((group, cost));
-            }
-        }
-        // Pass 2: retain ties with the best cost, as in the serial path.
-        let mut keep =
-            keyed.iter().map(|(g, c)| best.get(g) == Some(c)).collect::<Vec<bool>>().into_iter();
-        frames.retain(|_| keep.next().unwrap_or(false));
-    }
-    Ok(frames)
-}
-
 /// Evaluate a rule that may contain extrema goals: all body matches,
 /// extrema-filtered, heads instantiated (duplicates preserved — the
 /// relation insert deduplicates).
@@ -223,38 +128,6 @@ pub fn eval_rule_with_extrema_plan_traced(
 ) -> Result<(Vec<Row>, Vec<Bindings>), EngineError> {
     let frames = collect_matches_plan(db, rule, plan, None)?;
     let frames = filter_extrema(rule, frames)?;
-    let rows: Vec<Row> =
-        frames.iter().map(|b| instantiate_head(rule, b)).collect::<Result<_, _>>()?;
-    Ok((rows, frames))
-}
-
-/// [`eval_rule_with_extrema_plan`] with the match collection fanned
-/// out over `pool`. The extrema filter and head instantiation stay on
-/// the calling thread — they are group-global and cheap next to the
-/// join.
-pub fn eval_rule_with_extrema_plan_pooled(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    pool: &WorkerPool,
-    obs: FanoutObs<'_>,
-) -> Result<Vec<Row>, EngineError> {
-    let frames = collect_matches_plan_pooled(db, rule, plan, pool, obs)?;
-    let frames = filter_extrema_sharded(rule, frames, pool)?;
-    frames.iter().map(|b| instantiate_head(rule, b)).collect()
-}
-
-/// [`eval_rule_with_extrema_plan_traced`] with the match collection
-/// fanned out over `pool`.
-pub fn eval_rule_with_extrema_plan_traced_pooled(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    pool: &WorkerPool,
-    obs: FanoutObs<'_>,
-) -> Result<(Vec<Row>, Vec<Bindings>), EngineError> {
-    let frames = collect_matches_plan_pooled(db, rule, plan, pool, obs)?;
-    let frames = filter_extrema_sharded(rule, frames, pool)?;
     let rows: Vec<Row> =
         frames.iter().map(|b| instantiate_head(rule, b)).collect::<Result<_, _>>()?;
     Ok((rows, frames))
@@ -356,82 +229,6 @@ mod tests {
         let rows = eval_rule_with_extrema(&takes_db(), &rule).unwrap();
         // Per-course minima are engl→2, math→2; both tie at the most step.
         assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn pooled_extrema_matches_serial_at_any_thread_count() {
-        // least(G, Crs) over a db large enough to cross the chunking
-        // threshold; the pooled result (order included) must equal the
-        // serial plan evaluation at every thread count.
-        let rule = Rule::new(
-            Atom::new("bttm_st", vec![Term::var(0), Term::var(1), Term::var(2)]),
-            vec![
-                Literal::pos("takes", vec![Term::var(0), Term::var(1), Term::var(2)]),
-                Literal::Least { cost: Term::var(2), group: vec![Term::var(1)] },
-            ],
-            vec!["St".into(), "Crs".into(), "G".into()],
-        );
-        let mut db = Database::new();
-        for i in 0..500i64 {
-            db.insert_values(
-                "takes",
-                vec![Value::int(i), Value::int(i % 23), Value::int((i * 7) % 31)],
-            );
-        }
-        let plan = RulePlan::compile(&rule).unwrap();
-        let serial = eval_rule_with_extrema_plan(&db, &rule, &plan).unwrap();
-        let (serial_rows, serial_frames) =
-            eval_rule_with_extrema_plan_traced(&db, &rule, &plan).unwrap();
-        assert_eq!(serial_rows, serial);
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let pooled =
-                eval_rule_with_extrema_plan_pooled(&db, &rule, &plan, &pool, FanoutObs::default())
-                    .unwrap();
-            assert_eq!(pooled, serial, "threads {threads}");
-            let (rows, frames) = eval_rule_with_extrema_plan_traced_pooled(
-                &db,
-                &rule,
-                &plan,
-                &pool,
-                FanoutObs::default(),
-            )
-            .unwrap();
-            assert_eq!(rows, serial, "traced rows, threads {threads}");
-            assert_eq!(frames, serial_frames, "traced frames, threads {threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_filter_matches_serial_filter_at_any_thread_count() {
-        // Composition of two extrema over enough frames to cross the
-        // chunking threshold; survivors (order included) must be
-        // byte-identical to the serial filter.
-        let rule = Rule::new(
-            Atom::new("x", vec![Term::var(0), Term::var(1), Term::var(2)]),
-            vec![
-                Literal::pos("takes", vec![Term::var(0), Term::var(1), Term::var(2)]),
-                Literal::Least { cost: Term::var(2), group: vec![Term::var(1)] },
-                Literal::Most { cost: Term::var(2), group: vec![] },
-            ],
-            vec!["St".into(), "Crs".into(), "G".into()],
-        );
-        let mut db = Database::new();
-        for i in 0..700i64 {
-            db.insert_values(
-                "takes",
-                vec![Value::int(i), Value::int(i % 19), Value::int((i * 11) % 29)],
-            );
-        }
-        let plan = RulePlan::compile(&rule).unwrap();
-        let frames = collect_matches_plan(&db, &rule, &plan, None).unwrap();
-        let serial = filter_extrema(&rule, frames.clone()).unwrap();
-        assert!(!serial.is_empty());
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let sharded = filter_extrema_sharded(&rule, frames.clone(), &pool).unwrap();
-            assert_eq!(sharded, serial, "threads {threads}");
-        }
     }
 
     #[test]

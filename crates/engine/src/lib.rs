@@ -6,10 +6,7 @@
 //!   joins, arithmetic, comparisons and negation-as-lookup;
 //! * [`extrema`] — in-rule `least`/`most` evaluation (group-by minimum /
 //!   maximum over the body's satisfying bindings);
-//! * [`seminaive`] — delta-driven saturation of a rule set, optionally
-//!   fanning each round's joins out over [`pool`] — an in-tree scoped
-//!   worker pool with a deterministic chunk-order merge, so results
-//!   and counters are identical at any thread count;
+//! * [`seminaive`] — delta-driven saturation of a rule set;
 //! * [`stratified`] — perfect-model evaluation of stratified programs
 //!   (dependency graph → SCC condensation → stratum-by-stratum
 //!   saturation);
@@ -39,7 +36,6 @@ pub mod eval;
 pub mod extrema;
 pub mod graph;
 pub mod plan;
-pub mod pool;
 pub mod seminaive;
 pub mod stable;
 pub mod stratified;
@@ -48,6 +44,5 @@ pub use bindings::Bindings;
 pub use choice::{ChoiceFixpoint, ChoiceFixpointConfig};
 pub use chooser::{Chooser, DeterministicFirst, SeededRandom};
 pub use error::EngineError;
-pub use pool::{default_threads, LaneReport, PoolReport, PoolStats, WorkerPool};
 pub use stable::is_stable_model;
 pub use stratified::evaluate_stratified;

@@ -26,16 +26,14 @@
 //! counting reuse in the `plan_cache_hits` metric.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use gbc_ast::{Atom, CmpOp, Expr, Literal, Rule, Term, Value, VarId};
 use gbc_storage::{dictionary, Database, RowsView, DICT_MISS};
-use gbc_telemetry::{Metrics, RuleProfiler};
+use gbc_telemetry::Metrics;
 
 use crate::bindings::Bindings;
 use crate::error::EngineError;
 use crate::eval::{eval_expr, eval_term, match_term, match_term_id, Focus};
-use crate::pool::{FanoutObs, WorkerPool};
 
 /// One ingredient of a scan's index key, resolved at compile time.
 #[derive(Clone, Debug)]
@@ -368,7 +366,6 @@ pub(crate) fn execute<'a>(
         rule,
         steps: &variant.steps,
         focus_rows: focus.map_or(RowsView::empty(), |f| f.rows),
-        preselected: None,
         bindings: Bindings::new(rule.num_vars()),
         trail: Vec::new(),
         key_buf: Vec::new(),
@@ -386,10 +383,6 @@ struct Exec<'a> {
     rule: &'a Rule,
     steps: &'a [PlanStep],
     focus_rows: RowsView<'a>,
-    /// `(step, ids)` when a coordinator already keyed and probed the
-    /// scan at `step` (see [`split_first_scan`]): the scan iterates
-    /// this id chunk instead of probing again.
-    preselected: Option<(usize, &'a [u32])>,
     bindings: Bindings,
     /// Variables bound since the enclosing choice point, unwound by
     /// `rollback`.
@@ -491,25 +484,15 @@ impl Exec<'_> {
                 } else {
                     let rel = self.db.relation(a.pred);
                     let mut ids_buf = std::mem::take(&mut self.ids_bufs[d]);
-                    let ids: &[u32] = match self.preselected {
-                        // The coordinator keyed and probed this scan
-                        // once — exactly as a serial execution would —
-                        // and handed us a contiguous chunk of the
-                        // selected ids; no second probe.
-                        Some((step, pre)) if step == d => pre,
-                        _ => {
-                            debug_assert!(self.key_buf.is_empty());
-                            for part in key {
-                                self.key_buf.push(key_id(part, a, &self.bindings));
-                            }
-                            rel.select_ids_into(key_cols, &self.key_buf, &mut ids_buf);
-                            self.key_buf.clear();
-                            &ids_buf
-                        }
-                    };
+                    debug_assert!(self.key_buf.is_empty());
+                    for part in key {
+                        self.key_buf.push(key_id(part, a, &self.bindings));
+                    }
+                    rel.select_ids_into(key_cols, &self.key_buf, &mut ids_buf);
+                    self.key_buf.clear();
                     let view = rel.rows();
                     if view.arity() == a.args.len() {
-                        for &id in ids {
+                        for &id in &ids_buf {
                             let mark = self.trail.len();
                             let ok = match_cols.iter().all(|&c| {
                                 match_term_id(
@@ -535,192 +518,6 @@ impl Exec<'_> {
         }
         Ok(())
     }
-}
-
-/// Where a base-plan execution can fan out, computed by
-/// [`split_first_scan`]: the coordinator runs the prefix steps
-/// (filters, assignments, negation checks — all deterministic and
-/// counter-free) up to the first index scan, performs that scan's one
-/// key build and id selection exactly as a serial execution would,
-/// then hands contiguous chunks of the ids to workers.
-pub(crate) enum FirstScan {
-    /// A prefix step failed: the rule has no matches this round (and,
-    /// as in a serial run, no index was probed).
-    Dead,
-    /// The plan reaches a match — or a focused scan — without ever
-    /// probing an index: nothing to split. Callers run the serial
-    /// path, which has consumed no probe yet.
-    NoScan,
-    /// The first unfocused scan sits at `step` and enumerates exactly
-    /// `ids` (arena positions), selected with one probe.
-    Split { step: usize, ids: Vec<u32> },
-}
-
-/// Run `variant`'s prefix up to its first unfocused [`PlanStep::Scan`]
-/// and perform that scan's id selection once. Negations are tested
-/// against `db` itself (the seminaive/extrema case — no reduct).
-pub(crate) fn split_first_scan(
-    db: &Database,
-    rule: &Rule,
-    variant: &JoinPlan,
-) -> Result<FirstScan, EngineError> {
-    let mut bindings = Bindings::new(rule.num_vars());
-    let mut trail = Vec::new();
-    for (d, step) in variant.steps.iter().enumerate() {
-        match step {
-            PlanStep::Filter { lit } => {
-                let Literal::Compare { op, lhs, rhs } = &rule.body[*lit] else {
-                    unreachable!("Filter step on non-comparison");
-                };
-                let a = eval_expr(lhs, &bindings)?.expect("compiled as ground");
-                let b = eval_expr(rhs, &bindings)?.expect("compiled as ground");
-                if !op.eval(a.cmp(&b)) {
-                    return Ok(FirstScan::Dead);
-                }
-            }
-            PlanStep::Assign { lit, bind_lhs } => {
-                let Literal::Compare { lhs, rhs, .. } = &rule.body[*lit] else {
-                    unreachable!("Assign step on non-comparison");
-                };
-                let (target, source) = if *bind_lhs { (lhs, rhs) } else { (rhs, lhs) };
-                let val = eval_expr(source, &bindings)?.expect("compiled as ground");
-                let term = target.as_bare_term().expect("compiled as assignable");
-                if !match_term(term, &val, &mut bindings, &mut trail) {
-                    return Ok(FirstScan::Dead);
-                }
-            }
-            PlanStep::NegCheck { lit } => {
-                let Literal::Neg(a) = &rule.body[*lit] else {
-                    unreachable!("NegCheck step on non-negation");
-                };
-                let vals: Vec<Value> = a
-                    .args
-                    .iter()
-                    .map(|t| eval_term(t, &bindings).expect("compiled as ground"))
-                    .collect();
-                if db.relation(a.pred).contains_values(&vals) {
-                    return Ok(FirstScan::Dead);
-                }
-            }
-            PlanStep::Scan { lit, key_cols, key, focused, .. } => {
-                if *focused {
-                    return Ok(FirstScan::NoScan);
-                }
-                let Literal::Pos(a) = &rule.body[*lit] else {
-                    unreachable!("Scan step on non-positive literal");
-                };
-                let key_ids: Vec<u32> = key.iter().map(|part| key_id(part, a, &bindings)).collect();
-                let mut ids = Vec::new();
-                db.relation(a.pred).select_ids_into(key_cols, &key_ids, &mut ids);
-                return Ok(FirstScan::Split { step: d, ids });
-            }
-        }
-    }
-    Ok(FirstScan::NoScan)
-}
-
-/// Execute `variant` with the scan at `step` fed the preselected `ids`
-/// chunk instead of probing (see [`split_first_scan`]). The prefix
-/// steps re-run here — they are deterministic, side-effect- and
-/// counter-free — so the bindings arrive at `step` exactly as in a
-/// serial execution.
-pub(crate) fn execute_preselected(
-    db: &Database,
-    rule: &Rule,
-    variant: &JoinPlan,
-    step: usize,
-    ids: &[u32],
-    on_match: &mut dyn FnMut(&Bindings) -> Result<bool, EngineError>,
-) -> Result<(), EngineError> {
-    let mut exec = Exec {
-        db,
-        neg_db: db,
-        rule,
-        steps: &variant.steps,
-        focus_rows: RowsView::empty(),
-        preselected: Some((step, ids)),
-        bindings: Bindings::new(rule.num_vars()),
-        trail: Vec::new(),
-        key_buf: Vec::new(),
-        val_buf: Vec::new(),
-        ids_bufs: vec![Vec::new(); variant.steps.len()],
-        on_match,
-        stopped: false,
-    };
-    exec.run_step(0)
-}
-
-/// Enumerate the matches of `rule`'s **base** (unfocused) plan with the
-/// first scan fanned out over `pool`: the coordinator performs the
-/// prefix and the single id selection exactly as a serial run would,
-/// workers execute contiguous id chunks folding matches into one `A`
-/// per chunk, and the chunks come back in order — concatenating them
-/// reproduces the serial enumeration order byte for byte.
-///
-/// Returns `None` when the plan has no unfocused scan to split (the
-/// caller should run the serial path; no probe has been consumed), and
-/// `Some(vec![])` when a prefix step already failed. A failing chunk
-/// surfaces the error of the earliest chunk, which is the error a
-/// serial run would hit first.
-pub(crate) fn execute_base_chunked<A>(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    pool: &WorkerPool,
-    obs: FanoutObs<'_>,
-    fold: &(dyn Fn(&Bindings, &mut A) -> Result<(), EngineError> + Sync),
-) -> Result<Option<Vec<A>>, EngineError>
-where
-    A: Default + Send,
-{
-    if plan.dead {
-        return Ok(Some(Vec::new()));
-    }
-    let variant = plan.variant(None);
-    let (step, ids) = match split_first_scan(db, rule, variant)? {
-        FirstScan::NoScan => return Ok(None),
-        FirstScan::Dead => return Ok(Some(Vec::new())),
-        FirstScan::Split { step, ids } => (step, ids),
-    };
-    let ranges = pool.chunk_ranges(ids.len());
-    let profiler = obs.profiler;
-    if let Some(st) = obs.stats {
-        if ranges.len() > 1 {
-            for &(lo, hi) in &ranges {
-                st.record_chunk((hi - lo) as u64);
-            }
-        }
-    }
-    let results =
-        pool.run_stats(ranges.len(), obs.stats.filter(|_| ranges.len() > 1), |ci, worker| {
-            if ranges.len() > 1 {
-                // Fan-out workers collect frames only; interning stays
-                // on the coordinator (debug-only determinism guard).
-                gbc_storage::dictionary::forbid_intern_on_this_thread(true);
-            }
-            let t0 = profiler.and_then(RuleProfiler::lane_start);
-            let t_chunk = obs.trace.map(|_| Instant::now());
-            let (lo, hi) = ranges[ci];
-            let mut acc = A::default();
-            let res = execute_preselected(db, rule, variant, step, &ids[lo..hi], &mut |b| {
-                fold(b, &mut acc)?;
-                Ok(true)
-            });
-            if let (Some(p), Some(t0)) = (profiler, t0) {
-                p.record_lane(worker, t0.elapsed());
-            }
-            if let Some(t0) = t_chunk {
-                if ranges.len() > 1 {
-                    obs.chunk_event(worker, (hi - lo) as u64, t0.elapsed().as_micros() as u64);
-                }
-            }
-            res.map(|()| acc)
-        });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(Some(out))
 }
 
 /// One operand of a columnar feed comparison: either a cell of the
@@ -772,9 +569,7 @@ impl FeedCheck {
 /// comparisons into a columnar [`FeedCheck`] sequence, or `None` when
 /// some argument or comparison needs a real binding frame (non-ground
 /// compound terms, arithmetic over source variables). Ground sides are
-/// evaluated and interned here, once — callers run this at plan-build
-/// time on the coordinator regardless of whether the fast path is
-/// enabled, so dictionary counters cannot differ between modes.
+/// evaluated and interned here, once, at plan-build time.
 ///
 /// The returned checks are ordered args-first then pre-checks in body
 /// order, matching the frame-based path's match-then-filter order.
@@ -1040,46 +835,20 @@ mod tests {
     }
 
     #[test]
-    fn chunked_base_execution_matches_serial_order() {
-        let rule = chain_rule();
-        let mut db = Database::new();
-        for i in 0..300i64 {
-            db.insert_values(
-                "g",
-                vec![Value::int(i % 17), Value::int((i + 1) % 17), Value::int(i)],
-            );
-        }
-        let plan = RulePlan::compile(&rule).unwrap();
-        let mut serial = Vec::new();
-        for_each_match_plan(&db, None, &rule, &plan, None, &mut |b| {
-            serial.push(instantiate_head(&rule, b).unwrap());
-            Ok(true)
-        })
-        .unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let chunks = execute_base_chunked::<Vec<Row>>(
-                &db,
-                &rule,
-                &plan,
-                &pool,
-                FanoutObs::default(),
-                &|b, acc| {
-                    acc.push(instantiate_head(&rule, b)?);
-                    Ok(())
-                },
-            )
-            .unwrap()
-            .expect("chain rule starts with a scan");
-            let merged: Vec<Row> = chunks.into_iter().flatten().collect();
-            assert_eq!(merged, serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn split_reports_dead_and_noscan_plans() {
+    fn ground_filters_precede_scans_and_scanless_bodies_match() {
         let db = db_edges(&[("a", "b", 1)]);
-        // 1 < 0 is a ground filter scheduled before any scan: dead.
+        let collect = |rule: &Rule| {
+            let plan = RulePlan::compile(rule).unwrap();
+            let mut out = Vec::new();
+            for_each_match_plan(&db, None, rule, &plan, None, &mut |b| {
+                out.push(instantiate_head(rule, b).unwrap());
+                Ok(true)
+            })
+            .unwrap();
+            (plan, out)
+        };
+        // 1 < 0 is a ground filter: scheduled before the scan, it
+        // prunes the body before any index is probed.
         let dead = Rule::new(
             Atom::new("p", vec![Term::var(0)]),
             vec![
@@ -1088,37 +857,18 @@ mod tests {
             ],
             vec!["X".into(), "Y".into(), "C".into()],
         );
-        let plan = RulePlan::compile(&dead).unwrap();
-        assert!(matches!(
-            split_first_scan(&db, &dead, plan.variant(None)).unwrap(),
-            FirstScan::Dead
-        ));
-        let pool = WorkerPool::new(4);
-        let chunks = execute_base_chunked::<Vec<Row>>(
-            &db,
-            &dead,
-            &plan,
-            &pool,
-            FanoutObs::default(),
-            &|b, acc| {
-                acc.push(instantiate_head(&dead, b)?);
-                Ok(())
-            },
-        )
-        .unwrap()
-        .expect("dead plans still split");
-        assert!(chunks.is_empty());
-        // A body of one assignment never scans.
+        let (plan, out) = collect(&dead);
+        assert!(matches!(plan.variant(None).steps[0], PlanStep::Filter { lit: 1 }));
+        assert!(out.is_empty());
+        // A body of one assignment never scans, and still matches once.
         let noscan = Rule::new(
             Atom::new("p", vec![Term::var(0)]),
             vec![Literal::cmp(CmpOp::Eq, Expr::var(0), Expr::int(7))],
             vec!["X".into()],
         );
-        let plan = RulePlan::compile(&noscan).unwrap();
-        assert!(matches!(
-            split_first_scan(&db, &noscan, plan.variant(None)).unwrap(),
-            FirstScan::NoScan
-        ));
+        let (plan, out) = collect(&noscan);
+        assert!(plan.variant(None).steps.iter().all(|s| !matches!(s, PlanStep::Scan { .. })));
+        assert_eq!(out, vec![Row::new(vec![Value::int(7)])]);
     }
 
     #[test]

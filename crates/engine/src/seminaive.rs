@@ -14,21 +14,16 @@
 //! latest γ step introduced.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gbc_ast::{Literal, Rule, Symbol};
 use gbc_storage::{Database, FxHashMap, Row};
 use gbc_telemetry::{Metrics, RuleProfiler, TraceEvent, TraceSink};
 
-use crate::bindings::Bindings;
 use crate::error::EngineError;
 use crate::eval::{instantiate_head, parent_rows, Focus};
-use crate::extrema::{
-    eval_rule_with_extrema_plan, eval_rule_with_extrema_plan_pooled,
-    eval_rule_with_extrema_plan_traced, eval_rule_with_extrema_plan_traced_pooled,
-};
-use crate::plan::{execute_base_chunked, for_each_match_plan, PlanCache, RulePlan};
-use crate::pool::{FanoutObs, PoolStats, WorkerPool};
+use crate::extrema::{eval_rule_with_extrema_plan, eval_rule_with_extrema_plan_traced};
+use crate::plan::{for_each_match_plan, PlanCache, RulePlan};
 
 /// Rows joined over per derived head row — recorded for provenance.
 type ParentSets = Vec<Vec<(Symbol, Row)>>;
@@ -57,14 +52,6 @@ pub struct Seminaive {
     trace: Option<Arc<dyn TraceSink>>,
     /// Per-rule timing reports here when attached.
     profiler: Option<Arc<RuleProfiler>>,
-    /// Worker pool for the parallel evaluation paths. Serial by
-    /// default; results are byte-identical at any thread count (see
-    /// DESIGN.md §9).
-    pool: WorkerPool,
-    /// Pool-level occupancy accumulator (busy/idle/steal lanes, chunk
-    /// sizes, merge time). Purely observational — never consulted by
-    /// the evaluation itself.
-    pool_stats: Option<Arc<PoolStats>>,
 }
 
 impl std::fmt::Debug for Seminaive {
@@ -101,8 +88,6 @@ impl Seminaive {
             metrics: None,
             trace: None,
             profiler: None,
-            pool: WorkerPool::serial(),
-            pool_stats: None,
         }
     }
 
@@ -132,25 +117,6 @@ impl Seminaive {
         self.profiler = profiler;
     }
 
-    /// Set the worker-thread count for flat-rule evaluation. `1` (the
-    /// default) keeps every path on the exact serial code; higher
-    /// counts fan big rounds out over [`crate::pool`], producing
-    /// byte-identical relation contents and counters.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = WorkerPool::new(threads);
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Attach a pool-occupancy accumulator. Parallel fan-outs then
-    /// charge per-lane busy time, chunk sizes and merge time to it.
-    pub fn set_pool_stats(&mut self, stats: Option<Arc<PoolStats>>) {
-        self.pool_stats = stats;
-    }
-
     /// The rules driven by this instance.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
@@ -168,11 +134,7 @@ impl Seminaive {
             metrics,
             trace,
             profiler,
-            pool,
-            pool_stats,
         } = self;
-        let pool = *pool;
-        let parallel = pool.is_parallel();
         // Owned handle: recording happens while `db` is mutably
         // borrowed by the insert loop.
         let prov = db.provenance().cloned();
@@ -209,30 +171,12 @@ impl Seminaive {
                 // `parents` stays index-aligned with `derived`; it is
                 // only filled when an arena is attached.
                 let mut parents: ParentSets = Vec::new();
-                // Fan-out observers for this rule: profiler lanes, pool
-                // occupancy, and worker_chunk trace events tagged with
-                // the rule id.
-                let obs = FanoutObs {
-                    profiler: profiler.as_deref(),
-                    stats: pool_stats.as_deref(),
-                    trace: trace.as_deref().map(|t| (t, rule_id)),
-                };
-                let derived: Vec<Row> = if !evaluated_once[ri] {
-                    evaluated_once[ri] = true;
-                    if rule.has_extrema() {
-                        let (rows, frames) =
-                            eval_extrema_full(db, rule, &plan, pool, obs, want_prov)?;
-                        if let Some(frames) = frames {
-                            parents = frames.iter().map(|b| parent_rows(rule, b)).collect();
-                        }
-                        rows
-                    } else {
-                        eval_full(db, rule, &plan, pool, obs, want_prov, &mut parents)?
-                    }
-                } else if rule.has_extrema() {
-                    let grown = rule
-                        .positive_atoms()
-                        .any(|a| marks.get(&a.pred).copied().unwrap_or(0) < db.count(a.pred));
+                let first = !std::mem::replace(&mut evaluated_once[ri], true);
+                let derived: Vec<Row> = if rule.has_extrema() {
+                    let grown = first
+                        || rule
+                            .positive_atoms()
+                            .any(|a| marks.get(&a.pred).copied().unwrap_or(0) < db.count(a.pred));
                     if !grown {
                         if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
                             let t = Instant::now();
@@ -241,11 +185,11 @@ impl Seminaive {
                         }
                         continue;
                     }
-                    let (rows, frames) = eval_extrema_full(db, rule, &plan, pool, obs, want_prov)?;
-                    if let Some(frames) = frames {
-                        parents = frames.iter().map(|b| parent_rows(rule, b)).collect();
-                    }
-                    rows
+                    eval_extrema_full(db, rule, &plan, want_prov, &mut parents)?
+                } else if first {
+                    let mut derived = Vec::new();
+                    derive(db, rule, &plan, None, want_prov, &mut derived, &mut parents)?;
+                    derived
                 } else {
                     let mut derived = Vec::new();
                     for (li, lit) in rule.body.iter().enumerate() {
@@ -256,107 +200,19 @@ impl Seminaive {
                         }
                         // The delta rows are borrowed in place from the
                         // relation's arena — no per-round copy.
-                        let rows = db.relation(a.pred).since(from);
-                        let ranges = pool.chunk_ranges(rows.len());
-                        if ranges.len() > 1 {
-                            // Fan out: each worker runs the same
-                            // focused variant over a contiguous chunk
-                            // of the delta with its own scratch frame,
-                            // trail and buffers, reading the arena and
-                            // indices immutably. Merging the per-chunk
-                            // buffers in chunk order reproduces the
-                            // serial enumeration exactly.
-                            let dbr: &Database = db;
-                            let prof = profiler.as_deref();
-                            let stats = pool_stats.as_deref();
-                            let tr = trace.as_deref();
-                            if let Some(st) = stats {
-                                for &(lo, hi) in &ranges {
-                                    st.record_chunk((hi - lo) as u64);
-                                }
-                            }
-                            let results = pool.run_stats(ranges.len(), stats, |ci, worker| {
-                                // Saturation workers read the dictionary
-                                // lock-free but must never grow it: head
-                                // rows stay as values and the coordinator
-                                // encodes them at merge time, keeping id
-                                // assignment deterministic across thread
-                                // counts (debug-only guard).
-                                gbc_storage::dictionary::forbid_intern_on_this_thread(true);
-                                let t0 = prof.and_then(RuleProfiler::lane_start);
-                                let t_chunk = tr.map(|_| Instant::now());
-                                let (lo, hi) = ranges[ci];
-                                let mut out: Vec<Row> = Vec::new();
-                                let mut par: ParentSets = Vec::new();
-                                let res = for_each_match_plan(
-                                    dbr,
-                                    None,
-                                    rule,
-                                    &plan,
-                                    Some(Focus { literal: li, rows: rows.slice(lo, hi) }),
-                                    &mut |b| {
-                                        out.push(instantiate_head(rule, b)?);
-                                        if want_prov {
-                                            par.push(parent_rows(rule, b));
-                                        }
-                                        Ok(true)
-                                    },
-                                );
-                                if let (Some(p), Some(t0)) = (prof, t0) {
-                                    p.record_lane(worker, t0.elapsed());
-                                }
-                                if let (Some(t), Some(t0)) = (tr, t_chunk) {
-                                    t.event(&TraceEvent::WorkerChunk {
-                                        worker,
-                                        rule: rule_id,
-                                        items: (hi - lo) as u64,
-                                        dur_us: t0.elapsed().as_micros() as u64,
-                                    });
-                                }
-                                res.map(|()| (out, par))
-                            });
-                            // Errors surface from the earliest chunk —
-                            // the one a serial run would fail in first.
-                            let t_merge = stats.map(|_| Instant::now());
-                            for r in results {
-                                let (out, par) = r?;
-                                derived.extend(out);
-                                parents.extend(par);
-                            }
-                            if let (Some(st), Some(t0)) = (stats, t_merge) {
-                                st.record_merge(t0.elapsed().as_nanos() as u64);
-                            }
-                        } else {
-                            for_each_match_plan(
-                                db,
-                                None,
-                                rule,
-                                &plan,
-                                Some(Focus { literal: li, rows }),
-                                &mut |b| {
-                                    derived.push(instantiate_head(rule, b)?);
-                                    if want_prov {
-                                        parents.push(parent_rows(rule, b));
-                                    }
-                                    Ok(true)
-                                },
-                            )?;
-                        }
+                        let focus = Focus { literal: li, rows: db.relation(a.pred).since(from) };
+                        derive(
+                            db,
+                            rule,
+                            &plan,
+                            Some(focus),
+                            want_prov,
+                            &mut derived,
+                            &mut parents,
+                        )?;
                     }
                     derived
                 };
-                // Parallel rounds split the rule's chained interval at
-                // this boundary: everything up to here (dispatch, join,
-                // barrier) is charged to the rule; the merge/insert
-                // sweep below goes to the profiler's merge bucket.
-                // Serial rounds keep the single-interval accounting.
-                if parallel {
-                    if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
-                        let t = Instant::now();
-                        p.record(rule_id, 0, 0, t - t0);
-                        t_prev = Some(t);
-                    }
-                }
                 let mut inserted: u64 = 0;
                 if let Some(arena) = &prov {
                     for (i, row) in derived.into_iter().enumerate() {
@@ -385,12 +241,7 @@ impl Seminaive {
                 }
                 if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
                     let t = Instant::now();
-                    if parallel {
-                        p.add_merge(t - t0);
-                        p.record(rule_id, 1, inserted, Duration::ZERO);
-                    } else {
-                        p.record(rule_id, 1, inserted, t - t0);
-                    }
+                    p.record(rule_id, 1, inserted, t - t0);
                     t_prev = Some(t);
                 }
             }
@@ -415,79 +266,43 @@ impl Seminaive {
     }
 }
 
-/// Full (unfocused) evaluation of an extrema rule, fanning the match
-/// collection out over `pool` when it is parallel. Returns the
-/// surviving binding frames too when `want_frames` (the provenance
-/// path needs them to reconstruct parent rows).
+/// Full (unfocused) evaluation of an extrema rule. When `want_prov`,
+/// `parents` receives each surviving match's parent rows, index-aligned
+/// with the returned head rows.
 fn eval_extrema_full(
     db: &Database,
     rule: &Rule,
     plan: &RulePlan,
-    pool: WorkerPool,
-    obs: FanoutObs<'_>,
-    want_frames: bool,
-) -> Result<(Vec<Row>, Option<Vec<Bindings>>), EngineError> {
-    if want_frames {
-        let (rows, frames) = if pool.is_parallel() {
-            eval_rule_with_extrema_plan_traced_pooled(db, rule, plan, &pool, obs)?
-        } else {
-            eval_rule_with_extrema_plan_traced(db, rule, plan)?
-        };
-        Ok((rows, Some(frames)))
-    } else if pool.is_parallel() {
-        Ok((eval_rule_with_extrema_plan_pooled(db, rule, plan, &pool, obs)?, None))
-    } else {
-        Ok((eval_rule_with_extrema_plan(db, rule, plan)?, None))
-    }
-}
-
-/// Full (unfocused) first evaluation of a plain rule: derived rows plus
-/// — when `want_prov` — the parent rows per derivation appended to
-/// `parents`. Parallel pools fan the base plan's first scan out over
-/// chunks ([`execute_base_chunked`]); the serial pool, and plans with
-/// no scan to split, take the exact serial path.
-fn eval_full(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    pool: WorkerPool,
-    obs: FanoutObs<'_>,
     want_prov: bool,
     parents: &mut ParentSets,
 ) -> Result<Vec<Row>, EngineError> {
-    if pool.is_parallel() {
-        let chunked = execute_base_chunked::<(Vec<Row>, ParentSets)>(
-            db,
-            rule,
-            plan,
-            &pool,
-            obs,
-            &|b, acc| {
-                acc.0.push(instantiate_head(rule, b)?);
-                if want_prov {
-                    acc.1.push(parent_rows(rule, b));
-                }
-                Ok(())
-            },
-        )?;
-        if let Some(chunks) = chunked {
-            let mut derived = Vec::new();
-            for (rows, par) in chunks {
-                derived.extend(rows);
-                parents.extend(par);
-            }
-            return Ok(derived);
-        }
+    if !want_prov {
+        return eval_rule_with_extrema_plan(db, rule, plan);
     }
-    let mut derived = Vec::new();
-    for_each_match_plan(db, None, rule, plan, None, &mut |b| {
+    let (rows, frames) = eval_rule_with_extrema_plan_traced(db, rule, plan)?;
+    *parents = frames.iter().map(|b| parent_rows(rule, b)).collect();
+    Ok(rows)
+}
+
+/// Append the head row of every match of a plain rule — focused on
+/// `focus` when given — to `derived` and, when `want_prov`, its parent
+/// rows to `parents`, index-aligned.
+fn derive(
+    db: &Database,
+    rule: &Rule,
+    plan: &RulePlan,
+    focus: Option<Focus<'_>>,
+    want_prov: bool,
+    derived: &mut Vec<Row>,
+    parents: &mut ParentSets,
+) -> Result<(), EngineError> {
+    for_each_match_plan(db, None, rule, plan, focus, &mut |b| {
         derived.push(instantiate_head(rule, b)?);
         if want_prov {
             parents.push(parent_rows(rule, b));
         }
         Ok(true)
-    })?;
-    Ok(derived)
+    })
 }
 
 #[cfg(test)]
@@ -562,31 +377,6 @@ mod tests {
         let mut sn = Seminaive::new(tc_rules());
         sn.saturate(&mut db).unwrap();
         assert_eq!(db.count(Symbol::intern("tc")), 9);
-    }
-
-    #[test]
-    fn parallel_saturation_matches_serial_arena_order() {
-        // A chain long enough that both the first full evaluation and
-        // the per-round deltas cross the chunking threshold. The
-        // determinism contract is *insertion order*, not just set
-        // equality — later `since(mark)` slices and downstream choice
-        // heaps depend on it — so compare the arenas directly.
-        let n = 300;
-        let tc = Symbol::intern("tc");
-        let (serial_total, serial_db) = {
-            let mut db = chain_db(n);
-            let total = Seminaive::new(tc_rules()).saturate(&mut db).unwrap();
-            (total, db)
-        };
-        for threads in [2usize, 4, 8] {
-            let mut db = chain_db(n);
-            let mut sn = Seminaive::new(tc_rules());
-            sn.set_threads(threads);
-            assert_eq!(sn.threads(), threads);
-            let total = sn.saturate(&mut db).unwrap();
-            assert_eq!(total, serial_total, "threads {threads}");
-            assert_eq!(db.relation(tc).rows(), serial_db.relation(tc).rows(), "threads {threads}");
-        }
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!
 //! Concurrency model: one acceptor thread, a fixed pool of request
 //! workers fed over an `mpsc` channel, one request per connection
-//! (`Connection: close`). Evaluation requests may themselves fan
-//! saturation out over `--threads` engine workers; DESIGN.md §9
-//! guarantees results and semantic counters are byte-identical at any
-//! combination of request- and engine-level concurrency — the serve
+//! (`Connection: close`). Each evaluation runs on the worker that
+//! accepted it (DESIGN.md §9), so concurrent requests leave results and
+//! semantic counters byte-identical to a lone `gbc run` — the serve
 //! smoke test and `ci-serve` hold the server to that.
 //!
 //! ```no_run

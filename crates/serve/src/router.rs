@@ -4,11 +4,11 @@
 //! |--------|-------------|------------------------------|--------|
 //! | GET    | `/healthz`  | —                            | liveness JSON |
 //! | GET    | `/metrics`  | —                            | Prometheus text |
-//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v3 stats JSON |
+//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v4 stats JSON |
 //! | GET    | `/journal`  | `?session=NAME`              | choice-audit JSON-lines |
 //! | GET    | `/programs` | —                            | loaded-session table |
-//! | POST   | `/load`     | `{"name", "program"|"files"}`| compile summary |
-//! | POST   | `/run`      | `{"session", "threads"?, "journal"?}` | canonical result + counters |
+//! | POST   | `/load`     | `{"name", "program"}`        | compile summary |
+//! | POST   | `/run`      | `{"session", "journal"?}`    | canonical result + counters |
 //!
 //! Every handler is synchronous and runs on the worker thread that
 //! accepted the connection; `/run` is the only one that does real work.
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use gbc_ast::diag::{error_count, render_all};
 use gbc_ast::SourceMap;
-use gbc_core::{compile, Compiled, GreedyConfig, GreedyRun};
+use gbc_core::{compile, Compiled};
 use gbc_storage::{dict_stats, Database};
 use gbc_telemetry::{JournalBuffer, Json, Telemetry, TraceSink};
 
@@ -160,43 +160,19 @@ fn body_object(req: &Request, allowed: &[&str]) -> Result<Json, Response> {
 }
 
 fn load(state: &ServerState, req: &Request) -> Response {
-    let body = match body_object(req, &["name", "program", "files"]) {
+    let body = match body_object(req, &["name", "program"]) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let Some(name) = body.get("name").and_then(Json::as_str) else {
         return Response::error(400, "POST /load requires a string `name`");
     };
-    let mut sm = SourceMap::new();
-    let source = match (body.get("program").and_then(Json::as_str), body.get("files")) {
-        (Some(text), None) => {
-            sm.add_file("<inline>", text);
-            "<inline>".to_owned()
-        }
-        (None, Some(files)) => {
-            let Some(files) = files.as_arr() else {
-                return Response::error(400, "`files` must be an array of paths");
-            };
-            let mut names = Vec::new();
-            for f in files {
-                let Some(path) = f.as_str() else {
-                    return Response::error(400, "`files` must be an array of string paths");
-                };
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        sm.add_file(path, &text);
-                    }
-                    Err(e) => return Response::error(400, &format!("{path}: {e}")),
-                }
-                names.push(path.to_owned());
-            }
-            if names.is_empty() {
-                return Response::error(400, "`files` must name at least one file");
-            }
-            names.join(",")
-        }
-        _ => return Response::error(400, "POST /load requires exactly one of `program`, `files`"),
+    let Some(text) = body.get("program").and_then(Json::as_str) else {
+        return Response::error(400, "POST /load requires a string `program`");
     };
+    let source = "<inline>";
+    let mut sm = SourceMap::new();
+    sm.add_file(source, text);
     let compiled = match compile_source(&sm) {
         Ok(c) => c,
         Err(e) => return Response::error(400, &e),
@@ -207,7 +183,7 @@ fn load(state: &ServerState, req: &Request) -> Response {
         ("class", Json::Str(compiled.class().summary())),
         ("greedy_plan", Json::Bool(compiled.has_greedy_plan())),
     ]);
-    state.install(Session::new(name, &source, compiled, Database::new()));
+    state.install(Session::new(name, source, compiled, Database::new()));
     Response::json(200, format!("{}\n", summary.pretty()))
 }
 
@@ -228,28 +204,12 @@ fn render_failure(diags: &[gbc_ast::Diagnostic], sm: &SourceMap) -> String {
 }
 
 fn run(state: &ServerState, req: &Request) -> Response {
-    let body = match body_object(req, &["session", "threads", "journal"]) {
+    let body = match body_object(req, &["session", "journal"]) {
         Ok(b) => b,
         Err(r) => return r,
     };
     let Some(name) = body.get("session").and_then(Json::as_str) else {
         return Response::error(400, "POST /run requires a string `session`");
-    };
-    // The engine sizes per-worker state up front, so the client-chosen
-    // count is capped at the machine's parallelism.
-    let max_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = match body.get("threads") {
-        None => 1,
-        Some(v) => match v.as_u64() {
-            Some(t) if t >= 1 && t <= max_threads as u64 => t as usize,
-            Some(t) if t > max_threads as u64 => {
-                return Response::error(
-                    400,
-                    &format!("`threads` is {t}; this server allows at most {max_threads}"),
-                )
-            }
-            _ => return Response::error(400, "`threads` must be a positive integer"),
-        },
     };
     let journal = match body.get("journal") {
         None => false,
@@ -273,8 +233,10 @@ fn run(state: &ServerState, req: &Request) -> Response {
         None
     };
 
-    let outcome = execute(&session, threads, &tel);
-    let run = match outcome {
+    // The greedy (Section 6) executor when a plan exists, the generic
+    // choice fixpoint otherwise — the same split `gbc run` makes, so
+    // results and counters are byte-identical to the CLI.
+    let run = match session.compiled.run_telemetry(&session.edb, &tel) {
         Ok(run) => run,
         Err(e) => return Response::error(500, &format!("evaluation failed: {e}")),
     };
@@ -287,15 +249,12 @@ fn run(state: &ServerState, req: &Request) -> Response {
     state.metrics.runs.inc();
     session.runs.fetch_add(1, Ordering::Relaxed);
 
-    // Assemble the schema-v3 stats report — same shape `gbc run
+    // Assemble the schema-v4 stats report — same shape `gbc run
     // --stats-json` writes (counters + phases + latency + dictionary,
     // plus the journal when recorded) — and pin it to the session.
     let mut stats = tel.to_json();
     if let (Some(hist), Json::Obj(fields)) = (tel.round_latency(), &mut stats) {
-        fields.push((
-            "latency".to_owned(),
-            Json::obj(vec![("threads", Json::UInt(threads as u64)), ("rounds", hist.to_json())]),
-        ));
+        fields.push(("latency".to_owned(), Json::obj(vec![("rounds", hist.to_json())])));
     }
     if let Json::Obj(fields) = &mut stats {
         let d = dict_stats().since(&dict_base);
@@ -320,24 +279,4 @@ fn run(state: &ServerState, req: &Request) -> Response {
         ("counters", tel.snapshot().to_json()),
     ]);
     Response::json(200, format!("{body}\n"))
-}
-
-/// Evaluate one request: the greedy (Section 6) executor when a plan
-/// exists, the generic choice fixpoint otherwise — the same split `gbc
-/// run` makes, so results and counters are byte-identical to the CLI at
-/// the same thread count (DESIGN.md §9).
-fn execute(
-    session: &Session,
-    threads: usize,
-    tel: &Telemetry,
-) -> Result<GreedyRun, gbc_core::CoreError> {
-    if session.compiled.has_greedy_plan() {
-        session.compiled.run_greedy_telemetry(
-            &session.edb,
-            GreedyConfig::with_threads(threads),
-            tel,
-        )
-    } else {
-        session.compiled.run_generic_telemetry(&session.edb, tel)
-    }
 }

@@ -11,8 +11,8 @@
 //! The metrics side is a [`MetricsRegistry`] (see
 //! `gbc_telemetry::registry`): a plane deliberately separate from the
 //! per-run [`gbc_telemetry::Metrics`] counters, so a `/metrics` scrape
-//! can never perturb the DESIGN.md §9 determinism contract — pinned
-//! run counters stay byte-identical whether or not anyone is watching.
+//! can never perturb a run's counters — pinned run counters stay
+//! byte-identical whether or not anyone is watching.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -27,7 +27,7 @@ use gbc_telemetry::{Gauge, JournalBuffer, Json, MetricsRegistry, SharedHist};
 pub struct Session {
     /// Registration name (the `session` field of `/run` bodies).
     pub name: String,
-    /// Where the program came from (file list or `<inline>`), for
+    /// Where the program came from (file path or `<inline>`), for
     /// `GET /programs`.
     pub source: String,
     /// The compiled program: plans, analysis, expansion — built once.

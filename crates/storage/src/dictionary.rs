@@ -9,12 +9,10 @@
 //!   array of `OnceLock` slots (geometrically sized chunks, so lookup
 //!   is two shifts and two indexed loads), which makes [`decode_ref`]
 //!   lock-free: readers never contend with writers.
-//! - **Deterministic assignment.** All interning happens at
-//!   single-threaded points — EDB load, plan compilation, and the
-//!   coordinator's merge loops — never inside pool workers, so the id
-//!   assignment order (and therefore every id-keyed structure) is
-//!   independent of the thread count. `debug_assert`s in the pool
-//!   enforce the "workers never intern" contract.
+//! - **Deterministic within an evaluation.** An evaluation runs on one
+//!   thread, so the ids it mints follow its own first-intern order.
+//!   Concurrent `gbc serve` requests may interleave their interning;
+//!   no result depends on id magnitude (see the ordering contract).
 //! - **Functor terms stay flat.** Interning `t(X, Y)` first interns
 //!   `X` and `Y`, then records their ids alongside the entry, so
 //!   [`func_parts`] destructures a functor without leaving id space.
@@ -30,8 +28,6 @@
 //!   ceiling no realistic workload reaches before exhausting memory.
 
 use std::collections::HashMap;
-#[cfg(debug_assertions)]
-use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
@@ -114,39 +110,11 @@ fn map() -> &'static RwLock<HashMap<&'static Value, u32, FxBuildHasher>> {
 // `Metrics`/`Snapshot`: the dictionary is process-global, so its
 // counters accumulate across runs in one process, and folding them
 // into per-run snapshots would break run-to-run equality contracts
-// (tests/parallel_equivalence.rs). The CLI reports them as a
+// (tests/analysis_equivalence.rs). The CLI reports them as a
 // before/after delta instead.
 static ENTRIES: AtomicU64 = AtomicU64::new(0);
 static ENCODE_HITS: AtomicU64 = AtomicU64::new(0);
 static DECODE_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// Debug-only "workers never intern" guard: the PR 5 pool flips this
-// on worker threads; any intern attempt there is a determinism bug.
-#[cfg(debug_assertions)]
-thread_local! {
-    static INTERN_FORBIDDEN: AtomicBool = const { AtomicBool::new(false) };
-}
-
-/// Mark (or unmark) the current thread as forbidden from interning.
-/// Debug builds panic on [`encode`] from a marked thread; release
-/// builds compile this to nothing.
-pub fn forbid_intern_on_this_thread(forbid: bool) {
-    #[cfg(debug_assertions)]
-    INTERN_FORBIDDEN.with(|f| f.store(forbid, Ordering::Relaxed));
-    #[cfg(not(debug_assertions))]
-    let _ = forbid;
-}
-
-#[cfg(debug_assertions)]
-fn assert_intern_allowed() {
-    INTERN_FORBIDDEN.with(|f| {
-        debug_assert!(
-            !f.load(Ordering::Relaxed),
-            "dictionary intern from a pool worker — interning must stay on \
-             deterministic single-threaded paths (EDB load, plan compile, merge)"
-        );
-    });
-}
 
 /// A point-in-time copy of the dictionary counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,8 +154,6 @@ pub fn encode(v: &Value) -> u32 {
     if let Some(id) = lookup(v) {
         return id;
     }
-    #[cfg(debug_assertions)]
-    assert_intern_allowed();
     // Intern functor arguments *outside* the write lock (recursion
     // would deadlock under it), then re-check under the lock.
     let func_args: Option<Box<[u32]>> = match v {

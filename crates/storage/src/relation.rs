@@ -172,13 +172,12 @@ impl FromIterator<Row> for ColumnBuf {
 /// rows out of storage. Indices on column subsets are created lazily
 /// behind an `RwLock` — the engine reads relations through `&Relation`
 /// while staging derived tuples elsewhere, so interior mutability
-/// confines itself to the index cache; the lock (rather than a
-/// `RefCell`) makes `Relation` `Sync`, which is what lets the parallel
-/// seminaive workers share `&Database` across threads. Probes take the
-/// read lock; a miss upgrades to the write lock with a double-check, so
-/// concurrent first probes of the same column set still build the index
-/// exactly once and the `index_builds` counter stays identical to a
-/// serial run.
+/// confines itself to the index cache. The lock (rather than a
+/// `RefCell`) keeps `Relation` `Sync`: `gbc serve` request workers
+/// share a session's EDB through an `Arc`, and concurrent requests may
+/// probe the same relation. Probes take the read lock; a miss upgrades
+/// to the write lock with a double-check, so concurrent first probes of
+/// the same column set still build the index exactly once.
 #[derive(Debug, Default)]
 pub struct Relation {
     /// One `Vec<u32>` per attribute; all the same length.
@@ -388,7 +387,7 @@ impl Relation {
             }
         }
         let mut cache = self.indices.write().expect("index cache lock");
-        // Double-check under the write lock: a concurrent worker may
+        // Double-check under the write lock: a concurrent request may
         // have built the same index while we waited, and the build must
         // happen (and be counted) exactly once.
         if let Some((_, idx)) = cache.iter().find(|(m, _)| *m == mask) {
@@ -461,7 +460,7 @@ mod tests {
         dictionary::encode(&Value::int(v))
     }
 
-    /// The parallel seminaive workers share `&Relation` across scoped
+    /// `gbc serve` request workers share a session's EDB across
     /// threads; the index cache must therefore be `Sync`.
     #[test]
     fn relation_is_send_and_sync() {

@@ -42,7 +42,7 @@ thread_local! {
     /// Comparisons served by the decode-free `Int` cost fast path.
     /// Thread-local rather than a global atomic so concurrent runs in
     /// one process (parallel `cargo test`) never cross-contaminate;
-    /// heap operations happen on the coordinator thread, so the owning
+    /// heap operations happen on the evaluating thread, so the owning
     /// `Rql` reads a coherent before/after delta around each op.
     static INT_FAST_COMPARES: Cell<u64> = const { Cell::new(0) };
 }

@@ -11,13 +11,8 @@
 //!   [...]}` object format), loadable in Perfetto or `chrome://tracing`
 //!   via `--trace-json`. Events are recorded as *instant* events
 //!   (`"ph": "i"`) with microsecond timestamps relative to sink
-//!   creation; the typed payload rides in `args`. Parallel saturation
-//!   chunks ([`TraceEvent::WorkerChunk`]) render instead as *complete*
-//!   events (`"ph": "X"`, with `dur`) on one lane per worker — thread
-//!   id `2 + worker` under the shared pid, named via `thread_name`
-//!   metadata — so Perfetto shows true per-worker occupancy tracks.
-//!   Serial runs emit no worker events and produce byte-identical
-//!   output to earlier releases.
+//!   creation; the typed payload rides in `args`. An evaluation runs
+//!   on one thread, so every event sits on one lane (`tid` 1).
 //! - [`TeeTrace`] — fans one event stream out to several sinks so the
 //!   stderr rendering and the structured captures can coexist.
 
@@ -82,9 +77,6 @@ impl TraceSink for JournalBuffer {
 pub struct ChromeTrace {
     epoch: Instant,
     events: Mutex<Vec<Json>>,
-    /// Worker lanes seen so far (`tid = 2 + worker`); drives the
-    /// `thread_name` metadata emitted by [`ChromeTrace::to_json`].
-    lanes: Mutex<Vec<usize>>,
 }
 
 impl Default for ChromeTrace {
@@ -96,11 +88,7 @@ impl Default for ChromeTrace {
 impl ChromeTrace {
     /// Empty trace; timestamps count from this call.
     pub fn new() -> ChromeTrace {
-        ChromeTrace {
-            epoch: Instant::now(),
-            events: Mutex::new(Vec::new()),
-            lanes: Mutex::new(Vec::new()),
-        }
+        ChromeTrace { epoch: Instant::now(), events: Mutex::new(Vec::new()) }
     }
 
     /// Number of captured events.
@@ -114,23 +102,9 @@ impl ChromeTrace {
     }
 
     /// The full trace file contents: the Chrome trace-event object
-    /// format (`traceEvents` array plus a display hint). When the run
-    /// fanned out over a worker pool, `thread_name` metadata events
-    /// naming each worker lane are prepended; serial traces carry no
-    /// metadata and render exactly as before.
+    /// format (`traceEvents` array plus a display hint).
     pub fn to_json(&self) -> Json {
-        let mut events = Vec::new();
-        let lanes = self.lanes.lock().expect("chrome trace lock").clone();
-        for worker in lanes {
-            events.push(Json::obj(vec![
-                ("name", Json::Str("thread_name".to_owned())),
-                ("ph", Json::Str("M".to_owned())),
-                ("pid", Json::UInt(1)),
-                ("tid", Json::UInt(2 + worker as u64)),
-                ("args", Json::obj(vec![("name", Json::Str(format!("worker {worker}")))])),
-            ]));
-        }
-        events.extend(self.events.lock().expect("chrome trace lock").iter().cloned());
+        let events = self.events.lock().expect("chrome trace lock").clone();
         Json::obj(vec![
             ("traceEvents", Json::Arr(events)),
             ("displayTimeUnit", Json::Str("ms".to_owned())),
@@ -140,39 +114,16 @@ impl ChromeTrace {
 
 impl TraceSink for ChromeTrace {
     fn event(&self, ev: &TraceEvent) {
-        let entry = if let TraceEvent::WorkerChunk { worker, dur_us, .. } = ev {
-            // A complete event on the worker's own lane. The chunk is
-            // recorded at its end, so its start is now − dur.
-            let end = self.epoch.elapsed().as_micros() as u64;
-            let ts = end.saturating_sub(*dur_us);
-            {
-                let mut lanes = self.lanes.lock().expect("chrome trace lock");
-                if !lanes.contains(worker) {
-                    lanes.push(*worker);
-                    lanes.sort_unstable();
-                }
-            }
-            Json::obj(vec![
-                ("name", Json::Str(ev.kind().to_owned())),
-                ("ph", Json::Str("X".to_owned())),
-                ("ts", Json::UInt(ts)),
-                ("dur", Json::UInt(*dur_us)),
-                ("pid", Json::UInt(1)),
-                ("tid", Json::UInt(2 + *worker as u64)),
-                ("args", ev.to_json()),
-            ])
-        } else {
-            let ts = self.epoch.elapsed().as_micros() as u64;
-            Json::obj(vec![
-                ("name", Json::Str(ev.kind().to_owned())),
-                ("ph", Json::Str("i".to_owned())),
-                ("ts", Json::UInt(ts)),
-                ("pid", Json::UInt(1)),
-                ("tid", Json::UInt(1)),
-                ("s", Json::Str("t".to_owned())),
-                ("args", ev.to_json()),
-            ])
-        };
+        let ts = self.epoch.elapsed().as_micros() as u64;
+        let entry = Json::obj(vec![
+            ("name", Json::Str(ev.kind().to_owned())),
+            ("ph", Json::Str("i".to_owned())),
+            ("ts", Json::UInt(ts)),
+            ("pid", Json::UInt(1)),
+            ("tid", Json::UInt(1)),
+            ("s", Json::Str("t".to_owned())),
+            ("args", ev.to_json()),
+        ]);
         self.events.lock().expect("chrome trace lock").push(entry);
     }
 }
@@ -266,28 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_chunks_become_complete_events_on_their_own_lanes() {
-        let c = ChromeTrace::new();
-        c.event(&TraceEvent::FlatRound { round: 1, new_facts: 4 });
-        c.event(&TraceEvent::WorkerChunk { worker: 1, rule: 0, items: 100, dur_us: 7 });
-        c.event(&TraceEvent::WorkerChunk { worker: 0, rule: 0, items: 90, dur_us: 5 });
-        let file = c.to_json();
-        let Some(Json::Arr(events)) = file.get("traceEvents") else { panic!("traceEvents") };
-        // Two thread_name metadata events first, in lane order.
-        assert_eq!(events[0].get("ph"), Some(&Json::Str("M".into())));
-        assert_eq!(events[0].get("tid"), Some(&Json::UInt(2)));
-        assert_eq!(events[1].get("tid"), Some(&Json::UInt(3)));
-        // The instant event keeps its serial shape on tid 1.
-        assert_eq!(events[2].get("ph"), Some(&Json::Str("i".into())));
-        assert_eq!(events[2].get("tid"), Some(&Json::UInt(1)));
-        // Worker chunks are complete events with a duration on 2+worker.
-        assert_eq!(events[3].get("ph"), Some(&Json::Str("X".into())));
-        assert_eq!(events[3].get("tid"), Some(&Json::UInt(3)));
-        assert_eq!(events[3].get("dur"), Some(&Json::UInt(7)));
-        assert_eq!(events[4].get("tid"), Some(&Json::UInt(2)));
-    }
-
-    #[test]
     fn serial_traces_carry_no_lane_metadata() {
         let c = ChromeTrace::new();
         for ev in sample_events() {
@@ -295,7 +224,7 @@ mod tests {
         }
         let file = c.to_json();
         let Some(Json::Arr(events)) = file.get("traceEvents") else { panic!("traceEvents") };
-        assert_eq!(events.len(), 3, "no metadata events without worker lanes");
+        assert_eq!(events.len(), 3, "no metadata events");
         for ev in events {
             assert_eq!(ev.get("tid"), Some(&Json::UInt(1)));
             assert_eq!(ev.get("ph"), Some(&Json::Str("i".into())));

@@ -42,7 +42,7 @@ impl Json {
     /// handful of levels, so the bound is unobservable in normal use —
     /// it exists for untrusted input (`gbc serve` request bodies).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -139,8 +139,10 @@ impl Json {
 /// matter what a client sends.
 pub const MAX_PARSE_DEPTH: usize = 128;
 
-/// Recursive-descent JSON reader over a byte slice.
+/// Recursive-descent JSON reader over a string, scanned as bytes.
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both.
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, checked against [`MAX_PARSE_DEPTH`].
@@ -306,12 +308,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar from the source.
+                    // Copy the run of unescaped bytes up to the next `"`
+                    // or `\` in one go. Both are ASCII, so the run ends
+                    // on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + len.unwrap_or(rest.len());
+                    out.push_str(self.text.get(self.pos..end).ok_or("string splits a char")?);
+                    self.pos = end;
                 }
             }
         }
@@ -511,6 +515,17 @@ mod tests {
         // Raw multi-byte UTF-8 passes through unescaped.
         assert_eq!(Json::parse("\"𝄞\"").unwrap(), Json::Str("\u{1D11E}".into()));
         assert_eq!(Json::parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+    }
+
+    #[test]
+    fn unescaped_runs_and_escapes_interleave() {
+        // Multi-byte scalars on both sides of escapes, a surrogate pair
+        // between two raw runs, and a run ending at the closing quote.
+        let text = "\"é\\u00e9𝄞\\uD834\\uDD1E中文\\n\\\"x\"";
+        assert_eq!(Json::parse(text).unwrap(), Json::Str("éé𝄞\u{1D11E}中文\n\"x".into()));
+        let long = "ü€".repeat(10_000);
+        assert_eq!(Json::parse(&format!("\"{long}\"")).unwrap(), Json::Str(long));
+        assert!(Json::parse("\"é").is_err(), "unterminated after a raw run");
     }
 
     #[test]

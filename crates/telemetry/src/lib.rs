@@ -57,8 +57,9 @@ pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 /// check it before parsing (see DESIGN.md, "JSON schemas").
 /// v2 added the `dictionary` block (value-interning counters); v3
 /// dropped the batch-feed push counter, which only recounted heap
-/// inserts.
-pub const STATS_SCHEMA_VERSION: u64 = 3;
+/// inserts; v4 dropped `latency.threads` and the profile's
+/// `workers`/`merge_secs` fields with the intra-evaluation worker pool.
+pub const STATS_SCHEMA_VERSION: u64 = 4;
 
 /// The instrumentation bundle threaded through the executors.
 ///
@@ -80,8 +81,8 @@ pub struct Telemetry {
     pub profiler: Arc<RuleProfiler>,
     /// Per-round wall-time latency histogram, absent unless requested.
     /// Deliberately NOT part of [`Telemetry::to_json`]: bucket counts
-    /// are timing-dependent integers and would break the thread-count
-    /// invariance of the stats report (DESIGN.md §9) — the CLI embeds
+    /// are timing-dependent integers and would break the run-to-run
+    /// invariance of the stats report — the CLI embeds
     /// the summary into `--stats-json` itself, like the journal.
     pub rounds: Option<Arc<Mutex<Histogram>>>,
 }

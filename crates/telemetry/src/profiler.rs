@@ -50,17 +50,6 @@ pub struct RuleProfiler {
     /// nanoseconds — so the profile accounts for run time the per-rule
     /// rows cannot claim.
     overhead_nanos: AtomicU64,
-    /// Per-worker busy time of the parallel evaluation lanes (slot per
-    /// worker id), in nanoseconds. Lanes measure work done *inside* the
-    /// coordinator's per-rule wall-clock intervals, so they are
-    /// reported alongside the rules rather than added to
-    /// [`RuleProfiler::total_secs`] — summing both would double-count.
-    lane_nanos: Mutex<Vec<u64>>,
-    /// Coordinator time spent merging per-worker buffers and inserting
-    /// the merged rows after a parallel round barrier, in nanoseconds.
-    /// Counted toward [`RuleProfiler::total_secs`] like the overhead
-    /// bucket; stays 0 on serial runs.
-    merge_nanos: AtomicU64,
 }
 
 impl RuleProfiler {
@@ -145,50 +134,6 @@ impl RuleProfiler {
         self.overhead_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Begin a worker-lane interval. Like [`RuleProfiler::start`] but
-    /// intended for use *on* a pool worker; pair with
-    /// [`RuleProfiler::record_lane`].
-    #[inline]
-    pub fn lane_start(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Charge `dur` of busy time to `worker`'s lane. Lanes are
-    /// informational (they show how evenly a parallel round spread) and
-    /// do not feed [`RuleProfiler::total_secs`] — the coordinator's
-    /// per-rule intervals already cover the same wall-clock span.
-    pub fn record_lane(&self, worker: usize, dur: Duration) {
-        if !self.enabled {
-            return;
-        }
-        let mut lanes = self.lane_nanos.lock().expect("profiler lock");
-        if lanes.len() <= worker {
-            lanes.resize(worker + 1, 0);
-        }
-        lanes[worker] += dur.as_nanos() as u64;
-    }
-
-    /// Per-worker lane busy time in seconds, indexed by worker id.
-    /// Empty unless a parallel round ran with profiling on.
-    pub fn lane_secs(&self) -> Vec<f64> {
-        self.lane_nanos.lock().expect("profiler lock").iter().map(|&n| n as f64 / 1e9).collect()
-    }
-
-    /// Charge `dur` to the parallel merge bucket (coordinator time
-    /// spent concatenating per-worker buffers and inserting the merged
-    /// rows after a round barrier).
-    #[inline]
-    pub fn add_merge(&self, dur: Duration) {
-        if self.enabled {
-            self.merge_nanos.fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Parallel merge/insert time, in seconds. 0 on serial runs.
-    pub fn merge_secs(&self) -> f64 {
-        self.merge_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
     /// `(rule_id, profile)` pairs for every rule with recorded
     /// activity, in rule-id order.
     pub fn entries(&self) -> Vec<(usize, RuleProf)> {
@@ -209,8 +154,7 @@ impl RuleProfiler {
     }
 
     /// Everything the profile accounts for: per-rule time plus the
-    /// executor-overhead and parallel-merge buckets, in seconds. Worker
-    /// lanes are excluded — they overlap the per-rule intervals.
+    /// executor-overhead bucket, in seconds.
     pub fn total_secs(&self) -> f64 {
         self.charged_nanos() as f64 / 1e9
     }
@@ -220,15 +164,11 @@ impl RuleProfiler {
     /// the profile already accounts for.
     pub fn charged_nanos(&self) -> u64 {
         let rules: u64 = self.rules.lock().expect("profiler lock").iter().map(|p| p.nanos).sum();
-        rules
-            + self.overhead_nanos.load(Ordering::Relaxed)
-            + self.merge_nanos.load(Ordering::Relaxed)
+        rules + self.overhead_nanos.load(Ordering::Relaxed)
     }
 
     /// `{rules: [{rule, firings, tuples, secs, plan_hits}, …],
-    /// overhead_secs}`, plus `workers`/`merge_secs` fields when a
-    /// parallel round recorded lane or merge time (serial output is
-    /// unchanged byte for byte).
+    /// overhead_secs}`.
     pub fn to_json(&self) -> Json {
         let rules = Json::Arr(
             self.entries()
@@ -244,26 +184,7 @@ impl RuleProfiler {
                 })
                 .collect(),
         );
-        let mut fields =
-            vec![("rules", rules), ("overhead_secs", Json::Float(self.overhead_secs()))];
-        let lanes = self.lane_secs();
-        if lanes.iter().any(|&s| s > 0.0) {
-            let workers = lanes
-                .into_iter()
-                .enumerate()
-                .map(|(w, busy)| {
-                    Json::obj(vec![
-                        ("worker", Json::UInt(w as u64)),
-                        ("busy_secs", Json::Float(busy)),
-                    ])
-                })
-                .collect();
-            fields.push(("workers", Json::Arr(workers)));
-        }
-        if self.merge_nanos.load(Ordering::Relaxed) > 0 {
-            fields.push(("merge_secs", Json::Float(self.merge_secs())));
-        }
-        Json::obj(fields)
+        Json::obj(vec![("rules", rules), ("overhead_secs", Json::Float(self.overhead_secs()))])
     }
 }
 
@@ -319,35 +240,6 @@ mod tests {
         assert!(p.overhead_secs() > 0.0);
         assert!(p.total_secs() > p.rules_secs());
         assert!(p.to_json().to_string().contains("\"overhead_secs\":"));
-    }
-
-    #[test]
-    fn lanes_and_merge_stay_silent_on_serial_runs() {
-        let p = RuleProfiler::enabled();
-        p.record(0, 1, 1, Duration::from_millis(1));
-        let s = p.to_json().to_string();
-        assert!(!s.contains("\"workers\""), "no lanes recorded: {s}");
-        assert!(!s.contains("\"merge_secs\""), "no merge recorded: {s}");
-
-        p.record_lane(1, Duration::from_millis(2));
-        p.add_merge(Duration::from_millis(3));
-        let s = p.to_json().to_string();
-        assert!(s.contains("\"workers\""));
-        assert!(s.contains("\"busy_secs\""));
-        assert!(s.contains("\"merge_secs\""));
-        assert_eq!(p.lane_secs().len(), 2);
-        // Merge counts toward the accounted total; lanes do not.
-        assert!((p.total_secs() - 0.004).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabled_profiler_ignores_lanes_and_merge() {
-        let p = RuleProfiler::disabled();
-        assert!(p.lane_start().is_none());
-        p.record_lane(0, Duration::from_millis(1));
-        p.add_merge(Duration::from_millis(1));
-        assert!(p.lane_secs().is_empty());
-        assert_eq!(p.merge_secs(), 0.0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! [`crate::metrics::Metrics`] is a *per-run* counter bundle: one
 //! instance per evaluation, snapshotted when the run ends, and part of
 //! the determinism contract (DESIGN.md §9) — its values must be
-//! byte-identical at any thread count. A server needs the opposite
+//! byte-identical from run to run, however many requests run beside
+//! it. A server needs the opposite
 //! shape: *process-lifetime* series that accumulate across thousands of
 //! runs, are scraped mid-flight, and may carry timing (which the §9
 //! contract forbids in run counters). [`MetricsRegistry`] is that
@@ -39,8 +40,8 @@ use crate::metrics::Counter;
 
 /// Number of histogram shards. Recording threads hash to a shard, so
 /// this bounds worst-case lock contention; 8 covers the request
-/// concurrency the in-tree pool reaches while keeping scrape-time
-/// merging trivial.
+/// concurrency of `gbc serve`'s worker threads while keeping
+/// scrape-time merging trivial.
 const HIST_SHARDS: usize = 8;
 
 /// A settable instantaneous value (pool occupancy, sessions loaded,

@@ -73,19 +73,6 @@ pub enum TraceEvent {
         /// Fresh facts the firing inserted (post-deduplication).
         new_facts: u64,
     },
-    /// One worker executed one chunk of a parallel saturation round.
-    /// Only emitted from the pool's fan-out path, so serial runs never
-    /// see it and their trace output stays byte-identical.
-    WorkerChunk {
-        /// Worker lane index (0-based).
-        worker: usize,
-        /// Rule id the chunk evaluated.
-        rule: usize,
-        /// Delta rows the chunk processed.
-        items: u64,
-        /// Wall-clock the chunk took, in microseconds.
-        dur_us: u64,
-    },
     /// One γ decision point audited its candidate pool: how many
     /// candidates were weighed and how many fell to `diffChoice` (or a
     /// stage guard) before the commit.
@@ -122,9 +109,6 @@ impl TraceEvent {
             TraceEvent::RuleFired { rule, pred, new_facts } => {
                 format!("  rule #{rule} {pred}: +{new_facts} facts")
             }
-            TraceEvent::WorkerChunk { worker, rule, items, dur_us } => {
-                format!("  worker {worker} rule #{rule}: {items} rows in {dur_us}µs")
-            }
             TraceEvent::ChoiceAudit { rule, pred, considered, rejected } => {
                 format!("γ audit rule #{rule} {pred}: {considered} considered, {rejected} rejected")
             }
@@ -140,7 +124,6 @@ impl TraceEvent {
             TraceEvent::ExitCommit { .. } => "exit_commit",
             TraceEvent::FlatRound { .. } => "flat_round",
             TraceEvent::RuleFired { .. } => "rule_fired",
-            TraceEvent::WorkerChunk { .. } => "worker_chunk",
             TraceEvent::ChoiceAudit { .. } => "choice_audit",
         }
     }
@@ -178,13 +161,6 @@ impl TraceEvent {
                 ("rule", Json::UInt(*rule as u64)),
                 ("pred", Json::Str(pred.clone())),
                 ("new_facts", Json::UInt(*new_facts)),
-            ]),
-            TraceEvent::WorkerChunk { worker, rule, items, dur_us } => Json::obj(vec![
-                tag,
-                ("worker", Json::UInt(*worker as u64)),
-                ("rule", Json::UInt(*rule as u64)),
-                ("items", Json::UInt(*items)),
-                ("dur_us", Json::UInt(*dur_us)),
             ]),
             TraceEvent::ChoiceAudit { rule, pred, considered, rejected } => Json::obj(vec![
                 tag,

@@ -58,10 +58,10 @@ fn parse(source: &str) -> Program {
     gbc_parser::parse_program(source).expect("program parses")
 }
 
-fn run(compiled: &Compiled, threads: usize) -> RunFingerprint {
+fn run(compiled: &Compiled) -> RunFingerprint {
     let tel = Telemetry::enabled();
     let run = compiled
-        .run_greedy_telemetry(&Database::new(), GreedyConfig::with_threads(threads), &tel)
+        .run_greedy_telemetry(&Database::new(), GreedyConfig::default(), &tel)
         .expect("greedy run");
     RunFingerprint {
         canonical: run.db.canonical_form(),
@@ -134,15 +134,9 @@ fn analysis_specializations_change_nothing_observable() {
         }
         let twin = gbc_core::compile(twin).expect("twin compiles");
         assert!(twin.has_greedy_plan(), "{name}: the twin lost its greedy plan");
-        for threads in [1, 4] {
-            let want = run(&original, threads);
-            assert!(!want.canonical.is_empty(), "{name} produced no facts");
-            assert_eq!(
-                want,
-                run(&twin, threads),
-                "{name}: dead rules or a folded comparison left a trace at {threads} thread(s)"
-            );
-        }
+        let want = run(&original);
+        assert!(!want.canonical.is_empty(), "{name} produced no facts");
+        assert_eq!(want, run(&twin), "{name}: dead rules or a folded comparison left a trace");
     }
     assert!(folded > 0, "no shipped group has an exit choice rule to fold into");
 }
@@ -177,14 +171,8 @@ fn gamma_batch_kernel_changes_nothing_observable() {
             "{name}: expected the columnar feed"
         );
         assert!(fast_feed_flags(&twin).iter().all(|&f| !f), "{name}: expected the framed feed");
-        for threads in [1, 2, 4, 8] {
-            let want = run(&original, threads);
-            assert!(!want.canonical.is_empty(), "{name} produced no facts");
-            assert_eq!(
-                want,
-                run(&twin, threads),
-                "{name}: columnar and framed feeds diverged at {threads} thread(s)"
-            );
-        }
+        let want = run(&original);
+        assert!(!want.canonical.is_empty(), "{name} produced no facts");
+        assert_eq!(want, run(&twin), "{name}: columnar and framed feeds diverged");
     }
 }

@@ -6,15 +6,17 @@
 //! Choice Fixpoint of `gbc-engine` (`Compiled::run_generic`) and the
 //! Gelfond–Lifschitz stable-model check of Theorem 1
 //! (`verify_stable_model`). For every shipped program group with a
-//! greedy plan, at threads {1, 2, 4}:
+//! greedy plan:
 //!
 //! * the greedy model equals the generic one. The generic fixpoint
 //!   commits an extremal FD-consistent candidate at every step — the
 //!   greedy property of Greco–Zaniolo's *Greedy Algorithms in Datalog*
 //!   — and the shipped inputs have no cost ties, so the two models
 //!   coincide fact for fact;
-//! * the greedy run is a stable model of the rewritten program;
-//! * every counter is identical across thread counts.
+//! * the greedy run is a stable model of the rewritten program.
+//!
+//! The groups without a greedy plan (kruskal, assignment) run on the
+//! generic fixpoint itself; they must still yield a non-empty model.
 //!
 //! The oracle sees each next rule's extremum with its stage variable
 //! made explicit (`with_stage_groups`: `least(C)` becomes
@@ -29,11 +31,9 @@
 
 use gbc_core::exec::build_plans;
 use gbc_core::rewrite::next::with_stage_groups;
-use gbc_core::{verify_stable_model, Compiled, GreedyConfig};
+use gbc_core::{verify_stable_model, Compiled};
 use gbc_storage::Database;
-use gbc_telemetry::{Snapshot, Telemetry};
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+use gbc_telemetry::Snapshot;
 
 /// The ci.sh observability groupings: every shipped program with the
 /// EDB file(s) it runs against.
@@ -66,8 +66,8 @@ fn compile_text(source: &str) -> Compiled {
     gbc_core::compile(program).expect("program compiles")
 }
 
-/// Run `source` greedily at every thread count and check each run
-/// against the generic fixpoint, Theorem 1, and the serial run.
+/// Run `source` greedily and check the run against the generic
+/// fixpoint and Theorem 1.
 fn check_against_oracle(name: &str, source: &str) {
     let compiled = compile_text(source);
     assert!(compiled.has_greedy_plan(), "{name}: no greedy plan");
@@ -76,25 +76,14 @@ fn check_against_oracle(name: &str, source: &str) {
     let edb = Database::new();
     let want_model = reference.run_generic(&edb).expect("generic run").db.canonical_form();
 
-    let mut serial: Option<(String, Snapshot)> = None;
-    for threads in THREAD_COUNTS {
-        let tel = Telemetry::enabled();
-        let run = compiled
-            .run_greedy_telemetry(&edb, GreedyConfig::with_threads(threads), &tel)
-            .expect("greedy run");
-        let model = run.db.canonical_form();
-        assert!(!model.is_empty(), "{name} produced no facts");
-        assert_eq!(model, want_model, "{name}: greedy and generic models differ at {threads}");
-        assert!(
-            verify_stable_model(compiled.program(), &edb, &run).expect("stability check"),
-            "{name}: greedy run is not a stable model at {threads} thread(s)"
-        );
-        let got = (model, tel.snapshot());
-        match &serial {
-            None => serial = Some(got),
-            Some(s) => assert_eq!(s, &got, "{name} diverged from the serial run at {threads}"),
-        }
-    }
+    let run = compiled.run_greedy(&edb).expect("greedy run");
+    let model = run.db.canonical_form();
+    assert!(!model.is_empty(), "{name} produced no facts");
+    assert_eq!(model, want_model, "{name}: greedy and generic models differ");
+    assert!(
+        verify_stable_model(compiled.program(), &edb, &run).expect("stability check"),
+        "{name}: greedy run is not a stable model"
+    );
 }
 
 #[test]
@@ -102,7 +91,10 @@ fn shipped_programs_agree_with_the_generic_fixpoint() {
     let mut checked = 0;
     for files in PROGRAMS {
         let source = read_group(files);
-        if !compile_text(&source).has_greedy_plan() {
+        let compiled = compile_text(&source);
+        if !compiled.has_greedy_plan() {
+            let run = compiled.run_generic(&Database::new()).expect("generic run");
+            assert!(!run.db.canonical_form().is_empty(), "{files:?} produced no facts");
             continue;
         }
         check_against_oracle(&format!("{files:?}"), &source);

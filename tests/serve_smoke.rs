@@ -5,17 +5,19 @@
 //! The contract under test is the PR's acceptance bar:
 //!
 //! * a program loaded over `POST /load` and evaluated by **concurrent**
-//!   `/run` sessions returns results **byte-identical** to `gbc run
-//!   --threads N` on the same files, with identical pinned semantic
-//!   counters on every request;
+//!   `/run` sessions returns results **byte-identical** to `gbc run`
+//!   on the same files, with identical pinned semantic counters on
+//!   every request;
 //! * a `GET /metrics` scrape taken **while runs are in flight** changes
-//!   neither results nor counters (the DESIGN.md §9 determinism
-//!   contract survives observation), and the scrape itself carries the
+//!   neither results nor counters, and the scrape itself carries the
 //!   §13 metric families;
 //! * `/stats`, `/journal`, `/programs`, `/healthz` answer, and
-//!   malformed requests are a structured 400, not a hang or a crash.
+//!   malformed requests are a structured 400, not a hang or a crash;
+//! * `/load` takes program text only, reads no server-side files, and
+//!   decodes a near-cap body in linear time.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use gbc_serve::{client, Server, Session};
 use gbc_storage::Database;
@@ -26,22 +28,25 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap().to_path_buf()
 }
 
-/// What `gbc run programs/prim.dl programs/graph_small.dl --threads 2`
-/// prints (minus the trailing newline), plus its counter snapshot —
-/// computed in-process through the same layers the CLI uses.
-fn expected_prim_run() -> (String, Json) {
+/// The text of `programs/prim.dl` followed by `programs/graph_small.dl`.
+fn prim_source() -> String {
     let root = repo_root();
     let mut source = String::new();
     for f in ["programs/prim.dl", "programs/graph_small.dl"] {
         source.push_str(&std::fs::read_to_string(root.join(f)).unwrap());
         source.push('\n');
     }
-    let program = gbc_parser::parse_program(&source).unwrap();
+    source
+}
+
+/// What `gbc run programs/prim.dl programs/graph_small.dl` prints
+/// (minus the trailing newline), plus its counter snapshot — computed
+/// in-process through the same layers the CLI uses.
+fn expected_prim_run() -> (String, Json) {
+    let program = gbc_parser::parse_program(&prim_source()).unwrap();
     let compiled = gbc_core::compile(program).unwrap();
     let tel = gbc_telemetry::Telemetry::enabled();
-    let run = compiled
-        .run_greedy_telemetry(&Database::new(), gbc_core::GreedyConfig::with_threads(2), &tel)
-        .unwrap();
+    let run = compiled.run_telemetry(&Database::new(), &tel).unwrap();
     (run.db.canonical_form(), tel.snapshot().to_json())
 }
 
@@ -51,13 +56,14 @@ fn start_server() -> (String, gbc_serve::ServerHandle) {
     (addr, server.spawn(4))
 }
 
+/// A `POST /load` body carrying `program` inline.
+fn load_body(name: &str, program: &str) -> String {
+    Json::obj(vec![("name", Json::Str(name.into())), ("program", Json::Str(program.into()))])
+        .to_string()
+}
+
 fn load_prim(addr: &str) {
-    let root = repo_root();
-    let body = format!(
-        "{{\"name\": \"prim\", \"files\": [\"{}\", \"{}\"]}}",
-        root.join("programs/prim.dl").display(),
-        root.join("programs/graph_small.dl").display()
-    );
+    let body = load_body("prim", &prim_source());
     let (status, reply) = client::post_json(addr, "/load", &body).expect("POST /load");
     assert_eq!(status, 200, "load failed: {reply}");
     let json = Json::parse(reply.trim()).unwrap();
@@ -70,9 +76,8 @@ fn concurrent_runs_match_gbc_run_byte_for_byte() {
     let (addr, handle) = start_server();
     load_prim(&addr);
 
-    // Four concurrent clients, each issuing two /run requests at
-    // --threads 2, with a /metrics scrape racing them from a fifth
-    // thread mid-run.
+    // Four concurrent clients, each issuing two /run requests, with a
+    // /metrics scrape racing them from a fifth thread mid-run.
     let results: Vec<(String, Json)> = std::thread::scope(|s| {
         let clients: Vec<_> = (0..4)
             .map(|_| {
@@ -80,12 +85,9 @@ fn concurrent_runs_match_gbc_run_byte_for_byte() {
                 s.spawn(move || {
                     let mut out = Vec::new();
                     for _ in 0..2 {
-                        let (status, reply) = client::post_json(
-                            &addr,
-                            "/run",
-                            "{\"session\": \"prim\", \"threads\": 2}",
-                        )
-                        .expect("POST /run");
+                        let (status, reply) =
+                            client::post_json(&addr, "/run", "{\"session\": \"prim\"}")
+                                .expect("POST /run");
                         assert_eq!(status, 200, "{reply}");
                         let json = Json::parse(reply.trim()).unwrap();
                         out.push((
@@ -193,14 +195,12 @@ fn error_paths_are_structured_not_fatal() {
     assert_eq!(status, 400);
     assert!(body.contains("nesting deeper than"), "{body}");
 
-    // A client-chosen worker count above the machine's parallelism is
-    // refused before the engine sizes anything by it.
+    // An evaluation runs on one thread: `threads` is an unknown field.
     load_prim(&addr);
     let (status, body) =
-        client::post_json(&addr, "/run", "{\"session\": \"prim\", \"threads\": 1000000000000}")
-            .unwrap();
+        client::post_json(&addr, "/run", "{\"session\": \"prim\", \"threads\": 2}").unwrap();
     assert_eq!(status, 400);
-    assert!(body.contains("\"error\"") && body.contains("at most"), "{body}");
+    assert!(body.contains("unknown field `threads`"), "{body}");
 
     let (status, _) = client::get(&addr, "/nowhere").unwrap();
     assert_eq!(status, 404);
@@ -237,5 +237,41 @@ fn load_rejects_bad_programs_with_rendered_diagnostics() {
         Database::new(),
     );
     drop(session); // Session construction stays available to embedders.
+    handle.shutdown();
+}
+
+#[test]
+fn load_reads_no_server_side_files() {
+    let (addr, handle) = start_server();
+    let (status, body) =
+        client::post_json(&addr, "/load", "{\"name\": \"leak\", \"files\": [\"/etc/hostname\"]}")
+            .unwrap();
+    assert_eq!(status, 400, "{body}");
+    // The reply is exactly the unknown-field envelope: nothing read
+    // from the named file can ride along.
+    let json = Json::parse(body.trim()).unwrap();
+    assert_eq!(
+        json.get("error").and_then(Json::as_str),
+        Some("unknown field `files` (expected one of: name, program)")
+    );
+    let (_, programs) = client::get(&addr, "/programs").unwrap();
+    assert!(!programs.contains("leak"), "{programs}");
+    handle.shutdown();
+}
+
+#[test]
+fn near_cap_load_body_decodes_in_linear_time() {
+    // About 900 KB of comments, below the 1 MiB body cap. Decoding the
+    // JSON string must stay linear in its length: a per-character
+    // rescan of the rest of the body takes tens of seconds here.
+    let line = "% a comment line that the lexer skips, padded to sixty bytes\n";
+    let program = line.repeat(900_000 / line.len());
+    let (addr, handle) = start_server();
+    let t0 = Instant::now();
+    let (status, body) =
+        client::post_json(&addr, "/load", &load_body("comments", &program)).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(took < Duration::from_secs(1), "a 900 KB /load took {took:?}");
     handle.shutdown();
 }

@@ -8,11 +8,8 @@
 //!   the run phase's wall-clock time to rules on a non-trivial
 //!   workload — anything less means an executor code path is escaping
 //!   attribution;
-//! * parallel saturation must render per-worker lanes — complete
-//!   (`ph: "X"`) `worker_chunk` events on `tid ≥ 2` plus a
-//!   `thread_name` metadata record per lane — while serial runs stay
-//!   byte-compatible with the pre-lane format (every event `ph: "i"`
-//!   on `tid 1`, no metadata records).
+//! * an evaluation runs on one thread, so every trace event is an
+//!   instant event (`ph: "i"`) on `tid 1`.
 
 use std::sync::Arc;
 
@@ -82,82 +79,11 @@ fn chrome_trace_has_the_trace_event_shape() {
 }
 
 #[test]
-fn parallel_runs_emit_per_worker_lanes() {
-    // Transitive closure over a long chain: both the first full
-    // evaluation (wide base scan) and the later delta rounds (hundreds
-    // of new `tc` facts per round) cross the pool's chunking threshold,
-    // so a 4-thread saturation must fan out and emit chunk events.
-    let chrome = Arc::new(ChromeTrace::new());
-    let rules = gbc_parser::parse_program(
-        "tc(X, Y) <- e(X, Y).
-         tc(X, Z) <- tc(X, Y), e(Y, Z).",
-    )
-    .unwrap()
-    .rules;
-    let mut db = gbc_storage::Database::new();
-    for i in 0..512i64 {
-        db.insert_values("e", vec![gbc_ast::Value::int(i), gbc_ast::Value::int(i + 1)]);
-    }
-    let mut sn = gbc_engine::seminaive::Seminaive::new(rules);
-    sn.set_threads(4);
-    sn.set_trace(Some(chrome.clone()));
-    sn.saturate(&mut db).unwrap();
-
-    let file = chrome.to_json();
-    let events = match field(&file, "traceEvents") {
-        Some(Json::Arr(events)) => events,
-        other => panic!("traceEvents must be an array, got {other:?}"),
-    };
-
-    // Complete events: one per fanned-out chunk, on a worker lane.
-    let mut chunk_tids = Vec::new();
-    for ev in events {
-        if !matches!(field(ev, "ph"), Some(Json::Str(ph)) if ph == "X") {
-            continue;
-        }
-        assert!(matches!(field(ev, "name"), Some(Json::Str(n)) if n == "worker_chunk"));
-        assert!(matches!(field(ev, "dur"), Some(Json::UInt(_))), "X events need a duration");
-        let Some(Json::UInt(tid)) = field(ev, "tid") else { panic!("tid must be uint") };
-        assert!(*tid >= 2, "worker lanes start at tid 2, got {tid}");
-        if !chunk_tids.contains(tid) {
-            chunk_tids.push(*tid);
-        }
-        let args = field(ev, "args").expect("args payload");
-        assert!(matches!(field(args, "type"), Some(Json::Str(t)) if t == "worker_chunk"));
-        assert!(matches!(field(args, "items"), Some(Json::UInt(n)) if *n > 0));
-    }
-    assert!(
-        !chunk_tids.is_empty(),
-        "a 512-node chain closure at 4 threads must fan out at least one round"
-    );
-
-    // Exactly one thread_name metadata record per lane that has chunks.
-    let mut named_tids = Vec::new();
-    for ev in events {
-        if !matches!(field(ev, "name"), Some(Json::Str(n)) if n == "thread_name") {
-            continue;
-        }
-        assert!(matches!(field(ev, "ph"), Some(Json::Str(ph)) if ph == "M"));
-        let Some(Json::UInt(tid)) = field(ev, "tid") else { panic!("tid must be uint") };
-        assert!(!named_tids.contains(tid), "duplicate thread_name for tid {tid}");
-        named_tids.push(*tid);
-        let args = field(ev, "args").expect("metadata args");
-        assert!(matches!(field(args, "name"), Some(Json::Str(n)) if n.starts_with("worker ")));
-    }
-    chunk_tids.sort_unstable();
-    named_tids.sort_unstable();
-    assert_eq!(chunk_tids, named_tids, "every chunk lane must be named, and only those");
-}
-
-#[test]
 fn serial_trace_has_no_worker_lanes() {
-    // threads = 1 must keep the pre-lane serial format: instant events
-    // only, everything on tid 1, no metadata records.
+    // Instant events only, everything on tid 1.
     let chrome = Arc::new(ChromeTrace::new());
     let tel = Telemetry::enabled().with_trace(chrome.clone());
-    let g = workload::connected_graph(128, 128 * 3, 1000, 42);
-    let (compiled, edb) = prim::prepared(&g, 0);
-    compiled.run_greedy_telemetry(&edb, GreedyConfig::with_threads(1), &tel).unwrap();
+    traced_prim_run(&tel, 128);
 
     let file = chrome.to_json();
     let events = match field(&file, "traceEvents") {
@@ -168,7 +94,6 @@ fn serial_trace_has_no_worker_lanes() {
     for ev in events {
         assert!(matches!(field(ev, "ph"), Some(Json::Str(ph)) if ph == "i"));
         assert!(matches!(field(ev, "tid"), Some(Json::UInt(1))));
-        assert!(!matches!(field(ev, "name"), Some(Json::Str(n)) if n == "thread_name"));
     }
 }
 
