@@ -133,8 +133,9 @@ done
 echo "== ci-analyze: whole-program analysis reports match goldens =="
 # `gbc analyze --analysis-json` over every shipped program group must
 # reproduce the committed report byte for byte: column types,
-# reachability facts, and the executor specializations (Int cost heap,
-# fast feed) are part of the compatibility surface. Regenerate with:
+# reachability facts, and each greedy plan's static facts (integer cost
+# column, columnar feed) are part of the compatibility surface.
+# Regenerate with:
 #   ./target/release/gbc analyze <files> --analysis-json tests/goldens/analysis/<name>.json
 analyze_groups=(
     "programs/prim.dl programs/graph_small.dl|prim"
@@ -160,14 +161,17 @@ for entry in "${analyze_groups[@]}"; do
         exit 1
     }
 done
-# The oracle sweep: every greedy-planned group (plus two inline rules on
-# the binding-frame feed) must agree with the generic choice fixpoint and
-# pass the Theorem 1 stable-model check.
-cargo test -q --offline -p gbc-bench --test oracle_equivalence
-# The specializations against hand-made twins: dead rules and a
-# constant-true comparison must leave no trace, and a framed-feed twin
-# must match the columnar feed, counters included.
-cargo test -q --offline -p gbc-bench --test analysis_equivalence
+# The oracle sweep: every greedy-planned group (plus inline rules on the
+# binding-frame feed and a heap of mixed integer and symbol costs) must
+# agree with the generic choice fixpoint and pass the Theorem 1
+# stable-model check. Both equivalence suites run in the release build
+# here (`cargo test` above ran them in debug), so the optimised heap is
+# checked against the oracle too.
+cargo test --release -q --offline -p gbc-bench --test oracle_equivalence
+# Hand-made twins: dead rules and a constant-true comparison must leave
+# the model and the choices unchanged, and a framed-feed twin must match
+# the columnar feed, counters included.
+cargo test --release -q --offline -p gbc-bench --test analysis_equivalence
 
 echo "== bench: machine-readable experiment record + ratio gate =="
 # Quick (0-warmup, median-of-3) run of the paper experiments; appends a
@@ -257,7 +261,7 @@ http_post /load "{\"name\": \"prim\", \"program\": \"$prim_program\"}" \
 http_post /run '{"session": "prim", "journal": true}' \
     | grep -q '"gamma_steps":5' || {
     echo "POST /run gave unexpected gamma_steps (want the gbc-run-pinned 5)" >&2; exit 1; }
-http_get '/stats?session=prim' | grep -q '"schema_version": 4' || {
+http_get '/stats?session=prim' | grep -q '"schema_version": 5' || {
     echo "GET /stats missing the schema-v4 report" >&2; exit 1; }
 http_get '/journal?session=prim' | grep -q '"type":"stage_commit"' || {
     echo "GET /journal carries no choice-audit events" >&2; exit 1; }

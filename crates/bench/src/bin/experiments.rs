@@ -381,7 +381,6 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
                 ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
                 ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
                 ("tuples_derived", Json::UInt(run.snapshot.tuples_derived)),
-                ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
                 ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
                 ("dict_entries", Json::UInt(dict.dict_entries)),
                 ("encode_hits", Json::UInt(dict.encode_hits)),
@@ -470,7 +469,6 @@ fn e2_sort(quick: bool, rec: &mut Recorder) {
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
                 ("flat_rounds", Json::UInt(run.snapshot.flat_rounds)),
                 ("diffchoice_rejections", Json::UInt(run.snapshot.diffchoice_rejections)),
-                ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
                 ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
                 ("dict_entries", Json::UInt(dict.dict_entries)),
                 ("encode_hits", Json::UInt(dict.encode_hits)),
@@ -541,7 +539,6 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
                 ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
-                ("rows_cloned", Json::UInt(run.snapshot.rows_cloned)),
                 ("plan_cache_hits", Json::UInt(run.snapshot.plan_cache_hits)),
             ],
         );
@@ -553,7 +550,6 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
             format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
             run.snapshot.heap_ops().to_string(),
             run.snapshot.discarded_pops.to_string(),
-            run.snapshot.rows_cloned.to_string(),
             run.snapshot.plan_cache_hits.to_string(),
         ]);
     }
@@ -568,7 +564,6 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 "ratio",
                 "heap_ops",
                 "discarded",
-                "rows_cloned",
                 "plan_hits",
             ],
             &rows

@@ -55,7 +55,7 @@ use gbc_ast::diag::{error_count, render_all, warning_count};
 use gbc_ast::{Diagnostic, Program, SourceMap};
 use gbc_core::{compile, verify_stable_model};
 use gbc_engine::enumerate::{all_choice_models_with, EnumerateConfig};
-use gbc_engine::{ChoiceFixpoint, DeterministicFirst, SeededRandom};
+use gbc_engine::{Chooser, DeterministicFirst, SeededRandom};
 use gbc_storage::{dict_stats, Database, DictStats, ProvenanceArena};
 use gbc_telemetry::{
     ChromeTrace, JournalBuffer, Json, StderrTrace, TeeTrace, Telemetry, TraceSink,
@@ -576,26 +576,15 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
 
     let run = if opts.generic || !compiled.has_greedy_plan() || opts.seed.is_some() {
         // Seeded or generic: the engine fixpoint with the chosen policy.
-        let mut fixpoint =
-            ChoiceFixpoint::new(compiled.expanded(), &edb).map_err(|e| e.to_string())?;
-        fixpoint.set_telemetry(tel.clone());
-        tel.phases
-            .time("run", || match opts.seed {
-                Some(seed) => fixpoint.run(&mut SeededRandom::new(seed)),
-                None => fixpoint.run(&mut DeterministicFirst),
-            })
-            .map_err(|e| e.to_string())?;
-        let chosen = gbc_core::verify::records_from_engine(&fixpoint, compiled.expanded());
-        gbc_core::GreedyRun {
-            db: fixpoint.into_database(),
-            chosen,
-            stats: gbc_core::GreedyStats::default(),
-            snapshot: tel.snapshot(),
-            pool: None,
-        }
+        let mut chooser: Box<dyn Chooser> = match opts.seed {
+            Some(seed) => Box::new(SeededRandom::new(seed)),
+            None => Box::new(DeterministicFirst),
+        };
+        compiled.run_generic_telemetry(&edb, &tel, &mut *chooser)
     } else {
-        compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?
-    };
+        compiled.run_telemetry(&edb, &tel)
+    }
+    .map_err(|e| e.to_string())?;
 
     println!("{}", run.db.canonical_form());
     opts.report(&tel, &obs, &program, &sm, &dict_base)?;

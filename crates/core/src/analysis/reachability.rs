@@ -8,7 +8,7 @@
 //!   are unknown and assumed populated) predicate and no comparison in
 //!   its body is constant-false. A proper rule that can never fire —
 //!   because a body predicate is provably empty or a comparison is
-//!   constant-false — is *dead* (GBC027) and is pruned from execution.
+//!   constant-false — is *dead* (GBC027).
 //! - **Reachability**: which predicates can feed a program answer. The
 //!   roots are the heads of rules with meta goals (`choice`, `least`,
 //!   `most`, `next`) — the same "program answers" convention GBC024
@@ -18,9 +18,11 @@
 //!   work spent deriving it is wasted.
 //!
 //! Constant-foldable comparisons (both sides ground, GBC031) are
-//! reported here too: the always-true ones are baked out of join plans
-//! via [`gbc_engine::plan::RuleStatics`], the always-false ones kill
-//! their rule.
+//! reported here too; the always-false ones kill their rule. All of
+//! these are static facts for diagnostics and the `gbc analyze`
+//! report: the executor evaluates a dead rule like any other (it
+//! derives nothing), and a constant comparison is a ground `Filter`
+//! step its join plan already runs first.
 
 use std::collections::BTreeSet;
 
@@ -67,19 +69,6 @@ pub struct ReachInfo {
     pub dead_rules: Vec<DeadRule>,
     /// Comparisons foldable at compile time (GBC031).
     pub const_comparisons: Vec<ConstComparison>,
-}
-
-impl ReachInfo {
-    /// Rule indices of dead rules, for quick membership tests.
-    pub fn dead_rule_set(&self) -> BTreeSet<usize> {
-        self.dead_rules.iter().map(|d| d.rule).collect()
-    }
-
-    /// Body literal indices of constant-**true** comparisons in `rule`,
-    /// safe to drop from its join plan.
-    pub fn const_true_lits(&self, rule: usize) -> Vec<usize> {
-        self.const_comparisons.iter().filter(|c| c.rule == rule && c.value).map(|c| c.lit).collect()
-    }
 }
 
 /// Run both passes.
@@ -236,13 +225,18 @@ mod tests {
         analyze(&parse_program(src).expect("parse"))
     }
 
+    fn dead_rules(r: &ReachInfo) -> Vec<usize> {
+        r.dead_rules.iter().map(|d| d.rule).collect()
+    }
+
     #[test]
     fn const_comparisons_fold_both_ways() {
         let r = info("p(1).\nq(X) <- p(X), 1 < 2.\nr(X) <- p(X), 2 < 1.\n");
         assert_eq!(r.const_comparisons.len(), 2);
         assert!(r.const_comparisons[0].value);
         assert!(!r.const_comparisons[1].value);
-        assert_eq!(r.const_true_lits(1), vec![1]);
+        let (c, d) = (&r.const_comparisons[0], &r.const_comparisons[1]);
+        assert_eq!(((c.rule, c.lit), (d.rule, d.lit)), ((1, 1), (2, 1)));
     }
 
     #[test]
@@ -250,7 +244,7 @@ mod tests {
         let r = info("p(1).\nq(X) <- p(X), 2 < 1.\nout(X) <- q(X).\n");
         assert!(r.empty.contains(&Symbol::intern("q")), "{:?}", r.empty);
         // Both the folded rule and the one reading the empty `q` die.
-        assert_eq!(r.dead_rule_set(), BTreeSet::from([1, 2]));
+        assert_eq!(dead_rules(&r), vec![1, 2]);
     }
 
     #[test]
@@ -258,7 +252,7 @@ mod tests {
         let r = info("a(X) <- b(X).\nb(X) <- a(X).\nseed(1).\nout(X) <- a(X), seed(X).\n");
         assert!(r.empty.contains(&Symbol::intern("a")));
         assert!(r.empty.contains(&Symbol::intern("b")));
-        assert_eq!(r.dead_rule_set(), BTreeSet::from([0, 1, 3]));
+        assert_eq!(dead_rules(&r), vec![0, 1, 3]);
     }
 
     #[test]

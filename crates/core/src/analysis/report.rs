@@ -20,7 +20,7 @@ use crate::exec::NextPlan;
 /// other fields.
 pub const ANALYSIS_SCHEMA_VERSION: u64 = 1;
 
-/// What the executor would specialize for one greedy (next-rule) plan.
+/// Static facts about one greedy (next-rule) plan.
 #[derive(Clone, Debug)]
 pub struct PlanFacts {
     /// Rule index in the original program.
@@ -31,7 +31,8 @@ pub struct PlanFacts {
     pub source: Symbol,
     /// Source column of the extremum cost, if any.
     pub cost_col: Option<usize>,
-    /// The cost column is proved `int`, licensing the decode-free heap.
+    /// The cost column is proved `int`: every heap compare of the rule
+    /// reads inline `i64`s instead of the dictionary.
     pub int_cost: bool,
     /// The feed loop can skip per-row `Bindings` (the GBC032 shape).
     pub fast_feed: bool,

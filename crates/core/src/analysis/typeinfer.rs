@@ -7,20 +7,11 @@
 //! the paper's pervasive `nil` sentinel (exit facts like
 //! `prm(nil, 0, 0, 0)`).
 //!
-//! The results license engine specializations that are unsound without
-//! them: the decode-free `Int` cost heap in `gbc-storage::rql` is only
-//! used when the extremum cost column is proved `int` (non-nullable),
-//! because within a pure-`Int` column a raw `i64` compare coincides
-//! with the dictionary's order over ids. The same pass anchors the
-//! GBC026/GBC029/GBC030 diagnostics.
-//!
-//! Two entry points:
-//! - [`infer`] — static: only in-program facts seed the lattice;
-//!   referenced-but-undefined predicates are EDB inputs and type `any`.
-//! - [`infer_seeded`] with [`scan_seeds`] — runtime: the executor seeds
-//!   every predicate from the actual loaded [`Database`] columns, so
-//!   programs whose facts arrive via the EDB (the bench harness, the
-//!   serve path) still get the `Int` heap when the data is integral.
+//! The results are static facts about the program text: they anchor
+//! the GBC026/GBC029/GBC030 diagnostics and the `int_cost` field of the
+//! `gbc analyze` report. The executor consumes none of them. Only
+//! in-program facts seed the lattice; referenced-but-undefined
+//! predicates are EDB inputs and type `any`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -29,7 +20,6 @@ use gbc_ast::literal::{CmpOp, Literal};
 use gbc_ast::term::{Expr, Term, VarId};
 use gbc_ast::value::Value;
 use gbc_ast::{Program, Rule, Symbol};
-use gbc_storage::{dictionary, Database};
 
 /// The base shape of a column type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,7 +61,8 @@ impl ColType {
     pub const NEVER: ColType = ColType { base: Base::Never, nullable: false };
     /// ⊤: anything may flow here.
     pub const ANY: ColType = ColType { base: Base::Any, nullable: true };
-    /// Non-nullable integer — the type that licenses the `Int` heap.
+    /// Non-nullable integer: a cost column of this type compares
+    /// inline in the heap.
     pub const INT: ColType = ColType { base: Base::Int, nullable: false };
 
     /// The type of a single ground value.
@@ -147,10 +138,10 @@ pub struct TypeConflict {
 #[derive(Clone, Debug, Default)]
 pub struct TypeInfo {
     /// Inferred column types, keyed by predicate, for every predicate
-    /// that can hold facts (seeded, fact-defined, or rule-defined).
+    /// that can hold facts (fact-defined or rule-defined).
     pub cols: BTreeMap<Symbol, Vec<ColType>>,
-    /// Referenced predicates with no defining rule and no seed: EDB
-    /// inputs supplied at run time; their columns are `any`.
+    /// Referenced predicates with no defining rule: EDB inputs supplied
+    /// at run time; their columns are `any`.
     pub external: Vec<Symbol>,
     /// Conflicts at interpreted positions (comparisons, arithmetic).
     pub conflicts: Vec<TypeConflict>,
@@ -168,15 +159,8 @@ impl TypeInfo {
     }
 }
 
-/// Static inference: seeds come only from in-program facts.
+/// Infer column types; seeds come only from in-program facts.
 pub fn infer(program: &Program) -> TypeInfo {
-    infer_seeded(program, &BTreeMap::new())
-}
-
-/// Inference with external seeds (the runtime path: seeds scanned from
-/// the loaded EDB with [`scan_seeds`]). Seeded types are joined with
-/// whatever the rules derive on top.
-pub fn infer_seeded(program: &Program, seeds: &BTreeMap<Symbol, Vec<ColType>>) -> TypeInfo {
     let defined: BTreeSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
     let mut referenced: BTreeSet<Symbol> = BTreeSet::new();
     for rule in &program.rules {
@@ -186,13 +170,10 @@ pub fn infer_seeded(program: &Program, seeds: &BTreeMap<Symbol, Vec<ColType>>) -
             }
         }
     }
-    let external: Vec<Symbol> = referenced
-        .iter()
-        .filter(|p| !defined.contains(p) && !seeds.contains_key(p))
-        .copied()
-        .collect();
+    let external: Vec<Symbol> =
+        referenced.iter().filter(|p| !defined.contains(p)).copied().collect();
 
-    let mut cols: BTreeMap<Symbol, Vec<ColType>> = seeds.clone();
+    let mut cols: BTreeMap<Symbol, Vec<ColType>> = BTreeMap::new();
     loop {
         let mut changed = false;
         for rule in &program.rules {
@@ -222,35 +203,6 @@ pub fn infer_seeded(program: &Program, seeds: &BTreeMap<Symbol, Vec<ColType>>) -
     }
 
     TypeInfo { cols, external, conflicts }
-}
-
-/// Seed column types from the actual contents of a database: the join
-/// of the value types in each column of each non-empty relation.
-pub fn scan_seeds(db: &Database) -> BTreeMap<Symbol, Vec<ColType>> {
-    let mut seeds = BTreeMap::new();
-    for pred in db.predicates() {
-        let rows = db.relation(pred).rows();
-        if rows.is_empty() {
-            continue;
-        }
-        let mut tys = vec![ColType::NEVER; rows.arity()];
-        for (c, ty) in tys.iter_mut().enumerate() {
-            let mut last = u32::MAX;
-            for r in 0..rows.len() {
-                let id = rows.cell(r, c);
-                if id == last {
-                    continue; // columnar data is often runs of one id
-                }
-                last = id;
-                *ty = ty.join(ColType::of_value(dictionary::decode_ref(id)));
-                if *ty == ColType::ANY {
-                    break;
-                }
-            }
-        }
-        seeds.insert(pred, tys);
-    }
-    seeds
 }
 
 /// The per-rule variable environment under the current column map:

@@ -530,7 +530,7 @@ fn lint_type_conflicts(program: &Program, types: &TypeInfo, out: &mut Vec<Diagno
 
 /// GBC027: a proper rule whose body is provably unsatisfiable — it
 /// reads a provably-empty predicate or carries a constant-false
-/// comparison. The compiler prunes such rules from execution.
+/// comparison.
 fn lint_dead_rules(program: &Program, reach: &ReachInfo, out: &mut Vec<Diagnostic>) {
     for d in &reach.dead_rules {
         let r = &program.rules[d.rule];

@@ -38,14 +38,13 @@ use gbc_engine::eval::{
     eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
 };
 use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
-use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache, RuleStatics};
+use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
 use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
 use gbc_telemetry::{DiscardReason, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
-use crate::analysis::{reachability, typeinfer};
 use crate::error::CoreError;
 use crate::rewrite::choice::choice_vars;
 
@@ -530,9 +529,6 @@ pub struct GreedyExecutor {
     exits: Vec<(usize, Rule)>,
     /// Compiled join plans of the exit rules, one slot per rule.
     exit_plans: PlanCache,
-    /// Per exit rule: analysis facts (constant-true comparisons to fold
-    /// out of the compiled plan).
-    exit_statics: Vec<RuleStatics>,
     exit_memos: Vec<Vec<FdMap>>,
     /// Per exit rule: the body-relation size total at the last fruitless
     /// attempt — unchanged inputs ⇒ still fruitless, skip the re-scan.
@@ -558,16 +554,9 @@ impl GreedyExecutor {
         config: GreedyConfig,
     ) -> GreedyExecutor {
         let mut db = edb.clone();
-        // Whole-program analysis: dead rules are dropped before
-        // partitioning, constant-true comparisons are folded out of the
-        // exit plans, and (below, once the EDB is loaded) proved-`int`
-        // cost columns switch their `Q_r` onto the decode-free heap.
-        let reach = reachability::analyze(program);
-        let dead = reach.dead_rule_set();
         let mut flat_rules = Vec::new();
         let mut flat_ids = Vec::new();
         let mut exits = Vec::new();
-        let mut exit_statics = Vec::new();
         let mut exit_memos = Vec::new();
         for (ri, r) in program.rules.iter().enumerate() {
             if r.is_fact() {
@@ -580,32 +569,21 @@ impl GreedyExecutor {
                 db.insert(r.head.pred, row);
             } else if r.has_next() {
                 // handled by plans
-            } else if dead.contains(&ri) {
-                // Provably never fires: no plan, no saturation work.
             } else if r.has_choice() {
                 let goals = r.body.iter().filter(|l| matches!(l, Literal::Choice { .. })).count();
                 exit_memos.push(vec![FdMap::default(); goals]);
-                exit_statics
-                    .push(RuleStatics { dead: false, const_true_lits: reach.const_true_lits(ri) });
                 exits.push((ri, r.clone()));
             } else {
                 flat_rules.push(r.clone());
                 flat_ids.push(ri);
             }
         }
-        // Column types need the loaded EDB: scan the concrete relations
-        // for seeds, then run the head/body fixpoint over the rules.
-        let types = typeinfer::infer_seeded(program, &typeinfer::scan_seeds(&db));
         let nexts: Vec<NextState> = plans
             .into_iter()
             .map(|plan| {
                 let goals = choice_goals(&plan.rule).count();
-                let mut rql = if plan.descending { Rql::new_descending() } else { Rql::new() };
-                if plan.cost.is_some_and(|(_, col)| types.col_is_int(plan.source_pred, col)) {
-                    rql.set_int_costs(true);
-                }
                 NextState {
-                    rql,
+                    rql: if plan.descending { Rql::new_descending() } else { Rql::new() },
                     src_mark: 0,
                     head_mark: 0,
                     stage: i64::MIN,
@@ -627,7 +605,6 @@ impl GreedyExecutor {
             nexts,
             exits,
             exit_plans,
-            exit_statics,
             exit_memos,
             exit_stale,
             nil_cost: dictionary::encode(&Value::Nil),
@@ -721,7 +698,6 @@ impl GreedyExecutor {
         let GreedyExecutor {
             exits,
             exit_plans,
-            exit_statics,
             exit_memos,
             exit_stale,
             db,
@@ -740,7 +716,7 @@ impl GreedyExecutor {
             let t0 = tel.profiler.start();
             let cached = exit_plans.is_cached(ei);
             let plan = exit_plans
-                .get_or_compile_typed(ei, rule, &exit_statics[ei], Some(&*tel.metrics))
+                .get_or_compile(ei, rule, Some(&*tel.metrics))
                 .map_err(CoreError::Engine)?;
             if cached {
                 tel.profiler.record_plan_hit(*ri);

@@ -57,7 +57,7 @@ pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 
 use gbc_ast::Program;
-use gbc_engine::{ChoiceFixpoint, ChoiceFixpointConfig, DeterministicFirst};
+use gbc_engine::{ChoiceFixpoint, Chooser, DeterministicFirst};
 use gbc_storage::Database;
 use gbc_telemetry::Telemetry;
 
@@ -171,19 +171,20 @@ impl Compiled {
     /// evaluator: correct for every program that is locally stratified
     /// modulo choice, but without the (R,Q,L) asymptotics.
     pub fn run_generic(&self, edb: &Database) -> Result<GreedyRun, CoreError> {
-        self.run_generic_telemetry(edb, &Telemetry::default())
+        self.run_generic_telemetry(edb, &Telemetry::default(), &mut DeterministicFirst)
     }
 
-    /// [`Compiled::run_generic`] under an explicit [`Telemetry`] handle.
+    /// [`Compiled::run_generic`] under an explicit [`Telemetry`] handle,
+    /// with `chooser` picking among the candidates at each choice point.
     pub fn run_generic_telemetry(
         &self,
         edb: &Database,
         tel: &Telemetry,
+        chooser: &mut dyn Chooser,
     ) -> Result<GreedyRun, CoreError> {
-        let mut fixpoint =
-            ChoiceFixpoint::with_config(&self.expanded, edb, ChoiceFixpointConfig::default())?;
+        let mut fixpoint = ChoiceFixpoint::new(&self.expanded, edb)?;
         fixpoint.set_telemetry(tel.clone());
-        tel.phases.time("run", || fixpoint.run(&mut DeterministicFirst).map(|_| ()))?;
+        tel.phases.time("run", || fixpoint.run(chooser).map(|_| ()))?;
         let chosen = verify::records_from_engine(&fixpoint, &self.expanded);
         let steps = fixpoint.gamma_steps();
         Ok(GreedyRun {
@@ -210,7 +211,7 @@ impl Compiled {
         if self.has_greedy_plan() {
             self.run_greedy_telemetry(edb, GreedyConfig::default(), tel)
         } else {
-            self.run_generic_telemetry(edb, tel)
+            self.run_generic_telemetry(edb, tel, &mut DeterministicFirst)
         }
     }
 }

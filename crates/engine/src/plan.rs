@@ -100,24 +100,6 @@ enum PlanStep {
     },
 }
 
-/// Static facts about one rule, established by whole-program analysis.
-///
-/// Computed in `gbc-core` (which owns the type/reachability passes —
-/// the engine sits below it in the crate graph) and handed to
-/// [`RulePlan::compile_typed`]; `Default` is the no-information state
-/// and compiles exactly like the untyped path.
-#[derive(Clone, Debug, Default)]
-pub struct RuleStatics {
-    /// The rule provably never fires (reads a provably-empty predicate
-    /// or carries a constant-false comparison): its plan matches
-    /// nothing and matching short-circuits.
-    pub dead: bool,
-    /// Body literal indices of constant-**true** comparisons; they are
-    /// dropped from the compiled step sequence instead of evaluating to
-    /// `true` on every enumerated row.
-    pub const_true_lits: Vec<usize>,
-}
-
 /// A compiled literal order for one (rule, focus) combination.
 #[derive(Clone, Debug)]
 pub struct JoinPlan {
@@ -163,29 +145,12 @@ impl JoinPlan {
     /// the enumeration order — and with it every downstream counter —
     /// is unchanged.
     pub fn compile(rule: &Rule, focus_lit: Option<usize>) -> Result<JoinPlan, EngineError> {
-        JoinPlan::compile_typed(rule, focus_lit, &RuleStatics::default())
-    }
-
-    /// [`JoinPlan::compile`] with analysis results applied: literals
-    /// listed in `statics.const_true_lits` are folded out of the step
-    /// sequence (they hold on every row, so dropping them changes
-    /// neither the matches nor the enumeration order).
-    pub fn compile_typed(
-        rule: &Rule,
-        focus_lit: Option<usize>,
-        statics: &RuleStatics,
-    ) -> Result<JoinPlan, EngineError> {
         if rule.has_next() {
             return Err(EngineError::UnexpandedNext { rule: rule.to_string() });
         }
         let mut bound = vec![false; rule.num_vars()];
-        let mut pending: Vec<usize> = rule
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(i, l)| !l.is_meta() && !statics.const_true_lits.contains(i))
-            .map(|(i, _)| i)
-            .collect();
+        let mut pending: Vec<usize> =
+            rule.body.iter().enumerate().filter(|(_, l)| !l.is_meta()).map(|(i, _)| i).collect();
         let mut steps = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
             let mut best: Option<(usize, usize, u32)> = None; // (pending idx, rank, tie)
@@ -280,39 +245,19 @@ impl JoinPlan {
 pub struct RulePlan {
     base: JoinPlan,
     focused: Vec<(usize, JoinPlan)>,
-    /// Analysis proved the rule can never fire: matching is a no-op.
-    dead: bool,
 }
 
 impl RulePlan {
     /// Compile every variant of `rule`.
     pub fn compile(rule: &Rule) -> Result<RulePlan, EngineError> {
-        RulePlan::compile_typed(rule, &RuleStatics::default())
-    }
-
-    /// Compile every variant of `rule` with analysis results applied.
-    /// A dead rule compiles to an empty, short-circuiting plan.
-    pub fn compile_typed(rule: &Rule, statics: &RuleStatics) -> Result<RulePlan, EngineError> {
-        if statics.dead {
-            return Ok(RulePlan {
-                base: JoinPlan { steps: Vec::new() },
-                focused: Vec::new(),
-                dead: true,
-            });
-        }
-        let base = JoinPlan::compile_typed(rule, None, statics)?;
+        let base = JoinPlan::compile(rule, None)?;
         let mut focused = Vec::new();
         for (li, lit) in rule.body.iter().enumerate() {
             if matches!(lit, Literal::Pos(_)) {
-                focused.push((li, JoinPlan::compile_typed(rule, Some(li), statics)?));
+                focused.push((li, JoinPlan::compile(rule, Some(li))?));
             }
         }
-        Ok(RulePlan { base, focused, dead: false })
-    }
-
-    /// True when analysis proved the rule dead (plan matches nothing).
-    pub fn is_dead(&self) -> bool {
-        self.dead
+        Ok(RulePlan { base, focused })
     }
 
     /// The plan variant for a given focused literal (or the base plan).
@@ -343,9 +288,6 @@ pub fn for_each_match_plan(
     focus: Option<Focus<'_>>,
     on_match: &mut dyn FnMut(&Bindings) -> Result<bool, EngineError>,
 ) -> Result<(), EngineError> {
-    if plan.dead {
-        return Ok(());
-    }
     let variant = plan.variant(focus.map(|f| f.literal));
     execute(db, neg_db, rule, variant, focus, on_match)
 }
@@ -636,19 +578,6 @@ impl PlanCache {
         rule: &Rule,
         metrics: Option<&Metrics>,
     ) -> Result<Arc<RulePlan>, EngineError> {
-        self.get_or_compile_typed(i, rule, &RuleStatics::default(), metrics)
-    }
-
-    /// [`PlanCache::get_or_compile`] with analysis results applied on
-    /// the compiling (first) use. Later uses return the cached plan —
-    /// callers must pass the same statics for a given slot.
-    pub fn get_or_compile_typed(
-        &mut self,
-        i: usize,
-        rule: &Rule,
-        statics: &RuleStatics,
-        metrics: Option<&Metrics>,
-    ) -> Result<Arc<RulePlan>, EngineError> {
         match &self.slots[i] {
             Some(plan) => {
                 if let Some(m) = metrics {
@@ -657,7 +586,7 @@ impl PlanCache {
                 Ok(Arc::clone(plan))
             }
             None => {
-                let plan = Arc::new(RulePlan::compile_typed(rule, statics)?);
+                let plan = Arc::new(RulePlan::compile(rule)?);
                 self.slots[i] = Some(Arc::clone(&plan));
                 Ok(plan)
             }
@@ -869,46 +798,6 @@ mod tests {
         let (plan, out) = collect(&noscan);
         assert!(plan.variant(None).steps.iter().all(|s| !matches!(s, PlanStep::Scan { .. })));
         assert_eq!(out, vec![Row::new(vec![Value::int(7)])]);
-    }
-
-    #[test]
-    fn dead_statics_short_circuit_matching() {
-        let rule = chain_rule();
-        let db = db_edges(&[("a", "b", 1), ("b", "c", 2)]);
-        let plan =
-            RulePlan::compile_typed(&rule, &RuleStatics { dead: true, const_true_lits: vec![] })
-                .unwrap();
-        assert!(plan.is_dead());
-        let mut hits = 0;
-        for_each_match_plan(&db, None, &rule, &plan, None, &mut |_| {
-            hits += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(hits, 0);
-    }
-
-    #[test]
-    fn const_true_literals_are_folded_out_without_changing_matches() {
-        // path(X, Z) <- g(X,Y,_), g(Y,Z,_), 1 < 2.
-        let mut rule = chain_rule();
-        rule.body.push(Literal::cmp(CmpOp::Lt, Expr::int(1), Expr::int(2)));
-        let db = db_edges(&[("a", "b", 1), ("b", "c", 2), ("b", "d", 3)]);
-        let untyped = RulePlan::compile(&rule).unwrap();
-        let typed =
-            RulePlan::compile_typed(&rule, &RuleStatics { dead: false, const_true_lits: vec![2] })
-                .unwrap();
-        assert!(typed.variant(None).steps.len() < untyped.variant(None).steps.len());
-        let collect = |plan: &RulePlan| {
-            let mut out = Vec::new();
-            for_each_match_plan(&db, None, &rule, plan, None, &mut |b| {
-                out.push(instantiate_head(&rule, b).unwrap());
-                Ok(true)
-            })
-            .unwrap();
-            out
-        };
-        assert_eq!(collect(&typed), collect(&untyped));
     }
 
     #[test]

@@ -402,30 +402,6 @@ impl Relation {
         cache.push((mask, idx));
     }
 
-    /// Rows whose projection on `cols` (ascending column order) equals
-    /// `key`, decoded out of the arena. Compatibility wrapper over
-    /// [`Relation::select_ids_into`] — hot callers should use the id
-    /// form and read the arena in place; every row this decodes is
-    /// counted in the `rows_cloned` metric.
-    ///
-    /// `key` must list values in the same ascending-column order.
-    pub fn select(&self, cols: &[usize], key: &[Value]) -> Vec<Row> {
-        if cols.is_empty() {
-            if let Some(m) = &self.metrics {
-                m.rows_cloned.add(self.n_rows as u64);
-            }
-            return self.iter().collect();
-        }
-        let encoded: Vec<u32> = key.iter().map(dictionary::try_encode).collect();
-        let mut ids = Vec::new();
-        self.select_ids_into(cols, &encoded, &mut ids);
-        if let Some(m) = &self.metrics {
-            m.rows_cloned.add(ids.len() as u64);
-        }
-        let view = self.rows();
-        ids.iter().map(|&i| view.decode_row(i as usize)).collect()
-    }
-
     /// Drop all cached indices (tests / memory pressure).
     pub fn clear_indices(&self) {
         self.indices.write().expect("index cache lock").clear();
@@ -460,6 +436,15 @@ mod tests {
         dictionary::encode(&Value::int(v))
     }
 
+    /// The arena ids of rows whose projection on `cols` equals the
+    /// integer `key`.
+    fn select(r: &Relation, cols: &[usize], key: &[i64]) -> Vec<u32> {
+        let key: Vec<u32> = key.iter().map(|&k| id(k)).collect();
+        let mut ids = Vec::new();
+        r.select_ids_into(cols, &key, &mut ids);
+        ids
+    }
+
     /// `gbc serve` request workers share a session's EDB across
     /// threads; the index cache must therefore be `Sync`.
     #[test]
@@ -491,11 +476,11 @@ mod tests {
         let mut r = Relation::new();
         r.insert(row(&[1, 10]));
         r.insert(row(&[2, 20]));
-        assert_eq!(r.select(&[0], &[Value::int(1)]).len(), 1);
+        assert_eq!(select(&r, &[0], &[1]), vec![0]);
         assert_eq!(r.num_indices(), 1);
         // Insert after the index exists: the index must see the new row.
         r.insert(row(&[1, 30]));
-        assert_eq!(r.select(&[0], &[Value::int(1)]).len(), 2);
+        assert_eq!(select(&r, &[0], &[1]), vec![0, 2]);
         assert_eq!(r.num_indices(), 1);
     }
 
@@ -504,7 +489,7 @@ mod tests {
         let mut r = Relation::new();
         r.insert(row(&[1]));
         r.insert(row(&[2]));
-        assert_eq!(r.select(&[], &[]).len(), 2);
+        assert_eq!(select(&r, &[], &[]), vec![0, 1]);
     }
 
     #[test]
@@ -573,28 +558,25 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_builds_probes_and_clones() {
+    fn metrics_count_builds_and_probes() {
         let m = Arc::new(Metrics::new());
         let mut r = Relation::new();
         r.set_metrics(Arc::clone(&m));
         r.insert(row(&[1, 10]));
-        r.select(&[0], &[Value::int(1)]); // probe + build, clones 1 row
-        r.select(&[0], &[Value::int(1)]); // probe only, clones 1 row
-        r.select(&[], &[]); // full scan: clones, but neither probe nor build
-        let mut ids = Vec::new();
-        r.select_ids_into(&[0], &[id(1)], &mut ids); // probe, no clone
+        select(&r, &[0], &[1]); // probe + build
+        select(&r, &[0], &[1]); // probe only
+        select(&r, &[], &[]); // full scan: neither probe nor build
         let s = m.snapshot();
         assert_eq!(s.index_builds, 1);
-        assert_eq!(s.index_probes, 3);
-        assert_eq!(s.rows_cloned, 3);
+        assert_eq!(s.index_probes, 2);
     }
 
     #[test]
     fn distinct_masks_get_distinct_indices() {
         let mut r = Relation::new();
         r.insert(row(&[1, 2, 3]));
-        r.select(&[0], &[Value::int(1)]);
-        r.select(&[0, 2], &[Value::int(1), Value::int(3)]);
+        select(&r, &[0], &[1]);
+        select(&r, &[0, 2], &[1, 3]);
         assert_eq!(r.num_indices(), 2);
     }
 
@@ -603,16 +585,16 @@ mod tests {
         let mut r = Relation::new();
         r.insert(row(&[1, 10]));
         r.insert(row(&[1, 20]));
-        r.select(&[0], &[Value::int(1)]);
+        select(&r, &[0], &[1]);
         assert_eq!(r.num_indices(), 1);
         let mut c = r.clone();
         assert_eq!(c.num_indices(), 1, "indices survive clone");
         // The clone's index keeps working and keeps being maintained.
         c.insert(row(&[1, 30]));
-        assert_eq!(c.select(&[0], &[Value::int(1)]).len(), 3);
+        assert_eq!(select(&c, &[0], &[1]).len(), 3);
         assert_eq!(c.num_indices(), 1, "no rebuild needed after clone");
         // ...without affecting the original.
-        assert_eq!(r.select(&[0], &[Value::int(1)]).len(), 2);
+        assert_eq!(select(&r, &[0], &[1]).len(), 2);
     }
 
     #[test]
@@ -646,12 +628,12 @@ mod tests {
         r.insert(Row::new(wide.iter().map(|&v| Value::int(v)).collect()));
         wide[69] = -1;
         r.insert(Row::new(wide.iter().map(|&v| Value::int(v)).collect()));
-        let hits = r.select(&[0, 69], &[Value::int(0), Value::int(69)]);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0][69], Value::int(69));
+        let hits = select(&r, &[0, 69], &[0, 69]);
+        assert_eq!(hits, vec![0]);
+        assert_eq!(r.rows().decode_row(0)[69], Value::int(69));
         assert_eq!(r.num_indices(), 0, "no index cached for unmaskable columns");
         // Also out-of-range columns simply match nothing.
-        assert!(r.select(&[0, 200], &[Value::int(0), Value::int(0)]).is_empty());
+        assert!(select(&r, &[0, 200], &[0, 0]).is_empty());
     }
 
     /// Seeded sweep: after any interleaving of inserts and probes, the

@@ -88,49 +88,32 @@ pub struct Popped {
 }
 
 /// Heap cost wrapper: ascending for `least`, descending for `most`
-/// (the paper's dual — `retrieve least` becomes `retrieve most`). A
-/// single [`Rql`] instance never mixes variants. The generic variants
-/// order through the dictionary ([`cmp_ids`]), never by id magnitude;
-/// the `Int` variants carry the decoded `i64` and compare it directly
-/// — sound only when type analysis proves the cost column pure `int`,
-/// where the raw integer order coincides with `cmp_ids`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum HeapCost {
-    Asc(u32),
-    Desc(u32),
-    AscInt { id: u32, val: i64 },
-    DescInt { id: u32, val: i64 },
-}
-
-impl HeapCost {
-    fn id(&self) -> u32 {
-        match self {
-            HeapCost::Asc(v) | HeapCost::Desc(v) => *v,
-            HeapCost::AscInt { id, .. } | HeapCost::DescInt { id, .. } => *id,
-        }
-    }
+/// (the paper's dual — `retrieve least` becomes `retrieve most`). Costs
+/// order by their decoded values ([`cmp_ids`]), never by id magnitude.
+/// An entry whose cost decodes to `Value::Int` also carries the `i64`,
+/// and two such entries compare it directly: within the integers the
+/// raw order is `Value`'s order, so one heap may hold integer and
+/// non-integer costs and still pop in value order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct HeapCost {
+    id: u32,
+    int: Option<i64>,
+    descending: bool,
 }
 
 impl Ord for HeapCost {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match (self, other) {
-            (HeapCost::Asc(a), HeapCost::Asc(b)) => cmp_ids(*a, *b),
-            (HeapCost::Desc(a), HeapCost::Desc(b)) => cmp_ids(*b, *a),
-            (HeapCost::AscInt { val: a, .. }, HeapCost::AscInt { val: b, .. }) => {
+        let ord = match (self.int, other.int) {
+            (Some(a), Some(b)) => {
                 bump_int_fast();
-                a.cmp(b)
+                a.cmp(&b)
             }
-            (HeapCost::DescInt { val: a, .. }, HeapCost::DescInt { val: b, .. }) => {
-                bump_int_fast();
-                b.cmp(a)
-            }
-            _ => {
-                debug_assert!(
-                    false,
-                    "a single Rql never mixes heap-cost variants: {self:?} vs {other:?}"
-                );
-                std::cmp::Ordering::Equal
-            }
+            _ => cmp_ids(self.id, other.id),
+        };
+        if self.descending {
+            ord.reverse()
+        } else {
+            ord
         }
     }
 }
@@ -164,9 +147,6 @@ impl PartialOrd for OrdRow {
 pub struct Rql {
     /// Descending (max-first) retrieval for `most` rules.
     descending: bool,
-    /// Costs are proved pure `int`: wrap them in the decode-free
-    /// variants. Set by the executor when type analysis licenses it.
-    int_costs: bool,
     heap: IndexedHeap<(HeapCost, OrdRow)>,
     /// `Q_r` membership: congruence key → heap handle.
     queued: FxHashMap<CongKey, Handle>,
@@ -210,38 +190,12 @@ impl Rql {
         self.metrics = Some(metrics);
     }
 
-    /// Switch cost wrapping to the decode-free `Int` variants.
-    ///
-    /// Only sound when **every** cost subsequently inserted decodes to
-    /// `Value::Int`: within a pure-`int` column the raw `i64` order
-    /// coincides with the dictionary order, so pop order is unchanged.
-    /// The executor sets this only when whole-program type analysis
-    /// proves the extremum's cost column `int`. Must be called while
-    /// the queue is empty (variants never mix inside one heap).
-    pub fn set_int_costs(&mut self, on: bool) {
-        debug_assert!(self.heap.is_empty(), "cannot change cost representation mid-run");
-        self.int_costs = on;
-    }
-
     fn wrap(&self, cost: u32) -> HeapCost {
-        if self.int_costs {
-            let val = match dictionary::decode_ref(cost) {
-                gbc_ast::Value::Int(v) => *v,
-                other => {
-                    debug_assert!(false, "int-cost mode but cost decodes to {other:?}");
-                    i64::MIN
-                }
-            };
-            if self.descending {
-                HeapCost::DescInt { id: cost, val }
-            } else {
-                HeapCost::AscInt { id: cost, val }
-            }
-        } else if self.descending {
-            HeapCost::Desc(cost)
-        } else {
-            HeapCost::Asc(cost)
-        }
+        let int = match dictionary::decode_ref(cost) {
+            gbc_ast::Value::Int(v) => Some(*v),
+            _ => None,
+        };
+        HeapCost { id: cost, int, descending: self.descending }
     }
 
     /// The paper's insertion operation, over encoded ids.
@@ -339,12 +293,12 @@ impl Rql {
         }
         let key = self.key_of.remove(&h).expect("popped handle has a key");
         self.queued.remove(&key);
-        Some(Popped { key, cost: cost.id(), row: row.0 })
+        Some(Popped { key, cost: cost.id, row: row.0 })
     }
 
     /// Peek at the best candidate without removing it.
     pub fn peek_least(&self) -> Option<(u32, &[u32])> {
-        self.heap.peek_min().map(|(_, (c, r))| (c.id(), r.0.as_slice()))
+        self.heap.peek_min().map(|(_, (c, r))| (c.id, r.0.as_slice()))
     }
 
     /// Record a popped entry as *chosen*: it moves to `L_r`, blocking
@@ -552,34 +506,44 @@ mod tests {
         bat.set_metrics(Arc::clone(&m_bat));
         prime(&mut bat);
         bat.extend_batch(triples());
-        let pops = |d: &mut Rql| -> Vec<(u32, Vec<u32>)> {
-            std::iter::from_fn(|| d.pop_least()).map(|p| (p.cost, p.row)).collect()
-        };
         assert_eq!(pops(&mut seq), pops(&mut bat));
         assert_eq!(m_seq.snapshot(), m_bat.snapshot());
     }
 
-    #[test]
-    fn int_mode_pops_in_the_same_order_as_the_generic_heap() {
-        let mut generic = Rql::new();
-        let mut fast = Rql::new();
-        fast.set_int_costs(true);
-        // Interleave magnitudes and signs so id order ≠ value order.
-        for (i, c) in [(1, 50), (2, -3), (3, 0), (4, 50), (5, 7)] {
-            generic.insert(key(&[i]), cost(c), row(&[i, c]));
-            fast.insert(key(&[i]), cost(c), row(&[i, c]));
+    /// Pop every entry of `d` as `(cost, row)`.
+    fn pops(d: &mut Rql) -> Vec<(u32, Vec<u32>)> {
+        std::iter::from_fn(|| d.pop_least()).map(|p| (p.cost, p.row)).collect()
+    }
+
+    /// One class per cost, keyed and rowed by its position; the
+    /// expected pops are the costs in `Value` order (reversed for a
+    /// descending heap), position breaking ties.
+    fn value_order_case(descending: bool, costs: &[Value]) {
+        let mut d = if descending { Rql::new_descending() } else { Rql::new() };
+        for (i, c) in costs.iter().enumerate() {
+            d.insert(key(&[i as i64]), dictionary::encode(c), row(&[i as i64]));
         }
-        let pops = |d: &mut Rql| -> Vec<(u32, Vec<u32>)> {
-            std::iter::from_fn(|| d.pop_least()).map(|p| (p.cost, p.row)).collect()
-        };
-        assert_eq!(pops(&mut generic), pops(&mut fast));
+        let mut want: Vec<(&Value, i64)> =
+            costs.iter().enumerate().map(|(i, c)| (c, i as i64)).collect();
+        want.sort_by(|a, b| {
+            if descending { b.0.cmp(a.0) } else { a.0.cmp(b.0) }.then(a.1.cmp(&b.1))
+        });
+        let want: Vec<(u32, Vec<u32>)> =
+            want.into_iter().map(|(c, i)| (dictionary::encode(c), row(&[i]))).collect();
+        assert_eq!(pops(&mut d), want, "descending: {descending}");
+    }
+
+    #[test]
+    fn integer_costs_pop_in_value_order() {
+        // Interleave magnitudes and signs so id order ≠ value order.
+        let costs: Vec<Value> = [50, -3, 0, 50, 7].into_iter().map(Value::int).collect();
+        value_order_case(false, &costs);
     }
 
     #[test]
     fn int_mode_reports_fast_compares_to_metrics() {
         let m = Arc::new(Metrics::new());
         let mut d = Rql::new();
-        d.set_int_costs(true);
         d.set_metrics(Arc::clone(&m));
         d.insert(key(&[1]), cost(5), row(&[1, 5]));
         d.insert(key(&[2]), cost(3), row(&[2, 3]));
@@ -587,26 +551,38 @@ mod tests {
         while d.pop_least().is_some() {}
         let s = m.snapshot();
         assert!(s.heap_int_fast_compares > 0, "{s:?}");
-        // The generic heap reports none.
+        // Symbol costs take no integer compare.
         let m2 = Arc::new(Metrics::new());
         let mut g = Rql::new();
         g.set_metrics(Arc::clone(&m2));
-        g.insert(key(&[1]), cost(5), row(&[1, 5]));
-        g.insert(key(&[2]), cost(3), row(&[2, 3]));
+        g.insert(key(&[1]), dictionary::encode(&Value::sym("b")), row(&[1]));
+        g.insert(key(&[2]), dictionary::encode(&Value::sym("a")), row(&[2]));
         while g.pop_least().is_some() {}
         assert_eq!(m2.snapshot().heap_int_fast_compares, 0);
     }
 
     #[test]
     fn descending_int_mode_pops_maxima() {
-        let mut d = Rql::new_descending();
-        d.set_int_costs(true);
-        d.insert(key(&[1]), cost(5), row(&[1, 5]));
-        d.insert(key(&[2]), cost(9), row(&[2, 9]));
-        d.insert(key(&[3]), cost(-2), row(&[3, -2]));
-        assert_eq!(d.pop_least().unwrap().cost, cost(9));
-        assert_eq!(d.pop_least().unwrap().cost, cost(5));
-        assert_eq!(d.pop_least().unwrap().cost, cost(-2));
+        let costs: Vec<Value> = [5, 9, -2].into_iter().map(Value::int).collect();
+        value_order_case(true, &costs);
+    }
+
+    #[test]
+    fn mixed_int_and_symbol_costs_pop_in_value_order() {
+        // Integers compare inline with each other and through the
+        // dictionary with everything else; both directions.
+        let costs = vec![
+            Value::int(3),
+            Value::sym("x"),
+            Value::int(1),
+            Value::Nil,
+            Value::sym("a"),
+            Value::int(-4),
+            Value::int(1),
+        ];
+        for descending in [false, true] {
+            value_order_case(descending, &costs);
+        }
     }
 
     #[test]

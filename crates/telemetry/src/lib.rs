@@ -58,8 +58,10 @@ pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 /// v2 added the `dictionary` block (value-interning counters); v3
 /// dropped the batch-feed push counter, which only recounted heap
 /// inserts; v4 dropped `latency.threads` and the profile's
-/// `workers`/`merge_secs` fields with the intra-evaluation worker pool.
-pub const STATS_SCHEMA_VERSION: u64 = 4;
+/// `workers`/`merge_secs` fields with the intra-evaluation worker pool;
+/// v5 dropped the row-clone counter, which only the removed
+/// value-keyed relation probe incremented.
+pub const STATS_SCHEMA_VERSION: u64 = 5;
 
 /// The instrumentation bundle threaded through the executors.
 ///

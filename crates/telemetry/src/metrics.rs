@@ -62,14 +62,10 @@ pub struct Metrics {
     /// Seminaive rounds executed.
     pub flat_rounds: Counter,
     // -- storage: indices --
-    /// Hash indices built (first `select` on a column set).
+    /// Hash indices built (first probe of a column set).
     pub index_builds: Counter,
-    /// Index probes (every `select`).
+    /// Index probes (every keyed `select_ids_into`).
     pub index_probes: Counter,
-    /// Full `Row` clones materialised out of storage on the join path
-    /// (legacy `select` copies; the compiled executor reads the arena
-    /// in place and should keep this near zero).
-    pub rows_cloned: Counter,
     /// Rule evaluations served by a cached compiled join plan instead
     /// of a fresh compilation.
     pub plan_cache_hits: Counter,
@@ -91,9 +87,9 @@ pub struct Metrics {
     pub rql_used_blocked: Counter,
     /// Largest `|Q_r|` observed across all rules.
     pub queue_peak: MaxGauge,
-    /// Heap cost comparisons served by the decode-free `Int` fast path
-    /// (the type-analysis-licensed specialization; zero when the cost
-    /// column is not proved `int` or analysis is off).
+    /// Heap cost comparisons between two entries whose costs are both
+    /// `Int`, served from the inline `i64` without the dictionary
+    /// (zero when no two queued costs are integers).
     pub heap_int_fast_compares: Counter,
     // -- γ --
     /// Committed γ steps (next-rule and exit-rule firings).
@@ -144,7 +140,6 @@ impl Metrics {
             flat_rounds: self.flat_rounds.get(),
             index_builds: self.index_builds.get(),
             index_probes: self.index_probes.get(),
-            rows_cloned: self.rows_cloned.get(),
             plan_cache_hits: self.plan_cache_hits.get(),
             heap_inserts: self.heap_inserts.get(),
             heap_replaces: self.heap_replaces.get(),
@@ -172,7 +167,6 @@ pub struct Snapshot {
     pub flat_rounds: u64,
     pub index_builds: u64,
     pub index_probes: u64,
-    pub rows_cloned: u64,
     pub plan_cache_hits: u64,
     pub heap_inserts: u64,
     pub heap_replaces: u64,
@@ -211,7 +205,6 @@ impl Snapshot {
             ("choice_candidates_considered", self.choice_candidates_considered),
             ("index_builds", self.index_builds),
             ("index_probes", self.index_probes),
-            ("rows_cloned", self.rows_cloned),
             ("plan_cache_hits", self.plan_cache_hits),
         ]
     }
@@ -260,7 +253,6 @@ impl Snapshot {
             flat_rounds: field("flat_rounds")?,
             index_builds: field("index_builds")?,
             index_probes: field("index_probes")?,
-            rows_cloned: field("rows_cloned")?,
             plan_cache_hits: field("plan_cache_hits")?,
             heap_inserts: field("heap_inserts")?,
             heap_replaces: field("heap_replaces")?,

@@ -1,15 +1,15 @@
-//! The executor's analysis specializations checked against hand-made
-//! twins that leave them nothing to do.
+//! Program shapes the executor has no special handling for, checked
+//! against twins of every greedy-planned shipped group.
 //!
-//! Dead-rule pruning, folded constant comparisons and the columnar feed
-//! are applied from facts the analysis proves about the program text,
-//! and none has a switch. So each is pinned by a twin program: the
-//! shipped program with dead rules or a constant-true comparison added
-//! (which the analysis must erase without a trace), or with a
-//! pre-check the columnar checks cannot express (which sends every
-//! next rule through the frame-building feed). Every greedy-planned
-//! shipped group must run byte-identically to its twin — same
-//! canonical relation dump, same chosen records, same counters.
+//! `gbc check` flags dead rules and constant comparisons (GBC027,
+//! GBC031), but the executor runs no analysis and evaluates them like
+//! any other rule: a dead rule derives nothing, and a constant
+//! comparison is a ground filter the join plan runs first. So a twin
+//! with dead rules and a constant-true comparison added must compute
+//! the original's model and choices. A second twin adds a pre-check the
+//! columnar feed checks cannot express, which sends every next rule
+//! through the frame-building feed; it must run byte-identically —
+//! same canonical relation dump, same chosen records, same counters.
 //! `tests/oracle_equivalence.rs` checks the same runs against the
 //! generic fixpoint.
 
@@ -92,8 +92,7 @@ fn fast_feed_flags(compiled: &Compiled) -> Vec<bool> {
 
 /// Two dead rules for `program`: a mutually recursive pair with no base
 /// case, and a rule reading the first next rule's source relation
-/// behind a constant-false comparison. Unpruned, the saturator would
-/// scan that relation every round.
+/// behind a constant-false comparison.
 fn dead_rules(program: &Program) -> String {
     let source = program
         .rules
@@ -122,27 +121,27 @@ fn int(i: i64) -> Expr {
 
 #[test]
 fn analysis_specializations_change_nothing_observable() {
-    let mut folded = 0;
+    let mut constant = 0;
     for (name, source) in greedy_groups() {
         let original = gbc_core::compile(parse(&source)).expect("compiles");
         let mut twin = parse(&format!("{source}\n{}", dead_rules(original.program())));
-        // A constant-true comparison on every exit choice rule, folded
-        // out of its join plan.
+        // A constant-true comparison on every exit choice rule.
         for rule in twin.rules.iter_mut().filter(|r| r.has_choice() && !r.has_next()) {
             rule.body.push(Literal::cmp(CmpOp::Lt, int(1), int(2)));
-            folded += 1;
+            constant += 1;
         }
         let twin = gbc_core::compile(twin).expect("twin compiles");
         assert!(twin.has_greedy_plan(), "{name}: the twin lost its greedy plan");
-        let want = run(&original);
+        let (want, got) = (run(&original), run(&twin));
         assert!(!want.canonical.is_empty(), "{name} produced no facts");
-        assert_eq!(want, run(&twin), "{name}: dead rules or a folded comparison left a trace");
+        assert_eq!(want.canonical, got.canonical, "{name}: dead rules changed the model");
+        assert_eq!(want.chosen, got.chosen, "{name}: dead rules changed the choices");
     }
-    assert!(folded > 0, "no shipped group has an exit choice rule to fold into");
+    assert!(constant > 0, "no shipped group has an exit choice rule to extend");
 }
 
 #[test]
-fn gamma_batch_kernel_changes_nothing_observable() {
+fn framed_feed_matches_columnar_feed() {
     for (name, source) in greedy_groups() {
         let original = gbc_core::compile(parse(&source)).expect("compiles");
         // `max(V, V) = V` over each next rule's first source variable:

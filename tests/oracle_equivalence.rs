@@ -27,7 +27,8 @@
 //!
 //! The shipped next rules all take the columnar feed, so two inline
 //! rules pin the frame-building fallback feed against the same oracle,
-//! and four more pin the FD memo shapes the shipped programs leave out.
+//! four more pin the FD memo shapes the shipped programs leave out, and
+//! one mixes integer and symbol costs in a single `Q_r` heap.
 
 use gbc_core::exec::build_plans;
 use gbc_core::rewrite::next::with_stage_groups;
@@ -221,6 +222,21 @@ fn most_over_symbol_costs() {
     let snap = counters(source);
     assert_eq!((snap.diffchoice_rejections, snap.gamma_steps), (2, 2), "{snap:?}");
     assert_eq!(snap.heap_int_fast_compares, 0, "symbol costs must not take the int heap");
+}
+
+#[test]
+fn least_over_mixed_integer_and_symbol_costs() {
+    // Integers order before symbols: f (0), c (1), e (2), a (3), then
+    // d (w) and b (x). The heap compares two integer costs inline and
+    // falls back to the dictionary order whenever a symbol takes part;
+    // a heap that tied every mixed pair would pop out of order here.
+    let source = "sp(nil, nil, 0).\n\
+                  sp(X, C, I) <- next(I), p(X, C), least(C, I).\n\
+                  p(a, 3). p(b, x). p(c, 1). p(d, w). p(e, 2). p(f, 0).\n";
+    check_against_oracle("least over mixed costs", source);
+    let snap = counters(source);
+    assert_eq!(snap.gamma_steps, 6, "{snap:?}");
+    assert!(snap.heap_int_fast_compares > 0, "integer costs compare inline: {snap:?}");
 }
 
 #[test]
