@@ -179,7 +179,7 @@ echo "== bench: machine-readable experiment record + ratio gate =="
 # timing + counter trail next to the committed pre/post-PR records.
 # --ratio-gate fails the build when the n-max declarative/classical
 # wall-clock ratio breaches the ceilings committed in experiments.rs.
-./target/release/experiments prim sort --quick --ratio-gate \
+./target/release/experiments prim sort matching --quick --ratio-gate \
     --json BENCH_experiments.json --label "ci-quick" >/dev/null || {
     echo "declarative/classical ratio gate failed (see experiments.rs ceilings)" >&2
     exit 1
@@ -208,6 +208,11 @@ grep -q '"label": "post-PR10"' BENCH_experiments.json || {
 # The post-PR16 record: the first E1/E2 baseline measured on 2 cores.
 grep -q '"label": "post-PR16"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR16 run" >&2
+    exit 1
+}
+# The post-PR19 record: E1/E2/E3 after the columnar (R,Q,L) rewrite.
+grep -q '"label": "post-PR19"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR19 run" >&2
     exit 1
 }
 for col in dict_entries encode_hits decode_calls; do

@@ -541,7 +541,7 @@ fn lint_dead_rules(program: &Program, reach: &ReachInfo, out: &mut Vec<Diagnosti
                 format!("rule for `{}` can never fire: {}", r.head.pred, d.reason),
             )
             .with_label(span, "unsatisfiable because of this")
-            .with_help("the rule is pruned from execution; remove it or fix its body"),
+            .with_help("the rule never derives anything; remove it or fix its body"),
         );
     }
 }

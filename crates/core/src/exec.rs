@@ -212,31 +212,33 @@ impl NextPlan {
         source
     }
 
-    /// The feed triple of source row `r` with cost id `cost`.
-    fn triple(&self, rows: &RowsView, r: usize, cost: u32) -> FeedTriple {
-        (self.cong_cols.iter().map(|&c| rows.cell(r, c)).collect(), cost, rows.id_row(r))
-    }
-
-    /// Admit new source rows by the compiled columnar checks alone; the
-    /// cost id is the cost column's cell. Agrees with
-    /// [`NextPlan::admit_framed`] on every fast-feed rule:
+    /// Insert the new source rows that pass the compiled columnar
+    /// checks into `rql`; the cost id is the cost column's cell. Agrees
+    /// with [`NextPlan::feed_framed`] on every fast-feed rule:
     /// `match_term_id` would bind each variable to exactly the cell id
     /// read here, and `FeedCheck` reproduces the pre-check comparisons
     /// in id space.
-    fn admit_columnar(&self, rows: &RowsView, nil_cost: u32) -> Vec<FeedTriple> {
-        (0..rows.len())
-            .filter(|&r| self.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))))
-            .map(|r| self.triple(rows, r, self.cost.map_or(nil_cost, |(_, c)| rows.cell(r, c))))
-            .collect()
+    fn feed_columnar(&self, rows: &RowsView, nil_cost: u32, rql: &mut Rql, row: &mut Vec<u32>) {
+        for r in 0..rows.len() {
+            if self.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))) {
+                rows.read_row(r, row);
+                rql.insert(self.cost.map_or(nil_cost, |(_, c)| row[c]), row);
+            }
+        }
     }
 
-    /// Admit new source rows by matching each into a binding frame and
-    /// running the pre-checks over it: the feed for shapes the columnar
-    /// checks cannot express (arithmetic over a source variable, a
-    /// non-ground compound argument).
-    fn admit_framed(&self, rows: &RowsView, nil_cost: u32) -> Result<Vec<FeedTriple>, CoreError> {
+    /// Insert the new source rows into `rql` by matching each into a
+    /// binding frame and running the pre-checks over it: the feed for
+    /// shapes the columnar checks cannot express (arithmetic over a
+    /// source variable, a non-ground compound argument).
+    fn feed_framed(
+        &self,
+        rows: &RowsView,
+        nil_cost: u32,
+        rql: &mut Rql,
+        row: &mut Vec<u32>,
+    ) -> Result<(), CoreError> {
         let source = self.source();
-        let mut out = Vec::new();
         let mut b = Bindings::new(self.rule.num_vars());
         let mut trail: Vec<VarId> = Vec::new();
         for r in 0..rows.len() {
@@ -260,15 +262,12 @@ impl NextPlan {
                 },
                 None => nil_cost,
             };
-            out.push(self.triple(rows, r, cost));
+            rows.read_row(r, row);
+            rql.insert(cost, row);
         }
-        Ok(out)
+        Ok(())
     }
 }
-
-/// A `(congruence key, cost id, row)` triple bound for
-/// [`Rql::extend_batch`].
-type FeedTriple = (Vec<u32>, u32, Vec<u32>);
 
 /// Build plans for every next rule of a validated, stage-stratified
 /// program. Errors with [`CoreError::NoGreedyPlan`] when a next rule
@@ -487,10 +486,12 @@ fn build_plan(
 /// An FD memo of one choice goal: committed left ids → right ids.
 type FdMap = FxHashMap<Vec<u32>, Vec<u32>>;
 
-/// Reusable id buffers for the diffChoice probe and the head build, so
-/// a rejected candidate allocates nothing.
+/// Reusable id buffers for the feed, the diffChoice probe and the head
+/// build, so neither a fed nor a rejected candidate allocates.
 #[derive(Default)]
 struct IdScratch {
+    /// The source row being fed.
+    row: Vec<u32>,
     left: Vec<u32>,
     right: Vec<u32>,
     head: Vec<u32>,
@@ -582,8 +583,14 @@ impl GreedyExecutor {
             .into_iter()
             .map(|plan| {
                 let goals = choice_goals(&plan.rule).count();
+                let arity = plan.source().args.len();
+                let rql = if plan.descending {
+                    Rql::new_descending(arity, &plan.cong_cols)
+                } else {
+                    Rql::new(arity, &plan.cong_cols)
+                };
                 NextState {
-                    rql: if plan.descending { Rql::new_descending() } else { Rql::new() },
+                    rql,
                     src_mark: 0,
                     head_mark: 0,
                     stage: i64::MIN,
@@ -841,20 +848,20 @@ impl GreedyExecutor {
         ns.head_mark = head_rel.len();
 
         // The new rows are read in place from the relation's column
-        // arenas; the only copy made is the id row that enters `Q_r`.
+        // arenas; each admitted row is copied into one reused buffer and
+        // runs the paper's case analysis against the live queue.
         let src_rel = db.relation(plan.source_pred);
         let rows = src_rel.since(ns.src_mark);
         ns.src_mark = src_rel.len();
-        let triples = if rows.arity() != plan.source().args.len() {
-            Vec::new()
-        } else if plan.fast_feed {
-            plan.admit_columnar(&rows, nil_cost)
-        } else {
-            plan.admit_framed(&rows, nil_cost)?
-        };
-        // One insert pass into (R,Q,L): each triple runs the paper's full
-        // case analysis against the live queue, as row-by-row inserts would.
-        ns.rql.extend_batch(triples);
+        if rows.arity() == plan.source().args.len() {
+            ns.rql.reserve(rows.len());
+            if plan.fast_feed {
+                plan.feed_columnar(&rows, nil_cost, &mut ns.rql, &mut ns.scratch.row);
+            } else {
+                plan.feed_framed(&rows, nil_cost, &mut ns.rql, &mut ns.scratch.row)?;
+            }
+        }
+        ns.rql.flush_metrics();
         stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
         tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
         Ok(())
@@ -874,7 +881,7 @@ impl GreedyExecutor {
             &mut nexts[i];
         if *stage == i64::MIN {
             // No committed stage yet (exit facts absent): nothing to do.
-            if rql.is_queue_empty() {
+            if rql.queue_len() == 0 {
                 return Ok(false);
             }
             return Err(CoreError::NoGreedyPlan {
@@ -896,17 +903,14 @@ impl GreedyExecutor {
         let mut pops: u64 = 0;
         let mut rejected: u64 = 0;
         while let Some(popped) = rql.pop_least() {
+            let row = rql.row(&popped);
             pops += 1;
             tel.metrics.choice_candidates_considered.inc();
             for v in trail.drain(..) {
                 b.unbind(v);
             }
-            let ok = plan
-                .source()
-                .args
-                .iter()
-                .zip(popped.row.iter())
-                .all(|(t, &id)| match_term_id(t, id, b, trail));
+            let ok =
+                plan.source().args.iter().zip(row).all(|(t, &id)| match_term_id(t, id, b, trail));
             debug_assert!(ok, "queued row must re-match its source atom");
             let sid = *stage_id.get_or_insert_with(|| dictionary::encode(&Value::Int(next_stage)));
             b.bind_encoded(plan.stage_var, sid);
@@ -924,7 +928,7 @@ impl GreedyExecutor {
                     DiscardReason::StaleStage
                 };
                 if let Some(arena) = &prov {
-                    let src_row = dictionary::decode_row(&popped.row);
+                    let src_row = dictionary::decode_row(row);
                     match conflict {
                         Some(gi) => {
                             let (left, attempted, committed) =
@@ -957,7 +961,7 @@ impl GreedyExecutor {
                 tel.trace_with(|| TraceEvent::Discard {
                     pred: plan.head_pred.to_string(),
                     reason,
-                    row: dictionary::decode_row(&popped.row).to_string(),
+                    row: dictionary::decode_row(row).to_string(),
                 });
                 rql.discard(popped);
                 stats.discarded += 1;
@@ -982,7 +986,7 @@ impl GreedyExecutor {
                         NO_GOAL,
                         "stage-reuse",
                         plan.head_pred,
-                        &dictionary::decode_row(&popped.row),
+                        &dictionary::decode_row(row),
                         decode_ids(&scratch.w),
                         vec![Value::Int(next_stage)],
                         Vec::new(),
@@ -994,7 +998,7 @@ impl GreedyExecutor {
                 tel.trace_with(|| TraceEvent::Discard {
                     pred: plan.head_pred.to_string(),
                     reason: DiscardReason::StageReuse,
-                    row: dictionary::decode_row(&popped.row).to_string(),
+                    row: dictionary::decode_row(row).to_string(),
                 });
                 rql.discard(popped);
                 stats.discarded += 1;
@@ -1028,7 +1032,7 @@ impl GreedyExecutor {
                     plan.head_pred,
                     &head_row,
                     plan.rule_idx,
-                    &[(plan.source_pred, dictionary::decode_row(&popped.row))],
+                    &[(plan.source_pred, dictionary::decode_row(row))],
                 );
                 arena.record_commit(plan.rule_idx, plan.head_pred, &head_row, pairs.clone());
             }
@@ -1040,6 +1044,7 @@ impl GreedyExecutor {
                 considered: pops,
                 rejected,
             });
+            rql.flush_metrics();
             db.insert_ids(plan.head_pred, head);
             chosen.push(ChosenRecord { rule_idx: plan.rule_idx, pairs, chosen_args });
             stats.gamma_steps += 1;
@@ -1050,6 +1055,7 @@ impl GreedyExecutor {
             }
             return Ok(true);
         }
+        rql.flush_metrics();
         if let Some(t) = t_phase {
             tel.phases.add("run/gamma/choose", t.elapsed());
         }

@@ -68,14 +68,14 @@ pub fn run_stage_views(graph: &Graph) -> KruskalRun {
 
     // The edge queue Q (cost-ordered, full-row congruence: Kruskal
     // considers every edge once).
-    let mut q = Rql::new();
+    let mut q = Rql::new(3, &[0, 1, 2]);
     for e in &graph.edges {
         let row = dictionary::encode_row(&[
             Value::int(i64::from(e.from)),
             Value::int(i64::from(e.to)),
             Value::int(e.cost),
         ]);
-        q.insert(row.clone(), row[2], row);
+        q.insert(row[2], &row);
     }
 
     let int_of = |id: u32| dictionary::decode_ref(id).as_int().expect("int edge field");
@@ -83,9 +83,10 @@ pub fn run_stage_views(graph: &Graph) -> KruskalRun {
     let mut redundant = 0u64;
     let mut stage = 0i64;
     while let Some(popped) = q.pop_least() {
-        let x = int_of(popped.row[0]) as usize;
-        let y = int_of(popped.row[1]) as usize;
-        let c = int_of(popped.row[2]);
+        let row = q.row(&popped);
+        let x = int_of(row[0]) as usize;
+        let y = int_of(row[1]) as usize;
+        let c = int_of(row[2]);
         let (j, k) = (comp[x], comp[y]);
         if j == k {
             // Same component: redundant, the paper's move into R.

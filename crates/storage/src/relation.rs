@@ -80,6 +80,12 @@ impl<'a> RowsView<'a> {
         self.cols.iter().map(|c| c[self.start + row]).collect()
     }
 
+    /// [`RowsView::id_row`] into a reused buffer.
+    pub fn read_row(&self, row: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.cols.iter().map(|c| c[self.start + row]));
+    }
+
     /// Decode the row at view-relative position `row` to a boundary
     /// [`Row`] (one counted decode per cell).
     pub fn decode_row(&self, row: usize) -> Row {

@@ -14,50 +14,38 @@
 //! * `R_r` — the redundant facts, which can never fire the rule again.
 //!
 //! The insertion operation implements the paper's case analysis
-//! verbatim; both insertion and retrieve-least are `O(log |Q|)` thanks
-//! to the handle-indexed heap.
+//! verbatim; both insertion and retrieve-least are `O(log |Q|)`.
 //!
-//! Since the columnar rework, keys, costs and rows are **dictionary
-//! ids** (`u32` / `Vec<u32>`): heap maintenance hashes and moves dense
-//! integers, and the ordering contract is [`dictionary::cmp_ids`] —
-//! ids order by their *decoded* value, so pop order is byte-identical
-//! to the pre-columnar value representation, including non-integer
-//! (symbolic) costs.
+//! The structure is columnar. Every congruence class the rule has seen
+//! owns one row of a single **id arena**: the class's current queued,
+//! pending or used fact. A class's key is its row projected onto the
+//! key columns, so no key is stored apart from the row. An
+//! open-addressed **class table** finds a class from a row, and a
+//! binary heap of 16-byte **inline nodes** (`{int, id, class}`) orders
+//! the queued classes. Classes are never removed during an evaluation,
+//! so the table never deletes. No insert or pop allocates for its
+//! candidate: the arena, table and heap only grow, amortised, and
+//! [`Rql::reserve`] sizes them for a whole feed pass up front.
 //!
-//! The structure is agnostic about how congruence keys and costs are
-//! derived from facts — the executor in `gbc-core` projects them out of
-//! rows — which keeps this module reusable for all of the paper's
-//! greedy programs.
+//! Costs and rows are **dictionary ids**, and the ordering contract is
+//! [`cmp_ids`]: ids order by their *decoded* value. A node
+//! whose cost decodes to `Value::Int` carries the `i64`, and two such
+//! nodes compare it inline; any other pair goes through the dictionary.
+//! A cost tie falls back to the arena rows under [`cmp_id_rows`].
+//!
+//! The structure is agnostic about how costs are derived from facts —
+//! the executor in `gbc-core` reads them off the source rows — which
+//! keeps this module reusable for all of the paper's greedy programs.
 
-use std::cell::Cell;
+use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::sync::Arc;
 
+use gbc_ast::Value;
 use gbc_telemetry::Metrics;
 
-use crate::dictionary::{self, cmp_id_rows, cmp_ids};
-use crate::fx::FxHashMap;
-use crate::heap::{Handle, IndexedHeap};
-
-thread_local! {
-    /// Comparisons served by the decode-free `Int` cost fast path.
-    /// Thread-local rather than a global atomic so concurrent runs in
-    /// one process (parallel `cargo test`) never cross-contaminate;
-    /// heap operations happen on the evaluating thread, so the owning
-    /// `Rql` reads a coherent before/after delta around each op.
-    static INT_FAST_COMPARES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn int_fast_compares() -> u64 {
-    INT_FAST_COMPARES.with(Cell::get)
-}
-
-fn bump_int_fast() {
-    INT_FAST_COMPARES.with(|c| c.set(c.get() + 1));
-}
-
-/// Congruence-class key: the projection of a fact onto the arguments
-/// that are neither stage, nor cost, nor choice-determined. Encoded.
-pub type CongKey = Vec<u32>;
+use crate::dictionary::{cmp_id_rows, cmp_ids, decode_ref};
+use crate::fx::FxHasher;
 
 /// Result of an [`Rql::insert`], mirroring the paper's case analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,249 +63,263 @@ pub enum RqlOutcome {
     CongruentUsed,
 }
 
-/// An entry popped from `Q_r`, pending classification by the caller:
-/// [`Rql::commit`] moves it to `L_r`, [`Rql::discard`] to `R_r`
+/// A candidate popped from `Q_r`, pending classification by the
+/// caller: [`Rql::commit`] moves it to `L_r`, [`Rql::discard`] to `R_r`
 /// (the paper's treatment of facts that fail the choice conditions).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// [`Rql::row`] borrows its row. The handle stays valid until the next
+/// [`Rql::insert`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Popped {
-    pub key: CongKey,
+    class: u32,
     /// Encoded cost id.
     pub cost: u32,
-    /// Encoded fact row.
-    pub row: Vec<u32>,
 }
 
-/// Heap cost wrapper: ascending for `least`, descending for `most`
-/// (the paper's dual — `retrieve least` becomes `retrieve most`). Costs
-/// order by their decoded values ([`cmp_ids`]), never by id magnitude.
-/// An entry whose cost decodes to `Value::Int` also carries the `i64`,
-/// and two such entries compare it directly: within the integers the
-/// raw order is `Value`'s order, so one heap may hold integer and
-/// non-integer costs and still pop in value order.
+/// Where a congruence class stands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct HeapCost {
-    id: u32,
-    int: Option<i64>,
-    descending: bool,
+enum State {
+    /// Its row is in `Q_r`, at heap position `pos[class]`.
+    Queued,
+    /// Popped and awaiting [`Rql::commit`] or [`Rql::discard`].
+    Popped,
+    /// Fired the rule (`L_r`): every congruent fact is redundant.
+    Used,
+    /// Nothing queued: new, or its last candidate was discarded, so a
+    /// congruent fact may enter `Q_r` again.
+    Idle,
 }
 
-impl Ord for HeapCost {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let ord = match (self.int, other.int) {
-            (Some(a), Some(b)) => {
-                bump_int_fast();
-                a.cmp(&b)
-            }
-            _ => cmp_ids(self.id, other.id),
-        };
-        if self.descending {
-            ord.reverse()
-        } else {
-            ord
+/// The top bit of [`Node::class`]: the cost is not an integer, so
+/// [`Node::int`] is meaningless and the cost compares by dictionary.
+const NOT_INT: u32 = 1 << 31;
+
+/// An empty class-table slot.
+const EMPTY: u32 = u32::MAX;
+
+/// A heap node: the cost inline, and the class whose arena row breaks
+/// cost ties.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    int: i64,
+    id: u32,
+    class: u32,
+}
+
+impl Node {
+    fn new(cost: u32, class: u32) -> Node {
+        match decode_ref(cost) {
+            Value::Int(v) => Node { int: *v, id: cost, class },
+            _ => Node { int: 0, id: cost, class: class | NOT_INT },
         }
     }
-}
 
-impl PartialOrd for HeapCost {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn class(self) -> usize {
+        (self.class & !NOT_INT) as usize
     }
 }
 
-/// An encoded row ordered by its decoded values ([`cmp_id_rows`]) —
-/// the row tiebreak of the heap's `(cost, row)` composite key, exactly
-/// the `Ord` the pre-columnar `Row` had.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct OrdRow(Vec<u32>);
-
-impl Ord for OrdRow {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        cmp_id_rows(&self.0, &other.0)
-    }
-}
-
-impl PartialOrd for OrdRow {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The (R,Q,L) counters not yet published to [`Metrics`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
+    inserts: u64,
+    replaces: u64,
+    dominated: u64,
+    used_blocked: u64,
+    pops: u64,
+    int_fast_compares: u64,
 }
 
 /// The (R,Q,L) structure. See the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Rql {
+    arity: usize,
+    /// Row columns forming the congruence key.
+    key_cols: Vec<usize>,
     /// Descending (max-first) retrieval for `most` rules.
     descending: bool,
-    heap: IndexedHeap<(HeapCost, OrdRow)>,
-    /// `Q_r` membership: congruence key → heap handle.
-    queued: FxHashMap<CongKey, Handle>,
-    /// Inverse of `queued`, needed when popping.
-    key_of: FxHashMap<Handle, CongKey>,
-    /// `L_r`: congruence keys (with their winning row) that fired the rule.
-    used: FxHashMap<CongKey, Vec<u32>>,
+    /// The id arena: class `c`'s row is `rows[c * arity..][..arity]`.
+    rows: Vec<u32>,
+    state: Vec<State>,
+    /// Heap position of each [`State::Queued`] class.
+    pos: Vec<u32>,
+    /// `Q_r`: a binary min-heap under [`Rql::cmp_cost`], then the row.
+    heap: Vec<Node>,
+    /// Open-addressed class table (linear probing, power-of-two size),
+    /// indexed by the top `64 - shift` bits of the key hash.
+    table: Vec<u32>,
+    shift: u32,
+    /// |L_r|.
+    used: usize,
     /// |R_r|. The paper keeps `R_r` only to argue redundant tuples are
     /// never revisited; a count suffices operationally.
     redundant: u64,
     /// Optional audit copy of `R_r` for tests.
     audit: Option<Vec<Vec<u32>>>,
-    /// Shared counter registry; heap/congruence traffic is reported
-    /// here when attached.
+    /// The largest |Q_r| seen after an insert.
+    peak: usize,
+    counts: Counts,
+    /// Shared counter registry; heap/congruence traffic is published
+    /// here by [`Rql::flush_metrics`] when attached.
     metrics: Option<Arc<Metrics>>,
 }
 
 impl Rql {
-    /// New structure. `audit` retains the contents of `R_r` (tests only;
-    /// costs memory proportional to |R_r|).
-    pub fn new() -> Rql {
-        Rql::default()
-    }
-
-    /// New structure that records `R_r` contents for inspection.
-    pub fn with_audit() -> Rql {
-        Rql { audit: Some(Vec::new()), ..Rql::default() }
+    /// New structure over rows of `arity` ids whose congruence key is
+    /// the projection onto `key_cols`. Retrieve yields the least cost.
+    pub fn new(arity: usize, key_cols: &[usize]) -> Rql {
+        debug_assert!(key_cols.iter().all(|&c| c < arity), "key column out of range");
+        const INITIAL_SLOTS: u32 = 16;
+        Rql {
+            arity,
+            key_cols: key_cols.to_vec(),
+            descending: false,
+            rows: Vec::new(),
+            state: Vec::new(),
+            pos: Vec::new(),
+            heap: Vec::new(),
+            table: vec![EMPTY; INITIAL_SLOTS as usize],
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
+            used: 0,
+            redundant: 0,
+            audit: None,
+            peak: 0,
+            counts: Counts::default(),
+            metrics: None,
+        }
     }
 
     /// A structure whose retrieve operation yields the *maximum* cost —
     /// the dual used by `most` rules (the paper notes `most` is "the
     /// dual of least", Example 8).
-    pub fn new_descending() -> Rql {
-        Rql { descending: true, ..Rql::default() }
+    pub fn new_descending(arity: usize, key_cols: &[usize]) -> Rql {
+        Rql { descending: true, ..Rql::new(arity, key_cols) }
     }
 
-    /// Attach a counter registry. Subsequent operations report heap
-    /// inserts/replaces/pops, congruence outcomes and the queue
-    /// high-water mark to it.
+    /// Also record the rows of `R_r` for inspection (tests only; costs
+    /// memory proportional to |R_r|).
+    pub fn with_audit(self) -> Rql {
+        Rql { audit: Some(Vec::new()), ..self }
+    }
+
+    /// Attach a counter registry. [`Rql::flush_metrics`] reports heap
+    /// inserts/replaces/pops, congruence outcomes, integer compares and
+    /// the queue high-water mark to it.
     pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
         self.metrics = Some(metrics);
     }
 
-    fn wrap(&self, cost: u32) -> HeapCost {
-        let int = match dictionary::decode_ref(cost) {
-            gbc_ast::Value::Int(v) => Some(*v),
-            _ => None,
-        };
-        HeapCost { id: cost, int, descending: self.descending }
+    /// Publish the counters accumulated since the last call, once per
+    /// feed pass or γ step rather than once per candidate. The queue
+    /// high-water mark is tracked at every insert, so it ends where
+    /// per-insert observation would leave it.
+    pub fn flush_metrics(&mut self) {
+        let counts = std::mem::take(&mut self.counts);
+        let Some(m) = &self.metrics else { return };
+        m.heap_inserts.add(counts.inserts);
+        m.heap_replaces.add(counts.replaces);
+        m.congruence_replacements.add(counts.replaces);
+        m.rql_dominated.add(counts.dominated);
+        m.rql_used_blocked.add(counts.used_blocked);
+        m.heap_pops.add(counts.pops);
+        m.heap_int_fast_compares.add(counts.int_fast_compares);
+        m.queue_peak.observe(self.peak as u64);
     }
 
-    /// The paper's insertion operation, over encoded ids.
-    pub fn insert(&mut self, key: CongKey, cost: u32, row: Vec<u32>) -> RqlOutcome {
-        let fast_before = int_fast_compares();
-        let outcome = self.insert_inner(key, cost, row);
-        if let Some(m) = &self.metrics {
-            match outcome {
-                RqlOutcome::Queued => m.heap_inserts.inc(),
-                RqlOutcome::ReplacedQueued => {
-                    m.heap_replaces.inc();
-                    m.congruence_replacements.inc();
+    /// Make room for `additional` more candidates, so a feed pass of
+    /// that many rows grows nothing while it inserts.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+        self.rows.reserve(additional * self.arity);
+        self.state.reserve(additional);
+        self.pos.reserve(additional);
+        while self.over_load(self.state.len() + additional) {
+            self.grow_table();
+        }
+    }
+
+    /// The paper's insertion operation: `row` (the fact, as ids) with
+    /// cost id `cost` meets its congruence class.
+    pub fn insert(&mut self, cost: u32, row: &[u32]) -> RqlOutcome {
+        debug_assert_eq!(row.len(), self.arity, "row arity");
+        let class = self.class_of(row);
+        match self.state[class] {
+            State::Used => {
+                self.mark_redundant(row);
+                self.counts.used_blocked += 1;
+                RqlOutcome::CongruentUsed
+            }
+            State::Queued => {
+                let slot = self.pos[class] as usize;
+                let new = Node::new(cost, class as u32);
+                let better = self
+                    .cmp_cost(new, self.heap[slot])
+                    .then_with(|| cmp_id_rows(row, self.row_of(class)))
+                    == Ordering::Less;
+                if better {
+                    self.retire(class);
+                    self.rows[class * self.arity..][..self.arity].copy_from_slice(row);
+                    self.heap[slot] = new;
+                    // A replacement only improves the node, so the sift
+                    // down never moves it; its compares still count in
+                    // `heap_int_fast_compares`, as a general update's do.
+                    self.sift_up(slot);
+                    self.sift_down(self.pos[class] as usize);
+                    self.counts.replaces += 1;
+                    RqlOutcome::ReplacedQueued
+                } else {
+                    self.mark_redundant(row);
+                    self.counts.dominated += 1;
+                    RqlOutcome::DominatedInQueue
                 }
-                RqlOutcome::DominatedInQueue => m.rql_dominated.inc(),
-                RqlOutcome::CongruentUsed => m.rql_used_blocked.inc(),
             }
-            m.queue_peak.observe(self.heap.len() as u64);
-            m.heap_int_fast_compares.add(int_fast_compares() - fast_before);
-        }
-        outcome
-    }
-
-    /// The fused batch form of [`Rql::insert`]: push every `(key,
-    /// cost, row)` triple of one feed scan in a single pass. The queue
-    /// contents after the call are **identical** to `items.len()`
-    /// sequential [`Rql::insert`] calls — each triple still runs the
-    /// paper's full case analysis against the live queue state, so
-    /// intra-batch congruence (two congruent rows in one batch) resolves
-    /// exactly as it would row by row.
-    ///
-    /// What the batch saves is the per-row bookkeeping around the sift:
-    /// outcome counters accumulate in locals and flush once, the
-    /// `Int`-fast-compare delta is read once, and the queue high-water
-    /// mark is observed once at the end — sound because insertion never
-    /// shrinks `Q_r`, so the post-batch length *is* the running maximum.
-    /// Every counter therefore ends where the sequential inserts would
-    /// leave it.
-    pub fn extend_batch(&mut self, items: impl IntoIterator<Item = (CongKey, u32, Vec<u32>)>) {
-        let fast_before = int_fast_compares();
-        let (mut queued, mut replaced, mut dominated, mut used_blocked) = (0u64, 0u64, 0u64, 0u64);
-        for (key, cost, row) in items {
-            match self.insert_inner(key, cost, row) {
-                RqlOutcome::Queued => queued += 1,
-                RqlOutcome::ReplacedQueued => replaced += 1,
-                RqlOutcome::DominatedInQueue => dominated += 1,
-                RqlOutcome::CongruentUsed => used_blocked += 1,
+            State::Idle | State::Popped => {
+                self.rows[class * self.arity..][..self.arity].copy_from_slice(row);
+                self.state[class] = State::Queued;
+                let slot = self.heap.len();
+                self.heap.push(Node::new(cost, class as u32));
+                self.pos[class] = slot as u32;
+                self.sift_up(slot);
+                self.peak = self.peak.max(self.heap.len());
+                self.counts.inserts += 1;
+                RqlOutcome::Queued
             }
-        }
-        if let Some(m) = &self.metrics {
-            m.heap_inserts.add(queued);
-            m.heap_replaces.add(replaced);
-            m.congruence_replacements.add(replaced);
-            m.rql_dominated.add(dominated);
-            m.rql_used_blocked.add(used_blocked);
-            m.queue_peak.observe(self.heap.len() as u64);
-            m.heap_int_fast_compares.add(int_fast_compares() - fast_before);
-        }
-    }
-
-    fn insert_inner(&mut self, key: CongKey, cost: u32, row: Vec<u32>) -> RqlOutcome {
-        if self.used.contains_key(&key) {
-            self.mark_redundant(row);
-            return RqlOutcome::CongruentUsed;
-        }
-        let cost = self.wrap(cost);
-        let row = OrdRow(row);
-        if let Some(&h) = self.queued.get(&key) {
-            let old = self.heap.get(h).expect("queued handle is live");
-            if (&cost, &row) < (&old.0, &old.1) {
-                let (_, old_row) = self.heap.update(h, (cost, row)).expect("handle just probed");
-                self.mark_redundant(old_row.0);
-                RqlOutcome::ReplacedQueued
-            } else {
-                self.mark_redundant(row.0);
-                RqlOutcome::DominatedInQueue
-            }
-        } else {
-            let h = self.heap.push((cost, row));
-            self.queued.insert(key.clone(), h);
-            self.key_of.insert(h, key);
-            RqlOutcome::Queued
         }
     }
 
     /// Pop the best candidate from `Q_r` (minimum cost, or maximum for
-    /// a descending structure). The entry is detached from the queue
-    /// but belongs to neither `L_r` nor `R_r` until the caller
+    /// a descending structure). The candidate is detached from the
+    /// queue but belongs to neither `L_r` nor `R_r` until the caller
     /// classifies it with [`Rql::commit`] or [`Rql::discard`].
     pub fn pop_least(&mut self) -> Option<Popped> {
-        let fast_before = int_fast_compares();
-        let (h, (cost, row)) = self.heap.pop_min()?;
-        if let Some(m) = &self.metrics {
-            m.heap_pops.inc();
-            m.heap_int_fast_compares.add(int_fast_compares() - fast_before);
-        }
-        let key = self.key_of.remove(&h).expect("popped handle has a key");
-        self.queued.remove(&key);
-        Some(Popped { key, cost: cost.id, row: row.0 })
+        let top = *self.heap.first()?;
+        self.swap_slots(0, self.heap.len() - 1);
+        self.heap.pop();
+        self.sift_down(0);
+        self.state[top.class()] = State::Popped;
+        self.counts.pops += 1;
+        Some(Popped { class: top.class() as u32, cost: top.id })
     }
 
-    /// Peek at the best candidate without removing it.
-    pub fn peek_least(&self) -> Option<(u32, &[u32])> {
-        self.heap.peek_min().map(|(_, (c, r))| (c.id, r.0.as_slice()))
+    /// The row of a popped candidate, borrowed from the arena.
+    pub fn row(&self, popped: &Popped) -> &[u32] {
+        self.row_of(popped.class as usize)
     }
 
-    /// Record a popped entry as *chosen*: it moves to `L_r`, blocking
-    /// every future congruent fact.
+    /// Record a popped candidate as *chosen*: its class moves to `L_r`,
+    /// blocking every future congruent fact.
     pub fn commit(&mut self, popped: Popped) {
-        self.used.insert(popped.key, popped.row);
+        debug_assert_eq!(self.state[popped.class as usize], State::Popped, "stale handle");
+        self.state[popped.class as usize] = State::Used;
+        self.used += 1;
     }
 
-    /// Record a popped entry as *redundant* (`R_r`): it failed the
+    /// Record a popped candidate as *redundant* (`R_r`): it failed the
     /// choice conditions. A congruent fact may be queued again later.
     pub fn discard(&mut self, popped: Popped) {
-        self.mark_redundant(popped.row);
-    }
-
-    fn mark_redundant(&mut self, row: Vec<u32>) {
-        self.redundant += 1;
-        if let Some(audit) = &mut self.audit {
-            audit.push(row);
-        }
+        let class = popped.class as usize;
+        debug_assert_eq!(self.state[class], State::Popped, "stale handle");
+        self.state[class] = State::Idle;
+        self.retire(class);
     }
 
     /// |Q_r|.
@@ -327,7 +329,7 @@ impl Rql {
 
     /// |L_r|.
     pub fn used_len(&self) -> usize {
-        self.used.len()
+        self.used
     }
 
     /// |R_r|.
@@ -335,91 +337,212 @@ impl Rql {
         self.redundant
     }
 
-    /// True when `Q_r` is exhausted.
-    pub fn is_queue_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Is a congruent fact already in `L_r`?
-    pub fn key_used(&self, key: &[u32]) -> bool {
-        self.used.contains_key(key)
-    }
-
     /// The audit copy of `R_r`, if enabled (encoded rows).
     pub fn redundant_rows(&self) -> Option<&[Vec<u32>]> {
         self.audit.as_deref()
     }
-}
 
-/// Encode a value-level cost for insertion — convenience for callers
-/// that sit on the value side of the boundary.
-pub fn encode_cost(v: &gbc_ast::Value) -> u32 {
-    dictionary::encode(v)
+    /// Count `row` into `R_r`.
+    fn mark_redundant(&mut self, row: &[u32]) {
+        self.redundant += 1;
+        if let Some(audit) = &mut self.audit {
+            audit.push(row.to_vec());
+        }
+    }
+
+    /// Count `class`'s current arena row into `R_r`.
+    fn retire(&mut self, class: usize) {
+        self.redundant += 1;
+        if let Some(audit) = &mut self.audit {
+            audit.push(self.rows[class * self.arity..][..self.arity].to_vec());
+        }
+    }
+
+    fn row_of(&self, class: usize) -> &[u32] {
+        &self.rows[class * self.arity..][..self.arity]
+    }
+
+    // -- the class table --
+
+    fn hash(&self, row: &[u32]) -> u64 {
+        let mut h = FxHasher::default();
+        for &c in &self.key_cols {
+            h.write_u32(row[c]);
+        }
+        h.finish()
+    }
+
+    /// The class of `row`'s key, created [`State::Idle`] (its arena
+    /// row a copy of `row`) when the key is new.
+    fn class_of(&mut self, row: &[u32]) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = (self.hash(row) >> self.shift) as usize;
+        loop {
+            match self.table[i] {
+                EMPTY => break,
+                c if self.key_cols.iter().all(|&k| self.row_of(c as usize)[k] == row[k]) => {
+                    return c as usize
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+        let class = self.state.len();
+        assert!(class < NOT_INT as usize, "more than 2^31 congruence classes");
+        self.rows.extend_from_slice(row);
+        self.state.push(State::Idle);
+        self.pos.push(0);
+        self.table[i] = class as u32;
+        if self.over_load(self.state.len()) {
+            self.grow_table();
+        }
+        class
+    }
+
+    /// True when `classes` would fill the table beyond 7/8.
+    fn over_load(&self, classes: usize) -> bool {
+        classes * 8 > self.table.len() * 7
+    }
+
+    /// Double the table and re-insert every class from its arena row.
+    fn grow_table(&mut self) {
+        self.table = vec![EMPTY; self.table.len() * 2];
+        self.shift -= 1;
+        let mask = self.table.len() - 1;
+        for class in 0..self.state.len() {
+            let mut i = (self.hash(self.row_of(class)) >> self.shift) as usize;
+            while self.table[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = class as u32;
+        }
+    }
+
+    // -- the heap --
+
+    /// Compare two costs in retrieval order: two integers inline
+    /// (counted in `heap_int_fast_compares`), anything else by decoded
+    /// value; reversed for a descending structure.
+    fn cmp_cost(&mut self, a: Node, b: Node) -> Ordering {
+        let ord = if (a.class | b.class) & NOT_INT == 0 {
+            self.counts.int_fast_compares += 1;
+            a.int.cmp(&b.int)
+        } else {
+            cmp_ids(a.id, b.id)
+        };
+        if self.descending {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+
+    /// Heap order of slots `a` and `b`: cost, then the arena row.
+    fn less(&mut self, a: usize, b: usize) -> bool {
+        let (a, b) = (self.heap[a], self.heap[b]);
+        self.cmp_cost(a, b)
+            .then_with(|| cmp_id_rows(self.row_of(a.class()), self.row_of(b.class())))
+            == Ordering::Less
+    }
+
+    fn sift_up(&mut self, mut slot: usize) {
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            if !self.less(slot, parent) {
+                break;
+            }
+            self.swap_slots(slot, parent);
+            slot = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        loop {
+            let l = 2 * slot + 1;
+            let r = l + 1;
+            let mut smallest = slot;
+            if l < self.heap.len() && self.less(l, smallest) {
+                smallest = l;
+            }
+            if r < self.heap.len() && self.less(r, smallest) {
+                smallest = r;
+            }
+            if smallest == slot {
+                break;
+            }
+            self.swap_slots(slot, smallest);
+            slot = smallest;
+        }
+    }
+
+    fn swap_slots(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].class()] = a as u32;
+        self.pos[self.heap[b].class()] = b as u32;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbc_ast::Value;
+    use crate::dictionary::encode;
 
     fn row(vals: &[i64]) -> Vec<u32> {
-        vals.iter().map(|&v| dictionary::encode(&Value::int(v))).collect()
-    }
-
-    fn key(vals: &[i64]) -> CongKey {
-        row(vals)
+        vals.iter().map(|&v| encode(&Value::int(v))).collect()
     }
 
     fn cost(v: i64) -> u32 {
-        dictionary::encode(&Value::int(v))
+        encode(&Value::int(v))
+    }
+
+    /// Rows of two columns keyed on the first.
+    fn keyed_on_first() -> Rql {
+        Rql::new(2, &[0])
     }
 
     #[test]
     fn keeps_one_representative_per_congruence_class() {
-        let mut d = Rql::new();
+        let mut d = keyed_on_first();
         // Two facts congruent on key [7]: the cheaper survives in Q.
-        assert_eq!(d.insert(key(&[7]), cost(10), row(&[7, 10])), RqlOutcome::Queued);
-        assert_eq!(d.insert(key(&[7]), cost(3), row(&[7, 3])), RqlOutcome::ReplacedQueued);
-        assert_eq!(d.insert(key(&[7]), cost(5), row(&[7, 5])), RqlOutcome::DominatedInQueue);
+        assert_eq!(d.insert(cost(10), &row(&[7, 10])), RqlOutcome::Queued);
+        assert_eq!(d.insert(cost(3), &row(&[7, 3])), RqlOutcome::ReplacedQueued);
+        assert_eq!(d.insert(cost(5), &row(&[7, 5])), RqlOutcome::DominatedInQueue);
         assert_eq!(d.queue_len(), 1);
         assert_eq!(d.redundant_count(), 2);
         let p = d.pop_least().unwrap();
         assert_eq!(p.cost, cost(3));
+        assert_eq!(d.row(&p), row(&[7, 3]));
     }
 
     #[test]
     fn used_class_blocks_future_inserts() {
-        let mut d = Rql::new();
-        d.insert(key(&[1]), cost(4), row(&[1, 4]));
+        let mut d = keyed_on_first();
+        d.insert(cost(4), &row(&[1, 4]));
         let p = d.pop_least().unwrap();
         d.commit(p);
-        assert!(d.key_used(&key(&[1])));
-        assert_eq!(d.insert(key(&[1]), cost(1), row(&[1, 1])), RqlOutcome::CongruentUsed);
+        assert_eq!(d.insert(cost(1), &row(&[1, 1])), RqlOutcome::CongruentUsed);
         assert_eq!(d.queue_len(), 0);
         assert_eq!(d.used_len(), 1);
     }
 
     #[test]
     fn discarded_class_can_requeue() {
-        let mut d = Rql::new();
-        d.insert(key(&[2]), cost(9), row(&[2, 9]));
+        let mut d = keyed_on_first();
+        d.insert(cost(9), &row(&[2, 9]));
         let p = d.pop_least().unwrap();
         d.discard(p);
         // Not used — a congruent fact can enter the queue again.
-        assert_eq!(d.insert(key(&[2]), cost(8), row(&[2, 8])), RqlOutcome::Queued);
+        assert_eq!(d.insert(cost(8), &row(&[2, 8])), RqlOutcome::Queued);
         assert_eq!(d.redundant_count(), 1);
     }
 
     #[test]
     fn pop_order_is_by_cost_then_row() {
-        let mut d = Rql::new();
-        d.insert(key(&[1]), cost(5), row(&[1, 5]));
-        d.insert(key(&[2]), cost(3), row(&[2, 3]));
-        d.insert(key(&[3]), cost(5), row(&[0, 5])); // same cost as class 1
-        let costs: Vec<(u32, Vec<u32>)> =
-            std::iter::from_fn(|| d.pop_least()).map(|p| (p.cost, p.row)).collect();
+        let mut d = Rql::new(2, &[0, 1]);
+        d.insert(cost(5), &row(&[1, 5]));
+        d.insert(cost(3), &row(&[2, 3]));
+        d.insert(cost(5), &row(&[0, 5])); // same cost as class 1
         assert_eq!(
-            costs,
+            pops(&mut d),
             vec![
                 (cost(3), row(&[2, 3])),
                 (cost(5), row(&[0, 5])), // row tiebreak: (0,5) < (1,5)
@@ -430,23 +553,23 @@ mod tests {
 
     #[test]
     fn audit_mode_records_redundant_rows() {
-        let mut d = Rql::with_audit();
-        d.insert(key(&[1]), cost(2), row(&[1, 2]));
-        d.insert(key(&[1]), cost(1), row(&[1, 1])); // replaces; (1,2) redundant
+        let mut d = keyed_on_first().with_audit();
+        d.insert(cost(2), &row(&[1, 2]));
+        d.insert(cost(1), &row(&[1, 1])); // replaces; (1,2) redundant
         assert_eq!(d.redundant_rows().unwrap(), &[row(&[1, 2])]);
     }
 
     #[test]
     fn descending_mode_pops_maxima_and_keeps_class_maxima() {
-        let mut d = Rql::new_descending();
-        d.insert(key(&[1]), cost(5), row(&[1, 5]));
+        let mut d = Rql::new_descending(2, &[0]);
+        d.insert(cost(5), &row(&[1, 5]));
         assert_eq!(
-            d.insert(key(&[1]), cost(9), row(&[1, 9])),
+            d.insert(cost(9), &row(&[1, 9])),
             RqlOutcome::ReplacedQueued,
             "larger cost replaces in descending mode"
         );
-        assert_eq!(d.insert(key(&[1]), cost(7), row(&[1, 7])), RqlOutcome::DominatedInQueue);
-        d.insert(key(&[2]), cost(8), row(&[2, 8]));
+        assert_eq!(d.insert(cost(7), &row(&[1, 7])), RqlOutcome::DominatedInQueue);
+        d.insert(cost(8), &row(&[2, 8]));
         let p1 = d.pop_least().unwrap();
         assert_eq!(p1.cost, cost(9));
         d.commit(p1);
@@ -457,15 +580,17 @@ mod tests {
     #[test]
     fn metrics_observe_every_outcome() {
         let m = Arc::new(Metrics::new());
-        let mut d = Rql::new();
+        let mut d = keyed_on_first();
         d.set_metrics(Arc::clone(&m));
-        d.insert(key(&[1]), cost(5), row(&[1, 5])); // queued
-        d.insert(key(&[1]), cost(3), row(&[1, 3])); // replaces
-        d.insert(key(&[1]), cost(4), row(&[1, 4])); // dominated
-        d.insert(key(&[2]), cost(8), row(&[2, 8])); // queued
+        d.insert(cost(5), &row(&[1, 5])); // queued
+        d.insert(cost(3), &row(&[1, 3])); // replaces
+        d.insert(cost(4), &row(&[1, 4])); // dominated
+        d.insert(cost(8), &row(&[2, 8])); // queued
         let p = d.pop_least().unwrap();
         d.commit(p);
-        d.insert(key(&[1]), cost(1), row(&[1, 1])); // used-blocked
+        d.insert(cost(1), &row(&[1, 1])); // used-blocked
+        assert_eq!(m.snapshot().heap_inserts, 0, "nothing reaches Metrics before a flush");
+        d.flush_metrics();
         let s = m.snapshot();
         assert_eq!(s.heap_inserts, 2);
         assert_eq!(s.heap_replaces, 1);
@@ -477,51 +602,52 @@ mod tests {
     }
 
     #[test]
-    fn extend_batch_is_counter_identical_to_sequential_inserts() {
-        // Same triples — covering all four outcomes plus a used class —
-        // through insert() one at a time and through one extend_batch().
-        let triples = || {
-            vec![
-                (key(&[1]), cost(5), row(&[1, 5])), // queued
-                (key(&[1]), cost(3), row(&[1, 3])), // replaces within the batch
-                (key(&[1]), cost(4), row(&[1, 4])), // dominated within the batch
-                (key(&[2]), cost(8), row(&[2, 8])), // queued
-                (key(&[9]), cost(0), row(&[9, 0])), // used-blocked (committed below)
-            ]
-        };
-        let prime = |d: &mut Rql| {
-            d.insert(key(&[9]), cost(1), row(&[9, 1]));
+    fn one_flush_is_counter_identical_to_a_flush_per_operation() {
+        // Inserts covering all four outcomes plus a used class, and
+        // interleaved pops, flushed after every operation and once.
+        let ops = |d: &mut Rql, flush_each: bool| {
+            d.insert(cost(1), &row(&[9, 1]));
             let p = d.pop_least().unwrap();
             d.commit(p);
+            for (c, r) in [(5, [1, 5]), (3, [1, 3]), (4, [1, 4]), (8, [2, 8]), (0, [9, 0])] {
+                d.insert(cost(c), &row(&r));
+                if flush_each {
+                    d.flush_metrics();
+                }
+            }
+            let p = d.pop_least().unwrap();
+            d.discard(p);
+            d.flush_metrics();
         };
-        let m_seq = Arc::new(Metrics::new());
-        let mut seq = Rql::new();
-        seq.set_metrics(Arc::clone(&m_seq));
-        prime(&mut seq);
-        for (k, c, r) in triples() {
-            seq.insert(k, c, r);
-        }
-        let m_bat = Arc::new(Metrics::new());
-        let mut bat = Rql::new();
-        bat.set_metrics(Arc::clone(&m_bat));
-        prime(&mut bat);
-        bat.extend_batch(triples());
-        assert_eq!(pops(&mut seq), pops(&mut bat));
-        assert_eq!(m_seq.snapshot(), m_bat.snapshot());
+        let m_each = Arc::new(Metrics::new());
+        let mut each = keyed_on_first();
+        each.set_metrics(Arc::clone(&m_each));
+        ops(&mut each, true);
+        let m_once = Arc::new(Metrics::new());
+        let mut once = keyed_on_first();
+        once.set_metrics(Arc::clone(&m_once));
+        ops(&mut once, false);
+        assert_eq!(pops(&mut each), pops(&mut once));
+        assert_eq!(m_each.snapshot(), m_once.snapshot());
+        assert_eq!(m_once.snapshot().queue_peak, 2);
     }
 
     /// Pop every entry of `d` as `(cost, row)`.
     fn pops(d: &mut Rql) -> Vec<(u32, Vec<u32>)> {
-        std::iter::from_fn(|| d.pop_least()).map(|p| (p.cost, p.row)).collect()
+        let mut out = Vec::new();
+        while let Some(p) = d.pop_least() {
+            out.push((p.cost, d.row(&p).to_vec()));
+        }
+        out
     }
 
-    /// One class per cost, keyed and rowed by its position; the
-    /// expected pops are the costs in `Value` order (reversed for a
-    /// descending heap), position breaking ties.
+    /// One class per cost, rowed by its position; the expected pops are
+    /// the costs in `Value` order (reversed for a descending heap),
+    /// position breaking ties.
     fn value_order_case(descending: bool, costs: &[Value]) {
-        let mut d = if descending { Rql::new_descending() } else { Rql::new() };
+        let mut d = if descending { Rql::new_descending(1, &[0]) } else { Rql::new(1, &[0]) };
         for (i, c) in costs.iter().enumerate() {
-            d.insert(key(&[i as i64]), dictionary::encode(c), row(&[i as i64]));
+            d.insert(encode(c), &row(&[i as i64]));
         }
         let mut want: Vec<(&Value, i64)> =
             costs.iter().enumerate().map(|(i, c)| (c, i as i64)).collect();
@@ -529,7 +655,7 @@ mod tests {
             if descending { b.0.cmp(a.0) } else { a.0.cmp(b.0) }.then(a.1.cmp(&b.1))
         });
         let want: Vec<(u32, Vec<u32>)> =
-            want.into_iter().map(|(c, i)| (dictionary::encode(c), row(&[i]))).collect();
+            want.into_iter().map(|(c, i)| (encode(c), row(&[i]))).collect();
         assert_eq!(pops(&mut d), want, "descending: {descending}");
     }
 
@@ -543,21 +669,23 @@ mod tests {
     #[test]
     fn int_mode_reports_fast_compares_to_metrics() {
         let m = Arc::new(Metrics::new());
-        let mut d = Rql::new();
+        let mut d = keyed_on_first();
         d.set_metrics(Arc::clone(&m));
-        d.insert(key(&[1]), cost(5), row(&[1, 5]));
-        d.insert(key(&[2]), cost(3), row(&[2, 3]));
-        d.insert(key(&[1]), cost(2), row(&[1, 2])); // replace: compares against old
+        d.insert(cost(5), &row(&[1, 5]));
+        d.insert(cost(3), &row(&[2, 3]));
+        d.insert(cost(2), &row(&[1, 2])); // replace: compares against old
         while d.pop_least().is_some() {}
+        d.flush_metrics();
         let s = m.snapshot();
         assert!(s.heap_int_fast_compares > 0, "{s:?}");
         // Symbol costs take no integer compare.
         let m2 = Arc::new(Metrics::new());
-        let mut g = Rql::new();
+        let mut g = Rql::new(1, &[0]);
         g.set_metrics(Arc::clone(&m2));
-        g.insert(key(&[1]), dictionary::encode(&Value::sym("b")), row(&[1]));
-        g.insert(key(&[2]), dictionary::encode(&Value::sym("a")), row(&[2]));
+        g.insert(encode(&Value::sym("b")), &row(&[1]));
+        g.insert(encode(&Value::sym("a")), &row(&[2]));
         while g.pop_least().is_some() {}
+        g.flush_metrics();
         assert_eq!(m2.snapshot().heap_int_fast_compares, 0);
     }
 
@@ -591,11 +719,11 @@ mod tests {
         // decoded ordering, not id magnitude) — exercised by sorting
         // relations on symbolic keys. Interning "zebra" first gives it
         // the *smaller id*, so this also proves ids don't order the heap.
-        let mut d = Rql::new();
-        let zebra = dictionary::encode(&Value::sym("zebra"));
-        let ant = dictionary::encode(&Value::sym("ant"));
-        d.insert(key(&[1]), zebra, row(&[1]));
-        d.insert(key(&[2]), ant, row(&[2]));
+        let mut d = Rql::new(1, &[0]);
+        let zebra = encode(&Value::sym("zebra"));
+        let ant = encode(&Value::sym("ant"));
+        d.insert(zebra, &row(&[1]));
+        d.insert(ant, &row(&[2]));
         assert_eq!(d.pop_least().unwrap().cost, ant);
     }
 }

@@ -72,7 +72,8 @@ pub struct Metrics {
     // -- storage: the (R,Q,L) structure --
     /// Fresh insertions into some `Q_r` heap.
     pub heap_inserts: Counter,
-    /// In-place key replacements (`IndexedHeap::update` via `Rql`).
+    /// In-place replacements of a queued class's row and cost
+    /// (`Rql::insert`'s decrease-key).
     pub heap_replaces: Counter,
     /// Pops from some `Q_r` heap.
     pub heap_pops: Counter,

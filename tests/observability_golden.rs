@@ -18,7 +18,7 @@ use gbc_ast::{SourceMap, Value};
 use gbc_core::GreedyConfig;
 use gbc_greedy::{prim, workload};
 use gbc_storage::{Database, ProvenanceArena};
-use gbc_telemetry::{BufferTrace, JournalBuffer, Telemetry};
+use gbc_telemetry::{BufferTrace, JournalBuffer, Snapshot, Telemetry};
 
 /// The fixed workload: 64 nodes, 192 extra edges, costs ≤ 1000, seed 42.
 fn fixed_graph() -> gbc_greedy::graph::Graph {
@@ -45,14 +45,8 @@ fn prim_counters_are_golden() {
     // byte-for-byte stable because every stage of the pipeline is
     // deterministic. If a legitimate executor change moves them, update
     // them *in the same commit* and say why in the message.
-    assert_eq!(snap.heap_inserts, GOLDEN_HEAP_INSERTS);
-    assert_eq!(snap.heap_replaces, GOLDEN_HEAP_REPLACES);
-    assert_eq!(snap.heap_pops, GOLDEN_HEAP_POPS);
-    assert_eq!(snap.discarded_pops, GOLDEN_DISCARDED_POPS);
-    assert_eq!(snap.congruence_replacements, GOLDEN_CONGRUENCE_REPLACEMENTS);
-    assert_eq!(snap.rql_dominated, GOLDEN_RQL_DOMINATED);
-    assert_eq!(snap.rql_used_blocked, GOLDEN_RQL_USED_BLOCKED);
-    assert_eq!(snap.queue_peak, GOLDEN_QUEUE_PEAK);
+    assert_rql_counters(snap, GOLDEN_PRIM_RQL);
+    assert_eq!(snap.congruence_replacements, snap.heap_replaces);
     assert_eq!(snap.tuples_derived, GOLDEN_TUPLES_DERIVED);
 
     // E1's machine-independent bound: heap operations stay within a
@@ -62,17 +56,32 @@ fn prim_counters_are_golden() {
     assert!(ratio < 3.0, "heap ops per e·lg e must stay O(1), got {ratio}");
 }
 
+/// The (R,Q,L) counter set: every counter the structure and the
+/// retrieve-least loop move, pinned together so a drift names them all.
+const RQL_COUNTERS: [&str; 8] = [
+    "heap_inserts",
+    "heap_replaces",
+    "heap_pops",
+    "rql_dominated",
+    "rql_used_blocked",
+    "queue_peak",
+    "heap_int_fast_compares",
+    "discarded_pops",
+];
+
+/// Assert `snap`'s [`RQL_COUNTERS`] equal `golden`, in that order.
+fn assert_rql_counters(snap: &Snapshot, golden: [u64; 8]) {
+    let entries = snap.entries();
+    let value = |name| entries.iter().find(|(n, _)| *n == name).expect("counter").1;
+    let got: Vec<(&str, u64)> = RQL_COUNTERS.iter().map(|&n| (n, value(n))).collect();
+    let want: Vec<(&str, u64)> = RQL_COUNTERS.into_iter().zip(golden).collect();
+    assert_eq!(got, want);
+}
+
 // One queued representative per r-congruence class means exactly one
 // pop per committed stage: 63 pops, zero discards — the paper's "no
 // wasted pops" property, checked to the tuple.
-const GOLDEN_HEAP_INSERTS: u64 = 63;
-const GOLDEN_HEAP_REPLACES: u64 = 93;
-const GOLDEN_HEAP_POPS: u64 = 63;
-const GOLDEN_DISCARDED_POPS: u64 = 0;
-const GOLDEN_CONGRUENCE_REPLACEMENTS: u64 = 93;
-const GOLDEN_RQL_DOMINATED: u64 = 99;
-const GOLDEN_RQL_USED_BLOCKED: u64 = 244;
-const GOLDEN_QUEUE_PEAK: u64 = 45;
+const GOLDEN_PRIM_RQL: [u64; 8] = [63, 93, 63, 99, 244, 45, 1074, 0];
 const GOLDEN_TUPLES_DERIVED: u64 = 510;
 
 /// E2 (sorting, Example 5) pinned alongside Prim: a fixed-seed item
@@ -94,20 +103,37 @@ fn sort_counters_are_golden() {
     // Every item is its own congruence class (the key is the whole
     // row), so the heap sees exactly one insert and one pop per item —
     // heap-sort, operation for operation.
-    assert_eq!(snap.heap_inserts, GOLDEN_SORT_HEAP_INSERTS);
-    assert_eq!(snap.heap_replaces, GOLDEN_SORT_HEAP_REPLACES);
-    assert_eq!(snap.heap_pops, GOLDEN_SORT_HEAP_POPS);
-    assert_eq!(snap.discarded_pops, GOLDEN_SORT_DISCARDED_POPS);
-    assert_eq!(snap.queue_peak, GOLDEN_SORT_QUEUE_PEAK);
-    assert_eq!(snap.tuples_derived, GOLDEN_SORT_TUPLES_DERIVED);
+    assert_rql_counters(snap, GOLDEN_SORT_RQL);
+    assert_eq!(snap.tuples_derived, 0);
 }
 
-const GOLDEN_SORT_HEAP_INSERTS: u64 = 256;
-const GOLDEN_SORT_HEAP_REPLACES: u64 = 0;
-const GOLDEN_SORT_HEAP_POPS: u64 = 256;
-const GOLDEN_SORT_DISCARDED_POPS: u64 = 0;
-const GOLDEN_SORT_QUEUE_PEAK: u64 = 256;
-const GOLDEN_SORT_TUPLES_DERIVED: u64 = 0;
+const GOLDEN_SORT_RQL: [u64; 8] = [256, 0, 256, 0, 0, 256, 3364, 0];
+
+/// Example 7 (greedy matching), the γ-heavy workload: the shipped
+/// `programs/matching.dl` and a fixed-seed 64-node, 256-arc instance.
+/// The two choice FDs reject most popped arcs, so this pins the
+/// discard path of the retrieve-least loop alongside the heap traffic.
+#[test]
+fn matching_counters_are_golden() {
+    let shipped = fs::read_to_string(goldens_dir().join("../../programs/matching.dl"))
+        .expect("shipped matching program");
+    let compiled = gbc_core::compile(gbc_parser::parse_program(&shipped).unwrap()).unwrap();
+    let tel = Telemetry::enabled();
+    let run =
+        compiled.run_greedy_telemetry(&Database::new(), GreedyConfig::default(), &tel).unwrap();
+    assert_rql_counters(&run.snapshot, GOLDEN_MATCHING_SHIPPED_RQL);
+
+    let g = workload::random_arcs(64, 256, 42);
+    let tel = Telemetry::enabled();
+    let run = gbc_greedy::matching::compiled()
+        .run_greedy_telemetry(&g.to_edb(), GreedyConfig::default(), &tel)
+        .unwrap();
+    assert_rql_counters(&run.snapshot, GOLDEN_MATCHING_RQL);
+}
+
+const GOLDEN_MATCHING_SHIPPED_RQL: [u64; 8] = [6, 0, 6, 0, 0, 6, 14, 2];
+
+const GOLDEN_MATCHING_RQL: [u64; 8] = [256, 0, 256, 0, 0, 256, 3364, 204];
 
 /// The sort workload's choice audit, pinned: with the event journal
 /// attached, the greedy executor reports exactly one `choice_audit`
