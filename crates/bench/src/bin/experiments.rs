@@ -802,8 +802,7 @@ fn a2_seminaive(quick: bool) {
     use gbc_engine::eval::eval_rule_plain;
     use gbc_engine::seminaive::Seminaive;
     use gbc_storage::Database;
-    use gbc_telemetry::Metrics;
-    use std::sync::Arc;
+    use gbc_telemetry::Telemetry;
 
     fn tc_rules() -> Vec<gbc_ast::Rule> {
         gbc_parser::parse_program(
@@ -856,17 +855,17 @@ fn a2_seminaive(quick: bool) {
         });
         // One dedicated instrumented run for the counter column, so the
         // harness repetitions don't inflate it.
-        let metrics = Arc::new(Metrics::new());
+        let tel = Telemetry::counters_only();
         {
             let mut db = chain_db(n);
             let mut sn = Seminaive::new(tc_rules());
-            sn.set_metrics(Arc::clone(&metrics));
+            sn.set_telemetry(tel.clone());
             sn.saturate(&mut db).unwrap();
         }
         assert_eq!(facts, naive_facts, "identical models");
         semi_s.push(Sample { size: n as u64, secs: t_semi.median_secs });
         naive_s.push(Sample { size: n as u64, secs: t_naive.median_secs });
-        let snap = metrics.snapshot();
+        let snap = tel.snapshot();
         rows.push(vec![
             n.to_string(),
             facts.to_string(),

@@ -28,17 +28,19 @@
 //!
 //! Observability:
 //!
-//! * `--stats` prints the counter registry and the phase-timer report
-//!   to stderr after the run;
+//! * `--stats` prints the counter registry and the phase tree to
+//!   stderr after the run;
 //! * `--trace` streams one line per γ event (stage commits, exit
 //!   commits, discards, flat rounds, rule firings, choice audits) to
 //!   stderr as it happens — the paper's tuple ↔ stage bijection made
 //!   visible;
 //! * `--profile` prints a per-rule profile (firings, tuples derived,
-//!   cumulative time, plan-cache hits), keyed back to `file:line`;
-//! * `--stats-json PATH` writes the full telemetry report (counters,
-//!   per-round delta history, phase timings, per-rule profile, and —
-//!   with `--trace` — the structured event journal) as JSON to `PATH`;
+//!   cumulative time, plan-cache hits), keyed back to `file:line`,
+//!   which accounts for all of the run time;
+//! * `--stats-json PATH` writes the stats report `GET /stats` serves
+//!   (counters, per-round delta history, phase timings, per-rule
+//!   profile, round latency, dictionary movement, and — with `--trace`
+//!   — the structured event journal) as JSON to `PATH`;
 //! * `--trace-json PATH` writes the event stream in Chrome trace-event
 //!   format (load in Perfetto / `chrome://tracing`);
 //! * `--journal-json PATH` writes the event stream as JSON-lines;
@@ -57,9 +59,7 @@ use gbc_core::{compile, verify_stable_model};
 use gbc_engine::enumerate::{all_choice_models_with, EnumerateConfig};
 use gbc_engine::{Chooser, DeterministicFirst, SeededRandom};
 use gbc_storage::{dict_stats, Database, DictStats, ProvenanceArena};
-use gbc_telemetry::{
-    ChromeTrace, JournalBuffer, Json, StderrTrace, TeeTrace, Telemetry, TraceSink,
-};
+use gbc_telemetry::{ChromeTrace, JournalBuffer, StderrTrace, TeeTrace, Telemetry, TraceSink};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -186,27 +186,17 @@ struct Observers {
 
 impl Options {
     /// Build the telemetry bundle the flags ask for. Counters are always
-    /// on; `--stats`/`--stats-json`/`--profile` additionally enable
-    /// phase timers and the per-round delta history; `--profile` turns
-    /// on the per-rule profiler; `--trace` attaches a stderr sink;
+    /// on; `--stats`/`--stats-json`/`--profile` additionally enable the
+    /// timing recorder (phases, per-rule profile, round histogram) and
+    /// the per-round delta history; `--trace` attaches a stderr sink;
     /// `--trace-json`/`--journal-json` (and `--trace --stats-json`)
     /// attach structured sinks, teed together when several are live.
     fn telemetry(&self) -> (Telemetry, Observers) {
-        let mut tel = if self.stats || self.stats_json.is_some() || self.profile {
+        let tel = if self.stats || self.stats_json.is_some() || self.profile {
             Telemetry::enabled()
         } else {
             Telemetry::counters_only()
         };
-        if self.profile {
-            tel = tel.with_profiler();
-        }
-        if self.stats_json.is_some() {
-            // Per-round latency histogram for the stats report's
-            // `latency` object. Kept out of `Telemetry::to_json` (its
-            // bucket counts are timing-dependent); embedded below in
-            // `report`, like the journal.
-            tel = tel.with_round_latency();
-        }
         let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
         if self.trace {
             sinks.push(Arc::new(StderrTrace));
@@ -256,46 +246,8 @@ impl Options {
             eprint!("{}", render_profile(tel, program, sm));
         }
         if let Some(path) = &self.stats_json {
-            let mut json = tel.to_json();
-            if let (Some(hist), Json::Obj(fields)) = (tel.round_latency(), &mut json) {
-                // The γ-step bucket split (feed / choose / commit) rides
-                // along so load reports can tell queue maintenance from
-                // choice resolution without re-parsing the phases array.
-                let gamma: Vec<(&str, Json)> = tel
-                    .phases
-                    .entries()
-                    .iter()
-                    .filter_map(|(name, secs, _count)| {
-                        let key = match name.strip_prefix("run/gamma/")? {
-                            "feed" => "feed_secs",
-                            "choose" => "choose_secs",
-                            "commit" => "commit_secs",
-                            _ => return None,
-                        };
-                        Some((key, Json::Float(*secs)))
-                    })
-                    .collect();
-                let mut latency = vec![("rounds", hist.to_json())];
-                if !gamma.is_empty() {
-                    latency.push(("gamma", Json::obj(gamma)));
-                }
-                fields.push(("latency".to_owned(), Json::obj(latency)));
-            }
-            if let Json::Obj(fields) = &mut json {
-                let d = dict_stats().since(dict_base);
-                fields.push((
-                    "dictionary".to_owned(),
-                    Json::obj(vec![
-                        ("dict_entries", Json::UInt(d.dict_entries)),
-                        ("encode_hits", Json::UInt(d.encode_hits)),
-                        ("decode_calls", Json::UInt(d.decode_calls)),
-                    ]),
-                ));
-            }
-            if let (Some(journal), Json::Obj(fields)) = (&obs.journal, &mut json) {
-                fields.push(("journal".to_owned(), journal.to_json()));
-            }
-            let mut text = json.pretty();
+            let report = gbc_core::stats_report(tel, dict_base, obs.journal.as_deref());
+            let mut text = report.pretty();
             text.push('\n');
             std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         }
@@ -313,10 +265,11 @@ impl Options {
 
 /// The `--profile` table: one line per rule that was profiled, sorted
 /// by cumulative time, keyed back to the rule's source location, with a
-/// closing line comparing attributed time against the whole `run`
-/// phase.
+/// closing line comparing attributed time (rules plus overhead) against
+/// the whole `run` phase.
 fn render_profile(tel: &Telemetry, program: &Program, sm: &SourceMap) -> String {
-    let mut entries = tel.profiler.entries();
+    let (profile, phases) = (tel.phases.profile(), tel.phases.entries());
+    let mut entries = profile.entries();
     entries.sort_by(|a, b| b.1.nanos.cmp(&a.1.nanos).then(a.0.cmp(&b.0)));
     let mut out = String::new();
     out.push_str("per-rule profile:\n");
@@ -346,28 +299,20 @@ fn render_profile(tel: &Telemetry, program: &Program, sm: &SourceMap) -> String 
             p.plan_hits
         ));
     }
-    let gamma: Vec<(String, f64, u64)> = tel
-        .phases
-        .entries()
+    let gamma: Vec<_> = phases
         .iter()
-        .filter(|(name, _, _)| name.starts_with("run/gamma/"))
-        .map(|(name, secs, count)| (name.clone(), *secs, *count))
+        .filter_map(|(name, secs, count)| Some((name.strip_prefix("run/gamma/")?, secs, count)))
         .collect();
     if !gamma.is_empty() {
         out.push_str("  gamma buckets:\n");
-        for (name, secs, count) in gamma {
-            let bucket = name.strip_prefix("run/gamma/").unwrap_or(&name);
+        for (bucket, secs, count) in gamma {
             out.push_str(&format!("    {bucket:<7} {secs:>10.6}s x{count}\n"));
         }
     }
-    let attributed = tel.profiler.total_secs();
-    let run_secs =
-        tel.phases.entries().iter().find(|(name, _, _)| name == "run").map(|(_, secs, _)| *secs);
-    match run_secs {
-        Some(total) if total > 0.0 => out.push_str(&format!(
-            "  attributed {:.6}s of {:.6}s run time ({:.1}%)\n",
-            attributed,
-            total,
+    let attributed = profile.total_secs();
+    match phases.iter().find(|(name, _, _)| name == "run") {
+        Some((_, total, _)) if *total > 0.0 => out.push_str(&format!(
+            "  attributed {attributed:.6}s of {total:.6}s run time ({:.1}%)\n",
             100.0 * attributed / total
         )),
         _ => out.push_str(&format!("  attributed {attributed:.6}s\n")),

@@ -42,7 +42,7 @@ use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
 use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
-use gbc_telemetry::{DiscardReason, Snapshot, Telemetry, TraceEvent};
+use gbc_telemetry::{DiscardReason, Recorder, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
 use crate::error::CoreError;
@@ -621,62 +621,47 @@ impl GreedyExecutor {
             stats: GreedyStats::default(),
             tel: Telemetry::default(),
         };
-        ex.attach_telemetry();
+        ex.set_telemetry(ex.tel.clone());
         ex
     }
 
-    /// Swap in a telemetry handle (counters, phase timers, trace sink)
-    /// and wire its counter registry into every layer: the database's
-    /// index caches, the seminaive saturator, and each rule's `Q_r`.
+    /// Swap in a telemetry handle (counters, timing recorder, trace sink)
+    /// and wire it into every layer: the database's index caches, the
+    /// seminaive saturator, and each rule's `Q_r`.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.tel = tel;
-        self.attach_telemetry();
-    }
-
-    fn attach_telemetry(&mut self) {
-        let m = Arc::clone(&self.tel.metrics);
-        self.db.set_metrics(Arc::clone(&m));
-        self.flat.set_metrics(Arc::clone(&m));
-        self.flat.set_trace(self.tel.trace.clone());
-        self.flat
-            .set_profiler(self.tel.profiler.is_enabled().then(|| Arc::clone(&self.tel.profiler)));
+        self.db.set_metrics(Arc::clone(&tel.metrics));
+        self.flat.set_telemetry(tel.clone());
         for ns in &mut self.nexts {
-            ns.rql.set_metrics(Arc::clone(&m));
+            ns.rql.set_metrics(Arc::clone(&tel.metrics));
         }
+        self.tel = tel;
     }
 
-    /// Run to fixpoint.
-    pub fn run(mut self) -> Result<GreedyRun, CoreError> {
-        let tel = self.tel.clone();
-        let mut laps = Laps::start(&tel);
-        // Per-round latency, recorded only when the handle asked for it
-        // (`--stats-json`). A "round" is one full trip around this loop:
-        // saturation plus the γ (or exit) decision it enables.
-        let rounds_on = tel.rounds.is_some();
+    /// Run to fixpoint. A round — saturation plus the γ or exit
+    /// decision it enables — is timed as `run/flat`, `run/exit` and
+    /// `run/gamma/{feed,choose,commit}`; loop bookkeeping, the closing
+    /// snapshot and teardown as `run/other`.
+    pub fn run(self) -> Result<GreedyRun, CoreError> {
+        let rec = Arc::clone(&self.tel.phases);
+        rec.time("run/other", || self.rounds(&rec))
+    }
+
+    fn rounds(mut self, rec: &Recorder) -> Result<GreedyRun, CoreError> {
         let mut flat_round: u64 = 0;
         loop {
-            let t_round = rounds_on.then(std::time::Instant::now);
-            laps.lap(&[]);
+            rec.enter("run/flat");
             let new_facts = self.flat.saturate(&mut self.db)?;
-            laps.lap(&["run/flat"]);
             self.stats.flat_new_facts += new_facts;
             flat_round += 1;
-            tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
-            laps.lap(&[]);
-            let exited = self.fire_exit_rule()?;
-            laps.lap(&["run/exit"]);
-            if exited {
-                if let Some(t0) = t_round {
-                    tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
-                }
+            self.tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
+            rec.enter("run/exit");
+            if self.fire_exit_rule()? {
+                rec.end_round();
                 continue;
             }
+            rec.enter("run/gamma/feed");
             self.feed_all()?;
-            // The γ phase splits into feed/choose/commit buckets; the
-            // parent accumulates the same boundary intervals so it is
-            // first-used before any child and owns the loop overhead the
-            // children don't see.
-            laps.lap(&["run/gamma", "run/gamma/feed"]);
+            rec.enter("run/gamma/choose");
             let mut fired = false;
             for i in 0..self.nexts.len() {
                 if self.fire_next_rule(i)? {
@@ -684,10 +669,7 @@ impl GreedyExecutor {
                     break;
                 }
             }
-            laps.lap(&["run/gamma"]);
-            if let Some(t0) = t_round {
-                tel.record_round_nanos(t0.elapsed().as_nanos() as u64);
-            }
+            rec.end_round();
             if !fired {
                 break;
             }
@@ -695,8 +677,10 @@ impl GreedyExecutor {
                 return Err(CoreError::StepLimit { steps: self.stats.gamma_steps });
             }
         }
-        laps.lap(&[]);
+        rec.enter("run/other");
         let snapshot = self.tel.metrics.snapshot();
+        // The rest of the executor is dropped on return, inside the
+        // `run/other` phase.
         Ok(GreedyRun { db: self.db, chosen: self.chosen, stats: self.stats, snapshot, pool: None })
     }
 
@@ -720,13 +704,12 @@ impl GreedyExecutor {
             if exit_stale[ei] == Some(body_size) {
                 continue;
             }
-            let t0 = tel.profiler.start();
             let cached = exit_plans.is_cached(ei);
             let plan = exit_plans
                 .get_or_compile(ei, rule, Some(&*tel.metrics))
                 .map_err(CoreError::Engine)?;
             if cached {
-                tel.profiler.record_plan_hit(*ri);
+                tel.phases.plan_hit(*ri);
             }
             let frames = collect_matches_plan(db, rule, &plan, None)?;
             let considered = frames.len() as u64;
@@ -783,7 +766,7 @@ impl GreedyExecutor {
             }
             let Some((head, args, b)) = best else {
                 exit_stale[ei] = Some(body_size);
-                tel.profiler.finish(t0, *ri, 0, 0);
+                tel.phases.charge(*ri, 0, 0);
                 continue;
             };
             let pairs = commit_goal_pairs(rule, &b, memos)?;
@@ -801,7 +784,7 @@ impl GreedyExecutor {
             chosen.push(ChosenRecord { rule_idx: *ri, pairs, chosen_args: args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
-            tel.profiler.finish(t0, *ri, 1, 1);
+            tel.phases.charge(*ri, 1, 1);
             return Ok(true);
         }
         Ok(false)
@@ -821,7 +804,6 @@ impl GreedyExecutor {
         let GreedyExecutor { nexts, db, stats, tel, nil_cost, .. } = self;
         let nil_cost = *nil_cost;
         let ns = &mut nexts[i];
-        let t0 = tel.profiler.start();
         let plan = &ns.plan;
 
         // Track the head relation's max stage (exit rules seed it), and
@@ -863,7 +845,7 @@ impl GreedyExecutor {
         }
         ns.rql.flush_metrics();
         stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-        tel.profiler.finish(t0, ns.plan.rule_idx, 0, 0);
+        tel.phases.charge(ns.plan.rule_idx, 0, 0);
         Ok(())
     }
 
@@ -892,12 +874,10 @@ impl GreedyExecutor {
             });
         }
         let next_stage = stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
-        let t0 = tel.profiler.start();
         // γ bucket accounting: everything up to a commit decision is
-        // "choose" (pops, re-checks, FD tests, discards); the committed
-        // candidate's bookkeeping is "commit". Both nest under the
-        // `run/gamma` parent charged by the run loop.
-        let t_phase = tel.phases.is_enabled().then(std::time::Instant::now);
+        // "choose" (pops, re-checks, FD tests, discards), which the run
+        // loop entered; the committed candidate's bookkeeping is
+        // "commit". Both intervals are charged to this rule.
 
         let mut stage_id = None;
         let mut pops: u64 = 0;
@@ -1006,11 +986,8 @@ impl GreedyExecutor {
             }
 
             // Commit.
-            let t_commit = t_phase.map(|t| {
-                let now = std::time::Instant::now();
-                tel.phases.add("run/gamma/choose", now - t);
-                now
-            });
+            tel.phases.charge(plan.rule_idx, 0, 0);
+            tel.phases.enter("run/gamma/commit");
             w_used.insert(scratch.w.clone());
             let pairs = commit_goal_pairs(&plan.expanded, b, memos)?;
             let chosen_args = eval_vars(&plan.expanded, &plan.chosen_vars, b)?;
@@ -1049,16 +1026,10 @@ impl GreedyExecutor {
             chosen.push(ChosenRecord { rule_idx: plan.rule_idx, pairs, chosen_args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
-            tel.profiler.finish(t0, plan.rule_idx, 1, 1);
-            if let Some(t) = t_commit {
-                tel.phases.add("run/gamma/commit", t.elapsed());
-            }
+            tel.phases.charge(plan.rule_idx, 1, 1);
             return Ok(true);
         }
         rql.flush_metrics();
-        if let Some(t) = t_phase {
-            tel.phases.add("run/gamma/choose", t.elapsed());
-        }
         if pops > 0 {
             tel.trace_with(|| TraceEvent::ChoiceAudit {
                 rule: plan.rule_idx,
@@ -1067,49 +1038,8 @@ impl GreedyExecutor {
                 rejected,
             });
         }
-        tel.profiler.finish(t0, plan.rule_idx, 0, 0);
+        tel.phases.charge(plan.rule_idx, 0, 0);
         Ok(false)
-    }
-}
-
-/// The run loop's chained clock. Each [`Laps::lap`] reads the clock
-/// once and closes the interval since the previous boundary: the
-/// interval is charged to the given phases, and whatever share of it no
-/// profiler row claimed (phase accumulation, clock reads, the exit
-/// rules' staleness checks) goes to the profiler's overhead bucket, so
-/// `--profile` accounts for the whole loop. A handle with neither
-/// phases nor profiler never reads the clock.
-struct Laps<'a> {
-    tel: &'a Telemetry,
-    last: Option<std::time::Instant>,
-    /// The profiler's charged total at `last`.
-    charged: u64,
-}
-
-impl Laps<'_> {
-    fn start(tel: &Telemetry) -> Laps<'_> {
-        let clocked = tel.phases.is_enabled() || tel.profiler.is_enabled();
-        Laps {
-            tel,
-            last: clocked.then(std::time::Instant::now),
-            charged: tel.profiler.charged_nanos(),
-        }
-    }
-
-    fn lap(&mut self, phases: &[&str]) {
-        let Some(t0) = self.last else { return };
-        let t = std::time::Instant::now();
-        let span = t - t0;
-        for phase in phases {
-            self.tel.phases.add(phase, span);
-        }
-        if self.tel.profiler.is_enabled() {
-            let claimed = self.tel.profiler.charged_nanos() - self.charged;
-            let gap = (span.as_nanos() as u64).saturating_sub(claimed);
-            self.tel.profiler.add_overhead(std::time::Duration::from_nanos(gap));
-            self.charged += claimed + gap;
-        }
-        self.last = Some(t);
     }
 }
 

@@ -58,8 +58,8 @@ pub use verify::verify_stable_model;
 
 use gbc_ast::Program;
 use gbc_engine::{ChoiceFixpoint, Chooser, DeterministicFirst};
-use gbc_storage::Database;
-use gbc_telemetry::Telemetry;
+use gbc_storage::{dict_stats, Database, DictStats};
+use gbc_telemetry::{JournalBuffer, Json, Telemetry};
 
 /// A compiled program: validated, analysed, `next`-expanded, and — when
 /// it is stage-stratified and its next rules fit the Section 6 template
@@ -143,9 +143,9 @@ impl Compiled {
     }
 
     /// [`Compiled::run_greedy_with`] under an explicit [`Telemetry`]
-    /// handle: counters, phase timers and the trace sink are threaded
-    /// through every executor layer. The whole executor run is charged
-    /// to the `run` phase (its internals appear as `run/...` children).
+    /// handle: counters, the timing recorder and the trace sink are
+    /// threaded through every executor layer. The executor run is timed
+    /// as the `run/...` phases, whose sum is the `run` phase.
     pub fn run_greedy_telemetry(
         &self,
         edb: &Database,
@@ -163,7 +163,7 @@ impl Compiled {
             config,
         );
         ex.set_telemetry(tel.clone());
-        tel.phases.time("run", || ex.run())
+        ex.run()
     }
 
     /// Run with the generic Choice Fixpoint (`gbc-engine`) on the
@@ -184,7 +184,7 @@ impl Compiled {
     ) -> Result<GreedyRun, CoreError> {
         let mut fixpoint = ChoiceFixpoint::new(&self.expanded, edb)?;
         fixpoint.set_telemetry(tel.clone());
-        tel.phases.time("run", || fixpoint.run(chooser).map(|_| ()))?;
+        fixpoint.run(chooser)?;
         let chosen = verify::records_from_engine(&fixpoint, &self.expanded);
         let steps = fixpoint.gamma_steps();
         Ok(GreedyRun {
@@ -214,4 +214,26 @@ impl Compiled {
             self.run_generic_telemetry(edb, tel, &mut DeterministicFirst)
         }
     }
+}
+
+/// The stats report `--stats-json` writes and `GET /stats` serves:
+/// [`Telemetry::to_json`], the `dictionary` counters moved since `base`
+/// (the dictionary is process-global, so callers snapshot it when their
+/// command or request starts), and the journal if recorded.
+pub fn stats_report(tel: &Telemetry, base: &DictStats, journal: Option<&JournalBuffer>) -> Json {
+    let mut report = tel.to_json();
+    let Json::Obj(fields) = &mut report else { unreachable!("the telemetry report is an object") };
+    let d = dict_stats().since(base);
+    fields.push((
+        "dictionary".to_owned(),
+        Json::obj(vec![
+            ("dict_entries", Json::UInt(d.dict_entries)),
+            ("encode_hits", Json::UInt(d.encode_hits)),
+            ("decode_calls", Json::UInt(d.decode_calls)),
+        ]),
+    ));
+    if let Some(journal) = journal {
+        fields.push(("journal".to_owned(), journal.to_json()));
+    }
+    report
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use gbc_ast::{Literal, Program, Rule, Symbol, Term, Value};
 use gbc_storage::{Database, Row};
-use gbc_telemetry::{Metrics, Telemetry, TraceEvent};
+use gbc_telemetry::{Telemetry, TraceEvent};
 
 use crate::bindings::Bindings;
 use crate::chooser::Chooser;
@@ -125,8 +125,8 @@ pub struct ChoiceFixpoint {
     steps: u64,
     /// Log of fired candidates, in firing order.
     committed: Vec<Candidate>,
-    /// Instrumentation bundle: counters (γ steps), optional trace sink
-    /// (audit events) and optional per-rule profiler. Forwarded to the
+    /// Instrumentation bundle: counters (γ steps), the timing recorder
+    /// and the optional trace sink (audit events). Forwarded to the
     /// database and the flat-rule saturator on attach.
     tel: Telemetry,
 }
@@ -200,22 +200,11 @@ impl ChoiceFixpoint {
         })
     }
 
-    /// Attach a counter registry: γ commits, seminaive deltas, and
-    /// index traffic of the evolving database all report to it.
-    pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
-        self.db.set_metrics(Arc::clone(&metrics));
-        self.flat.set_metrics(Arc::clone(&metrics));
-        self.tel.metrics = metrics;
-    }
-
-    /// Attach a full instrumentation bundle: counters, and — when
-    /// present — the trace sink (audit + rule-fired events) and the
-    /// per-rule profiler, forwarded to the flat-rule saturator.
+    /// Attach an instrumentation bundle, forwarded to the database (index
+    /// traffic) and the flat-rule saturator.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.db.set_metrics(Arc::clone(&tel.metrics));
-        self.flat.set_metrics(Arc::clone(&tel.metrics));
-        self.flat.set_trace(tel.trace.clone());
-        self.flat.set_profiler(tel.profiler.is_enabled().then(|| Arc::clone(&tel.profiler)));
+        self.flat.set_telemetry(tel.clone());
         self.tel = tel;
     }
 
@@ -264,9 +253,8 @@ impl ChoiceFixpoint {
         let mut out = Vec::new();
         for (ri, rule) in self.choice_rules.iter().enumerate() {
             let rule_id = self.choice_rule_ids[ri];
-            let t0 = self.tel.profiler.start();
             self.tel.metrics.plan_cache_hits.inc();
-            self.tel.profiler.record_plan_hit(rule_id);
+            self.tel.phases.plan_hit(rule_id);
             let frames = collect_matches_plan(&self.db, rule, &self.choice_plans[ri], None)?;
             let considered = frames.len() as u64;
             self.tel.metrics.choice_candidates_considered.add(considered);
@@ -312,7 +300,7 @@ impl ChoiceFixpoint {
                     out.push(cand);
                 }
             }
-            self.tel.profiler.finish(t0, rule_id, 0, 0);
+            self.tel.phases.charge(rule_id, 0, 0);
         }
         out.sort();
         out.dedup();
@@ -322,7 +310,6 @@ impl ChoiceFixpoint {
     /// Fire one candidate: insert its head and commit its FD pairs.
     pub fn commit(&mut self, cand: &Candidate) {
         let rule_id = self.choice_rule_ids[cand.rule];
-        let t0 = self.tel.profiler.start();
         if let Some(arena) = self.db.provenance().cloned() {
             arena.advance_step();
             arena.record_derivation(
@@ -345,7 +332,7 @@ impl ChoiceFixpoint {
         self.committed.push(cand.clone());
         self.steps += 1;
         self.tel.metrics.gamma_steps.inc();
-        self.tel.profiler.finish(t0, rule_id, 1, 1);
+        self.tel.phases.charge(rule_id, 1, 1);
     }
 
     /// The fired candidates, in order. Index [`Candidate::rule`] refers
@@ -360,20 +347,29 @@ impl ChoiceFixpoint {
         &self.choice_rules
     }
 
-    /// Run the fixpoint to completion under `chooser`.
+    /// Run the fixpoint to completion under `chooser`. A round is timed
+    /// as `run/flat` (`Q^∞`), `run/gamma/choose` (the candidate set)
+    /// and `run/gamma/commit` (the fired candidate).
     pub fn run(&mut self, chooser: &mut dyn Chooser) -> Result<&Database, EngineError> {
-        loop {
+        let rec = Arc::clone(&self.tel.phases);
+        rec.time("run/other", || loop {
+            rec.enter("run/flat");
             self.saturate_flat()?;
+            rec.enter("run/gamma/choose");
             let cands = self.candidates()?;
             if cands.is_empty() {
-                return Ok(&self.db);
+                rec.end_round();
+                return Ok(());
             }
             if self.steps >= self.config.max_gamma_steps {
                 return Err(EngineError::StepLimit { steps: self.steps });
             }
             let pick = chooser.pick(cands.len());
+            rec.enter("run/gamma/commit");
             self.commit(&cands[pick]);
-        }
+            rec.end_round();
+        })?;
+        Ok(&self.db)
     }
 
     fn eval_tuple(

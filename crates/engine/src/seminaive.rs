@@ -13,12 +13,9 @@
 //! alternation (Section 2) pays only for work caused by the facts the
 //! latest γ step introduced.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use gbc_ast::{Literal, Rule, Symbol};
 use gbc_storage::{Database, FxHashMap, Row};
-use gbc_telemetry::{Metrics, RuleProfiler, TraceEvent, TraceSink};
+use gbc_telemetry::{Telemetry, TraceEvent};
 
 use crate::error::EngineError;
 use crate::eval::{instantiate_head, parent_rows, Focus};
@@ -29,11 +26,11 @@ use crate::plan::{for_each_match_plan, PlanCache, RulePlan};
 type ParentSets = Vec<Vec<(Symbol, Row)>>;
 
 /// Persistent seminaive driver. See the module docs.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Seminaive {
     rules: Vec<Rule>,
     /// Original-program rule index per driven rule — the id reported
-    /// to provenance, the profiler and `rule_fired` trace events.
+    /// to provenance, the profile and `rule_fired` trace events.
     /// Defaults to the identity (driven rules ARE the program).
     rule_ids: Vec<usize>,
     /// Compiled join plans, one slot per rule, filled on first use and
@@ -46,22 +43,9 @@ pub struct Seminaive {
     marks: FxHashMap<Symbol, usize>,
     /// Rules already given their initial full evaluation.
     evaluated_once: Vec<bool>,
-    /// Per-round delta sizes report here when attached.
-    metrics: Option<Arc<Metrics>>,
-    /// `rule_fired` events go here when attached.
-    trace: Option<Arc<dyn TraceSink>>,
-    /// Per-rule timing reports here when attached.
-    profiler: Option<Arc<RuleProfiler>>,
-}
-
-impl std::fmt::Debug for Seminaive {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Seminaive")
-            .field("rules", &self.rules.len())
-            .field("marks", &self.marks)
-            .field("trace", &self.trace.is_some())
-            .finish()
-    }
+    /// Per-round delta sizes, per-rule time and `rule_fired` events
+    /// report here.
+    tel: Telemetry,
 }
 
 impl Seminaive {
@@ -85,17 +69,15 @@ impl Seminaive {
             preds,
             marks: FxHashMap::default(),
             evaluated_once: vec![false; n],
-            metrics: None,
-            trace: None,
-            profiler: None,
+            tel: Telemetry::counters_only(),
         }
     }
 
-    /// Attach a counter registry: each saturation round reports its
-    /// delta size (`record_delta`), feeding `tuples_derived`,
-    /// `flat_rounds` and the optional per-round history.
-    pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
-        self.metrics = Some(metrics);
+    /// Attach an instrumentation bundle: round delta sizes go to its
+    /// registry, rule evaluations to its recorder, `rule_fired` events
+    /// to its trace sink.
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
+        self.tel = tel;
     }
 
     /// Override the original-program rule index per driven rule. Owners
@@ -107,16 +89,6 @@ impl Seminaive {
         self.rule_ids = ids;
     }
 
-    /// Attach (or detach) a trace sink for `rule_fired` events.
-    pub fn set_trace(&mut self, trace: Option<Arc<dyn TraceSink>>) {
-        self.trace = trace;
-    }
-
-    /// Attach (or detach) a per-rule profiler.
-    pub fn set_profiler(&mut self, profiler: Option<Arc<RuleProfiler>>) {
-        self.profiler = profiler;
-    }
-
     /// The rules driven by this instance.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
@@ -124,49 +96,29 @@ impl Seminaive {
 
     /// Run rounds until fixpoint. Returns the number of new facts.
     pub fn saturate(&mut self, db: &mut Database) -> Result<u64, EngineError> {
-        let Seminaive {
-            rules,
-            rule_ids,
-            plans,
-            preds,
-            marks,
-            evaluated_once,
-            metrics,
-            trace,
-            profiler,
-        } = self;
+        let Seminaive { rules, rule_ids, plans, preds, marks, evaluated_once, tel } = self;
+        let rec = &*tel.phases;
         // Owned handle: recording happens while `db` is mutably
         // borrowed by the insert loop.
         let prov = db.provenance().cloned();
         let want_prov = prov.is_some();
         let mut total: u64 = 0;
         loop {
-            // The round runs on a *chained* clock: one `Instant::now`
-            // per boundary, with every interval charged either to the
-            // rule that just evaluated or to the profiler's overhead
-            // bucket (round snapshots, mark advances). Chaining — as
-            // opposed to independent start/stop pairs per rule — leaves
-            // no gap between intervals, so the clock reads themselves
-            // cannot leak unattributed time.
-            let mut t_prev = profiler.as_ref().and_then(|p| p.start());
+            // The recorder's clock is chained: the round snapshot (and
+            // the previous round's mark advance) is charged to the
+            // overhead bucket, each rule evaluation to its rule.
             let start_lens: Vec<(Symbol, usize)> =
                 preds.iter().map(|&p| (p, db.count(p))).collect();
-            if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
-                let t = Instant::now();
-                p.add_overhead(t - t0);
-                t_prev = Some(t);
-            }
+            rec.overhead();
 
             let mut new_facts: u64 = 0;
             for (ri, rule) in rules.iter().enumerate() {
                 let head = rule.head.pred;
                 let rule_id = rule_ids[ri];
                 let cached = plans.is_cached(ri);
-                let plan = plans.get_or_compile(ri, rule, metrics.as_deref())?;
+                let plan = plans.get_or_compile(ri, rule, Some(&tel.metrics))?;
                 if cached {
-                    if let Some(p) = profiler {
-                        p.record_plan_hit(rule_id);
-                    }
+                    rec.plan_hit(rule_id);
                 }
                 // `parents` stays index-aligned with `derived`; it is
                 // only filled when an arena is attached.
@@ -178,11 +130,7 @@ impl Seminaive {
                             .positive_atoms()
                             .any(|a| marks.get(&a.pred).copied().unwrap_or(0) < db.count(a.pred));
                     if !grown {
-                        if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
-                            let t = Instant::now();
-                            p.record(rule_id, 0, 0, t - t0);
-                            t_prev = Some(t);
-                        }
+                        rec.charge(rule_id, 0, 0);
                         continue;
                     }
                     eval_extrema_full(db, rule, &plan, want_prov, &mut parents)?
@@ -231,19 +179,13 @@ impl Seminaive {
                 }
                 new_facts += inserted;
                 if inserted > 0 {
-                    if let Some(t) = trace {
-                        t.event(&TraceEvent::RuleFired {
-                            rule: rule_id,
-                            pred: head.to_string(),
-                            new_facts: inserted,
-                        });
-                    }
+                    tel.trace_with(|| TraceEvent::RuleFired {
+                        rule: rule_id,
+                        pred: head.to_string(),
+                        new_facts: inserted,
+                    });
                 }
-                if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
-                    let t = Instant::now();
-                    p.record(rule_id, 1, inserted, t - t0);
-                    t_prev = Some(t);
-                }
+                rec.charge(rule_id, 1, inserted);
             }
 
             // Advance marks to the round-start snapshot.
@@ -252,12 +194,7 @@ impl Seminaive {
                 *m = (*m).max(len);
             }
 
-            if let Some(m) = metrics {
-                m.record_delta(new_facts);
-            }
-            if let (Some(p), Some(t0)) = (profiler.as_ref(), t_prev) {
-                p.add_overhead(t0.elapsed());
-            }
+            tel.metrics.record_delta(new_facts);
             total += new_facts;
             if new_facts == 0 {
                 return Ok(total);

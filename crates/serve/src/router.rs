@@ -4,7 +4,7 @@
 //! |--------|-------------|------------------------------|--------|
 //! | GET    | `/healthz`  | —                            | liveness JSON |
 //! | GET    | `/metrics`  | —                            | Prometheus text |
-//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v4 stats JSON |
+//! | GET    | `/stats`    | `?session=NAME` (optional)   | schema-v5 stats JSON |
 //! | GET    | `/journal`  | `?session=NAME`              | choice-audit JSON-lines |
 //! | GET    | `/programs` | —                            | loaded-session table |
 //! | POST   | `/load`     | `{"name", "program"}`        | compile summary |
@@ -221,7 +221,7 @@ fn run(state: &ServerState, req: &Request) -> Response {
     };
 
     let dict_base = dict_stats();
-    let mut tel = Telemetry::enabled().with_round_latency();
+    let mut tel = Telemetry::enabled();
     let buffer = if journal {
         let b = Arc::new(JournalBuffer::new());
         // Publish the buffer *before* the run so `GET /journal` can
@@ -243,33 +243,13 @@ fn run(state: &ServerState, req: &Request) -> Response {
 
     // Feed the metrics plane: per-γ-round latencies merge into the
     // process-lifetime histogram; the run counter ticks once.
-    if let Some(rounds) = tel.round_latency() {
-        state.metrics.gamma_rounds.merge(&rounds);
-    }
+    state.metrics.gamma_rounds.merge(&tel.phases.rounds());
     state.metrics.runs.inc();
     session.runs.fetch_add(1, Ordering::Relaxed);
 
-    // Assemble the schema-v4 stats report — same shape `gbc run
-    // --stats-json` writes (counters + phases + latency + dictionary,
-    // plus the journal when recorded) — and pin it to the session.
-    let mut stats = tel.to_json();
-    if let (Some(hist), Json::Obj(fields)) = (tel.round_latency(), &mut stats) {
-        fields.push(("latency".to_owned(), Json::obj(vec![("rounds", hist.to_json())])));
-    }
-    if let Json::Obj(fields) = &mut stats {
-        let d = dict_stats().since(&dict_base);
-        fields.push((
-            "dictionary".to_owned(),
-            Json::obj(vec![
-                ("dict_entries", Json::UInt(d.dict_entries)),
-                ("encode_hits", Json::UInt(d.encode_hits)),
-                ("decode_calls", Json::UInt(d.decode_calls)),
-            ]),
-        ));
-    }
-    if let (Some(journal), Json::Obj(fields)) = (&buffer, &mut stats) {
-        fields.push(("journal".to_owned(), journal.to_json()));
-    }
+    // Pin the stats report to the session: the same builder, hence the
+    // same shape, as `gbc run --stats-json`.
+    let stats = gbc_core::stats_report(&tel, &dict_base, buffer.as_deref());
     *session.last_stats.write().expect("stats cell") = Some(stats);
 
     let body = Json::obj(vec![

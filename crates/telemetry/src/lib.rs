@@ -5,17 +5,18 @@
 //! * [`metrics`] — monotonic counters (tuples derived, heap operations,
 //!   index builds/probes, γ steps, diffChoice rejections, …) behind
 //!   relaxed atomics, always compiled and cheap enough to leave on;
-//! * [`span`] — `Instant`-based phase timers with a hierarchical
-//!   report (flat-rule saturation, γ choice, per-stage totals);
+//! * [`span`] — the timing recorder: hierarchical phase timers, the
+//!   per-rule profile and the γ-round latency histogram, all charged
+//!   from one chained clock, so they agree with each other and add up
+//!   to the wall clock of the phases they cover;
 //! * [`trace`] — a [`trace::TraceSink`] trait with a human-readable
 //!   one-line-per-event mode mirroring the paper's tuple ↔ stage
 //!   bijection (Section 3), plus a structured JSON form per event;
 //! * [`journal`] — structured sinks over the same event stream: an
 //!   in-memory JSON journal (embeddable in `--stats-json`, exportable
 //!   as JSON-lines) and a Chrome trace-event writer for Perfetto;
-//! * [`profiler`] — a per-rule wall-clock profiler (firings, tuples,
-//!   cumulative time, plan-cache hits) behind the same zero-cost-when-
-//!   disabled discipline as the phase timers;
+//! * [`profiler`] — the recorder's per-rule rows (firings, tuples,
+//!   charged time, plan-cache hits) and overhead bucket;
 //! * [`json`] — a hand-rolled JSON value writer (no serde) for
 //!   `--stats-json` trajectories;
 //! * [`rng`] — a seeded SplitMix64 / xoshiro256** PRNG replacing the
@@ -27,8 +28,8 @@
 //! bottom of the dependency stack.
 //!
 //! The one-stop handle is [`Telemetry`]: a cheap, clonable bundle of a
-//! shared [`metrics::Metrics`] registry, a [`span::Phases`] timer, and
-//! an optional trace sink, passed down through `exec`/`eval`.
+//! shared [`metrics::Metrics`] registry, a [`span::Recorder`], and an
+//! optional trace sink, passed down through `exec`/`eval`.
 
 pub mod hist;
 pub mod journal;
@@ -40,16 +41,16 @@ pub mod rng;
 pub mod span;
 pub mod trace;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub use hist::Histogram;
 pub use journal::{ChromeTrace, JournalBuffer, TeeTrace};
 pub use json::Json;
 pub use metrics::{Counter, MaxGauge, Metrics, Snapshot};
-pub use profiler::{RuleProf, RuleProfiler};
+pub use profiler::{Profile, RuleProf};
 pub use registry::{Gauge, MetricsRegistry, SharedHist};
 pub use rng::{Rng, SplitMix64};
-pub use span::Phases;
+pub use span::Recorder;
 pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 
 /// Version of the `--stats-json` payload schema ([`Telemetry::to_json`]).
@@ -60,12 +61,13 @@ pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 /// inserts; v4 dropped `latency.threads` and the profile's
 /// `workers`/`merge_secs` fields with the intra-evaluation worker pool;
 /// v5 dropped the row-clone counter, which only the removed
-/// value-keyed relation probe incremented.
+/// value-keyed relation probe incremented. Since v5, every timed
+/// report carries `profile` and `latency` (additive).
 pub const STATS_SCHEMA_VERSION: u64 = 5;
 
 /// The instrumentation bundle threaded through the executors.
 ///
-/// Clones share state: counters, phase accumulators and the trace sink
+/// Clones share state: counters, the timing recorder and the trace sink
 /// all live behind `Arc`s, so a run can hand the same `Telemetry` to
 /// the storage layer, the seminaive driver and the γ loop and read one
 /// coherent picture at the end.
@@ -73,39 +75,29 @@ pub const STATS_SCHEMA_VERSION: u64 = 5;
 pub struct Telemetry {
     /// The counter registry. Always counting (relaxed atomics).
     pub metrics: Arc<Metrics>,
-    /// Phase timers. Disabled by default — `time` then runs the
-    /// closure without touching the clock.
-    pub phases: Arc<Phases>,
+    /// The timing recorder: phases, per-rule profile and γ-round
+    /// histogram. Disabled by default — it then reads no clock and
+    /// takes no lock.
+    pub phases: Arc<Recorder>,
     /// Trace sink, absent unless `--trace`-style observation is on.
     pub trace: Option<Arc<dyn TraceSink>>,
-    /// Per-rule profiler. Disabled by default — recording methods then
-    /// return without touching the clock or any lock.
-    pub profiler: Arc<RuleProfiler>,
-    /// Per-round wall-time latency histogram, absent unless requested.
-    /// Deliberately NOT part of [`Telemetry::to_json`]: bucket counts
-    /// are timing-dependent integers and would break the run-to-run
-    /// invariance of the stats report — the CLI embeds
-    /// the summary into `--stats-json` itself, like the journal.
-    pub rounds: Option<Arc<Mutex<Histogram>>>,
 }
 
 impl Telemetry {
-    /// Counters only: phases off, no trace. The default for untimed
+    /// Counters only: timing off, no trace. The default for untimed
     /// runs — counter increments are relaxed atomics, cheap enough to
     /// leave on everywhere.
     pub fn counters_only() -> Telemetry {
         Telemetry::default()
     }
 
-    /// Full observation: counters, per-iteration delta history and
-    /// phase timers on.
+    /// Full observation: counters with per-iteration delta history, and
+    /// the timing recorder (phases, per-rule profile, round histogram).
     pub fn enabled() -> Telemetry {
         Telemetry {
             metrics: Arc::new(Metrics::with_history()),
-            phases: Arc::new(Phases::enabled()),
+            phases: Arc::new(Recorder::enabled()),
             trace: None,
-            profiler: Arc::default(),
-            rounds: None,
         }
     }
 
@@ -115,29 +107,15 @@ impl Telemetry {
         self
     }
 
-    /// Turn on per-rule profiling.
-    pub fn with_profiler(mut self) -> Telemetry {
-        self.profiler = Arc::new(RuleProfiler::enabled());
+    /// No-op: [`Telemetry::enabled`] records the round histogram.
+    #[deprecated(note = "`Telemetry::enabled()` records round latency")]
+    pub fn with_round_latency(self) -> Telemetry {
         self
     }
 
-    /// Record per-γ-round wall-time latency into a histogram
-    /// (retrieved via [`Telemetry::round_latency`]).
-    pub fn with_round_latency(mut self) -> Telemetry {
-        self.rounds = Some(Arc::new(Mutex::new(Histogram::default())));
-        self
-    }
-
-    /// Record one γ-round duration, if round-latency tracking is on.
-    pub fn record_round_nanos(&self, nanos: u64) {
-        if let Some(cell) = &self.rounds {
-            cell.lock().unwrap().record(nanos);
-        }
-    }
-
-    /// Snapshot of the per-round latency histogram, when tracking is on.
+    /// Snapshot of the per-round latency histogram, when timing is on.
     pub fn round_latency(&self) -> Option<Histogram> {
-        self.rounds.as_ref().map(|cell| cell.lock().unwrap().clone())
+        self.phases.is_enabled().then(|| self.phases.rounds())
     }
 
     /// Emit a trace event. The closure only runs when a sink is
@@ -154,16 +132,33 @@ impl Telemetry {
         self.metrics.snapshot()
     }
 
-    /// The full report — counters plus phase timings, and the per-rule
-    /// profile when profiling is on — as JSON.
+    /// The report as JSON: counters and phase timings, plus — when
+    /// timing is on — the per-rule profile and the `latency` object
+    /// (the round histogram and the γ feed/choose/commit split).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("schema_version", Json::UInt(STATS_SCHEMA_VERSION)),
             ("counters", self.metrics.snapshot().to_json()),
             ("phases", self.phases.to_json()),
         ];
-        if self.profiler.is_enabled() {
-            fields.push(("profile", self.profiler.to_json()));
+        if self.phases.is_enabled() {
+            fields.push(("profile", self.phases.profile().to_json()));
+            let entries = self.phases.entries();
+            let gamma: Vec<(&str, Json)> = [
+                ("feed_secs", "run/gamma/feed"),
+                ("choose_secs", "run/gamma/choose"),
+                ("commit_secs", "run/gamma/commit"),
+            ]
+            .into_iter()
+            .filter_map(|(key, phase)| {
+                Some((key, Json::Float(entries.iter().find(|e| e.0 == phase)?.1)))
+            })
+            .collect();
+            let mut latency = vec![("rounds", self.phases.rounds().to_json())];
+            if !gamma.is_empty() {
+                latency.push(("gamma", Json::obj(gamma)));
+            }
+            fields.push(("latency", Json::obj(latency)));
         }
         Json::obj(fields)
     }
@@ -175,8 +170,6 @@ impl std::fmt::Debug for Telemetry {
             .field("metrics", &self.metrics.snapshot())
             .field("phases", &self.phases)
             .field("trace", &self.trace.is_some())
-            .field("profiler", &self.profiler.is_enabled())
-            .field("rounds", &self.rounds.is_some())
             .finish()
     }
 }
@@ -219,5 +212,8 @@ mod tests {
         let s = t.to_json().to_string();
         assert!(s.contains("\"counters\""));
         assert!(s.contains("\"phases\""));
+        assert!(s.contains("\"profile\"") && s.contains("\"latency\""));
+        let s = Telemetry::counters_only().to_json().to_string();
+        assert!(!s.contains("\"profile\"") && !s.contains("\"latency\""));
     }
 }

@@ -1,20 +1,13 @@
-//! Per-rule wall-clock profiling.
+//! The per-rule profile: one row per rule (firings, tuples derived,
+//! charged time, plan-cache hits) plus the overhead bucket.
 //!
-//! A [`RuleProfiler`] accumulates, per rule id, the number of firings,
-//! the tuples derived, the cumulative evaluation time, and the plan-
-//! cache hits. Rule ids are indices into the *original* program's rule
-//! list (the `next`-expansion is 1:1, so the same ids work on both
-//! sides); the CLI resolves them to `file:line` locations through the
-//! program's `RuleSpans` and the `SourceMap`.
-//!
-//! Like [`crate::span::Phases`], a disabled profiler (the default)
-//! never touches the clock: [`RuleProfiler::start`] returns `None`
-//! without an `Instant::now` call, and every recording method returns
-//! immediately, so the instrumentation is safe to leave in hot loops.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+//! A [`Profile`] is plain data filled by [`crate::span::Recorder`],
+//! whose chained clock charges every interval either to the rule that
+//! just ran or to the overhead bucket — so rows plus overhead account
+//! for exactly the time of the recorded phases. Rule ids are indices
+//! into the *original* program's rule list (the `next`-expansion is
+//! 1:1); the CLI resolves them to `file:line` through the program's
+//! `RuleSpans` and the `SourceMap`.
 
 use crate::json::Json;
 
@@ -38,217 +31,132 @@ impl RuleProf {
     }
 }
 
-/// The per-rule profile registry. Shared via `Arc`; methods take
-/// `&self`.
-#[derive(Debug, Default)]
-pub struct RuleProfiler {
-    enabled: bool,
+/// Per-rule rows and the overhead bucket.
+#[derive(Clone, Debug, Default)]
+pub struct Profile {
     /// Slot per rule id, grown on demand.
-    rules: Mutex<Vec<RuleProf>>,
-    /// Executor bookkeeping charged outside any single rule (seminaive
-    /// round snapshots, mark advances, delta accounting), in
-    /// nanoseconds — so the profile accounts for run time the per-rule
-    /// rows cannot claim.
-    overhead_nanos: AtomicU64,
+    rules: Vec<RuleProf>,
+    /// Time charged to no single rule (round snapshots, mark advances,
+    /// phase switches, loop bookkeeping), in nanoseconds.
+    overhead_nanos: u64,
 }
 
-impl RuleProfiler {
-    /// A disabled profiler: every method is a cheap no-op.
-    pub fn disabled() -> RuleProfiler {
-        RuleProfiler::default()
-    }
-
-    /// An enabled profiler.
-    pub fn enabled() -> RuleProfiler {
-        RuleProfiler { enabled: true, ..RuleProfiler::default() }
-    }
-
-    /// Is profiling on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Begin a timing interval. Returns `None` — without reading the
-    /// clock — when disabled; pair with [`RuleProfiler::finish`].
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Close an interval opened by [`RuleProfiler::start`], charging
-    /// the elapsed time (plus `firings`/`tuples`) to `rule`.
-    #[inline]
-    pub fn finish(&self, t0: Option<Instant>, rule: usize, firings: u64, tuples: u64) {
-        if let Some(t0) = t0 {
-            self.record(rule, firings, tuples, t0.elapsed());
+impl Profile {
+    fn row(&mut self, rule: usize) -> &mut RuleProf {
+        if self.rules.len() <= rule {
+            self.rules.resize(rule + 1, RuleProf::default());
         }
+        &mut self.rules[rule]
     }
 
-    /// Charge `dur` (plus `firings`/`tuples`) to `rule` directly.
-    pub fn record(&self, rule: usize, firings: u64, tuples: u64, dur: Duration) {
-        if !self.enabled {
-            return;
-        }
-        let mut rules = self.rules.lock().expect("profiler lock");
-        if rules.len() <= rule {
-            rules.resize(rule + 1, RuleProf::default());
-        }
-        let p = &mut rules[rule];
+    /// Charge `nanos` (plus `firings`/`tuples`) to `rule`.
+    pub fn charge(&mut self, rule: usize, firings: u64, tuples: u64, nanos: u64) {
+        let p = self.row(rule);
         p.firings += firings;
         p.tuples += tuples;
-        p.nanos += dur.as_nanos() as u64;
+        p.nanos += nanos;
+    }
+
+    /// Charge `nanos` to the overhead bucket.
+    pub fn charge_overhead(&mut self, nanos: u64) {
+        self.overhead_nanos += nanos;
     }
 
     /// Count one plan-cache hit for `rule`.
-    pub fn record_plan_hit(&self, rule: usize) {
-        if !self.enabled {
-            return;
-        }
-        let mut rules = self.rules.lock().expect("profiler lock");
-        if rules.len() <= rule {
-            rules.resize(rule + 1, RuleProf::default());
-        }
-        rules[rule].plan_hits += 1;
-    }
-
-    /// Close an interval opened by [`RuleProfiler::start`], charging
-    /// the elapsed time to the executor-overhead bucket instead of a
-    /// rule.
-    #[inline]
-    pub fn finish_overhead(&self, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.add_overhead(t0.elapsed());
-        }
-    }
-
-    /// Charge `dur` to the executor-overhead bucket directly.
-    #[inline]
-    pub fn add_overhead(&self, dur: Duration) {
-        if self.enabled {
-            self.overhead_nanos.fetch_add(dur.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Executor bookkeeping time charged outside any rule, in seconds.
-    pub fn overhead_secs(&self) -> f64 {
-        self.overhead_nanos.load(Ordering::Relaxed) as f64 / 1e9
+    pub fn plan_hit(&mut self, rule: usize) {
+        self.row(rule).plan_hits += 1;
     }
 
     /// `(rule_id, profile)` pairs for every rule with recorded
     /// activity, in rule-id order.
     pub fn entries(&self) -> Vec<(usize, RuleProf)> {
-        self.rules
-            .lock()
-            .expect("profiler lock")
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p != RuleProf::default())
-            .map(|(i, p)| (i, p.clone()))
-            .collect()
+        let active = self.rules.iter().enumerate().filter(|(_, p)| **p != RuleProf::default());
+        active.map(|(i, p)| (i, p.clone())).collect()
     }
 
-    /// Total charged time across all rules, in seconds — excluding the
-    /// executor-overhead bucket.
-    pub fn rules_secs(&self) -> f64 {
-        self.rules.lock().expect("profiler lock").iter().map(RuleProf::secs).sum()
-    }
-
-    /// Everything the profile accounts for: per-rule time plus the
-    /// executor-overhead bucket, in seconds.
+    /// Per-rule time plus the overhead bucket, in seconds.
     pub fn total_secs(&self) -> f64 {
-        self.charged_nanos() as f64 / 1e9
-    }
-
-    /// [`RuleProfiler::total_secs`] in nanoseconds: a caller that reads
-    /// it at both ends of an interval learns how much of the interval
-    /// the profile already accounts for.
-    pub fn charged_nanos(&self) -> u64 {
-        let rules: u64 = self.rules.lock().expect("profiler lock").iter().map(|p| p.nanos).sum();
-        rules + self.overhead_nanos.load(Ordering::Relaxed)
+        let rules: u64 = self.rules.iter().map(|p| p.nanos).sum();
+        (rules + self.overhead_nanos) as f64 / 1e9
     }
 
     /// `{rules: [{rule, firings, tuples, secs, plan_hits}, …],
     /// overhead_secs}`.
     pub fn to_json(&self) -> Json {
-        let rules = Json::Arr(
-            self.entries()
-                .into_iter()
-                .map(|(rule, p)| {
-                    Json::obj(vec![
-                        ("rule", Json::UInt(rule as u64)),
-                        ("firings", Json::UInt(p.firings)),
-                        ("tuples", Json::UInt(p.tuples)),
-                        ("secs", Json::Float(p.secs())),
-                        ("plan_hits", Json::UInt(p.plan_hits)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![("rules", rules), ("overhead_secs", Json::Float(self.overhead_secs()))])
+        let rules = self.entries().into_iter().map(|(rule, p)| {
+            Json::obj(vec![
+                ("rule", Json::UInt(rule as u64)),
+                ("firings", Json::UInt(p.firings)),
+                ("tuples", Json::UInt(p.tuples)),
+                ("secs", Json::Float(p.secs())),
+                ("plan_hits", Json::UInt(p.plan_hits)),
+            ])
+        });
+        let overhead = Json::Float(self.overhead_nanos as f64 / 1e9);
+        Json::obj(vec![("rules", Json::Arr(rules.collect())), ("overhead_secs", overhead)])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::Recorder;
 
     #[test]
     fn disabled_profiler_records_nothing() {
-        let p = RuleProfiler::disabled();
-        assert!(p.start().is_none(), "disabled start must not read the clock");
-        p.record(3, 1, 5, Duration::from_millis(1));
-        p.record_plan_hit(3);
-        assert!(p.entries().is_empty());
-        assert_eq!(p.total_secs(), 0.0);
+        let r = Recorder::default();
+        r.enter("run/flat");
+        r.charge(3, 1, 5);
+        r.plan_hit(3);
+        assert!(r.profile().entries().is_empty() && r.profile().total_secs() == 0.0);
     }
 
     #[test]
     fn enabled_profiler_accumulates_per_rule() {
-        let p = RuleProfiler::enabled();
-        p.record(2, 1, 10, Duration::from_millis(2));
-        p.record(2, 1, 5, Duration::from_millis(1));
-        p.record(0, 1, 0, Duration::from_millis(4));
-        p.record_plan_hit(2);
+        let mut p = Profile::default();
+        p.charge(2, 1, 10, 2_000_000);
+        p.charge(2, 1, 5, 1_000_000);
+        p.charge(0, 1, 0, 4_000_000);
+        p.plan_hit(2);
         let e = p.entries();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].0, 0);
-        assert_eq!(e[1].0, 2);
-        assert_eq!(e[1].1.firings, 2);
-        assert_eq!(e[1].1.tuples, 15);
-        assert_eq!(e[1].1.plan_hits, 1);
+        assert_eq!((e.len(), e[0].0, e[1].0), (2, 0, 2));
+        assert_eq!(e[1].1, RuleProf { firings: 2, tuples: 15, nanos: 3_000_000, plan_hits: 1 });
         assert!((p.total_secs() - 0.007).abs() < 1e-9);
     }
 
     #[test]
-    fn start_finish_charges_elapsed_time() {
-        let p = RuleProfiler::enabled();
-        let t0 = p.start();
-        assert!(t0.is_some());
-        p.finish(t0, 1, 1, 3);
-        let e = p.entries();
-        assert_eq!(e.len(), 1);
-        assert_eq!(e[0].1.firings, 1);
-        assert_eq!(e[0].1.tuples, 3);
+    fn chained_charge_bills_the_elapsed_interval() {
+        // With the clock stopped a charge records counts but no time.
+        let r = Recorder::enabled();
+        r.charge(1, 1, 3);
+        assert_eq!(r.profile().entries()[0].1.nanos, 0);
+        // In a phase it closes the interval since the previous read: the
+        // profile and the phases account for the same time.
+        r.time("run/flat", || {
+            std::hint::black_box((0..1000).sum::<u64>());
+            r.charge(1, 1, 3);
+        });
+        let e = r.profile().entries();
+        assert_eq!((e.len(), e[0].1.firings, e[0].1.tuples), (1, 2, 6));
+        let run = r.entries()[0].1;
+        assert!((r.profile().total_secs() - run).abs() < 1e-9);
     }
 
     #[test]
     fn overhead_bucket_counts_toward_the_total() {
-        let p = RuleProfiler::enabled();
-        p.record(0, 1, 1, Duration::from_millis(2));
-        let t0 = p.start();
-        p.finish_overhead(t0);
-        assert!(p.overhead_secs() > 0.0);
-        assert!(p.total_secs() > p.rules_secs());
+        let mut p = Profile::default();
+        p.charge(0, 1, 1, 2_000_000);
+        p.charge_overhead(500);
+        assert!((p.total_secs() - 0.0020005).abs() < 1e-12);
         assert!(p.to_json().to_string().contains("\"overhead_secs\":"));
     }
 
     #[test]
     fn json_lists_only_active_rules() {
-        let p = RuleProfiler::enabled();
-        p.record(5, 2, 7, Duration::from_micros(10));
+        let mut p = Profile::default();
+        p.charge(5, 2, 7, 10_000);
         let s = p.to_json().to_string();
-        assert!(s.contains("\"rule\":5"));
-        assert!(s.contains("\"firings\":2"));
+        assert!(s.contains("\"rule\":5") && s.contains("\"firings\":2"), "{s}");
         assert!(!s.contains("\"rule\":0"), "untouched slots are elided: {s}");
     }
 }

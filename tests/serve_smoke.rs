@@ -17,11 +17,12 @@
 //!   decodes a near-cap body in linear time.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gbc_serve::{client, Server, Session};
-use gbc_storage::Database;
-use gbc_telemetry::Json;
+use gbc_storage::{dict_stats, Database};
+use gbc_telemetry::{JournalBuffer, Json, Telemetry};
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; fixtures live at the repo root.
@@ -45,9 +46,15 @@ fn prim_source() -> String {
 fn expected_prim_run() -> (String, Json) {
     let program = gbc_parser::parse_program(&prim_source()).unwrap();
     let compiled = gbc_core::compile(program).unwrap();
-    let tel = gbc_telemetry::Telemetry::enabled();
+    let tel = Telemetry::enabled();
     let run = compiled.run_telemetry(&Database::new(), &tel).unwrap();
     (run.db.canonical_form(), tel.snapshot().to_json())
+}
+
+/// The keys of a JSON object (empty for anything else).
+fn keys(json: Option<&Json>) -> Vec<&str> {
+    let Some(Json::Obj(fields)) = json else { return Vec::new() };
+    fields.iter().map(|(k, _)| k.as_str()).collect()
 }
 
 fn start_server() -> (String, gbc_serve::ServerHandle) {
@@ -165,6 +172,16 @@ fn introspection_endpoints_answer_over_tcp() {
     );
     assert!(stats.get("counters").is_some() && stats.get("latency").is_some());
     assert!(stats.get("dictionary").is_some() && stats.get("journal").is_some());
+    // `/stats` serves the report `gbc run --trace --stats-json` writes
+    // for the same program: same top-level and `latency` keys.
+    let journal = Arc::new(JournalBuffer::new());
+    let tel = Telemetry::enabled().with_trace(journal.clone());
+    let compiled = gbc_core::compile(gbc_parser::parse_program(&prim_source()).unwrap()).unwrap();
+    compiled.run_telemetry(&Database::new(), &tel).unwrap();
+    let local = gbc_core::stats_report(&tel, &dict_stats(), Some(&journal));
+    assert_eq!(keys(Some(&stats)), keys(Some(&local)));
+    assert_eq!(keys(stats.get("latency")), keys(local.get("latency")));
+    assert_eq!(keys(stats.get("latency")), ["rounds", "gamma"]);
 
     let (status, jsonl) = client::get(&addr, "/journal?session=prim").unwrap();
     assert_eq!(status, 200);

@@ -4,16 +4,17 @@
 //!   (the object format Perfetto and `chrome://tracing` load): a
 //!   `traceEvents` array whose entries carry `name`/`ph`/`ts`/`pid`/
 //!   `tid`, instant-scope markers, and the typed payload under `args`;
-//! * the `--profile` per-rule profiler must attribute at least 95% of
-//!   the run phase's wall-clock time to rules on a non-trivial
-//!   workload — anything less means an executor code path is escaping
-//!   attribution;
+//! * the timing recorder's views must agree exactly, on the greedy and
+//!   the generic path: per-rule plus overhead time equals the `run`
+//!   phase, `run`'s children sum to `run`, and the round histogram
+//!   closes one round per `run/flat` entry;
 //! * an evaluation runs on one thread, so every trace event is an
 //!   instant event (`ph: "i"`) on `tid 1`.
 
 use std::sync::Arc;
 
 use gbc_core::GreedyConfig;
+use gbc_engine::DeterministicFirst;
 use gbc_greedy::{prim, workload};
 use gbc_telemetry::{ChromeTrace, Json, Telemetry};
 
@@ -97,27 +98,40 @@ fn serial_trace_has_no_worker_lanes() {
     }
 }
 
-#[test]
-fn profiler_attributes_nearly_all_run_time() {
-    // A 256-node graph: large enough that per-rule join work dominates
-    // the executor's fixed per-round bookkeeping.
-    let tel = Telemetry::enabled().with_profiler();
-    traced_prim_run(&tel, 256);
+/// `(seconds, count)` of phase `name`.
+fn phase(tel: &Telemetry, name: &str) -> (f64, u64) {
+    let found = tel.phases.entries().into_iter().find(|(n, _, _)| n == name);
+    found.map(|(_, secs, count)| (secs, count)).unwrap_or_else(|| panic!("no phase {name}"))
+}
 
-    let attributed = tel.profiler.total_secs();
-    let run_secs = tel
-        .phases
-        .entries()
-        .iter()
-        .find(|(name, _, _)| name == "run")
-        .map(|(_, secs, _)| *secs)
-        .expect("run phase timed");
-    assert!(run_secs > 0.0);
-    let coverage = attributed / run_secs;
-    assert!(
-        coverage >= 0.95,
-        "profiler must attribute ≥95% of run time, got {:.1}% ({attributed:.6}s of {run_secs:.6}s)",
-        coverage * 100.0
-    );
-    assert!(coverage <= 1.02, "attributed time cannot exceed the run phase, got {coverage}");
+/// The recorder's views agree to 1 µs of float rounding: per-rule plus
+/// overhead time equals `run`, `run`'s children sum to `run`, and the
+/// histogram closes one round per `run/flat` entry.
+fn assert_exact_attribution(tel: &Telemetry) {
+    let (run, runs) = phase(tel, "run");
+    assert!(run > 0.0 && runs == 1);
+    let attributed = tel.phases.profile().total_secs();
+    assert!((attributed - run).abs() <= 1e-6, "profile {attributed:.9}s vs run {run:.9}s");
+    let child = |name: &str| name.strip_prefix("run/").is_some_and(|leaf| !leaf.contains('/'));
+    let entries = tel.phases.entries();
+    let children: f64 = entries.iter().filter(|e| child(&e.0)).map(|e| e.1).sum();
+    assert!((children - run).abs() <= 1e-6, "children {children:.9}s vs run {run:.9}s");
+    assert_eq!(tel.round_latency().unwrap().count(), phase(tel, "run/flat").1);
+}
+
+#[test]
+fn profile_attributes_exactly_the_run_time() {
+    let tel = Telemetry::enabled();
+    traced_prim_run(&tel, 256);
+    assert_exact_attribution(&tel);
+    assert_eq!(phase(&tel, "run/gamma").1, phase(&tel, "run/gamma/feed").1);
+}
+
+#[test]
+fn generic_profile_attributes_exactly_the_run_time() {
+    let tel = Telemetry::enabled();
+    let (compiled, edb) = prim::prepared(&workload::connected_graph(32, 96, 1000, 42), 0);
+    compiled.run_generic_telemetry(&edb, &tel, &mut DeterministicFirst).unwrap();
+    assert_exact_attribution(&tel);
+    assert_eq!(phase(&tel, "run/gamma").1, phase(&tel, "run/gamma/choose").1);
 }
