@@ -139,6 +139,30 @@ impl Rule {
         })
     }
 
+    /// The variables of the `choice` goals, in first-occurrence order:
+    /// the argument list of the rule's `chosen_i` predicate in the
+    /// rewritten program (Section 2), and so of every committed choice
+    /// record that Theorem 1 validation reads.
+    pub fn choice_vars(&self) -> Vec<VarId> {
+        let mut out = Vec::new();
+        for lit in &self.body {
+            let Literal::Choice { left, right } = lit else { continue };
+            for t in left.iter().chain(right) {
+                t.collect_vars(&mut out);
+            }
+        }
+        let mut seen = Vec::with_capacity(out.len());
+        out.retain(|v| {
+            if seen.contains(v) {
+                false
+            } else {
+                seen.push(*v);
+                true
+            }
+        });
+        out
+    }
+
     /// Safety (range restriction) in the LDL sense.
     ///
     /// Every variable must be *limited*: bound by a positive body atom,
@@ -297,6 +321,22 @@ mod tests {
             names(2),
         );
         assert!(r.check_safety().is_err());
+    }
+
+    #[test]
+    fn chosen_args_are_choice_vars_in_first_occurrence_order() {
+        // a_st(St, Crs) <- takes(St, Crs), choice(Crs, St), choice(St, Crs).
+        let r = Rule::new(
+            Atom::new("a_st", vec![Term::var(0), Term::var(1)]),
+            vec![
+                Literal::pos("takes", vec![Term::var(0), Term::var(1)]),
+                Literal::Choice { left: vec![Term::var(1)], right: vec![Term::var(0)] },
+                Literal::Choice { left: vec![Term::var(0)], right: vec![Term::var(1)] },
+            ],
+            vec!["St".into(), "Crs".into()],
+        );
+        // D = (Crs, St).
+        assert_eq!(r.choice_vars(), vec![VarId(1), VarId(0)]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!                     [--journal-json PATH]
 //! gbc models  FILE... [--max N] [--stats] [--stats-json PATH]
 //! gbc rewrite FILE...            print the negative (rewritten) program
-//! gbc verify  FILE... [--stats] [--trace] [--stats-json PATH]
-//! gbc explain FILE... -- 'ATOM'  print why matching facts are in the model
+//! gbc verify  FILE... [--generic] [--seed N] [--stats] [--trace]
+//!                     [--stats-json PATH]
+//! gbc explain FILE... [--generic] [--seed N] -- 'ATOM'
+//!                                print why matching facts are in the model
 //! gbc serve   ADDR [FILE...] [--threads N]   long-running evaluation server
 //! ```
 //!
@@ -55,9 +57,9 @@ use std::sync::Arc;
 
 use gbc_ast::diag::{error_count, render_all, warning_count};
 use gbc_ast::{Diagnostic, Program, SourceMap};
-use gbc_core::{compile, verify_stable_model};
+use gbc_core::{compile, verify_stable_model, Compiled, GreedyRun};
 use gbc_engine::enumerate::{all_choice_models_with, EnumerateConfig};
-use gbc_engine::{Chooser, DeterministicFirst, SeededRandom};
+use gbc_engine::{DeterministicFirst, SeededRandom};
 use gbc_storage::{dict_stats, Database, DictStats, ProvenanceArena};
 use gbc_telemetry::{ChromeTrace, JournalBuffer, StderrTrace, TeeTrace, Telemetry, TraceSink};
 
@@ -221,6 +223,26 @@ impl Options {
             _ => tel.with_trace(Arc::new(TeeTrace::new(sinks))),
         };
         (tel, Observers { journal, chrome })
+    }
+
+    /// Evaluate `compiled` over `edb` with the executor the flags select:
+    /// `--seed N` or `--generic` run the generic Choice Fixpoint under a
+    /// seeded-random or the deterministic chooser; otherwise the greedy
+    /// executor runs when a plan exists, the generic one when not.
+    fn evaluate(
+        &self,
+        compiled: &Compiled,
+        edb: &Database,
+        tel: &Telemetry,
+    ) -> Result<GreedyRun, String> {
+        match (self.seed, self.generic) {
+            (Some(seed), _) => {
+                compiled.run_generic_telemetry(edb, tel, &mut SeededRandom::new(seed))
+            }
+            (None, true) => compiled.run_generic_telemetry(edb, tel, &mut DeterministicFirst),
+            (None, false) => compiled.run_telemetry(edb, tel),
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// Emit the post-run reports the flags ask for. `dict_base` is the
@@ -519,17 +541,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
 
-    let run = if opts.generic || !compiled.has_greedy_plan() || opts.seed.is_some() {
-        // Seeded or generic: the engine fixpoint with the chosen policy.
-        let mut chooser: Box<dyn Chooser> = match opts.seed {
-            Some(seed) => Box::new(SeededRandom::new(seed)),
-            None => Box::new(DeterministicFirst),
-        };
-        compiled.run_generic_telemetry(&edb, &tel, &mut *chooser)
-    } else {
-        compiled.run_telemetry(&edb, &tel)
-    }
-    .map_err(|e| e.to_string())?;
+    let run = opts.evaluate(&compiled, &edb, &tel)?;
 
     println!("{}", run.db.canonical_form());
     opts.report(&tel, &obs, &program, &sm, &dict_base)?;
@@ -548,7 +560,7 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
     let arena = ProvenanceArena::shared();
     edb.set_provenance(Arc::clone(&arena));
     let (tel, _obs) = opts.telemetry();
-    let run = compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?;
+    let run = opts.evaluate(&compiled, &edb, &tel)?;
     let out = gbc_core::explain::explain_atom(&program, &sm, &run.db, &arena, &query)?;
     print!("{out}");
     Ok(())
@@ -587,7 +599,7 @@ fn cmd_verify(opts: &Options) -> Result<(), String> {
     let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
-    let run = compiled.run_telemetry(&edb, &tel).map_err(|e| e.to_string())?;
+    let run = opts.evaluate(&compiled, &edb, &tel)?;
     let ok = verify_stable_model(&program, &edb, &run).map_err(|e| e.to_string())?;
     println!(
         "stable model check: {}",

@@ -41,12 +41,13 @@ use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
-use gbc_storage::{Database, FxHashMap, FxHashSet, Row, RowsView, Rql, DICT_MISS, NO_GOAL};
+use gbc_storage::{
+    Database, FxHashMap, FxHashSet, ProvenanceArena, Row, RowsView, Rql, DICT_MISS, NO_GOAL,
+};
 use gbc_telemetry::{DiscardReason, Recorder, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
 use crate::error::CoreError;
-use crate::rewrite::choice::choice_vars;
 
 /// Execution limits.
 #[derive(Clone, Copy, Debug)]
@@ -98,15 +99,13 @@ impl PoolReport {
     }
 }
 
-/// One committed choice, with the bookkeeping needed to reconstruct the
-/// `chosen_i` facts of the rewritten program (Theorem 1 validation).
+/// One committed choice: the `chosen_i` fact of the rewritten program
+/// (Theorem 1 validation). Every choice goal's committed pair is built
+/// from these values; the FD memos hold the same pairs as ids.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChosenRecord {
     /// Index of the firing rule in the original (and expanded) program.
     pub rule_idx: usize,
-    /// Per choice goal of the *expanded* rule: the committed (L, R)
-    /// value pair.
-    pub pairs: Vec<(Vec<Value>, Vec<Value>)>,
     /// The expanded rule's choice variables, evaluated.
     pub chosen_args: Vec<Value>,
 }
@@ -145,6 +144,8 @@ pub struct NextPlan {
     /// Rule index in the original program.
     pub rule_idx: usize,
     rule: Rule,
+    /// The `next`-expanded rule; its choice goals (the original ones,
+    /// then the stage FDs) are read only for provenance.
     expanded: Rule,
     head_pred: Symbol,
     stage_pos: usize,
@@ -477,7 +478,7 @@ fn build_plan(
         cong_cols: key,
         pre_checks,
         post_checks,
-        chosen_vars: choice_vars(expanded),
+        chosen_vars: expanded.choice_vars(),
         fast_feed,
         feed_checks,
     })
@@ -759,7 +760,7 @@ impl GreedyExecutor {
                     continue; // not new
                 }
                 let head = instantiate_head(rule, &b)?;
-                let args = eval_vars(rule, &choice_vars(rule), &b)?;
+                let args = eval_vars(rule, &rule.choice_vars(), &b)?;
                 if best.as_ref().map_or(true, |(h, a, _)| (&head, &args) < (h, a)) {
                     best = Some((head, args, b));
                 }
@@ -769,7 +770,7 @@ impl GreedyExecutor {
                 tel.phases.charge(*ri, 0, 0);
                 continue;
             };
-            let pairs = commit_goal_pairs(rule, &b, memos)?;
+            commit_goals(rule, &b, memos)?;
             tel.trace_with(|| TraceEvent::ExitCommit {
                 pred: rule.head.pred.to_string(),
                 fact: head.to_string(),
@@ -777,11 +778,11 @@ impl GreedyExecutor {
             if let Some(arena) = &prov {
                 arena.advance_step();
                 arena.record_derivation(rule.head.pred, &head, *ri, &parent_rows(rule, &b));
-                arena.record_commit(*ri, rule.head.pred, &head, pairs.clone());
+                record_commit(arena, *ri, rule, &head, &b)?;
             }
             terms_ids(rule, &rule.head.args, &b, true, &mut scratch.head)?;
             db.insert_ids(rule.head.pred, std::mem::take(&mut scratch.head));
-            chosen.push(ChosenRecord { rule_idx: *ri, pairs, chosen_args: args });
+            chosen.push(ChosenRecord { rule_idx: *ri, chosen_args: args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
             tel.phases.charge(*ri, 1, 1);
@@ -989,7 +990,7 @@ impl GreedyExecutor {
             tel.phases.charge(plan.rule_idx, 0, 0);
             tel.phases.enter("run/gamma/commit");
             w_used.insert(scratch.w.clone());
-            let pairs = commit_goal_pairs(&plan.expanded, b, memos)?;
+            commit_goals(&plan.rule, b, memos)?;
             let chosen_args = eval_vars(&plan.expanded, &plan.chosen_vars, b)?;
             let head = std::mem::take(&mut scratch.head);
             tel.trace_with(|| TraceEvent::StageCommit {
@@ -1011,7 +1012,7 @@ impl GreedyExecutor {
                     plan.rule_idx,
                     &[(plan.source_pred, dictionary::decode_row(row))],
                 );
-                arena.record_commit(plan.rule_idx, plan.head_pred, &head_row, pairs.clone());
+                record_commit(arena, plan.rule_idx, &plan.expanded, &head_row, b)?;
             }
             rql.commit(popped);
             *stage = next_stage;
@@ -1023,7 +1024,7 @@ impl GreedyExecutor {
             });
             rql.flush_metrics();
             db.insert_ids(plan.head_pred, head);
-            chosen.push(ChosenRecord { rule_idx: plan.rule_idx, pairs, chosen_args });
+            chosen.push(ChosenRecord { rule_idx: plan.rule_idx, chosen_args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
             tel.phases.charge(plan.rule_idx, 1, 1);
@@ -1206,29 +1207,33 @@ fn all_pairs_present(
     Ok(true)
 }
 
-/// A committed `(left, right)` value pair of one choice goal.
-type GoalPair = (Vec<Value>, Vec<Value>);
-
 /// Commit the frame's choice goals: record each goal's (left, right)
-/// ids in its memo (`rule`'s first `memos.len()` goals have one), and
-/// return every goal's pair of values, as [`ChosenRecord::pairs`] holds
-/// them.
-fn commit_goal_pairs(
-    rule: &Rule,
-    b: &Bindings,
-    memos: &mut [FdMap],
-) -> Result<Vec<GoalPair>, CoreError> {
-    let mut pairs = Vec::new();
-    for (gi, (l, r)) in choice_goals(rule).enumerate() {
-        if let Some(memo) = memos.get_mut(gi) {
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            terms_ids(rule, l, b, true, &mut left)?;
-            terms_ids(rule, r, b, true, &mut right)?;
-            memo.insert(left, right);
-        }
-        pairs.push((eval_tuple(rule, l, b)?, eval_tuple(rule, r, b)?));
+/// ids in its memo.
+fn commit_goals(rule: &Rule, b: &Bindings, memos: &mut [FdMap]) -> Result<(), CoreError> {
+    for ((l, r), memo) in choice_goals(rule).zip(memos) {
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        terms_ids(rule, l, b, true, &mut left)?;
+        terms_ids(rule, r, b, true, &mut right)?;
+        memo.insert(left, right);
     }
-    Ok(pairs)
+    Ok(())
+}
+
+/// Record the commit of `head` by rule `rule_idx` in the provenance
+/// arena, with every choice goal of `rule` as its `(left, right)`
+/// values under `b`.
+fn record_commit(
+    arena: &ProvenanceArena,
+    rule_idx: usize,
+    rule: &Rule,
+    head: &Row,
+    b: &Bindings,
+) -> Result<(), CoreError> {
+    let pairs = choice_goals(rule)
+        .map(|(l, r)| Ok((eval_tuple(rule, l, b)?, eval_tuple(rule, r, b)?)))
+        .collect::<Result<_, CoreError>>()?;
+    arena.record_commit(rule_idx, rule.head.pred, head, pairs);
+    Ok(())
 }
 
 /// The values of `vars` under `b` (a `chosen_i` argument tuple).

@@ -44,28 +44,6 @@ pub struct ChoiceRewrite {
     pub diffchoice_preds: Vec<Symbol>,
 }
 
-/// First-occurrence-ordered variables of the choice goals — must agree
-/// with `gbc_engine::choice::ChoiceFixpoint::choice_vars`.
-pub fn choice_vars(rule: &Rule) -> Vec<VarId> {
-    let mut out = Vec::new();
-    for lit in &rule.body {
-        let Literal::Choice { left, right } = lit else { continue };
-        for t in left.iter().chain(right) {
-            t.collect_vars(&mut out);
-        }
-    }
-    let mut seen = Vec::with_capacity(out.len());
-    out.retain(|v| {
-        if seen.contains(v) {
-            false
-        } else {
-            seen.push(*v);
-            true
-        }
-    });
-    out
-}
-
 /// Apply the rewriting to every choice rule of `program`.
 pub fn rewrite_choice(program: &Program) -> ChoiceRewrite {
     let mut taken: Vec<Symbol> =
@@ -107,7 +85,7 @@ fn rewrite_one(
     aux_rules: &mut Vec<Rule>,
     diffchoice_preds: &mut Vec<Symbol>,
 ) {
-    let d_vars = choice_vars(rule);
+    let d_vars = rule.choice_vars();
     let d_terms: Vec<Term> = d_vars.iter().map(|&v| Term::Var(v)).collect();
 
     // B⁰ / B⁻: body without choice and extrema goals.
@@ -230,13 +208,6 @@ mod tests {
         // The chosen rule has two negated diffchoice goals.
         let chosen_rule = p.rules.iter().find(|r| r.head.pred == out.chosen_preds[0]).unwrap();
         assert_eq!(chosen_rule.negated_atoms().count(), 2);
-    }
-
-    #[test]
-    fn chosen_args_are_choice_vars_in_first_occurrence_order() {
-        let r = example1_rule();
-        // Goals: choice(Crs, St), choice(St, Crs) ⇒ D = (Crs, St).
-        assert_eq!(choice_vars(&r), vec![VarId(1), VarId(0)]);
     }
 
     #[test]

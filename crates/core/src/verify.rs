@@ -31,22 +31,16 @@ pub fn verify_stable_model(
     let program = &with_stage_groups(program);
     let fr = rewrite_full(program)?;
 
-    // Choice-rule ordinals: order of appearance among choice rules of
-    // the expanded program — which is the original rule order filtered,
-    // since expansion rewrites rules in place.
-    let expanded = crate::rewrite::next::expand_next(program)?;
-    let choice_rule_indices: Vec<usize> =
-        expanded.rules.iter().enumerate().filter(|(_, r)| r.has_choice()).map(|(i, _)| i).collect();
+    let choice_rules = choice_rule_indices(program);
 
     // M₀ = run database + chosen facts.
     let mut m0 = run.db.clone();
     for rec in &run.chosen {
-        let ordinal =
-            choice_rule_indices.iter().position(|&i| i == rec.rule_idx).ok_or_else(|| {
-                CoreError::NotStageProgram {
-                    detail: format!("chosen record for non-choice rule {}", rec.rule_idx),
-                }
-            })?;
+        let ordinal = choice_rules.iter().position(|&i| i == rec.rule_idx).ok_or_else(|| {
+            CoreError::NotStageProgram {
+                detail: format!("chosen record for non-choice rule {}", rec.rule_idx),
+            }
+        })?;
         m0.insert(fr.chosen_preds[ordinal], Row::new(rec.chosen_args.clone()));
     }
 
@@ -58,25 +52,28 @@ pub fn verify_stable_model(
     Ok(gbc_engine::is_stable_model(&fr.program, edb, &m)?)
 }
 
+/// The indices of `program`'s choice rules, in rule order: entry `k`
+/// is the rule whose `chosen_k` the rewriting generates. A rule is a
+/// choice rule once `next` is expanded, which adds choice goals in
+/// place, so this reads the same off the original program and the
+/// expanded one.
+fn choice_rule_indices(program: &Program) -> Vec<usize> {
+    let rules = program.rules.iter().enumerate();
+    rules.filter(|(_, r)| r.has_choice() || r.has_next()).map(|(i, _)| i).collect()
+}
+
 /// Convenience: verify a run of the generic engine fixpoint by adapting
 /// its committed-candidate log.
 pub fn records_from_engine(
     fixpoint: &gbc_engine::ChoiceFixpoint,
     expanded: &Program,
 ) -> Vec<ChosenRecord> {
-    let choice_rule_indices: Vec<usize> = expanded
-        .rules
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.has_choice() && !r.is_fact())
-        .map(|(i, _)| i)
-        .collect();
+    let choice_rules = choice_rule_indices(expanded);
     fixpoint
         .committed()
         .iter()
         .map(|c| ChosenRecord {
-            rule_idx: choice_rule_indices[c.rule],
-            pairs: c.choices.clone(),
+            rule_idx: choice_rules[c.rule],
             chosen_args: c.chosen_args.clone(),
         })
         .collect()

@@ -223,23 +223,6 @@ impl ChoiceFixpoint {
         self.steps
     }
 
-    /// The committed `chosen` FD pairs, flattened as
-    /// `(rule, goal, left, right)` — used to reconstruct the
-    /// `chosen_i`/`diffChoice_i` facts of the rewritten program when
-    /// checking stability (Theorem 1).
-    pub fn chosen_pairs(&self) -> Vec<(usize, usize, Vec<Value>, Vec<Value>)> {
-        let mut out = Vec::new();
-        for (ri, goals) in self.memos.iter().enumerate() {
-            for (gi, map) in goals.iter().enumerate() {
-                for (l, r) in map {
-                    out.push((ri, gi, l.clone(), r.clone()));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Saturate the flat rules (`Q^∞`).
     pub fn saturate_flat(&mut self) -> Result<u64, EngineError> {
         self.flat.saturate(&mut self.db)
@@ -429,13 +412,6 @@ impl ChoiceFixpoint {
         Ok(Candidate { rule: ri, head, choices, chosen_args, parents })
     }
 
-    /// The variables of a rule's `choice` goals, in first-occurrence
-    /// order — the argument list of the corresponding `chosen_i`
-    /// predicate in the rewritten program.
-    pub fn choice_vars(rule: &Rule) -> Vec<gbc_ast::VarId> {
-        choice_vars(rule)
-    }
-
     /// `T_C(I) − I`: a candidate is new if its head fact or any of its
     /// FD commitments is not yet present.
     fn is_new(&self, cand: &Candidate) -> bool {
@@ -449,30 +425,9 @@ impl ChoiceFixpoint {
     }
 }
 
-/// First-occurrence-ordered variables of the `choice` goals of a rule.
-fn choice_vars(rule: &Rule) -> Vec<gbc_ast::VarId> {
-    let mut out = Vec::new();
-    for lit in &rule.body {
-        let Literal::Choice { left, right } = lit else { continue };
-        for t in left.iter().chain(right) {
-            t.collect_vars(&mut out);
-        }
-    }
-    let mut seen = Vec::with_capacity(out.len());
-    out.retain(|v| {
-        if seen.contains(v) {
-            false
-        } else {
-            seen.push(*v);
-            true
-        }
-    });
-    out
-}
-
 /// Evaluate the choice variables of `rule` under `b`.
 fn choice_var_values(rule: &Rule, b: &Bindings) -> Result<Vec<Value>, EngineError> {
-    choice_vars(rule)
+    rule.choice_vars()
         .into_iter()
         .map(|v| {
             b.get(v).cloned().ok_or_else(|| EngineError::NonGroundHead { rule: rule.to_string() })

@@ -153,8 +153,6 @@ pub struct Rql {
     /// |R_r|. The paper keeps `R_r` only to argue redundant tuples are
     /// never revisited; a count suffices operationally.
     redundant: u64,
-    /// Optional audit copy of `R_r` for tests.
-    audit: Option<Vec<Vec<u32>>>,
     /// The largest |Q_r| seen after an insert.
     peak: usize,
     counts: Counts,
@@ -181,7 +179,6 @@ impl Rql {
             shift: 64 - INITIAL_SLOTS.trailing_zeros(),
             used: 0,
             redundant: 0,
-            audit: None,
             peak: 0,
             counts: Counts::default(),
             metrics: None,
@@ -193,12 +190,6 @@ impl Rql {
     /// dual of least", Example 8).
     pub fn new_descending(arity: usize, key_cols: &[usize]) -> Rql {
         Rql { descending: true, ..Rql::new(arity, key_cols) }
-    }
-
-    /// Also record the rows of `R_r` for inspection (tests only; costs
-    /// memory proportional to |R_r|).
-    pub fn with_audit(self) -> Rql {
-        Rql { audit: Some(Vec::new()), ..self }
     }
 
     /// Attach a counter registry. [`Rql::flush_metrics`] reports heap
@@ -244,7 +235,7 @@ impl Rql {
         let class = self.class_of(row);
         match self.state[class] {
             State::Used => {
-                self.mark_redundant(row);
+                self.redundant += 1;
                 self.counts.used_blocked += 1;
                 RqlOutcome::CongruentUsed
             }
@@ -256,7 +247,8 @@ impl Rql {
                     .then_with(|| cmp_id_rows(row, self.row_of(class)))
                     == Ordering::Less;
                 if better {
-                    self.retire(class);
+                    // The replaced row joins `R_r`.
+                    self.redundant += 1;
                     self.rows[class * self.arity..][..self.arity].copy_from_slice(row);
                     self.heap[slot] = new;
                     // A replacement only improves the node, so the sift
@@ -267,7 +259,7 @@ impl Rql {
                     self.counts.replaces += 1;
                     RqlOutcome::ReplacedQueued
                 } else {
-                    self.mark_redundant(row);
+                    self.redundant += 1;
                     self.counts.dominated += 1;
                     RqlOutcome::DominatedInQueue
                 }
@@ -319,7 +311,7 @@ impl Rql {
         let class = popped.class as usize;
         debug_assert_eq!(self.state[class], State::Popped, "stale handle");
         self.state[class] = State::Idle;
-        self.retire(class);
+        self.redundant += 1;
     }
 
     /// |Q_r|.
@@ -335,27 +327,6 @@ impl Rql {
     /// |R_r|.
     pub fn redundant_count(&self) -> u64 {
         self.redundant
-    }
-
-    /// The audit copy of `R_r`, if enabled (encoded rows).
-    pub fn redundant_rows(&self) -> Option<&[Vec<u32>]> {
-        self.audit.as_deref()
-    }
-
-    /// Count `row` into `R_r`.
-    fn mark_redundant(&mut self, row: &[u32]) {
-        self.redundant += 1;
-        if let Some(audit) = &mut self.audit {
-            audit.push(row.to_vec());
-        }
-    }
-
-    /// Count `class`'s current arena row into `R_r`.
-    fn retire(&mut self, class: usize) {
-        self.redundant += 1;
-        if let Some(audit) = &mut self.audit {
-            audit.push(self.rows[class * self.arity..][..self.arity].to_vec());
-        }
     }
 
     fn row_of(&self, class: usize) -> &[u32] {
@@ -549,14 +520,6 @@ mod tests {
                 (cost(5), row(&[1, 5])),
             ]
         );
-    }
-
-    #[test]
-    fn audit_mode_records_redundant_rows() {
-        let mut d = keyed_on_first().with_audit();
-        d.insert(cost(2), &row(&[1, 2]));
-        d.insert(cost(1), &row(&[1, 1])); // replaces; (1,2) redundant
-        assert_eq!(d.redundant_rows().unwrap(), &[row(&[1, 2])]);
     }
 
     #[test]

@@ -110,10 +110,14 @@ fn chosen_records_cover_every_gamma_step() {
     let (compiled, edb) = prim::prepared(&g, 0);
     let run = compiled.run_greedy(&edb).unwrap();
     assert_eq!(run.chosen.len() as u64, run.stats.gamma_steps);
+    // Each record is one `chosen_i` fact of the rewritten program. Prim's
+    // expanded rule has 3 choice goals, the original choice(Y, X) plus
+    // the two stage FDs of the next expansion, over D = (Y, X, I, C).
+    let fr = gbc_core::rewrite_full(compiled.program()).unwrap();
+    let [chosen] = fr.chosen_preds[..] else { panic!("Prim has one choice rule") };
+    let chosen_rule = fr.program.rules.iter().find(|r| r.head.pred == chosen).unwrap();
+    assert_eq!(chosen_rule.head.arity(), 4);
     for rec in &run.chosen {
-        // Prim's expanded rule has 3 choice goals: the original
-        // choice(Y, X) plus the two stage FDs from the next expansion.
-        assert_eq!(rec.pairs.len(), 3);
-        assert!(!rec.chosen_args.is_empty());
+        assert_eq!(rec.chosen_args.len(), chosen_rule.head.arity());
     }
 }

@@ -336,6 +336,30 @@ fn sort_surface_output_is_golden() {
     compare_or_bless("sort_journal.golden", &journal_lines(&journal));
 }
 
+/// Matching (Example 7, greedy executor) on the shipped program: the
+/// explain tree pins the executor's provenance of a γ commit — both
+/// original choice goals, both stage-FD goals of the `next` expansion,
+/// and the `diffChoice` rejections of popped arcs with the pair each
+/// lost to.
+#[test]
+fn matching_explain_is_golden() {
+    let shipped = fs::read_to_string(goldens_dir().join("../../programs/matching.dl"))
+        .expect("shipped matching program");
+    let mut sm = SourceMap::new();
+    sm.add_file("matching.dl", &shipped);
+    let program = gbc_parser::parse_program(&sm.source()).unwrap();
+    let compiled = gbc_core::compile(program.clone()).unwrap();
+    assert!(compiled.has_greedy_plan(), "Example 7 must take the greedy path");
+    let mut edb = Database::new();
+    let arena = ProvenanceArena::shared();
+    edb.set_provenance(Arc::clone(&arena));
+    let run = compiled.run_greedy(&edb).unwrap();
+
+    let query = gbc_parser::parse_rule("query <- matching(X, Y, C, I).").unwrap();
+    let explain = gbc_core::explain::explain_atom(&program, &sm, &run.db, &arena, &query).unwrap();
+    compare_or_bless("matching_explain.golden", &explain);
+}
+
 /// Two identical runs produce byte-identical counter reports and
 /// byte-identical traces.
 #[test]
