@@ -19,6 +19,9 @@ cargo test --release -q --offline -p gbc-bench --test trace_shape
 echo "== lints =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== docs =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== format =="
 cargo fmt --all --check
 

@@ -21,7 +21,6 @@
 use std::collections::HashMap;
 
 use gbc_ast::{Diagnostic, Literal, Program, Rule, SourceMap, Symbol, Term, VarId};
-use gbc_engine::plan::columnar_feed_spec;
 use gbc_telemetry::json::Json;
 
 use crate::analysis::classify::{Analysis, ProgramClass, StageViolation};
@@ -29,6 +28,8 @@ use crate::analysis::reachability::{self, ReachInfo};
 use crate::analysis::stage::rule_stage_vars;
 use crate::analysis::typeinfer::{self, TypeInfo};
 use crate::classify;
+use crate::exec;
+use crate::rewrite::next::expand_next;
 
 /// Everything `gbc check` needs: the diagnostics plus the analysis they
 /// were derived from (for the class/clique summary).
@@ -99,7 +100,7 @@ pub fn check_program(program: &Program) -> CheckReport {
     lint_stage_types(program, &analysis, &types, &mut diagnostics);
     lint_extremum_cost_types(program, &types, &mut diagnostics);
     lint_const_comparisons(program, &reach, &mut diagnostics);
-    lint_fast_feed(program, &analysis, &mut diagnostics);
+    note_fast_feed(program, &analysis, &mut diagnostics);
 
     CheckReport { diagnostics, analysis, types, reach }
 }
@@ -641,8 +642,8 @@ fn lint_extremum_cost_types(program: &Program, types: &TypeInfo, out: &mut Vec<D
 }
 
 /// GBC031: a comparison whose two sides are ground, so its outcome is
-/// known at compile time. Always-true checks are baked out of join
-/// plans; always-false ones kill their rule (see GBC027).
+/// known at compile time. Always-true checks still run on every
+/// evaluation; always-false ones kill their rule (see GBC027).
 fn lint_const_comparisons(program: &Program, reach: &ReachInfo, out: &mut Vec<Diagnostic>) {
     for c in &reach.const_comparisons {
         let r = &program.rules[c.rule];
@@ -653,80 +654,37 @@ fn lint_const_comparisons(program: &Program, reach: &ReachInfo, out: &mut Vec<Di
         )
         .with_label(r.literal_span(c.lit), format!("always {outcome}"));
         out.push(if c.value {
-            d.with_help("the check is baked out of the join plan; remove it from the source")
+            d.with_help("the check still runs on every evaluation; remove it from the source")
         } else {
             d.with_help("the rule can never fire; remove it")
         });
     }
 }
 
-/// GBC032 (note): a `next` rule eligible for the bindings-free feed
-/// fast path — one positive source atom whose arguments are all
-/// distinct variables, no negation, no comparison gating the feed
-/// ahead of the stage guard, and every extremum cost / `choice`
-/// element readable straight off a source column. The planner streams
-/// such rules into their queues by column ids alone.
-fn lint_fast_feed(program: &Program, analysis: &Analysis, out: &mut Vec<Diagnostic>) {
-    if !matches!(analysis.class, ProgramClass::StageStratified { .. }) {
+/// GBC032 (note): a `next` rule whose plan feeds its queue by column
+/// ids alone ([`exec::NextPlan::is_fast_feed`]). The plans are the ones
+/// [`crate::compile`] builds, so the note names exactly the rules `gbc
+/// analyze` reports with `fast_feed`; a program with errors or without
+/// stage stratification has no plans.
+fn note_fast_feed(program: &Program, analysis: &Analysis, out: &mut Vec<Diagnostic>) {
+    if gbc_ast::diag::error_count(out) > 0
+        || !matches!(analysis.class, ProgramClass::StageStratified { .. })
+    {
         return;
     }
-    for r in &program.rules {
-        if !r.has_next() || r.has_negation() {
-            continue;
-        }
-        let Some(stage_var) = r.body.iter().find_map(|l| match l {
-            Literal::Next { var } => Some(*var),
-            _ => None,
-        }) else {
-            continue;
-        };
-        let atoms: Vec<_> = r.positive_atoms().collect();
-        if atoms.len() != 1 {
-            continue;
-        }
-        let vs: Vec<VarId> = atoms[0].vars();
-        let mut eligible = true;
-        let mut pre_checks: Vec<Literal> = Vec::new();
-        for lit in &r.body {
-            match lit {
-                Literal::Compare { .. } => {
-                    let lvars = lit.vars();
-                    if lvars.iter().any(|v| *v != stage_var && !vs.contains(v)) {
-                        eligible = false;
-                    } else if !lvars.contains(&stage_var) {
-                        // Stage-free comparisons gate the feed per row;
-                        // they qualify iff they compile to columnar
-                        // checks (below).
-                        pre_checks.push(lit.clone());
-                    }
-                }
-                Literal::Least { cost, .. } | Literal::Most { cost, .. } if !matches!(cost, Term::Var(v) if vs.contains(v)) =>
-                {
-                    eligible = false;
-                }
-                Literal::Choice { left, right } => {
-                    for t in left.iter().chain(right) {
-                        if !matches!(t, Term::Var(v) if vs.contains(v) || *v == stage_var) {
-                            eligible = false;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Mirror of the executor's eligibility test: the source args
-        // and the stage-free comparisons must compile to the columnar
-        // check sequence the feed kernel evaluates per row.
-        if !eligible || columnar_feed_spec(&atoms[0].args, &pre_checks).is_none() {
-            continue;
-        }
-        let si = r.body.iter().position(|l| matches!(l, Literal::Pos(_))).expect("source atom");
+    let Ok(expanded) = expand_next(program) else { return };
+    let Ok(plans) = exec::build_plans(program, &expanded, &analysis.stages) else { return };
+    for plan in plans.iter().filter(|p| p.is_fast_feed()) {
+        let r = &program.rules[plan.rule_idx];
         out.push(
             Diagnostic::note(
                 "GBC032",
                 format!("rule for `{}` feeds its queue without binding frames", r.head.pred),
             )
-            .with_label(r.literal_span(si), "rows stream into the queue by column ids alone")
+            .with_label(
+                r.literal_span(plan.source_lit()),
+                "rows stream into the queue by column ids alone",
+            )
             .with_note(
                 "every source argument and feed-gating comparison reduces to \
                  column reads and baked constants, so the planner skips \

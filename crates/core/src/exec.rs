@@ -11,11 +11,13 @@
 //!
 //! * `Q` — seminaive saturation of the flat rules;
 //! * γ — *retrieve-least* from the rule's **D_r = (R, Q, L)** structure:
-//!   pop the cheapest candidate, re-check the stage comparisons and the
-//!   choice FDs (the on-the-fly `diffChoice` test), discard failures to
-//!   `R_r`, and commit the first survivor as the next stage.
+//!   pop the cheapest candidate, check the comparisons that read the
+//!   stage and the choice FDs (the on-the-fly `diffChoice` test),
+//!   discard failures to `R_r`, and commit the first survivor as the
+//!   next stage.
 //!
-//! New source facts flow into `Q_r` as they are derived, keyed by their
+//! New source facts flow into `Q_r` as they are derived, once they pass
+//! the comparisons that do not read the stage, keyed by their
 //! *r-congruence class* (one queued representative per class — see
 //! [`gbc_storage::rql`]). Insert and retrieve-least are `O(log |Q|)`,
 //! which is what delivers the paper's complexity results: Prim in
@@ -32,18 +34,16 @@
 
 use std::sync::Arc;
 
-use gbc_ast::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term, Value, VarId};
+use gbc_ast::{Atom, Literal, Program, Rule, Symbol, Term, Value, VarId};
 use gbc_engine::bindings::Bindings;
 use gbc_engine::eval::{
-    eval_expr, eval_term, instantiate_head, match_term, match_term_id, parent_rows,
+    eval_expr, eval_term, fact_rows, instantiate_head, match_term_id, parent_rows,
 };
 use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
-use gbc_storage::{
-    Database, FxHashMap, FxHashSet, ProvenanceArena, Row, RowsView, Rql, DICT_MISS, NO_GOAL,
-};
+use gbc_storage::{Database, FxHashMap, FxHashSet, ProvenanceArena, Row, Rql, DICT_MISS, NO_GOAL};
 use gbc_telemetry::{DiscardReason, Recorder, Snapshot, Telemetry, TraceEvent};
 
 use crate::analysis::stage::StageInfo;
@@ -162,23 +162,22 @@ pub struct NextPlan {
     pub chain: bool,
     /// Source columns forming the congruence key.
     pub cong_cols: Vec<usize>,
-    /// Comparison literals evaluable from source variables alone.
+    /// Comparison literals evaluable from source variables alone. The
+    /// feed runs them, so every queued row has passed them.
     pre_checks: Vec<Literal>,
-    /// Comparison literals needing the stage variable.
+    /// Comparison literals needing the stage variable: the only
+    /// comparisons a pop runs.
     post_checks: Vec<Literal>,
     /// The expanded rule's choice variables: a commit's `chosen_i`
     /// arguments.
     chosen_vars: Vec<VarId>,
-    /// The feed can skip per-row `Bindings` entirely: every source
-    /// argument is a bare variable, a repeat of one, or ground, and
-    /// every pre-check compares source columns and constants — so each
-    /// row's admission reduces to the columnar [`FeedCheck`] sequence
-    /// below, and the cost/key columns are read straight off the
-    /// arena. Surfaced to users as the GBC032 note.
-    fast_feed: bool,
-    /// The compiled per-row checks of the fast path (empty for the
-    /// original all-distinct-variables shape, where every row feeds).
-    feed_checks: Vec<FeedCheck>,
+    /// The feed's per-row admission test without `Bindings`, when
+    /// every source argument is a bare variable, a repeat of one, or
+    /// ground, and every pre-check compares source columns and
+    /// constants (empty when every row feeds). `None` admits each row
+    /// by matching it into the rule's frame and running the
+    /// pre-checks. Surfaced to users as the GBC032 note.
+    feed_checks: Option<Vec<FeedCheck>>,
 }
 
 impl NextPlan {
@@ -204,7 +203,12 @@ impl NextPlan {
 
     /// The feed loop qualifies for the bindings-free fast path.
     pub fn is_fast_feed(&self) -> bool {
-        self.fast_feed
+        self.feed_checks.is_some()
+    }
+
+    /// Body position of the source atom in the original rule.
+    pub(crate) fn source_lit(&self) -> usize {
+        self.source_lit
     }
 
     /// The source atom feeding `Q_r`.
@@ -213,60 +217,19 @@ impl NextPlan {
         source
     }
 
-    /// Insert the new source rows that pass the compiled columnar
-    /// checks into `rql`; the cost id is the cost column's cell. Agrees
-    /// with [`NextPlan::feed_framed`] on every fast-feed rule:
-    /// `match_term_id` would bind each variable to exactly the cell id
-    /// read here, and `FeedCheck` reproduces the pre-check comparisons
-    /// in id space.
-    fn feed_columnar(&self, rows: &RowsView, nil_cost: u32, rql: &mut Rql, row: &mut Vec<u32>) {
-        for r in 0..rows.len() {
-            if self.feed_checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))) {
-                rows.read_row(r, row);
-                rql.insert(self.cost.map_or(nil_cost, |(_, c)| row[c]), row);
-            }
-        }
-    }
-
-    /// Insert the new source rows into `rql` by matching each into a
-    /// binding frame and running the pre-checks over it: the feed for
-    /// shapes the columnar checks cannot express (arithmetic over a
-    /// source variable, a non-ground compound argument).
-    fn feed_framed(
+    /// Rewind the frame `b` along `trail`, then match the source atom
+    /// against the row whose ids `ids` yields, recording new bindings on
+    /// `trail`. False when the row does not match the atom.
+    fn bind_source(
         &self,
-        rows: &RowsView,
-        nil_cost: u32,
-        rql: &mut Rql,
-        row: &mut Vec<u32>,
-    ) -> Result<(), CoreError> {
-        let source = self.source();
-        let mut b = Bindings::new(self.rule.num_vars());
-        let mut trail: Vec<VarId> = Vec::new();
-        for r in 0..rows.len() {
-            for v in trail.drain(..) {
-                b.unbind(v);
-            }
-            let matched = source
-                .args
-                .iter()
-                .enumerate()
-                .all(|(c, t)| match_term_id(t, rows.cell(r, c), &mut b, &mut trail));
-            if !matched || !apply_comparisons(&self.pre_checks, &mut b, &mut trail)? {
-                continue;
-            }
-            let cost = match self.cost {
-                Some((cv, _)) => match b.id_of(cv) {
-                    DICT_MISS => {
-                        dictionary::encode(b.get(cv).expect("cost variable bound by source match"))
-                    }
-                    id => id,
-                },
-                None => nil_cost,
-            };
-            rows.read_row(r, row);
-            rql.insert(cost, row);
+        ids: impl Iterator<Item = u32>,
+        b: &mut Bindings,
+        trail: &mut Vec<VarId>,
+    ) -> bool {
+        for v in trail.drain(..) {
+            b.unbind(v);
         }
-        Ok(())
+        self.source().args.iter().zip(ids).all(|(t, id)| match_term_id(t, id, b, trail))
     }
 }
 
@@ -376,6 +339,9 @@ fn build_plan(
 
     // Comparisons: split by whether they mention the stage variable;
     // everything they mention must come from the source (or the stage).
+    // This is what lets the executor run them as plain filters: a
+    // pre-check is ground once the source row is matched, a post-check
+    // once the stage is bound too, so no comparison ever assigns.
     let mut pre_checks = Vec::new();
     let mut post_checks = Vec::new();
     for lit in &rule.body {
@@ -395,9 +361,7 @@ fn build_plan(
     // args and pre-checks compile to a columnar check sequence, or the
     // feed keeps its binding frames. Constant operands intern here, at
     // plan-build time, so the feed itself never interns them.
-    let feed_spec = columnar_feed_spec(&source.args, &pre_checks);
-    let fast_feed = feed_spec.is_some();
-    let feed_checks = feed_spec.unwrap_or_default();
+    let feed_checks = columnar_feed_spec(&source.args, &pre_checks);
 
     // Head must be instantiable from source vars + stage var.
     let mut head_vars = Vec::new();
@@ -479,7 +443,6 @@ fn build_plan(
         pre_checks,
         post_checks,
         chosen_vars: expanded.choice_vars(),
-        fast_feed,
         feed_checks,
     })
 }
@@ -516,8 +479,9 @@ struct NextState {
     /// stage (the head differs only in `I`) and never terminate.
     /// Projections are stored as dictionary ids.
     w_used: FxHashSet<Vec<u32>>,
-    /// The retrieve-least loop's scratch binding frame and its trail,
-    /// kept across γ steps: the trail rewinds the frame between pops.
+    /// The rule's scratch binding frame and its trail, kept across
+    /// feeds and γ steps: the trail rewinds the frame before each
+    /// framed-feed row and each pop.
     frame: Bindings,
     trail: Vec<VarId>,
     scratch: IdScratch,
@@ -560,17 +524,12 @@ impl GreedyExecutor {
         let mut flat_ids = Vec::new();
         let mut exits = Vec::new();
         let mut exit_memos = Vec::new();
+        for (pred, row) in fact_rows(program) {
+            db.insert(pred, row);
+        }
         for (ri, r) in program.rules.iter().enumerate() {
-            if r.is_fact() {
-                let row = r
-                    .head
-                    .args
-                    .iter()
-                    .map(|t| t.as_value().expect("validated ground fact"))
-                    .collect();
-                db.insert(r.head.pred, row);
-            } else if r.has_next() {
-                // handled by plans
+            if r.is_fact() || r.has_next() {
+                // loaded above / handled by plans
             } else if r.has_choice() {
                 let goals = r.body.iter().filter(|l| matches!(l, Literal::Choice { .. })).count();
                 exit_memos.push(vec![FdMap::default(); goals]);
@@ -803,9 +762,9 @@ impl GreedyExecutor {
     /// and refresh the rule's stage high-water mark.
     fn feed(&mut self, i: usize) -> Result<(), CoreError> {
         let GreedyExecutor { nexts, db, stats, tel, nil_cost, .. } = self;
-        let nil_cost = *nil_cost;
-        let ns = &mut nexts[i];
-        let plan = &ns.plan;
+        let NextState {
+            plan, rql, src_mark, head_mark, stage, w_used, frame, trail, scratch, ..
+        } = &mut nexts[i];
 
         // Track the head relation's max stage (exit rules seed it), and
         // register every head tuple's W projection: the stage variable
@@ -814,39 +773,53 @@ impl GreedyExecutor {
         // cover facts produced by exit rules, or a chain program can
         // re-commit an exit tuple at a fresh stage forever.
         let head_rel = db.relation(plan.head_pred);
-        let head_rows = head_rel.since(ns.head_mark);
+        let head_rows = head_rel.since(*head_mark);
         for r in 0..head_rows.len() {
             match head_rows.try_cell(r, plan.stage_pos).map(decode_ref) {
-                Some(Value::Int(s)) => ns.stage = ns.stage.max(*s),
+                Some(Value::Int(s)) => *stage = (*stage).max(*s),
                 Some(other) => return Err(CoreError::NonIntegerStage { found: other.to_string() }),
                 None => {}
             }
-            ns.w_used.insert(
+            w_used.insert(
                 (0..head_rows.arity())
                     .filter(|&c| c != plan.stage_pos)
                     .map(|c| head_rows.cell(r, c))
                     .collect(),
             );
         }
-        ns.head_mark = head_rel.len();
+        *head_mark = head_rel.len();
 
         // The new rows are read in place from the relation's column
         // arenas; each admitted row is copied into one reused buffer and
-        // runs the paper's case analysis against the live queue.
+        // runs the paper's case analysis against the live queue. A row
+        // is admitted by the plan's columnar checks or, for shapes they
+        // cannot express (arithmetic over a source variable, a
+        // non-ground compound argument), by matching it into the frame
+        // and running the pre-checks. Either way the cost id is the cost
+        // column's cell: the frame binds the cost variable to that id.
         let src_rel = db.relation(plan.source_pred);
-        let rows = src_rel.since(ns.src_mark);
-        ns.src_mark = src_rel.len();
-        if rows.arity() == plan.source().args.len() {
-            ns.rql.reserve(rows.len());
-            if plan.fast_feed {
-                plan.feed_columnar(&rows, nil_cost, &mut ns.rql, &mut ns.scratch.row);
-            } else {
-                plan.feed_framed(&rows, nil_cost, &mut ns.rql, &mut ns.scratch.row)?;
+        let rows = src_rel.since(*src_mark);
+        *src_mark = src_rel.len();
+        let arity = plan.source().args.len();
+        if rows.arity() == arity {
+            rql.reserve(rows.len());
+            for r in 0..rows.len() {
+                let admitted = match &plan.feed_checks {
+                    Some(checks) => checks.iter().all(|c| c.eval(&|col| rows.cell(r, col))),
+                    None => {
+                        plan.bind_source((0..arity).map(|c| rows.cell(r, c)), frame, trail)
+                            && passes(&plan.pre_checks, frame)?
+                    }
+                };
+                if admitted {
+                    rows.read_row(r, &mut scratch.row);
+                    rql.insert(plan.cost.map_or(*nil_cost, |(_, c)| scratch.row[c]), &scratch.row);
+                }
             }
         }
-        ns.rql.flush_metrics();
-        stats.queue_peak = stats.queue_peak.max(ns.rql.queue_len());
-        tel.phases.charge(ns.plan.rule_idx, 0, 0);
+        rql.flush_metrics();
+        stats.queue_peak = stats.queue_peak.max(rql.queue_len());
+        tel.phases.charge(plan.rule_idx, 0, 0);
         Ok(())
     }
 
@@ -887,98 +860,74 @@ impl GreedyExecutor {
             let row = rql.row(&popped);
             pops += 1;
             tel.metrics.choice_candidates_considered.inc();
-            for v in trail.drain(..) {
-                b.unbind(v);
-            }
-            let ok =
-                plan.source().args.iter().zip(row).all(|(t, &id)| match_term_id(t, id, b, trail));
+            let ok = plan.bind_source(row.iter().copied(), b, trail);
             debug_assert!(ok, "queued row must re-match its source atom");
             let sid = *stage_id.get_or_insert_with(|| dictionary::encode(&Value::Int(next_stage)));
             b.bind_encoded(plan.stage_var, sid);
             trail.push(plan.stage_var);
 
-            let stage_ok = apply_comparisons(&plan.pre_checks, b, trail)?
-                && apply_comparisons(&plan.post_checks, b, trail)?;
-            let conflict =
-                if stage_ok { fd_first_conflict(&plan.rule, memos, b, scratch)? } else { None };
-            if !stage_ok || conflict.is_some() {
-                let reason = if stage_ok {
-                    tel.metrics.diffchoice_rejections.inc();
-                    DiscardReason::DiffChoice
-                } else {
-                    DiscardReason::StaleStage
-                };
+            // The row passed the pre-checks when it was fed; what is
+            // left are the post-checks, the choice FDs and the
+            // next-expansion's choice(W, I): one stage per W, tested on
+            // the head's id row without its stage column.
+            let discard = if !passes(&plan.post_checks, b)? {
+                Some((DiscardReason::StaleStage, NO_GOAL))
+            } else if let Some(gi) = fd_first_conflict(&plan.rule, memos, b, scratch)? {
+                Some((DiscardReason::DiffChoice, gi))
+            } else {
+                terms_ids(&plan.rule, &plan.rule.head.args, b, true, &mut scratch.head)?;
+                scratch.w.clear();
+                scratch.w.extend(
+                    scratch
+                        .head
+                        .iter()
+                        .enumerate()
+                        .filter(|&(c, _)| c != plan.stage_pos)
+                        .map(|(_, &id)| id),
+                );
+                w_used
+                    .contains(scratch.w.as_slice())
+                    .then_some((DiscardReason::StageReuse, NO_GOAL))
+            };
+            if let Some((reason, goal)) = discard {
+                match reason {
+                    DiscardReason::StaleStage => {}
+                    DiscardReason::DiffChoice => tel.metrics.diffchoice_rejections.inc(),
+                    DiscardReason::StageReuse => tel.metrics.stage_reuse_rejections.inc(),
+                }
                 if let Some(arena) = &prov {
-                    let src_row = dictionary::decode_row(row);
-                    match conflict {
-                        Some(gi) => {
-                            let (left, attempted, committed) =
-                                conflict_values(&plan.rule, gi, memos, b, scratch)?;
-                            arena.record_rejection(
-                                plan.rule_idx,
-                                gi,
-                                "diffchoice",
-                                plan.source_pred,
-                                &src_row,
-                                left,
-                                attempted,
-                                committed,
-                            )
+                    let (pred, left, attempted, committed) = match reason {
+                        DiscardReason::StaleStage => {
+                            (plan.source_pred, Vec::new(), Vec::new(), Vec::new())
                         }
-                        None => arena.record_rejection(
-                            plan.rule_idx,
-                            NO_GOAL,
-                            "stale-stage",
-                            plan.source_pred,
-                            &src_row,
-                            Vec::new(),
-                            Vec::new(),
+                        DiscardReason::DiffChoice => {
+                            let (left, attempted, committed) =
+                                conflict_values(&plan.rule, goal, memos, b, scratch)?;
+                            (plan.source_pred, left, attempted, committed)
+                        }
+                        DiscardReason::StageReuse => (
+                            plan.head_pred,
+                            decode_ids(&scratch.w),
+                            vec![Value::Int(next_stage)],
                             Vec::new(),
                         ),
-                    }
+                    };
+                    arena.record_rejection(
+                        plan.rule_idx,
+                        goal,
+                        reason.label(),
+                        pred,
+                        &dictionary::decode_row(row),
+                        left,
+                        attempted,
+                        committed,
+                    );
                 }
                 rejected += 1;
                 tel.metrics.discarded_pops.inc();
                 tel.trace_with(|| TraceEvent::Discard {
                     pred: plan.head_pred.to_string(),
                     reason,
-                    row: dictionary::decode_row(row).to_string(),
-                });
-                rql.discard(popped);
-                stats.discarded += 1;
-                continue;
-            }
-            // The next-expansion's choice(W, I): one stage per W, tested
-            // on the head's id row without its stage column.
-            terms_ids(&plan.rule, &plan.rule.head.args, b, true, &mut scratch.head)?;
-            scratch.w.clear();
-            scratch.w.extend(
-                scratch
-                    .head
-                    .iter()
-                    .enumerate()
-                    .filter(|&(c, _)| c != plan.stage_pos)
-                    .map(|(_, &id)| id),
-            );
-            if w_used.contains(scratch.w.as_slice()) {
-                if let Some(arena) = &prov {
-                    arena.record_rejection(
-                        plan.rule_idx,
-                        NO_GOAL,
-                        "stage-reuse",
-                        plan.head_pred,
-                        &dictionary::decode_row(row),
-                        decode_ids(&scratch.w),
-                        vec![Value::Int(next_stage)],
-                        Vec::new(),
-                    );
-                }
-                rejected += 1;
-                tel.metrics.stage_reuse_rejections.inc();
-                tel.metrics.discarded_pops.inc();
-                tel.trace_with(|| TraceEvent::Discard {
-                    pred: plan.head_pred.to_string(),
-                    reason: DiscardReason::StageReuse,
                     row: dictionary::decode_row(row).to_string(),
                 });
                 rql.discard(popped);
@@ -1044,57 +993,19 @@ impl GreedyExecutor {
     }
 }
 
-/// Evaluate the comparison literals in order, with `=`-assignment
-/// (engine semantics). Returns false when a comparison fails. Variables
-/// bound along the way are recorded on `trail` so callers reusing a
-/// scratch frame can rewind them.
-fn apply_comparisons(
-    lits: &[Literal],
-    b: &mut Bindings,
-    trail: &mut Vec<VarId>,
-) -> Result<bool, CoreError> {
-    // Small fixpoint: some comparisons may bind variables used by later
-    // ones regardless of their syntactic order.
-    let mut pending: Vec<&Literal> = lits.iter().collect();
-    while !pending.is_empty() {
-        let mut progressed = false;
-        let mut remaining = Vec::new();
-        for lit in pending {
-            let Literal::Compare { op, lhs, rhs } = lit else { continue };
-            let lv = eval_expr(lhs, b).map_err(CoreError::Engine)?;
-            let rv = eval_expr(rhs, b).map_err(CoreError::Engine)?;
-            match (lv, rv) {
-                (Some(a), Some(c)) => {
-                    if !op.eval(a.cmp(&c)) {
-                        return Ok(false);
-                    }
-                    progressed = true;
-                }
-                (Some(val), None) | (None, Some(val)) if *op == CmpOp::Eq => {
-                    let unbound = if eval_expr(lhs, b).map_err(CoreError::Engine)?.is_none() {
-                        lhs
-                    } else {
-                        rhs
-                    };
-                    match unbound.as_bare_term() {
-                        Some(t) => {
-                            if !match_term(t, &val, b, trail) {
-                                return Ok(false);
-                            }
-                            progressed = true;
-                        }
-                        None => remaining.push(lit),
-                    }
-                }
-                _ => remaining.push(lit),
-            }
+/// Run a plan's comparison literals over the frame `b` as filters, in
+/// body order: true when every one holds. Nothing is assigned here —
+/// [`build_plan`] admits only comparisons whose variables the frame
+/// binds by the time they run.
+fn passes(checks: &[Literal], b: &Bindings) -> Result<bool, CoreError> {
+    for lit in checks {
+        let Literal::Compare { op, lhs, rhs } = lit else { unreachable!("plan checks compare") };
+        let (Some(l), Some(r)) = (eval_expr(lhs, b)?, eval_expr(rhs, b)?) else {
+            unreachable!("build_plan proves every check ground");
+        };
+        if !op.eval(l.cmp(&r)) {
+            return Ok(false);
         }
-        if !progressed && !remaining.is_empty() {
-            return Err(CoreError::NoGreedyPlan {
-                detail: "unresolvable comparison chain in next rule".into(),
-            });
-        }
-        pending = remaining;
     }
     Ok(true)
 }

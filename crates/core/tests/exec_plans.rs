@@ -83,6 +83,27 @@ fn non_source_cost_variable_is_rejected() {
 }
 
 #[test]
+fn assigning_comparison_falls_back_to_the_generic_engine() {
+    // `D = C * 2` would have to bind D. The executor runs comparisons
+    // only as filters over bound variables, so the plan refuses the
+    // rule and `run` evaluates it with the generic fixpoint.
+    let c = compiled(
+        "sp(nil, 0, 0).
+         sp(X, D, I) <- next(I), p(X, C), D = C * 2, least(C, I).",
+    );
+    assert_eq!(*c.class(), ProgramClass::StageStratified { alternating: true });
+    assert!(c.plan_error().unwrap().contains("comparison over non-source variables"));
+    let mut edb = Database::new();
+    edb.insert_values("p", vec![Value::sym("a"), Value::int(2)]);
+    edb.insert_values("p", vec![Value::sym("b"), Value::int(1)]);
+    let run = c.run(&edb).unwrap();
+    let mut sp: Vec<String> =
+        run.db.facts_of(gbc_ast::Symbol::intern("sp")).iter().map(ToString::to_string).collect();
+    sp.sort();
+    assert_eq!(sp, ["(a,4,2)", "(b,2,1)", "(nil,0,0)"]);
+}
+
+#[test]
 fn two_next_rules_for_one_predicate_are_rejected() {
     let c = compiled(
         "p(nil, 0).

@@ -27,7 +27,7 @@ use gbc_telemetry::{Telemetry, TraceEvent};
 use crate::bindings::Bindings;
 use crate::chooser::Chooser;
 use crate::error::EngineError;
-use crate::eval::{eval_term, instantiate_head, parent_rows};
+use crate::eval::{eval_term, fact_rows, instantiate_head, parent_rows};
 use crate::extrema::{collect_matches_plan, filter_extrema};
 use crate::plan::RulePlan;
 use crate::seminaive::Seminaive;
@@ -156,20 +156,18 @@ impl ChoiceFixpoint {
                 return Err(EngineError::UnexpandedNext { rule: r.to_string() });
             }
             if r.is_fact() {
-                let row = r
-                    .head
-                    .args
-                    .iter()
-                    .map(|t| t.as_value().expect("validated ground fact"))
-                    .collect();
-                db.insert(r.head.pred, row);
-            } else if r.has_choice() {
+                continue;
+            }
+            if r.has_choice() {
                 choice_rules.push(r.clone());
                 choice_rule_ids.push(i);
             } else {
                 flat_rules.push(r.clone());
                 flat_ids.push(i);
             }
+        }
+        for (pred, row) in fact_rows(program) {
+            db.insert(pred, row);
         }
         let memos = choice_rules
             .iter()

@@ -16,7 +16,7 @@
 //! the matcher is an error: `gbc-core` expands those away first.
 
 use gbc_ast::term::{ArithOp, Expr};
-use gbc_ast::{Rule, Term, Value, VarId};
+use gbc_ast::{Program, Rule, Symbol, Term, Value, VarId};
 use gbc_storage::dictionary::{decode_ref, func_parts};
 use gbc_storage::{Database, Row, RowsView, DICT_MISS};
 
@@ -157,6 +157,17 @@ pub fn match_term_id(t: &Term, id: u32, b: &mut Bindings, trail: &mut Vec<VarId>
             _ => false,
         },
     }
+}
+
+/// The `(predicate, row)` of each fact of `program`, in program order.
+///
+/// # Panics
+/// On a non-ground fact; validation rejects those.
+pub fn fact_rows(program: &Program) -> impl Iterator<Item = (Symbol, Row)> + '_ {
+    program.facts().map(|f| {
+        let row = f.head.args.iter().map(|t| t.as_value().expect("validated ground fact"));
+        (f.head.pred, row.collect())
+    })
 }
 
 /// Instantiate the rule head under a complete body match.

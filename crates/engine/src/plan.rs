@@ -1,24 +1,22 @@
 //! Compiled join plans: sideways information passing, done once.
 //!
-//! The dynamic matcher in [`crate::eval`] re-ranks every pending body
-//! literal at every recursion depth of every call — classifying each
-//! literal costs an `eval_term` walk per argument, and the same rule is
-//! evaluated thousands of times across seminaive rounds and γ steps.
-//! The ranking, however, only depends on *which variables are bound*
-//! at each step, and boundness is branch-invariant: every branch at a
-//! given depth has executed exactly the same step sequence, so the
-//! bound set — and therefore the chosen literal order — is a function
-//! of the rule alone (plus, for deltas, which occurrence is focused).
+//! The same rule is evaluated thousands of times across seminaive
+//! rounds and γ steps, but the order its body literals should run in
+//! only depends on *which variables are bound* at each step, and
+//! boundness is branch-invariant: every branch at a given depth has
+//! executed exactly the same step sequence, so the bound set — and
+//! therefore the literal order — is a function of the rule alone
+//! (plus, for deltas, which occurrence is focused).
 //!
-//! [`JoinPlan::compile`] exploits that: it simulates the matcher's
-//! selection loop over a boolean bound-set, reproducing the exact
-//! ranking (ground filters first, then `=` assignments, then the
-//! focused atom, then the atom with the most ground columns, first
-//! literal winning ties) and records the resulting step sequence. The
-//! executor then just runs the steps: no re-classification, no key
-//! re-derivation, constants prefiltered at compile time, and scans go
-//! through [`gbc_storage::Relation::select_ids_into`] so rows are read
-//! in place from the arena instead of being cloned out.
+//! [`JoinPlan::compile`] exploits that: it runs the selection loop once
+//! over a boolean bound-set, ranking ground filters first, then `=`
+//! assignments, then the focused atom, then the atom with the most
+//! ground columns, first literal winning ties, and records the
+//! resulting step sequence. Evaluation then just runs the steps: no
+//! per-call classification, no key re-derivation, constants
+//! prefiltered at compile time, and scans go through
+//! [`gbc_storage::Relation::select_ids_into`] so rows are read in place
+//! from the arena instead of being cloned out.
 //!
 //! [`RulePlan`] bundles the unfocused plan with one variant per
 //! positive literal (seminaive focuses each occurrence in turn);
@@ -141,9 +139,9 @@ fn mark_term_bound(t: &Term, bound: &mut [bool]) {
 impl JoinPlan {
     /// Compile the literal order for `rule`, optionally treating the
     /// positive literal at `focus_lit` as the focused (delta)
-    /// occurrence. Mirrors the dynamic matcher's ranking exactly so
-    /// the enumeration order — and with it every downstream counter —
-    /// is unchanged.
+    /// occurrence, by the ranking in the module docs. The order is
+    /// fixed per rule, so the enumeration order — and with it every
+    /// downstream counter — is the same on every evaluation.
     pub fn compile(rule: &Rule, focus_lit: Option<usize>) -> Result<JoinPlan, EngineError> {
         if rule.has_next() {
             return Err(EngineError::UnexpandedNext { rule: rule.to_string() });
@@ -469,7 +467,7 @@ pub enum FeedOperand {
     /// Read `args[col]`'s id straight from the arena row.
     Col(usize),
     /// A ground expression, evaluated and interned once when the spec
-    /// is built (the feed-kernel analogue of [`KeyPart::Const`]).
+    /// is built (the feed-kernel analogue of a join plan's constant key).
     Const(u32),
 }
 

@@ -18,7 +18,7 @@ use gbc_ast::{Program, Rule};
 use gbc_storage::Database;
 
 use crate::error::EngineError;
-use crate::eval::{for_each_match_opts, instantiate_head};
+use crate::eval::{fact_rows, for_each_match_opts, instantiate_head};
 
 /// Is `m` a stable model of `program ∪ edb`?
 ///
@@ -43,9 +43,7 @@ pub fn is_stable_model(
 
     // Least model of the reduct, seeded with EDB and program facts.
     let mut db = edb.clone();
-    for fact in program.facts() {
-        let row = fact.head.args.iter().map(|t| t.as_value().expect("ground fact")).collect();
-        let pred = fact.head.pred;
+    for (pred, row) in fact_rows(program) {
         if !m.contains(pred, &row) {
             return Ok(false); // a fact of the program is missing from M
         }

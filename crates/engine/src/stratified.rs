@@ -1,7 +1,7 @@
 //! Stratified evaluation: the perfect model of programs with negation
 //! and extrema outside recursion.
 //!
-//! The classic pipeline (Przymusinski; reference [8] of the paper):
+//! The classic pipeline (Przymusinski; reference \[8\] of the paper):
 //! build the predicate dependency graph, condense it into strongly
 //! connected components, refuse programs where a negative (or extrema)
 //! dependency stays inside a component, and otherwise saturate one
@@ -13,6 +13,7 @@ use gbc_ast::{Literal, Program, Rule, Symbol};
 use gbc_storage::Database;
 
 use crate::error::EngineError;
+use crate::eval::fact_rows;
 use crate::graph::DiGraph;
 use crate::seminaive::Seminaive;
 
@@ -129,10 +130,8 @@ pub fn evaluate_stratified(program: &Program, edb: &Database) -> Result<Database
     }
 
     let mut db = edb.clone();
-    for fact in program.facts() {
-        let row =
-            fact.head.args.iter().map(|t| t.as_value().expect("validated ground fact")).collect();
-        db.insert(fact.head.pred, row);
+    for (pred, row) in fact_rows(program) {
+        db.insert(pred, row);
     }
 
     // Saturate stratum by stratum.

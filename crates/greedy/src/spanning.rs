@@ -1,7 +1,7 @@
 //! Example 3 — non-deterministic spanning trees, in both of the paper's
 //! styles:
 //!
-//! * [`PROGRAM_CHOICE`] — the `next`-free original:
+//! * [`program_choice_text`] — the `next`-free original:
 //!   `st(X, Y, C) <- st(_, X, _), g(X, Y, C), Y != SRC, choice(Y, (X, C))`,
 //!   evaluated by the generic Choice Fixpoint (class `Choice`);
 //! * [`program_stage_text`] — the stage-variable formulation of

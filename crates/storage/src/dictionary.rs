@@ -21,15 +21,16 @@
 //!   value-wise) — id magnitude is meaningless. Encoded cost keys in
 //!   the (R,Q,L) heap use exactly this comparator, so heap behaviour
 //!   is byte-identical to the pre-columnar row representation.
-//! - **Exhaustion is an error, not a panic**, on the fallible
-//!   instance API: [`Dictionary::try_intern`] returns
-//!   [`DictionaryFull`] once `limit` ids exist. The global table's
-//!   limit is `u32::MAX` (the [`DICT_MISS`] sentinel is reserved), a
-//!   ceiling no realistic workload reaches before exhausting memory.
+//! - **Exhaustion panics.** [`encode`] asserts that it never assigns
+//!   the [`DICT_MISS`] sentinel, so the table holds at most
+//!   `u32::MAX` ids and the next new value panics with
+//!   [`DictionaryFull`]'s message. No realistic workload reaches that
+//!   ceiling before it exhausts memory; making a long-lived server
+//!   survive it is ROADMAP item 6.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 use gbc_ast::{Symbol, Value};
 
@@ -251,7 +252,8 @@ pub fn decode_row(ids: &[u32]) -> Row {
     Row::new(ids.iter().map(|&id| decode_ref(id).clone()).collect())
 }
 
-/// Structured exhaustion error: the dictionary's id space is full.
+/// The dictionary's id space is full: the message [`encode`] panics
+/// with when it would have to assign the [`DICT_MISS`] sentinel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DictionaryFull {
     /// The id limit that was reached.
@@ -265,72 +267,6 @@ impl std::fmt::Display for DictionaryFull {
 }
 
 impl std::error::Error for DictionaryFull {}
-
-/// An owned, bounded dictionary instance with the same assignment
-/// semantics as the global table but a fallible intern. The engine
-/// runs on the global table; this type exists so exhaustion behaviour
-/// is testable (and so embedders can build bounded side dictionaries).
-#[derive(Debug, Default)]
-pub struct Dictionary {
-    inner: Mutex<DictionaryInner>,
-    limit: u32,
-}
-
-#[derive(Debug, Default)]
-struct DictionaryInner {
-    map: HashMap<Value, u32, FxBuildHasher>,
-    values: Vec<Value>,
-}
-
-impl Dictionary {
-    /// Unbounded (full u32 range minus the sentinel).
-    pub fn new() -> Dictionary {
-        Dictionary::with_limit(DICT_MISS)
-    }
-
-    /// At most `limit` ids (`0..limit`); the [`DICT_MISS`] sentinel is
-    /// never assigned because `id >= limit` fails first.
-    pub fn with_limit(limit: u32) -> Dictionary {
-        Dictionary { inner: Mutex::new(DictionaryInner::default()), limit }
-    }
-
-    /// Intern `v`, or report [`DictionaryFull`] once `limit` distinct
-    /// values exist. Functor arguments intern first, like the global
-    /// table, so a success guarantees the whole subterm tree fits.
-    pub fn try_intern(&self, v: &Value) -> Result<u32, DictionaryFull> {
-        if let Value::Func(_, args) = v {
-            for arg in args.iter() {
-                self.try_intern(arg)?;
-            }
-        }
-        let mut inner = self.inner.lock().expect("dictionary poisoned");
-        if let Some(&id) = inner.map.get(v) {
-            return Ok(id);
-        }
-        let id = inner.values.len() as u32;
-        if id >= self.limit {
-            return Err(DictionaryFull { limit: self.limit });
-        }
-        inner.values.push(v.clone());
-        inner.map.insert(v.clone(), id);
-        Ok(id)
-    }
-
-    /// The value for `id`, if assigned.
-    pub fn resolve(&self, id: u32) -> Option<Value> {
-        self.inner.lock().expect("dictionary poisoned").values.get(id as usize).cloned()
-    }
-
-    /// Distinct values interned.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("dictionary poisoned").values.len()
-    }
-
-    /// No values interned yet?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -420,26 +356,6 @@ mod tests {
         let vals = vec![Value::sym("edge"), Value::int(3), Value::Nil];
         let ids = encode_row(&vals);
         assert_eq!(&decode_row(&ids)[..], vals.as_slice());
-    }
-
-    #[test]
-    fn exhaustion_is_a_structured_error() {
-        let d = Dictionary::with_limit(2);
-        assert_eq!(d.try_intern(&Value::int(1)), Ok(0));
-        assert_eq!(d.try_intern(&Value::int(2)), Ok(1));
-        assert_eq!(d.try_intern(&Value::int(1)), Ok(0), "existing ids still resolve");
-        let err = d.try_intern(&Value::int(3)).unwrap_err();
-        assert_eq!(err, DictionaryFull { limit: 2 });
-        assert_eq!(err.to_string(), "value dictionary full: 2 id(s) exhausted");
-        assert_eq!(d.len(), 2, "failed intern must not consume an id");
-    }
-
-    #[test]
-    fn exhaustion_counts_functor_subterms() {
-        let d = Dictionary::with_limit(2);
-        let t = Value::Func(Symbol::intern("t"), Arc::from(vec![Value::int(1), Value::int(2)]));
-        // t's two arguments fill the table before t itself can intern.
-        assert_eq!(d.try_intern(&t), Err(DictionaryFull { limit: 2 }));
     }
 
     #[test]

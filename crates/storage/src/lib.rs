@@ -28,7 +28,7 @@ pub mod rql;
 pub mod tuple;
 
 pub use database::Database;
-pub use dictionary::{dict_stats, DictStats, Dictionary, DictionaryFull, DICT_MISS};
+pub use dictionary::{dict_stats, DictStats, DictionaryFull, DICT_MISS};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use provenance::{ChoiceCommit, ChoiceRejection, Derivation, ProvenanceArena, NO_GOAL};
 pub use relation::{ColumnBuf, Relation, RowsView};

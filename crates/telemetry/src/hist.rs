@@ -2,15 +2,15 @@
 //!
 //! A [`Histogram`] records `u64` values (nanoseconds, item counts, …)
 //! into buckets whose width grows with magnitude: values below
-//! `2^bits` land in exact unit buckets, and each octave above is split
-//! into `2^bits` sub-buckets, so every recorded value is reproduced to
-//! a relative error of at most `2^-bits` at any scale. That bound is
+//! `2^BITS` land in exact unit buckets, and each octave above is split
+//! into `2^BITS` sub-buckets, so every recorded value is reproduced to
+//! a relative error of at most `2^-BITS` at any scale. That bound is
 //! what makes the quantile columns of the serve-load bench trustworthy
 //! without storing raw samples.
 //!
-//! The representation is **mergeable**: two histograms with the same
-//! precision share one bucket boundary grid, so [`Histogram::merge`]
-//! adds bucket counts and is exact — merging per-worker histograms at
+//! The representation is **mergeable**: every histogram shares one
+//! bucket boundary grid, so [`Histogram::merge`] adds bucket counts and
+//! is exact — merging per-worker histograms at
 //! the end of a load run loses nothing relative to recording every
 //! sample into one shared (contended) histogram. Merge is associative
 //! and commutative by construction, which lets the serve-load harness
@@ -22,16 +22,14 @@
 
 use crate::json::Json;
 
-/// Default sub-bucket precision: `2^-7` ≈ 0.8% worst-case relative
+/// Sub-bucket precision bits: `2^-7` ≈ 0.8% worst-case relative
 /// error, plenty for latency percentiles, with at most a few thousand
 /// buckets across the full `u64` range.
-pub const DEFAULT_BITS: u32 = 7;
+pub const BITS: u32 = 7;
 
 /// A mergeable log-linear histogram over `u64` values.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    /// Sub-bucket precision bits; relative error ≤ `2^-bits`.
-    bits: u32,
     /// Bucket counts, grown on demand (index via [`bucket_index`]).
     counts: Vec<u64>,
     /// Total recorded values.
@@ -45,30 +43,13 @@ pub struct Histogram {
 }
 
 impl Default for Histogram {
+    /// An empty histogram.
     fn default() -> Histogram {
-        Histogram::new(DEFAULT_BITS)
+        Histogram { counts: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
 impl Histogram {
-    /// An empty histogram with `bits` sub-bucket precision bits
-    /// (clamped to `1..=16`).
-    pub fn new(bits: u32) -> Histogram {
-        let bits = bits.clamp(1, 16);
-        Histogram { bits, counts: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// The precision configuration. Only histograms with equal `bits`
-    /// share a bucket grid and can merge.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Worst-case relative error of any reported quantile: `2^-bits`.
-    pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.bits) as f64
-    }
-
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         self.record_n(value, 1);
@@ -79,7 +60,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = bucket_index(value, self.bits);
+        let idx = bucket_index(value);
         if self.counts.len() <= idx {
             self.counts.resize(idx + 1, 0);
         }
@@ -132,7 +113,7 @@ impl Histogram {
 
     /// The value at quantile `q` (`0.0 ..= 1.0`): an upper bound of the
     /// bucket holding the rank-`⌈q·count⌉` value, clamped to the exact
-    /// observed extremes — so the result is within `2^-bits` relative
+    /// observed extremes — so the result is within `2^-BITS` relative
     /// error of the true order statistic. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -143,7 +124,7 @@ impl Histogram {
         for (idx, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return bucket_upper(idx, self.bits).clamp(self.min, self.max);
+                return bucket_upper(idx).clamp(self.min, self.max);
             }
         }
         self.max
@@ -173,12 +154,7 @@ impl Histogram {
     /// share the same boundary grid, so the result is identical to
     /// having recorded both value streams into one histogram — which
     /// is what makes merge associative and commutative.
-    ///
-    /// # Panics
-    /// When the precision configurations differ (the grids would not
-    /// line up); callers construct matching histograms by design.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bits, other.bits, "histogram precision mismatch: cannot merge");
         if other.count == 0 {
             return;
         }
@@ -201,7 +177,7 @@ impl Histogram {
     /// `u64::MAX` in the unlikely event the u128 accumulator exceeds it.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("bits", Json::UInt(self.bits as u64)),
+            ("bits", Json::UInt(u64::from(BITS))),
             ("count", Json::UInt(self.count)),
             ("sum", Json::UInt(u64::try_from(self.sum).unwrap_or(u64::MAX))),
             ("min", Json::UInt(self.min())),
@@ -215,11 +191,11 @@ impl Histogram {
     }
 }
 
-/// Bucket index of `value` on the `bits`-precision grid. Values below
-/// `2^bits` map to themselves (exact unit buckets); above, each octave
-/// contributes `2^bits` sub-buckets.
-fn bucket_index(value: u64, bits: u32) -> usize {
-    let m = bits;
+/// Bucket index of `value` on the grid. Values below `2^BITS` map to
+/// themselves (exact unit buckets); above, each octave contributes
+/// `2^BITS` sub-buckets.
+fn bucket_index(value: u64) -> usize {
+    let m = BITS;
     if value < (1 << m) {
         return value as usize;
     }
@@ -230,8 +206,8 @@ fn bucket_index(value: u64, bits: u32) -> usize {
 }
 
 /// Largest value mapping to bucket `idx` — the reported representative.
-fn bucket_upper(idx: usize, bits: u32) -> u64 {
-    let m = bits;
+fn bucket_upper(idx: usize) -> u64 {
+    let m = BITS;
     if idx < (1 << m) {
         return idx as u64;
     }
@@ -249,47 +225,41 @@ mod tests {
 
     #[test]
     fn unit_buckets_are_exact_below_the_linear_threshold() {
-        for bits in [1u32, 4, 7, 10] {
-            let mut h = Histogram::new(bits);
-            for v in 0..(1u64 << bits) {
-                h.record(v);
-            }
-            // Every value below 2^bits has its own bucket: quantiles of
-            // a single-value histogram reproduce the value exactly.
-            for v in [0u64, 1, (1 << bits) - 1] {
-                let mut one = Histogram::new(bits);
-                one.record(v);
-                assert_eq!(one.p50(), v, "bits {bits} value {v}");
-                assert_eq!(one.p999(), v, "bits {bits} value {v}");
-            }
-            assert_eq!(h.count(), 1 << bits);
+        let mut h = Histogram::default();
+        for v in 0..(1u64 << BITS) {
+            h.record(v);
         }
+        // Every value below 2^BITS has its own bucket: quantiles of a
+        // single-value histogram reproduce the value exactly.
+        for v in [0u64, 1, (1 << BITS) - 1] {
+            let mut one = Histogram::default();
+            one.record(v);
+            assert_eq!(one.p50(), v, "value {v}");
+            assert_eq!(one.p999(), v, "value {v}");
+        }
+        assert_eq!(h.count(), 1 << BITS);
     }
 
     #[test]
     fn quantile_error_stays_within_the_per_config_bound() {
-        // Pin the promised bound per bucket config: any recorded value
-        // is reported within a 2^-bits relative error at every scale.
-        for bits in [2u32, 5, 7, 12] {
-            let bound = 1.0 / (1u64 << bits) as f64;
-            let mut h = Histogram::new(bits);
-            assert_eq!(h.relative_error(), bound);
-            let mut rng = Rng::new(0xB17 + bits as u64);
-            for _ in 0..2_000 {
-                let scale = rng.range_i64(0, 40) as u32;
-                let v = (rng.next_u64() >> scale).max(1);
-                h = Histogram::new(bits);
-                h.record(v);
-                let got = h.p50() as f64;
-                let err = (got - v as f64).abs() / v as f64;
-                assert!(err <= bound, "bits {bits}: value {v} reported {got}, err {err} > {bound}");
-            }
+        // Pin the promised bound: any recorded value is reported within
+        // a 2^-BITS relative error at every scale.
+        let bound = 1.0 / (1u64 << BITS) as f64;
+        let mut rng = Rng::new(0xB17 + BITS as u64);
+        for _ in 0..2_000 {
+            let scale = rng.range_i64(0, 40) as u32;
+            let v = (rng.next_u64() >> scale).max(1);
+            let mut h = Histogram::default();
+            h.record(v);
+            let got = h.p50() as f64;
+            let err = (got - v as f64).abs() / v as f64;
+            assert!(err <= bound, "value {v} reported {got}, err {err} > {bound}");
         }
     }
 
     #[test]
     fn quantiles_are_monotone_and_clamped_to_observed_extremes() {
-        let mut h = Histogram::new(7);
+        let mut h = Histogram::default();
         for v in [10u64, 20, 30, 40, 1_000_000] {
             h.record(v);
         }
@@ -305,7 +275,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_reports_zeroes() {
-        let h = Histogram::new(7);
+        let h = Histogram::default();
         assert!(h.is_empty());
         assert_eq!((h.count(), h.min(), h.max(), h.p50(), h.p999()), (0, 0, 0, 0, 0));
         assert_eq!(h.mean(), 0.0);
@@ -318,9 +288,9 @@ mod tests {
         // stream, not merely approximate it.
         let mut rng = Rng::new(42);
         for _ in 0..20 {
-            let mut a = Histogram::new(7);
-            let mut b = Histogram::new(7);
-            let mut combined = Histogram::new(7);
+            let mut a = Histogram::default();
+            let mut b = Histogram::default();
+            let mut combined = Histogram::default();
             for i in 0..500 {
                 let v = rng.next_u64() >> (rng.range_i64(0, 50) as u32);
                 if i % 2 == 0 {
@@ -348,7 +318,7 @@ mod tests {
         let mut rng = Rng::new(7);
         let mut hs: Vec<Histogram> = (0..3)
             .map(|_| {
-                let mut h = Histogram::new(6);
+                let mut h = Histogram::default();
                 for _ in 0..200 {
                     h.record(rng.next_u64() >> 32);
                 }
@@ -375,15 +345,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn merging_different_precisions_panics() {
-        let mut a = Histogram::new(5);
-        a.merge(&Histogram::new(7));
-    }
-
-    #[test]
     fn json_summary_has_the_percentile_fields() {
-        let mut h = Histogram::new(7);
+        let mut h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v * 1000);
         }
@@ -399,7 +362,7 @@ mod tests {
 
     #[test]
     fn json_sum_saturates_instead_of_wrapping() {
-        let mut h = Histogram::new(7);
+        let mut h = Histogram::default();
         h.record(u64::MAX);
         h.record(u64::MAX);
         assert_eq!(h.sum(), 2 * u128::from(u64::MAX));
@@ -408,8 +371,8 @@ mod tests {
 
     #[test]
     fn record_n_matches_repeated_record() {
-        let mut a = Histogram::new(7);
-        let mut b = Histogram::new(7);
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
         a.record_n(12345, 7);
         for _ in 0..7 {
             b.record(12345);

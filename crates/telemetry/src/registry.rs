@@ -12,7 +12,7 @@
 //! second plane, kept deliberately separate so scraping it can never
 //! perturb a run's pinned counters:
 //!
-//! * [`Counter`](crate::metrics::Counter)s and [`Gauge`]s are relaxed
+//! * [`Counter`]s and [`Gauge`]s are relaxed
 //!   atomics — increments from request workers never take a lock;
 //! * latency series are **shard-merged histograms** ([`SharedHist`]):
 //!   each recording thread hashes to one of a fixed set of
@@ -69,7 +69,7 @@ impl Gauge {
 }
 
 /// A sharded, mergeable histogram: concurrent writers spread over
-/// [`HIST_SHARDS`] mutex-protected shards; readers merge the shards
+/// a fixed number of mutex-protected shards; readers merge the shards
 /// into one exact [`Histogram`] snapshot.
 #[derive(Debug)]
 pub struct SharedHist {

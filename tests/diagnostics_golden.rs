@@ -19,9 +19,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gbc_ast::diag::render_all;
+use gbc_ast::diag::{error_count, render_all};
 use gbc_ast::{Diagnostic, SourceMap};
-use gbc_core::{check_program, diagnostics_to_json};
+use gbc_core::{check_program, compile, diagnostics_to_json};
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; fixtures live at the repo root.
@@ -43,6 +43,19 @@ fn check_fixture(root: &Path, rel: &str) -> (Vec<Diagnostic>, SourceMap) {
     (diags, sm)
 }
 
+/// The `.dl` fixtures of `programs/bad`, sorted by name.
+fn fixture_names(root: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(root.join("programs/bad"))
+        .expect("programs/bad exists")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            name.ends_with(".dl").then_some(name)
+        })
+        .collect();
+    names.sort();
+    names
+}
+
 fn compare_or_bless(path: &Path, actual: &str) {
     if std::env::var_os("GBC_BLESS").is_some() {
         fs::write(path, actual).expect("write snapshot");
@@ -62,14 +75,7 @@ fn compare_or_bless(path: &Path, actual: &str) {
 fn negative_corpus_matches_snapshots() {
     let root = repo_root();
     let dir = root.join("programs/bad");
-    let mut fixtures: Vec<String> = fs::read_dir(&dir)
-        .expect("programs/bad exists")
-        .filter_map(|e| {
-            let name = e.ok()?.file_name().into_string().ok()?;
-            name.ends_with(".dl").then_some(name)
-        })
-        .collect();
-    fixtures.sort();
+    let fixtures = fixture_names(&root);
     assert!(!fixtures.is_empty(), "no fixtures in programs/bad");
 
     for name in &fixtures {
@@ -101,13 +107,8 @@ fn negative_corpus_matches_snapshots() {
 #[test]
 fn every_registry_code_has_a_fixture() {
     let root = repo_root();
-    let dir = root.join("programs/bad");
     let mut covered: Vec<String> = Vec::new();
-    for e in fs::read_dir(&dir).expect("programs/bad exists") {
-        let name = e.unwrap().file_name().into_string().unwrap();
-        if !name.ends_with(".dl") {
-            continue;
-        }
+    for name in fixture_names(&root) {
         let rel = format!("programs/bad/{name}");
         let (diags, _) = check_fixture(&root, &rel);
         for d in &diags {
@@ -124,4 +125,60 @@ fn every_registry_code_has_a_fixture() {
     ] {
         assert!(covered.contains(&code.to_owned()), "no fixture emits {code}");
     }
+}
+
+/// The nine shipped program groups, with their EDB files, as the README
+/// runs them.
+const GROUPS: [&[&str]; 9] = [
+    &["programs/prim.dl", "programs/graph_small.dl"],
+    &["programs/spanning.dl", "programs/graph_small.dl"],
+    &["programs/kruskal.dl", "programs/graph_small.dl"],
+    &["programs/sort.dl"],
+    &["programs/matching.dl"],
+    &["programs/huffman.dl"],
+    &["programs/scheduling.dl"],
+    &["programs/tsp.dl"],
+    &["programs/assignment.dl"],
+];
+
+/// `gbc check` notes GBC032 on exactly the rules whose plans `gbc
+/// analyze` reports as `fast_feed`, on every fixture and shipped group.
+#[test]
+fn gbc032_notes_name_exactly_the_fast_feed_plans() {
+    let root = repo_root();
+    let mut inputs: Vec<Vec<String>> =
+        fixture_names(&root).into_iter().map(|name| vec![format!("programs/bad/{name}")]).collect();
+    inputs.extend(GROUPS.iter().map(|g| g.iter().map(|f| f.to_string()).collect()));
+    let mut total = 0;
+    for files in &inputs {
+        let mut sm = SourceMap::new();
+        for rel in files {
+            sm.add_file(rel, &fs::read_to_string(root.join(rel)).expect("input readable"));
+        }
+        let Ok(program) = gbc_parser::parse_program(&sm.source()) else { continue };
+        let noted: Vec<usize> = check_program(&program)
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "GBC032")
+            .map(|d| {
+                let at = d.labels[0].span;
+                program
+                    .rules
+                    .iter()
+                    .position(|r| r.span().start <= at.start && at.end <= r.span().end)
+                    .expect("the note labels a rule")
+            })
+            .collect();
+        // `gbc analyze` refuses a program with errors before compiling.
+        let planned: Vec<usize> = if error_count(&program.diagnostics()) > 0 {
+            Vec::new()
+        } else {
+            compile(program).map_or(Vec::new(), |c| {
+                c.analyze_report().plans.iter().filter(|p| p.fast_feed).map(|p| p.rule).collect()
+            })
+        };
+        assert_eq!(noted, planned, "{files:?}: GBC032 rules vs fast_feed plans");
+        total += noted.len();
+    }
+    assert!(total > 0, "no input exercises the fast feed");
 }
