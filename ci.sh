@@ -226,6 +226,12 @@ grep -q '"label": "post-PR19"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR19 run" >&2
     exit 1
 }
+# The post-PR23 record: E1/E2/E3 with each compiled program's facts
+# encoded once and shared by its evaluations.
+grep -q '"label": "post-PR23"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR23 run" >&2
+    exit 1
+}
 for col in dict_entries encode_hits decode_calls; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2

@@ -52,6 +52,7 @@
 //!   span), its γ step, the committed choice FDs, the rejected
 //!   `diffChoice` alternatives, and the parent facts, recursively.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -534,17 +535,25 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// `gbc run`: timed as the phases `parse` (reading and parsing the
+/// files), `compile`, `setup` and `run` (the evaluation), `render` (the
+/// canonical text) and `write` (to stdout).
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
-    let (program, sm) = load(&opts.files)?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
-    let edb = Database::new();
     let (tel, obs) = opts.telemetry();
+    let rec = &tel.phases;
+    let (program, sm) = rec.time("parse", || load(&opts.files))?;
+    let compiled = rec.time("compile", || compile(program)).map_err(|e| e.to_string())?;
 
-    let run = opts.evaluate(&compiled, &edb, &tel)?;
+    let run = opts.evaluate(&compiled, &Database::new(), &tel)?;
 
-    println!("{}", run.db.canonical_form());
-    opts.report(&tel, &obs, &program, &sm, &dict_base)?;
+    let text = rec.time("render", || run.db.canonical_form());
+    rec.time("write", || {
+        let mut out = std::io::stdout().lock();
+        writeln!(out, "{text}").and_then(|()| out.flush())
+    })
+    .map_err(|e| format!("stdout: {e}"))?;
+    opts.report(&tel, &obs, compiled.program(), &sm, &dict_base)?;
     Ok(())
 }
 

@@ -509,9 +509,20 @@ pub struct GreedyExecutor {
     tel: Telemetry,
 }
 
+/// The program's inline facts, encoded into a database of their own:
+/// the fact base an evaluation starts from, next to its EDB.
+pub(crate) fn fact_base(program: &Program) -> Database {
+    let mut base = Database::new();
+    for (pred, row) in fact_rows(program) {
+        base.insert(pred, row);
+    }
+    base
+}
+
 impl GreedyExecutor {
     /// Set up the executor: facts are loaded, rules partitioned, one
-    /// [`Rql`] allocated per next-rule plan.
+    /// [`Rql`] allocated per next-rule plan. The facts are encoded
+    /// afresh; [`crate::Compiled`] keeps them encoded across runs.
     pub fn new(
         program: &Program,
         _expanded: &Program,
@@ -519,14 +530,25 @@ impl GreedyExecutor {
         edb: &Database,
         config: GreedyConfig,
     ) -> GreedyExecutor {
+        GreedyExecutor::with_base(program, plans, edb, &fact_base(program), config)
+    }
+
+    /// [`GreedyExecutor::new`] over an already-encoded fact base: the
+    /// run starts from `edb` with `base`'s rows appended, sharing each
+    /// base relation the EDB lacks until the run writes to it.
+    pub(crate) fn with_base(
+        program: &Program,
+        plans: Vec<NextPlan>,
+        edb: &Database,
+        base: &Database,
+        config: GreedyConfig,
+    ) -> GreedyExecutor {
         let mut db = edb.clone();
+        db.append(base);
         let mut flat_rules = Vec::new();
         let mut flat_ids = Vec::new();
         let mut exits = Vec::new();
         let mut exit_memos = Vec::new();
-        for (pred, row) in fact_rows(program) {
-            db.insert(pred, row);
-        }
         for (ri, r) in program.rules.iter().enumerate() {
             if r.is_fact() || r.has_next() {
                 // loaded above / handled by plans
@@ -740,7 +762,7 @@ impl GreedyExecutor {
                 record_commit(arena, *ri, rule, &head, &b)?;
             }
             terms_ids(rule, &rule.head.args, &b, true, &mut scratch.head)?;
-            db.insert_ids(rule.head.pred, std::mem::take(&mut scratch.head));
+            db.insert_ids(rule.head.pred, &scratch.head);
             chosen.push(ChosenRecord { rule_idx: *ri, chosen_args: args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();
@@ -972,7 +994,7 @@ impl GreedyExecutor {
                 rejected,
             });
             rql.flush_metrics();
-            db.insert_ids(plan.head_pred, head);
+            db.insert_ids(plan.head_pred, &head);
             chosen.push(ChosenRecord { rule_idx: plan.rule_idx, chosen_args });
             stats.gamma_steps += 1;
             tel.metrics.gamma_steps.inc();

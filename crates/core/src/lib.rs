@@ -56,6 +56,8 @@ pub use exec::{ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
 pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 
+use std::sync::OnceLock;
+
 use gbc_ast::Program;
 use gbc_engine::{ChoiceFixpoint, Chooser, DeterministicFirst};
 use gbc_storage::{dict_stats, Database, DictStats};
@@ -71,6 +73,11 @@ pub struct Compiled {
     analysis: Analysis,
     plans: Vec<exec::NextPlan>,
     plan_error: Option<String>,
+    /// The program's inline facts, encoded by the first greedy
+    /// evaluation and shared by every later one: each run borrows the
+    /// relations copy-on-write, and their rendered text is cached in
+    /// the row stores. Clones of a `Compiled` share it too.
+    base: OnceLock<Database>,
 }
 
 /// Validate, classify and plan `program`.
@@ -87,7 +94,7 @@ pub fn compile(program: Program) -> Result<Compiled, CoreError> {
         }
         other => (Vec::new(), Some(format!("not stage-stratified (class {})", other.summary()))),
     };
-    Ok(Compiled { program, expanded, analysis, plans, plan_error })
+    Ok(Compiled { program, expanded, analysis, plans, plan_error, base: OnceLock::new() })
 }
 
 impl Compiled {
@@ -109,6 +116,11 @@ impl Compiled {
     /// The program class.
     pub fn class(&self) -> &ProgramClass {
         &self.analysis.class
+    }
+
+    /// The encoded fact base, once a greedy evaluation has built it.
+    pub fn fact_base(&self) -> Option<&Database> {
+        self.base.get()
     }
 
     /// Does a greedy (Section 6) plan exist?
@@ -144,8 +156,10 @@ impl Compiled {
 
     /// [`Compiled::run_greedy_with`] under an explicit [`Telemetry`]
     /// handle: counters, the timing recorder and the trace sink are
-    /// threaded through every executor layer. The executor run is timed
-    /// as the `run/...` phases, whose sum is the `run` phase.
+    /// threaded through every executor layer. Executor construction —
+    /// on the first call, encoding the fact base too — is timed as the
+    /// `setup` phase; the executor run as the `run/...` phases, whose
+    /// sum is the `run` phase.
     pub fn run_greedy_telemetry(
         &self,
         edb: &Database,
@@ -155,14 +169,18 @@ impl Compiled {
         if let Some(e) = &self.plan_error {
             return Err(CoreError::NoGreedyPlan { detail: e.clone() });
         }
-        let mut ex = exec::GreedyExecutor::new(
-            &self.program,
-            &self.expanded,
-            self.plans.clone(),
-            edb,
-            config,
-        );
-        ex.set_telemetry(tel.clone());
+        let ex = tel.phases.time("setup", || {
+            let base = self.base.get_or_init(|| exec::fact_base(&self.program));
+            let mut ex = exec::GreedyExecutor::with_base(
+                &self.program,
+                self.plans.clone(),
+                edb,
+                base,
+                config,
+            );
+            ex.set_telemetry(tel.clone());
+            ex
+        });
         ex.run()
     }
 
@@ -182,7 +200,7 @@ impl Compiled {
         tel: &Telemetry,
         chooser: &mut dyn Chooser,
     ) -> Result<GreedyRun, CoreError> {
-        let mut fixpoint = ChoiceFixpoint::new(&self.expanded, edb)?;
+        let mut fixpoint = tel.phases.time("setup", || ChoiceFixpoint::new(&self.expanded, edb))?;
         fixpoint.set_telemetry(tel.clone());
         fixpoint.run(chooser)?;
         let chosen = verify::records_from_engine(&fixpoint, &self.expanded);

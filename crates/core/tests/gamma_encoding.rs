@@ -8,11 +8,16 @@
 //! must therefore stay within the γ step count plus a constant, at every
 //! instance size.
 //!
+//! The same bound holds for a whole evaluation of a [`Compiled`] after
+//! its first, setup included: the first evaluation encodes the inline
+//! facts into the program's fact base, and every later one borrows
+//! them.
+//!
 //! The dictionary counters are process-global, so this file holds a
 //! single test: no other test can intern inside the measured window.
 
 use gbc_core::exec::{build_plans, GreedyExecutor};
-use gbc_core::{compile, GreedyConfig};
+use gbc_core::{compile, Compiled, GreedyConfig};
 use gbc_storage::{dict_stats, Database};
 use gbc_telemetry::Rng;
 
@@ -46,8 +51,7 @@ fn matching_text(n: usize, m: usize, rng: &mut Rng) -> String {
 }
 
 /// Encodes spent by the executor's run phase, and its γ step count.
-fn run_encodes(text: &str) -> (u64, u64) {
-    let compiled = compile(gbc_parser::parse_program(text).expect("parses")).expect("compiles");
+fn run_encodes(compiled: &Compiled) -> (u64, u64) {
     let plans = build_plans(compiled.program(), compiled.expanded(), &compiled.analysis().stages)
         .expect("greedy plan");
     let ex = GreedyExecutor::new(
@@ -63,6 +67,15 @@ fn run_encodes(text: &str) -> (u64, u64) {
     (spent.encode_hits + spent.dict_entries, run.stats.gamma_steps)
 }
 
+/// Encodes spent by a whole `run_greedy_with` evaluation, setup
+/// included, and its γ step count.
+fn eval_encodes(compiled: &Compiled) -> (u64, u64) {
+    let before = dict_stats();
+    let run = compiled.run_greedy_with(&Database::new(), GreedyConfig::default()).expect("run");
+    let spent = dict_stats().since(&before);
+    (spent.encode_hits + spent.dict_entries, run.stats.gamma_steps)
+}
+
 #[test]
 fn gamma_steps_bound_dictionary_encodes() {
     let mut rng = Rng::new(15);
@@ -73,12 +86,25 @@ fn gamma_steps_bound_dictionary_encodes() {
         ("matching e=1024", matching_text(256, 1024, &mut rng)),
     ];
     for (name, text) in instances {
-        let (encodes, steps) = run_encodes(&text);
+        let compiled =
+            compile(gbc_parser::parse_program(&text).expect("parses")).expect("compiles");
+        let (encodes, steps) = run_encodes(&compiled);
         assert!(steps > 0, "{name}: no γ steps");
         assert!(
             encodes <= steps + SLACK,
             "{name}: {encodes} dictionary encodes over {steps} γ steps (allowed {})",
             steps + SLACK
         );
+        let (first, _) = eval_encodes(&compiled);
+        assert!(first > steps + SLACK, "{name}: the first evaluation encodes the facts");
+        for k in 2..=3 {
+            let (encodes, steps) = eval_encodes(&compiled);
+            assert!(
+                encodes <= steps + SLACK,
+                "{name}: evaluation {k} spent {encodes} dictionary encodes over {steps} γ steps \
+                 (allowed {})",
+                steps + SLACK
+            );
+        }
     }
 }

@@ -109,7 +109,9 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'a> {
+/// The lexer: yields one token at a time, so the parser holds a single
+/// token of lookahead rather than the whole token stream.
+pub(crate) struct Lexer<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     line: u32,
     col: u32,
@@ -118,7 +120,7 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Lexer { chars: src.chars().peekable(), line: 1, col: 1, offset: 0 }
     }
 
@@ -146,190 +148,156 @@ impl<'a> Lexer<'a> {
     fn error(&self, message: impl Into<String>) -> LexError {
         LexError { message: message.into(), line: self.line, col: self.col, offset: self.offset }
     }
-}
 
-/// Tokenize `src` in full. The final token is always [`TokenKind::Eof`].
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut lx = Lexer::new(src);
-    let mut tokens = Vec::new();
-
-    while let Some(c) = lx.peek() {
-        let (tline, tcol) = (lx.line, lx.col);
-        let tstart = lx.offset;
-        let before = tokens.len();
-        let mut push = |kind: TokenKind| {
-            tokens.push(Token { kind, line: tline, col: tcol, start: tstart, end: tstart })
-        };
-
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                lx.bump();
-            }
-            '%' => {
-                while let Some(c2) = lx.bump() {
-                    if c2 == '\n' {
-                        break;
+    /// The next token, skipping whitespace and comments; at the end of
+    /// the source, [`TokenKind::Eof`] (again on every later call).
+    pub(crate) fn next_token(&mut self) -> Result<Token, LexError> {
+        loop {
+            let (line, col, start) = (self.line, self.col, self.offset);
+            let Some(c) = self.peek() else {
+                return Ok(Token { kind: TokenKind::Eof, line, col, start, end: start });
+            };
+            let kind = match c {
+                ' ' | '\t' | '\r' | '\n' => {
+                    self.bump();
+                    continue;
+                }
+                '%' => {
+                    while let Some(c2) = self.bump() {
+                        if c2 == '\n' {
+                            break;
+                        }
                     }
+                    continue;
                 }
-            }
-            '(' => {
-                lx.bump();
-                push(TokenKind::LParen);
-            }
-            ')' => {
-                lx.bump();
-                push(TokenKind::RParen);
-            }
-            ',' => {
-                lx.bump();
-                push(TokenKind::Comma);
-            }
-            '.' => {
-                lx.bump();
-                push(TokenKind::Dot);
-            }
-            '+' => {
-                lx.bump();
-                push(TokenKind::Plus);
-            }
-            '*' => {
-                lx.bump();
-                push(TokenKind::Star);
-            }
-            '/' => {
-                lx.bump();
-                push(TokenKind::Slash);
-            }
-            '~' | '¬' => {
-                lx.bump();
-                push(TokenKind::Not);
-            }
-            '-' => {
-                lx.bump();
-                push(TokenKind::Minus);
-            }
-            '=' => {
-                lx.bump();
-                push(TokenKind::Eq);
-            }
+                _ => self.token_kind(c)?,
+            };
+            return Ok(Token { kind, line, col, start, end: self.offset });
+        }
+    }
+
+    /// Lex the token starting with `c` (not whitespace or a comment).
+    fn token_kind(&mut self, c: char) -> Result<TokenKind, LexError> {
+        self.bump();
+        let kind = match c {
+            '(' => TokenKind::LParen,
+            ')' => TokenKind::RParen,
+            ',' => TokenKind::Comma,
+            '.' => TokenKind::Dot,
+            '+' => TokenKind::Plus,
+            '*' => TokenKind::Star,
+            '/' => TokenKind::Slash,
+            '~' | '¬' => TokenKind::Not,
+            '-' => TokenKind::Minus,
+            '=' => TokenKind::Eq,
             '!' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    push(TokenKind::Ne);
-                } else {
-                    return Err(lx.error("expected `=` after `!`"));
+                if self.peek() != Some('=') {
+                    return Err(self.error("expected `=` after `!`"));
                 }
+                self.bump();
+                TokenKind::Ne
             }
             '<' => {
-                lx.bump();
-                match lx.peek() {
-                    Some('-') => {
-                        lx.bump();
-                        push(TokenKind::Arrow);
-                    }
-                    Some('=') => {
-                        lx.bump();
-                        push(TokenKind::Le);
-                    }
-                    Some('>') => {
-                        lx.bump();
-                        push(TokenKind::Ne);
-                    }
-                    _ => push(TokenKind::Lt),
-                }
+                let kind = match self.peek() {
+                    Some('-') => TokenKind::Arrow,
+                    Some('=') => TokenKind::Le,
+                    Some('>') => TokenKind::Ne,
+                    _ => return Ok(TokenKind::Lt),
+                };
+                self.bump();
+                kind
             }
             '>' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
-                    lx.bump();
-                    push(TokenKind::Ge);
-                } else {
-                    push(TokenKind::Gt);
+                if self.peek() != Some('=') {
+                    return Ok(TokenKind::Gt);
                 }
+                self.bump();
+                TokenKind::Ge
             }
             ':' => {
-                lx.bump();
-                if lx.peek() == Some('-') {
-                    lx.bump();
-                    push(TokenKind::Arrow);
-                } else {
-                    return Err(lx.error("expected `-` after `:`"));
+                if self.peek() != Some('-') {
+                    return Err(self.error("expected `-` after `:`"));
                 }
+                self.bump();
+                TokenKind::Arrow
             }
             '"' => {
-                lx.bump();
                 let mut s = String::new();
                 loop {
-                    match lx.bump() {
-                        None => return Err(lx.error("unterminated string literal")),
+                    match self.bump() {
+                        None => return Err(self.error("unterminated string literal")),
                         Some('"') => break,
-                        Some('\\') => match lx.bump() {
+                        Some('\\') => match self.bump() {
                             Some('"') => s.push('"'),
                             Some('\\') => s.push('\\'),
                             Some('n') => s.push('\n'),
                             other => {
-                                return Err(lx.error(format!("unsupported escape `\\{other:?}`")))
+                                return Err(self.error(format!("unsupported escape `\\{other:?}`")))
                             }
                         },
                         Some(c2) => s.push(c2),
                     }
                 }
-                push(TokenKind::Str(s));
+                TokenKind::Str(s)
             }
             c if c.is_ascii_digit() => {
-                let mut n: i64 = 0;
-                while let Some(d) = lx.peek() {
+                let mut n = i64::from(c.to_digit(10).expect("a digit"));
+                while let Some(d) = self.peek() {
                     let Some(dv) = d.to_digit(10) else { break };
-                    lx.bump();
+                    self.bump();
                     n = match n.checked_mul(10).and_then(|m| m.checked_add(dv as i64)) {
                         Some(v) => v,
-                        None => return Err(lx.error("integer literal overflows i64")),
+                        None => return Err(self.error("integer literal overflows i64")),
                     };
                 }
-                push(TokenKind::Int(n));
+                TokenKind::Int(n)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(d) = lx.peek() {
+                let mut s = String::from(c);
+                while let Some(d) = self.peek() {
                     if d.is_alphanumeric() || d == '_' {
                         s.push(d);
-                        lx.bump();
+                        self.bump();
                     } else {
                         break;
                     }
                 }
-                let kind = if s == "not" {
+                if s == "not" {
                     TokenKind::Not
                 } else if s.starts_with(|c: char| c.is_uppercase() || c == '_') {
                     TokenKind::Var(s)
                 } else {
                     TokenKind::Ident(s)
-                };
-                push(kind);
+                }
             }
-            other => return Err(lx.error(format!("unexpected character `{other}`"))),
-        }
-
-        // Each arm pushes at most one token; give it its end offset.
-        if tokens.len() > before {
-            tokens.last_mut().unwrap().end = lx.offset;
-        }
+            other => {
+                // Point at the character itself, which is not a newline.
+                let message = format!("unexpected character `{other}`");
+                let (col, offset) = (self.col - 1, self.offset - other.len_utf8() as u32);
+                return Err(LexError { message, line: self.line, col, offset });
+            }
+        };
+        Ok(kind)
     }
-
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        line: lx.line,
-        col: lx.col,
-        start: lx.offset,
-        end: lx.offset,
-    });
-    Ok(tokens)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tokenize `src` in full; the final token is always `Eof`.
+    fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+        let mut lx = Lexer::new(src);
+        let mut tokens = Vec::new();
+        loop {
+            let t = lx.next_token()?;
+            let eof = t.kind == TokenKind::Eof;
+            tokens.push(t);
+            if eof {
+                return Ok(tokens);
+            }
+        }
+    }
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()

@@ -39,7 +39,7 @@ mod lexer;
 mod parser;
 
 pub use lexer::{LexError, Token, TokenKind};
-pub use parser::{parse_program, parse_rule, ParseError};
+pub use parser::{parse_program, parse_rule, ParseError, MAX_NESTING};
 
 #[cfg(test)]
 mod roundtrip_tests;

@@ -7,7 +7,7 @@ use gbc_ast::term::{ArithOp, Expr};
 use gbc_ast::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term, VarId};
 use gbc_ast::{Diagnostic, LiteralSpans, RuleSpans, Span};
 
-use crate::lexer::{tokenize, LexError, Token, TokenKind};
+use crate::lexer::{LexError, Lexer, Token, TokenKind};
 
 /// Parse error with source position (1-based line/column plus the byte
 /// span of the offending token, for snippet rendering).
@@ -44,55 +44,133 @@ impl From<LexError> for ParseError {
 /// Parse a full program. Validation (safety, arities) is *not* run here;
 /// call [`gbc_ast::Program::validate`] for that.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser::new(tokens);
-    let mut rules = Vec::new();
-    while !p.at_eof() {
-        rules.push(p.clause()?);
-    }
-    Ok(Program::from_rules(rules))
+    let mut p = Parser::new(src);
+    let rules = p.clauses();
+    p.finish(rules).map(Program::from_rules)
 }
 
 /// Parse a single clause (fact or rule), e.g. for tests and REPL-style use.
 pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser::new(tokens);
-    let rule = p.clause()?;
-    if !p.at_eof() {
-        return Err(p.err_here("trailing input after clause"));
-    }
-    Ok(rule)
+    let mut p = Parser::new(src);
+    let rule = match p.clause() {
+        Ok(_) if !p.at_eof() => Err(p.err_here("trailing input after clause")),
+        other => other,
+    };
+    p.finish(rule)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// How deeply terms and expressions may nest (functor arguments,
+/// parentheses, unary minus, `max`/`min` arguments). The descent is
+/// recursive, so without a cap a deep enough input — well within any
+/// request body limit — overflows the stack, which aborts the process.
+/// The shipped programs nest at most a few levels.
+pub const MAX_NESTING: usize = 256;
+
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token and the one after it: all the lookahead the
+    /// grammar needs, so the token stream is never materialised.
+    cur: Token,
+    next: Token,
+    /// Byte offset where the previously consumed token ended.
+    prev_end: u32,
+    /// The first lex error met; the parser sees `Eof` from there on.
+    lex_error: Option<LexError>,
+    /// Current term/expression nesting depth.
+    depth: usize,
     /// Per-clause variable scope.
     var_names: Vec<String>,
     var_map: HashMap<String, VarId>,
     anon: Vec<bool>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
-        Parser { tokens, pos: 0, var_names: Vec::new(), var_map: HashMap::new(), anon: Vec::new() }
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let eof = Token { kind: TokenKind::Eof, line: 1, col: 1, start: 0, end: 0 };
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            cur: eof.clone(),
+            next: eof,
+            prev_end: 0,
+            lex_error: None,
+            depth: 0,
+            var_names: Vec::new(),
+            var_map: HashMap::new(),
+            anon: Vec::new(),
+        };
+        p.cur = p.lex();
+        p.next = p.lex();
+        p
+    }
+
+    /// The lexer's next token; `Eof` at the first lex error and after.
+    fn lex(&mut self) -> Token {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(t) => return t,
+                Err(e) => self.lex_error = Some(e),
+            }
+        }
+        let e = self.lex_error.as_ref().expect("set above");
+        Token { kind: TokenKind::Eof, line: e.line, col: e.col, start: e.offset, end: e.offset }
+    }
+
+    /// Every clause up to the end of the source.
+    fn clauses(&mut self) -> Result<Vec<Rule>, ParseError> {
+        let mut rules = Vec::new();
+        while !self.at_eof() {
+            rules.push(self.clause()?);
+        }
+        Ok(rules)
+    }
+
+    /// The result of a parse. A lex error anywhere in the source wins
+    /// over the parse's outcome — a parse that ended at a lex error saw
+    /// an early `Eof` — so after a parse error the rest of the source
+    /// is lexed for one.
+    fn finish<T>(mut self, parsed: Result<T, ParseError>) -> Result<T, ParseError> {
+        if parsed.is_err() {
+            while self.lex().kind != TokenKind::Eof {}
+        }
+        match self.lex_error {
+            Some(e) => Err(e.into()),
+            None => parsed,
+        }
+    }
+
+    /// Parse with `f` one nesting level deeper, failing at the current
+    /// token past [`MAX_NESTING`] levels, before anything deeper is
+    /// built.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+        &self.cur.kind
     }
 
     fn peek2(&self) -> &TokenKind {
-        let i = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        &self.next.kind
     }
 
+    /// Consume the current token; at `Eof`, stay there.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        if self.cur.kind == TokenKind::Eof {
+            return TokenKind::Eof;
         }
-        t
+        let next = self.lex();
+        let t = std::mem::replace(&mut self.cur, std::mem::replace(&mut self.next, next));
+        self.prev_end = t.end;
+        t.kind
     }
 
     fn at_eof(&self) -> bool {
@@ -101,16 +179,16 @@ impl Parser {
 
     /// Byte offset where the current token starts.
     fn tok_start(&self) -> u32 {
-        self.tokens[self.pos].start
+        self.cur.start
     }
 
     /// Byte offset where the previously consumed token ended.
     fn prev_end(&self) -> u32 {
-        self.tokens[self.pos.saturating_sub(1)].end
+        self.prev_end
     }
 
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
-        let t = &self.tokens[self.pos];
+        let t = &self.cur;
         ParseError { message: msg.into(), line: t.line, col: t.col, span: t.span() }
     }
 
@@ -395,7 +473,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !self.eat(&TokenKind::RParen) {
                         loop {
-                            args.push(self.term()?);
+                            args.push(self.nested(Parser::term)?);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
@@ -463,7 +541,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Minus) {
             // `-3` lexes as Minus Int and is folded; `-X` becomes Neg.
             self.bump();
-            let e = self.unary_expr()?;
+            let e = self.nested(Parser::unary_expr)?;
             if let Expr::Term(Term::Const(gbc_ast::Value::Int(i))) = e {
                 return Ok(Expr::int(-i));
             }
@@ -481,15 +559,15 @@ impl Parser {
                 let op = if name == "max" { ArithOp::Max } else { ArithOp::Min };
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let a = self.expr()?;
+                let a = self.nested(Parser::expr)?;
                 self.expect(TokenKind::Comma)?;
-                let b = self.expr()?;
+                let b = self.nested(Parser::expr)?;
                 self.expect(TokenKind::RParen)?;
                 return Ok(Expr::binary(op, a, b));
             }
         }
         if self.eat(&TokenKind::LParen) {
-            let e = self.expr()?;
+            let e = self.nested(Parser::expr)?;
             self.expect(TokenKind::RParen)?;
             return Ok(e);
         }
@@ -500,6 +578,55 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `p(f(f(…f(a)…))).` with `depth` functors.
+    fn nested_fact(depth: usize) -> String {
+        format!("p({}a{}).", "f(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        assert!(parse_program(&nested_fact(MAX_NESTING)).is_ok());
+        let e = parse_program(&nested_fact(MAX_NESTING + 1)).unwrap_err();
+        assert!(e.message.contains("nesting deeper than 256"), "{e}");
+        // The error points at the first token past the cap.
+        assert_eq!(e.span.start as usize, 2 + 2 * (MAX_NESTING + 1));
+        for deep in [
+            format!("q(X) <- p(X), X = {}1{}.", "(".repeat(300), ")".repeat(300)),
+            format!("q(X) <- p(X), X = {}1.", "-".repeat(300)),
+            format!("q(X) <- p(X), X = {}1{}.", "max(1, ".repeat(300), ")".repeat(300)),
+        ] {
+            let e = parse_program(&deep).unwrap_err();
+            assert!(e.message.contains("nesting deeper"), "{e}");
+        }
+    }
+
+    /// The parser lexes on demand, but a lex error anywhere still wins
+    /// over a parse error earlier in the source.
+    #[test]
+    fn a_later_lex_error_wins_over_an_earlier_parse_error() {
+        let e = parse_program("p(a b).\nq(!).").unwrap_err();
+        assert_eq!((e.message.as_str(), e.line, e.col), ("expected `=` after `!`", 2, 4));
+        let e = parse_program("p(a b).\nq(c).").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 5), "{e}");
+        let e = parse_rule("p(a). q(#).").unwrap_err();
+        assert!(e.message.contains("unexpected character `#`"), "{e}");
+    }
+
+    /// A term nested 200 000 deep — a 600 KB program, inside the
+    /// `gbc serve` body limit — is refused with an error on a default
+    /// 2 MiB thread instead of overflowing its stack.
+    #[test]
+    fn a_very_deep_term_is_an_error_not_a_stack_overflow() {
+        let text = nested_fact(200_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_program(&text).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("the parse must not overflow the stack");
+        assert_eq!(parsed.unwrap_err().to_diagnostic().code, "GBC001");
+    }
 
     #[test]
     fn parses_a_fact() {

@@ -14,6 +14,10 @@ use crate::tuple::Row;
 /// A database instance. Relations are keyed by predicate [`Symbol`];
 /// iteration over predicates is in symbol (name) order, which keeps
 /// printed models and test expectations stable.
+///
+/// Cloning shares every relation's row store (see [`Relation`]): a
+/// clone costs one `Arc` per relation, and each side copies a store
+/// only when it first writes to it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     relations: BTreeMap<Symbol, Relation>,
@@ -53,8 +57,8 @@ impl Database {
         self.provenance.as_ref()
     }
 
-    fn fresh_relation(metrics: &Option<Arc<Metrics>>) -> Relation {
-        let mut rel = Relation::new();
+    /// `rel` reporting to `metrics`, when attached.
+    fn with_metrics(mut rel: Relation, metrics: &Option<Arc<Metrics>>) -> Relation {
         if let Some(m) = metrics {
             rel.set_metrics(Arc::clone(m));
         }
@@ -64,12 +68,15 @@ impl Database {
     /// Insert `pred(row)`. Returns `false` on duplicate.
     pub fn insert(&mut self, pred: Symbol, row: Row) -> bool {
         let metrics = &self.metrics;
-        self.relations.entry(pred).or_insert_with(|| Database::fresh_relation(metrics)).insert(row)
+        self.relations
+            .entry(pred)
+            .or_insert_with(|| Database::with_metrics(Relation::new(), metrics))
+            .insert(row)
     }
 
     /// Insert a pre-encoded row `pred(ids)`. Returns `false` on
     /// duplicate.
-    pub fn insert_ids(&mut self, pred: Symbol, ids: Vec<u32>) -> bool {
+    pub fn insert_ids(&mut self, pred: Symbol, ids: &[u32]) -> bool {
         self.relation_mut(pred).insert_ids(ids)
     }
 
@@ -83,10 +90,34 @@ impl Database {
         self.relations.get(&pred).unwrap_or(&self.empty)
     }
 
+    /// Append every row of `other` after this database's own rows, as
+    /// if each were inserted in `other`'s order (duplicates dropped). A
+    /// predicate absent here shares `other`'s row store instead of
+    /// copying it; either way `other` is left unchanged.
+    pub fn append(&mut self, other: &Database) {
+        for (&pred, rel) in &other.relations {
+            match self.relations.get_mut(&pred) {
+                Some(mine) => {
+                    let (rows, mut row) = (rel.rows(), Vec::new());
+                    for i in 0..rows.len() {
+                        rows.read_row(i, &mut row);
+                        mine.insert_ids(&row);
+                    }
+                }
+                None => {
+                    let shared = Database::with_metrics(rel.share(), &self.metrics);
+                    self.relations.insert(pred, shared);
+                }
+            }
+        }
+    }
+
     /// Mutable relation handle (creates it if missing).
     pub fn relation_mut(&mut self, pred: Symbol) -> &mut Relation {
         let metrics = &self.metrics;
-        self.relations.entry(pred).or_insert_with(|| Database::fresh_relation(metrics))
+        self.relations
+            .entry(pred)
+            .or_insert_with(|| Database::with_metrics(Relation::new(), metrics))
     }
 
     /// Does the database contain the fact `pred(row)`?
@@ -129,43 +160,65 @@ impl Database {
     /// which is the order of the decoded rows, and the cells print
     /// straight from their dictionary borrows into one output buffer.
     /// Like a decoded-row render, it counts one `decode_calls` per
-    /// printed cell.
+    /// printed cell. A relation whose row store is shared (a compiled
+    /// program's facts, a caller's EDB) prints from the store's cached
+    /// text, rendered — and counted — on first use only.
     pub fn canonical_form(&self) -> String {
-        use std::fmt::Write;
         let estimate: usize = self
             .relations
             .iter()
             .map(|(p, rel)| rel.len() * (p.as_str().len() + 3 + 8 * rel.arity().unwrap_or(0)))
             .sum();
         let mut out = String::with_capacity(estimate);
-        for (p, rel) in &self.relations {
-            let rows = rel.rows();
-            let arity = rows.arity();
-            let mut order: Vec<usize> = (0..rows.len()).collect();
-            order.sort_unstable_by(|&a, &b| {
-                (0..arity)
-                    .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
+        for (&p, rel) in &self.relations {
+            let shared = rel.shared_text(|| {
+                let mut text = String::new();
+                render_relation(p, rel, &mut text);
+                text
             });
-            dictionary::count_decodes((rows.len() * arity) as u64);
-            for r in order {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push_str(p.as_str());
-                if arity > 0 {
-                    for c in 0..arity {
-                        out.push(if c == 0 { '(' } else { ',' });
-                        write!(out, "{}", dictionary::decode_ref(rows.cell(r, c)))
-                            .expect("writing to a String cannot fail");
+            match shared {
+                Some("") => {}
+                Some(text) => {
+                    if !out.is_empty() {
+                        out.push('\n');
                     }
-                    out.push(')');
+                    out.push_str(text);
                 }
-                out.push('.');
+                None => render_relation(p, rel, &mut out),
             }
         }
         out
+    }
+}
+
+/// Append `rel`'s rows to `out` as sorted ground facts `p(…).`, each
+/// on its own line after whatever `out` already holds.
+fn render_relation(p: Symbol, rel: &Relation, out: &mut String) {
+    use std::fmt::Write;
+    let rows = rel.rows();
+    let arity = rows.arity();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        (0..arity)
+            .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    dictionary::count_decodes((rows.len() * arity) as u64);
+    for r in order {
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out.push_str(p.as_str());
+        if arity > 0 {
+            for c in 0..arity {
+                out.push(if c == 0 { '(' } else { ',' });
+                write!(out, "{}", dictionary::decode_ref(rows.cell(r, c)))
+                    .expect("writing to a String cannot fail");
+            }
+            out.push(')');
+        }
+        out.push('.');
     }
 }
 
@@ -253,19 +306,78 @@ mod tests {
         lines.join("\n")
     }
 
+    /// A database of four random relations `r0`–`r3`, relation `ri` of
+    /// arity `i` (so zero-arity facts mix in), up to `max_rows` rows each.
+    fn random_database(rng: &mut gbc_telemetry::Rng, max_rows: u64) -> Database {
+        let mut db = Database::new();
+        for (i, pred) in ["r0", "r1", "r2", "r3"].into_iter().enumerate() {
+            let arity = if i == 0 { 0 } else { i };
+            for _ in 0..rng.below(max_rows) {
+                let row = (0..arity).map(|_| random_value(rng, 2)).collect();
+                db.insert_values(pred, row);
+            }
+        }
+        db
+    }
+
+    /// Clones share row stores and the text cached in them; an insert
+    /// into one side copies the store and never reaches the other side
+    /// or its cached text.
+    #[test]
+    fn clones_write_copy_on_write_and_keep_cached_text_true() {
+        for seed in 0..60u64 {
+            let mut rng = gbc_telemetry::Rng::new(seed);
+            let mut original = random_database(&mut rng, 20);
+            let want = decoded_row_render(&original);
+            let mut clone = original.clone();
+            // Both render while shared: the text is cached and fresh.
+            assert_eq!(original.canonical_form(), want, "seed {seed}");
+            for _ in 0..rng.below(12) {
+                let (pred, arity) =
+                    [("r0", 0), ("r1", 1), ("r2", 2), ("r3", 3), ("r4", 2)][rng.below_usize(5)];
+                let row = (0..arity).map(|_| random_value(&mut rng, 2)).collect();
+                clone.insert_values(pred, row);
+                if rng.below(3) == 0 {
+                    assert_eq!(clone.canonical_form(), decoded_row_render(&clone), "seed {seed}");
+                }
+            }
+            assert_eq!(clone.canonical_form(), decoded_row_render(&clone), "seed {seed}");
+            assert_eq!(original.canonical_form(), want, "seed {seed}: the original moved");
+            assert_eq!(decoded_row_render(&original), want, "seed {seed}");
+            // Once the clone is gone, the original owns its stores alone:
+            // writing into one must drop the text it cached while shared.
+            drop(clone);
+            original.insert_values("r1", vec![Value::str("after the clone")]);
+            assert_eq!(original.canonical_form(), decoded_row_render(&original), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn append_shares_absent_relations_and_extends_present_ones() {
+        let mut rng = gbc_telemetry::Rng::new(7);
+        let base = random_database(&mut rng, 15);
+        let base_text = base.canonical_form();
+        let mut db = Database::new();
+        db.insert_values("r2", vec![Value::int(1), Value::int(2)]);
+        db.insert_values("q", vec![Value::int(3)]);
+        let mut want = db.clone();
+        for (p, row) in base.iter_all() {
+            want.insert(p, row);
+        }
+        db.append(&base);
+        for p in want.predicates() {
+            assert_eq!(db.facts_of(p), want.facts_of(p), "{p}: rows or their order differ");
+        }
+        let r1 = Symbol::intern("r1");
+        assert!(base.count(r1) > 0);
+        assert!(db.relation(r1).shares_rows(base.relation(r1)));
+        assert_eq!(base.canonical_form(), base_text);
+    }
+
     #[test]
     fn id_space_render_matches_sorted_decoded_rows() {
         for seed in 0..40u64 {
-            let mut rng = gbc_telemetry::Rng::new(seed);
-            let mut db = Database::new();
-            for (i, pred) in ["r0", "r1", "r2", "r3"].into_iter().enumerate() {
-                // Arity 0 for `r0`, so zero-arity facts mix in.
-                let arity = if i == 0 { 0 } else { 1 + rng.below_usize(3) };
-                for _ in 0..rng.below(30) {
-                    let row = (0..arity).map(|_| random_value(&mut rng, 2)).collect();
-                    db.insert_values(pred, row);
-                }
-            }
+            let db = random_database(&mut gbc_telemetry::Rng::new(seed), 30);
             let want = decoded_row_render(&db);
             let cells: u64 =
                 db.relations.values().map(|r| (r.len() * r.arity().unwrap_or(0)) as u64).sum();

@@ -8,13 +8,14 @@
 //! walk these contiguous id arrays and compare plain integers; values
 //! are only decoded at output boundaries.
 
-use std::sync::{Arc, RwLock};
+use std::hash::Hasher;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use gbc_ast::Value;
 use gbc_telemetry::Metrics;
 
 use crate::dictionary::{self, DICT_MISS};
-use crate::fx::FxHashSet;
+use crate::fx::FxHasher;
 use crate::index::Index;
 use crate::tuple::Row;
 
@@ -175,26 +176,31 @@ impl FromIterator<Row> for ColumnBuf {
 /// column vectors double as the **arena**: indices and callers refer
 /// to rows by `u32` position ([`Relation::rows`],
 /// [`Relation::select_ids_into`]), so the join path never materialises
-/// rows out of storage. Indices on column subsets are created lazily
-/// behind an `RwLock` — the engine reads relations through `&Relation`
-/// while staging derived tuples elsewhere, so interior mutability
-/// confines itself to the index cache. The lock (rather than a
-/// `RefCell`) keeps `Relation` `Sync`: `gbc serve` request workers
-/// share a session's EDB through an `Arc`, and concurrent requests may
-/// probe the same relation. Probes take the read lock; a miss upgrades
-/// to the write lock with a double-check, so concurrent first probes of
-/// the same column set still build the index exactly once.
+/// rows out of storage.
+///
+/// A relation is two parts:
+///
+/// * the **row store** — columns, dedup table and cached canonical text —
+///   behind an `Arc`. Cloning a relation shares it; the first insert
+///   into a shared store copies it (copy-on-write), so a database
+///   cloned from another, or built over a compiled program's fact base,
+///   costs nothing until it writes;
+/// * the **handle** — the index cache and the counter registry — owned
+///   by each relation, so every evaluation builds, probes and counts
+///   its own indices however many others share its rows.
+///
+/// Indices on column subsets are created lazily behind an `RwLock` —
+/// the engine reads relations through `&Relation` while staging derived
+/// tuples elsewhere, so interior mutability confines itself to the
+/// index cache. The lock (rather than a `RefCell`) keeps `Relation`
+/// `Sync`: `gbc serve` request workers share a session's EDB through an
+/// `Arc`, and concurrent requests may probe the same relation. Probes
+/// take the read lock; a miss upgrades to the write lock with a
+/// double-check, so concurrent first probes of the same column set
+/// still build the index exactly once.
 #[derive(Debug, Default)]
 pub struct Relation {
-    /// One `Vec<u32>` per attribute; all the same length.
-    cols: Vec<Vec<u32>>,
-    /// Row count, tracked separately so zero-arity relations (no
-    /// columns) still count their single row.
-    n_rows: usize,
-    /// Arity, fixed by the first inserted row.
-    arity: Option<usize>,
-    /// Dedup set over encoded rows.
-    set: FxHashSet<Vec<u32>>,
+    rows: Arc<RowStore>,
     /// Cached indices, keyed by their column bitmask (bit i ⇒ column i
     /// participates, in ascending column order).
     indices: RwLock<Vec<(u64, Index)>>,
@@ -203,16 +209,118 @@ pub struct Relation {
     metrics: Option<Arc<Metrics>>,
 }
 
-impl Clone for Relation {
+/// The shared part of a [`Relation`].
+#[derive(Debug, Default)]
+struct RowStore {
+    /// One `Vec<u32>` per attribute; all the same length.
+    cols: Vec<Vec<u32>>,
+    /// Row count, tracked separately so zero-arity relations (no
+    /// columns) still count their single row.
+    n_rows: usize,
+    /// Arity, fixed by the first inserted row.
+    arity: Option<usize>,
+    /// Dedup table: open-addressed (linear probing, power-of-two size)
+    /// row positions, indexed by the top bits of the row's Fx hash and
+    /// compared against the columns; empty until the first insert.
+    table: Vec<u32>,
+    /// The rows' canonical text, rendered on first use while the store
+    /// is shared ([`Relation::shared_text`]); a store only ever serves
+    /// one predicate, whose name the text carries.
+    text: OnceLock<String>,
+}
+
+impl Clone for RowStore {
+    /// A copy for writing: the rows without the cached text, which the
+    /// write would invalidate.
     fn clone(&self) -> Self {
-        // Indices survive the clone: they hold arena positions, and the
-        // arenas are copied verbatim, so every stored row id still
-        // points at the same row in the copy.
-        Relation {
+        RowStore {
             cols: self.cols.clone(),
             n_rows: self.n_rows,
             arity: self.arity,
-            set: self.set.clone(),
+            table: self.table.clone(),
+            text: OnceLock::new(),
+        }
+    }
+}
+
+/// An empty dedup-table slot.
+const EMPTY: u32 = u32::MAX;
+
+fn row_hash(cells: impl Iterator<Item = u32>) -> u64 {
+    let mut h = FxHasher::default();
+    for c in cells {
+        h.write_u32(c);
+    }
+    h.finish()
+}
+
+impl RowStore {
+    /// The table slot of the row equal to `ids` (`Ok`), or the empty
+    /// slot where it would go (`Err`). The table must not be empty.
+    fn probe(&self, ids: &[u32]) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut i = self.slot_of(row_hash(ids.iter().copied()));
+        loop {
+            match self.table[i] {
+                EMPTY => return Err(i),
+                r if self.cols.iter().zip(ids).all(|(col, &id)| col[r as usize] == id) => {
+                    return Ok(i)
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The home slot of `hash`: its top bits.
+    fn slot_of(&self, hash: u64) -> usize {
+        (hash >> (64 - self.table.len().trailing_zeros())) as usize
+    }
+
+    fn contains(&self, ids: &[u32]) -> bool {
+        self.arity == Some(ids.len()) && self.probe(ids).is_ok()
+    }
+
+    /// Append a row known to be new.
+    fn push(&mut self, ids: &[u32]) {
+        if self.arity.is_none() {
+            self.arity = Some(ids.len());
+            self.cols = vec![Vec::new(); ids.len()];
+        }
+        let row = self.n_rows as u32;
+        for (col, &cell) in self.cols.iter_mut().zip(ids) {
+            col.push(cell);
+        }
+        self.n_rows += 1;
+        // Grow beyond 7/8 full; re-inserting every row places this one.
+        if self.n_rows * 8 > self.table.len() * 7 {
+            self.rehash((self.table.len() * 2).max(8));
+        } else {
+            let Err(slot) = self.probe(ids) else { unreachable!("pushed a duplicate row") };
+            self.table[slot] = row;
+        }
+    }
+
+    /// Rebuild the table with `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        self.table = vec![EMPTY; slots];
+        let mask = slots - 1;
+        for r in 0..self.n_rows {
+            let mut i = self.slot_of(row_hash(self.cols.iter().map(|col| col[r])));
+            while self.table[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.table[i] = r as u32;
+        }
+    }
+}
+
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        // Indices survive the clone: they hold arena positions, and the
+        // clone shares the arena (a later copy-on-write copies it
+        // verbatim), so every stored row id still points at its row.
+        Relation {
+            rows: Arc::clone(&self.rows),
             indices: RwLock::new(self.indices.read().expect("index cache lock").clone()),
             metrics: self.metrics.clone(),
         }
@@ -246,52 +354,66 @@ impl Relation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.n_rows
+        self.rows.n_rows
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
+        self.rows.n_rows == 0
     }
 
     /// Arity, once the first row fixed it.
     pub fn arity(&self) -> Option<usize> {
-        self.arity
+        self.rows.arity
+    }
+
+    /// A fresh handle on this relation's row store: shared rows, no
+    /// cached indices, no counter registry.
+    pub fn share(&self) -> Relation {
+        Relation { rows: Arc::clone(&self.rows), ..Relation::default() }
+    }
+
+    /// Does this relation share its row store with `other` (one is a
+    /// clone of the other, and neither has written since)?
+    pub fn shares_rows(&self, other: &Relation) -> bool {
+        Arc::ptr_eq(&self.rows, &other.rows)
+    }
+
+    /// The row store's cached text, produced by `render` on first use,
+    /// when the store is shared with another relation or was cached
+    /// before; `None` for a store this handle owns alone, which the
+    /// caller renders directly.
+    pub fn shared_text(&self, render: impl FnOnce() -> String) -> Option<&str> {
+        let cached = Arc::strong_count(&self.rows) > 1 || self.rows.text.get().is_some();
+        cached.then(|| self.rows.text.get_or_init(render).as_str())
     }
 
     /// Insert a row, interning its values; returns `false` if it was
     /// already present.
     pub fn insert(&mut self, row: Row) -> bool {
-        let ids = dictionary::encode_row(&row);
-        self.insert_ids(ids)
+        self.insert_ids(&dictionary::encode_row(&row))
     }
 
-    /// Insert a pre-encoded row; returns `false` on duplicate.
+    /// Insert a pre-encoded row; returns `false` on duplicate. A store
+    /// shared with other relations is copied first, without its cached
+    /// text; a duplicate copies nothing.
     ///
     /// # Panics
     /// Panics when the row's arity differs from the relation's.
-    pub fn insert_ids(&mut self, ids: Vec<u32>) -> bool {
-        match self.arity {
-            None => {
-                self.arity = Some(ids.len());
-                self.cols = vec![Vec::new(); ids.len()];
-            }
-            Some(a) => {
-                assert_eq!(a, ids.len(), "relation rows must share an arity");
-            }
+    pub fn insert_ids(&mut self, ids: &[u32]) -> bool {
+        if let Some(a) = self.rows.arity {
+            assert_eq!(a, ids.len(), "relation rows must share an arity");
         }
-        if self.set.contains(ids.as_slice()) {
+        if self.rows.contains(ids) {
             return false;
         }
-        let id = self.n_rows as u32;
+        let id = self.rows.n_rows as u32;
         for (_, idx) in self.indices.get_mut().expect("index cache lock").iter_mut() {
-            idx.insert_row(&ids, id);
+            idx.insert_row(ids, id);
         }
-        for (col, &cell) in self.cols.iter_mut().zip(&ids) {
-            col.push(cell);
-        }
-        self.n_rows += 1;
-        self.set.insert(ids);
+        let rows = Arc::make_mut(&mut self.rows);
+        rows.text.take();
+        rows.push(ids);
         true
     }
 
@@ -305,7 +427,7 @@ impl Relation {
     /// the dictionary has never seen cannot be stored anywhere, so a
     /// lookup-only encode suffices.
     pub fn contains_values(&self, values: &[Value]) -> bool {
-        if self.arity != Some(values.len()) {
+        if self.rows.arity != Some(values.len()) {
             return false;
         }
         let mut key = Vec::with_capacity(values.len());
@@ -316,12 +438,12 @@ impl Relation {
             }
             key.push(id);
         }
-        self.set.contains(key.as_slice())
+        self.rows.contains(&key)
     }
 
     /// Membership test over pre-encoded ids.
     pub fn contains_ids(&self, ids: &[u32]) -> bool {
-        self.set.contains(ids)
+        self.rows.contains(ids)
     }
 
     /// Rows in insertion order, decoded (boundary use only — hot paths
@@ -333,18 +455,19 @@ impl Relation {
 
     /// The `i`-th row in insertion order, decoded.
     pub fn get(&self, i: usize) -> Option<Row> {
-        (i < self.n_rows).then(|| self.rows().decode_row(i))
+        (i < self.len()).then(|| self.rows().decode_row(i))
     }
 
     /// The insertion-ordered columnar arena. Row ids produced by
     /// [`Relation::select_ids_into`] index into this view.
     pub fn rows(&self) -> RowsView<'_> {
-        RowsView { cols: &self.cols, start: 0, end: self.n_rows }
+        RowsView { cols: &self.rows.cols, start: 0, end: self.rows.n_rows }
     }
 
     /// Rows inserted at or after position `from` (used for deltas).
     pub fn since(&self, from: usize) -> RowsView<'_> {
-        RowsView { cols: &self.cols, start: from.min(self.n_rows), end: self.n_rows }
+        let n = self.rows.n_rows;
+        RowsView { cols: &self.rows.cols, start: from.min(n), end: n }
     }
 
     /// Collect into `out` the arena ids of rows whose projection on
@@ -366,19 +489,20 @@ impl Relation {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
         debug_assert_eq!(cols.len(), key.len());
         out.clear();
+        let n_rows = self.rows.n_rows;
         if cols.is_empty() {
-            out.extend(0..self.n_rows as u32);
+            out.extend(0..n_rows as u32);
             return;
         }
         if let Some(m) = &self.metrics {
             m.index_probes.inc();
         }
         let Some(mask) = mask_of(cols) else {
-            for i in 0..self.n_rows {
+            for i in 0..n_rows {
                 if cols
                     .iter()
                     .zip(key)
-                    .all(|(&c, &k)| self.cols.get(c).map(|col| col[i]) == Some(k))
+                    .all(|(&c, &k)| self.rows.cols.get(c).map(|col| col[i]) == Some(k))
                 {
                     out.push(i as u32);
                 }
@@ -406,11 +530,6 @@ impl Relation {
         let idx = Index::build(cols.to_vec(), self.rows());
         out.extend_from_slice(idx.get(key));
         cache.push((mask, idx));
-    }
-
-    /// Drop all cached indices (tests / memory pressure).
-    pub fn clear_indices(&self) {
-        self.indices.write().expect("index cache lock").clear();
     }
 
     /// Number of cached indices (for tests).

@@ -3,8 +3,9 @@
 //!
 //! Phase names use `/` as a hierarchy separator (`run/gamma/feed`).
 //! Each clock read closes the interval since the previous read and
-//! charges it exactly once: to the current leaf phase, and to either
-//! the rule that just ran or the profile's overhead bucket. A parent's
+//! charges it exactly once: to the current leaf phase, and — inside
+//! [`PROFILED_PHASE`] — to either the rule that just ran or the
+//! profile's overhead bucket. A parent's
 //! time is the sum of its leaves'; its count is the number of times it
 //! was entered. A round boundary records the time since the previous
 //! boundary into the round histogram from the same reading. So phases,
@@ -19,9 +20,16 @@ use crate::hist::Histogram;
 use crate::json::Json;
 use crate::profiler::Profile;
 
+/// The phase the per-rule profile attributes. Time spent in other
+/// top-level phases (`parse`, `setup`, `render`, …) reaches the phase
+/// tree only, so rules plus overhead add up to exactly this phase.
+pub const PROFILED_PHASE: &str = "run";
+
 #[derive(Debug)]
 struct Node {
     name: String,
+    /// Inside [`PROFILED_PHASE`].
+    profiled: bool,
     /// Registered before this node, so its index is smaller.
     parent: Option<usize>,
     /// Time charged while this node was the current leaf.
@@ -47,17 +55,23 @@ impl State {
             return i;
         }
         let parent = name.rsplit_once('/').map(|(p, _)| self.node(p));
-        self.nodes.push(Node { name: name.to_owned(), parent, nanos: 0, count: 0 });
+        let profiled = parent.map_or(name == PROFILED_PHASE, |p| self.nodes[p].profiled);
+        self.nodes.push(Node { name: name.to_owned(), parent, profiled, nanos: 0, count: 0 });
         self.nodes.len() - 1
     }
 
-    /// Charge the interval ending at `now` to the current leaf and to
-    /// `rule` (`(id, firings, tuples)`) or the overhead bucket.
+    /// Charge the interval ending at `now` to the current leaf and,
+    /// inside [`PROFILED_PHASE`], to `rule` (`(id, firings, tuples)`)
+    /// or the overhead bucket.
     fn close(&mut self, now: Instant, rule: Option<(usize, u64, u64)>) {
         let mut nanos = 0;
         if let Some((leaf, last, _)) = &mut self.clock {
-            nanos = now.saturating_duration_since(*last).as_nanos() as u64;
-            self.nodes[*leaf].nanos += nanos;
+            let leaf = &mut self.nodes[*leaf];
+            let spent = now.saturating_duration_since(*last).as_nanos() as u64;
+            leaf.nanos += spent;
+            if leaf.profiled {
+                nanos = spent;
+            }
             *last = now;
         }
         match rule {
@@ -360,13 +374,22 @@ mod tests {
     #[test]
     fn time_measures_something() {
         let r = Recorder::enabled();
-        r.time("spin", || r.end_round());
+        r.time("run", || r.end_round());
         let e = r.entries();
         assert_eq!((e[0].2, r.rounds().count()), (1, 1));
         // The clock stopped with the closure: later reads charge nothing.
         r.overhead();
         assert_eq!(r.entries()[0].1, e[0].1);
         assert!((r.profile().total_secs() - e[0].1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn profile_attributes_only_the_profiled_phase() {
+        let r =
+            replay(&[(0, Some("parse")), (2, Some("run/flat")), (5, Some("render")), (9, None)]);
+        let names: Vec<String> = r.entries().into_iter().map(|e| e.0).collect();
+        assert_eq!(names, ["parse", "run", "run/flat", "render"]);
+        assert!((r.profile().total_secs() - 0.003).abs() < 1e-9);
     }
 
     #[test]

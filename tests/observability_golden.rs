@@ -246,7 +246,7 @@ fn kruskal_edb() -> Database {
 // ---------------------------------------------------------------------------
 
 fn goldens_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; goldens live at the repo root.
+    // CARGO_MANIFEST_DIR = crates/cli; goldens live at the repo root.
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
@@ -380,4 +380,29 @@ fn observability_is_deterministic_across_runs() {
     assert_eq!(reports[0], reports[1], "counter JSON must be byte-identical");
     assert_eq!(traces[0], traces[1], "trace must be byte-identical");
     assert!(traces[0].contains("γ stage"), "trace shows stage commits");
+}
+
+/// `gbc run --stats-json` times the whole command as top-level phases,
+/// in this order: `parse`, `compile`, `setup`, `run` (with its
+/// executor children), `render`, `write`. Only the names are pinned;
+/// the timings are wall-clock.
+#[test]
+fn run_stats_json_lists_the_command_phases_in_order() {
+    let root = goldens_dir().join("../..");
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_stats_phases.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_gbc"))
+        .current_dir(&root)
+        .args(["run", "programs/prim.dl", "programs/graph_small.dl", "--stats-json"])
+        .arg(&out)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("gbc runs");
+    assert!(status.success());
+    let report = gbc_telemetry::Json::parse(&fs::read_to_string(&out).unwrap()).unwrap();
+    let Some(gbc_telemetry::Json::Arr(phases)) = report.get("phases") else {
+        panic!("no phases array in {report}")
+    };
+    let names: Vec<&str> =
+        phases.iter().map(|p| p.get("name").and_then(|n| n.as_str()).expect("named")).collect();
+    compare_or_bless("run_stats_phases.golden", &format!("{}\n", names.join("\n")));
 }

@@ -292,3 +292,18 @@ fn near_cap_load_body_decodes_in_linear_time() {
     assert!(took < Duration::from_secs(1), "a 900 KB /load took {took:?}");
     handle.shutdown();
 }
+
+#[test]
+fn deeply_nested_load_is_a_400_not_a_crash() {
+    // A term nested 200 000 deep: about 600 KB, inside the body cap.
+    // Unbounded recursive descent would overflow the worker's stack and
+    // abort the whole server.
+    let program = format!("p({}a{}).", "f(".repeat(200_000), ")".repeat(200_000));
+    let (addr, handle) = start_server();
+    let (status, body) = client::post_json(&addr, "/load", &load_body("deep", &program)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("GBC001") && body.contains("nesting deeper than"), "{body}");
+    let (status, _) = client::get(&addr, "/healthz").unwrap();
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
