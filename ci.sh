@@ -232,6 +232,12 @@ grep -q '"label": "post-PR23"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR23 run" >&2
     exit 1
 }
+# The post-PR24 record: E1/E2/E3 with flat saturation in id space and no
+# confirming flat round (E1's flat_rounds column halves).
+grep -q '"label": "post-PR24"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR24 run" >&2
+    exit 1
+}
 for col in dict_entries encode_hits decode_calls; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2

@@ -3,7 +3,9 @@
 //! The popped candidate already holds its cells as dictionary ids, so
 //! choosing (the FD probes) and committing (the memo entries, the `W`
 //! projection, the head row) reuse them; the one value a step can
-//! introduce is its stage number. Over `GreedyExecutor::run`, dictionary
+//! introduce is its stage number. Flat saturation between steps builds
+//! its head rows from the ids its frames hold (Prim's `new_g`), so it
+//! interns nothing. Over `GreedyExecutor::run`, dictionary
 //! encodes — probes answered by an existing id plus newly minted ids —
 //! must therefore stay within the γ step count plus a constant, at every
 //! instance size.
@@ -30,6 +32,25 @@ const SORT: &str = "sp(nil, 0, 0).\n\
 const MATCHING: &str = "matching(nil, nil, 0, 0).\n\
                         matching(X, Y, C, I) <- next(I), g(X, Y, C), least(C, I),\n\
                         choice(Y, X), choice(X, Y).\n";
+
+const PRIM: &str = "prm(nil, 0, 0, 0).\n\
+                    prm(X, Y, C, I) <- next(I), new_g(X, Y, C, J), J < I, Y != 0,\n\
+                    least(C, I), choice(Y, X).\n\
+                    new_g(X, Y, C, J) <- prm(_, X, _, J), g(X, Y, C).\n";
+
+/// A connected undirected graph over `n` nodes — a random spanning
+/// tree plus `n` random chords — as Prim's `g` facts, both
+/// orientations listed.
+fn prim_text(n: usize, rng: &mut Rng) -> String {
+    let mut text = PRIM.to_owned();
+    for k in 1..2 * n {
+        let (x, y) =
+            if k < n { (k, rng.below_usize(k)) } else { (rng.below_usize(n), rng.below_usize(n)) };
+        let c = rng.range_i64(1, 10_000);
+        text.push_str(&format!("g({x}, {y}, {c}).\ng({y}, {x}, {c}).\n"));
+    }
+    text
+}
 
 /// `n` sort facts `p(kK, C)` with random costs.
 fn sort_text(n: usize, rng: &mut Rng) -> String {
@@ -84,6 +105,8 @@ fn gamma_steps_bound_dictionary_encodes() {
         ("sort n=512", sort_text(512, &mut rng)),
         ("matching e=128", matching_text(48, 128, &mut rng)),
         ("matching e=1024", matching_text(256, 1024, &mut rng)),
+        ("prim n=64", prim_text(64, &mut rng)),
+        ("prim n=256", prim_text(256, &mut rng)),
     ];
     for (name, text) in instances {
         let compiled =

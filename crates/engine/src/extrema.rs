@@ -107,32 +107,6 @@ pub fn eval_rule_with_extrema(db: &Database, rule: &Rule) -> Result<Vec<Row>, En
     frames.iter().map(|b| instantiate_head(rule, b)).collect()
 }
 
-/// [`eval_rule_with_extrema`] through a precompiled plan.
-pub fn eval_rule_with_extrema_plan(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-) -> Result<Vec<Row>, EngineError> {
-    let frames = collect_matches_plan(db, rule, plan, None)?;
-    let frames = filter_extrema(rule, frames)?;
-    frames.iter().map(|b| instantiate_head(rule, b)).collect()
-}
-
-/// [`eval_rule_with_extrema_plan`] returning the surviving binding
-/// frames alongside the head rows (aligned index-wise) — the
-/// provenance path needs the frames to reconstruct parent rows.
-pub fn eval_rule_with_extrema_plan_traced(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-) -> Result<(Vec<Row>, Vec<Bindings>), EngineError> {
-    let frames = collect_matches_plan(db, rule, plan, None)?;
-    let frames = filter_extrema(rule, frames)?;
-    let rows: Vec<Row> =
-        frames.iter().map(|b| instantiate_head(rule, b)).collect::<Result<_, _>>()?;
-    Ok((rows, frames))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -236,13 +236,29 @@ impl JoinPlan {
     }
 }
 
+/// One column of a compiled rule head, resolved at compile time like
+/// a scan's [`KeyPart`].
+#[derive(Clone, Debug)]
+enum HeadPart {
+    /// A ground term, interned once at plan-compile time.
+    Const(u32),
+    /// A variable: its id is read from the frame. A variable bound by
+    /// value (an `=` assignment) has no id there and is encoded per
+    /// match.
+    Var(VarId),
+    /// A compound term over variables: evaluate `head.args[col]` and
+    /// encode it per match.
+    Eval(usize),
+}
+
 /// The compiled plans of one rule: the unfocused order plus one
 /// variant per positive body literal (the occurrence seminaive deltas
-/// focus on).
+/// focus on), and the head as one part per column.
 #[derive(Clone, Debug)]
 pub struct RulePlan {
     base: JoinPlan,
     focused: Vec<(usize, JoinPlan)>,
+    head: Vec<HeadPart>,
 }
 
 impl RulePlan {
@@ -255,7 +271,45 @@ impl RulePlan {
                 focused.push((li, JoinPlan::compile(rule, Some(li))?));
             }
         }
-        Ok(RulePlan { base, focused })
+        let head = rule
+            .head
+            .args
+            .iter()
+            .enumerate()
+            .map(|(col, t)| match t {
+                Term::Var(v) => HeadPart::Var(*v),
+                t => match t.as_value() {
+                    Some(c) => HeadPart::Const(dictionary::encode(&c)),
+                    None => HeadPart::Eval(col),
+                },
+            })
+            .collect();
+        Ok(RulePlan { base, focused, head })
+    }
+
+    /// Append the head row of the complete match `b` to `out` as
+    /// dictionary ids. Only cells the match computes — a value-bound
+    /// variable, a compound term over variables — are encoded.
+    pub fn push_head_ids(
+        &self,
+        rule: &Rule,
+        b: &Bindings,
+        out: &mut Vec<u32>,
+    ) -> Result<(), EngineError> {
+        let non_ground = || EngineError::NonGroundHead { rule: rule.to_string() };
+        for part in &self.head {
+            out.push(match *part {
+                HeadPart::Const(id) => id,
+                HeadPart::Var(v) => match b.id_of(v) {
+                    DICT_MISS => dictionary::encode(b.get(v).ok_or_else(non_ground)?),
+                    id => id,
+                },
+                HeadPart::Eval(col) => {
+                    dictionary::encode(&eval_term(&rule.head.args[col], b).ok_or_else(non_ground)?)
+                }
+            });
+        }
+        Ok(())
     }
 
     /// The plan variant for a given focused literal (or the base plan).

@@ -1,29 +1,34 @@
 //! Delta-driven saturation of a rule set (seminaive evaluation).
 //!
 //! A [`Seminaive`] driver owns a rule set and per-predicate high-water
-//! marks. Each call to [`Seminaive::saturate`] runs rounds until no new
-//! facts appear; within a round, every non-extrema rule is evaluated
-//! once per positive body occurrence, with that occurrence *focused* on
-//! the rows inserted since the mark. Rules with `least`/`most` goals are
-//! re-evaluated in full whenever a body predicate has grown (the filter
-//! needs the complete match set), which is the behaviour the paper's
-//! cost analysis assumes for flat rules.
+//! marks. Each call to [`Seminaive::saturate`] runs rounds until a
+//! round grows no predicate that a rule body reads; within a round,
+//! every non-extrema rule is evaluated once per positive body
+//! occurrence, with that occurrence *focused* on the rows inserted
+//! since the mark. Rules with `least`/`most` goals are re-evaluated in
+//! full whenever a body predicate has grown (the filter needs the
+//! complete match set), which is the behaviour the paper's cost
+//! analysis assumes for flat rules.
+//!
+//! Head rows are built in id space: a variable's cell is the id the
+//! frame already holds, a ground cell was interned when the plan was
+//! compiled, and only computed cells (arithmetic results, compound
+//! terms over variables) are encoded per match.
 //!
 //! The driver persists across calls, so the paper's `Q^∞(γ(S))`
 //! alternation (Section 2) pays only for work caused by the facts the
 //! latest γ step introduced.
 
 use gbc_ast::{Literal, Rule, Symbol};
+use gbc_storage::dictionary::decode_ref;
 use gbc_storage::{Database, FxHashMap, Row};
 use gbc_telemetry::{Telemetry, TraceEvent};
 
+use crate::bindings::Bindings;
 use crate::error::EngineError;
-use crate::eval::{instantiate_head, parent_rows, Focus};
-use crate::extrema::{eval_rule_with_extrema_plan, eval_rule_with_extrema_plan_traced};
+use crate::eval::{parent_rows, Focus};
+use crate::extrema::{collect_matches_plan, filter_extrema};
 use crate::plan::{for_each_match_plan, PlanCache, RulePlan};
-
-/// Rows joined over per derived head row — recorded for provenance.
-type ParentSets = Vec<Vec<(Symbol, Row)>>;
 
 /// Persistent seminaive driver. See the module docs.
 #[derive(Clone, Debug)]
@@ -94,14 +99,17 @@ impl Seminaive {
         &self.rules
     }
 
-    /// Run rounds until fixpoint. Returns the number of new facts.
+    /// Run rounds until the round that grew no body predicate — the
+    /// last round that could derive anything, since the next one would
+    /// see only empty deltas and no grown extrema input. Returns the
+    /// number of new facts.
     pub fn saturate(&mut self, db: &mut Database) -> Result<u64, EngineError> {
         let Seminaive { rules, rule_ids, plans, preds, marks, evaluated_once, tel } = self;
         let rec = &*tel.phases;
         // Owned handle: recording happens while `db` is mutably
         // borrowed by the insert loop.
         let prov = db.provenance().cloned();
-        let want_prov = prov.is_some();
+        let mut heads = Heads { want_parents: prov.is_some(), ..Heads::default() };
         let mut total: u64 = 0;
         loop {
             // The recorder's clock is chained: the round snapshot (and
@@ -120,11 +128,9 @@ impl Seminaive {
                 if cached {
                     rec.plan_hit(rule_id);
                 }
-                // `parents` stays index-aligned with `derived`; it is
-                // only filled when an arena is attached.
-                let mut parents: ParentSets = Vec::new();
+                heads.clear();
                 let first = !std::mem::replace(&mut evaluated_once[ri], true);
-                let derived: Vec<Row> = if rule.has_extrema() {
+                if rule.has_extrema() {
                     let grown = first
                         || rule
                             .positive_atoms()
@@ -133,13 +139,13 @@ impl Seminaive {
                         rec.charge(rule_id, 0, 0);
                         continue;
                     }
-                    eval_extrema_full(db, rule, &plan, want_prov, &mut parents)?
+                    let frames = collect_matches_plan(db, rule, &plan, None)?;
+                    for b in &filter_extrema(rule, frames)? {
+                        heads.push(rule, &plan, b)?;
+                    }
                 } else if first {
-                    let mut derived = Vec::new();
-                    derive(db, rule, &plan, None, want_prov, &mut derived, &mut parents)?;
-                    derived
+                    derive(db, rule, &plan, None, &mut heads)?;
                 } else {
-                    let mut derived = Vec::new();
                     for (li, lit) in rule.body.iter().enumerate() {
                         let Literal::Pos(a) = lit else { continue };
                         let from = marks.get(&a.pred).copied().unwrap_or(0);
@@ -149,31 +155,21 @@ impl Seminaive {
                         // The delta rows are borrowed in place from the
                         // relation's arena — no per-round copy.
                         let focus = Focus { literal: li, rows: db.relation(a.pred).since(from) };
-                        derive(
-                            db,
-                            rule,
-                            &plan,
-                            Some(focus),
-                            want_prov,
-                            &mut derived,
-                            &mut parents,
-                        )?;
+                        derive(db, rule, &plan, Some(focus), &mut heads)?;
                     }
-                    derived
-                };
+                }
                 let mut inserted: u64 = 0;
-                if let Some(arena) = &prov {
-                    for (i, row) in derived.into_iter().enumerate() {
-                        if db.insert(head, row.clone()) {
+                if heads.rows > 0 {
+                    let rel = db.relation_mut(head);
+                    let arity = rule.head.args.len();
+                    for i in 0..heads.rows {
+                        let ids = &heads.ids[i * arity..(i + 1) * arity];
+                        if rel.insert_ids(ids) {
                             inserted += 1;
-                            let par = parents.get(i).map_or(&[][..], Vec::as_slice);
-                            arena.record_derivation(head, &row, rule_id, par);
-                        }
-                    }
-                } else {
-                    for row in derived {
-                        if db.insert(head, row) {
-                            inserted += 1;
+                            if let Some(arena) = &prov {
+                                let row = ids.iter().map(|&id| decode_ref(id).clone()).collect();
+                                arena.record_derivation(head, &row, rule_id, &heads.parents[i]);
+                            }
                         }
                     }
                 }
@@ -188,56 +184,65 @@ impl Seminaive {
                 rec.charge(rule_id, 1, inserted);
             }
 
+            tel.metrics.record_delta(new_facts);
+            total += new_facts;
+            let grew = start_lens.iter().any(|&(p, len)| db.count(p) > len);
             // Advance marks to the round-start snapshot.
             for (pred, len) in start_lens {
                 let m = marks.entry(pred).or_insert(0);
                 *m = (*m).max(len);
             }
-
-            tel.metrics.record_delta(new_facts);
-            total += new_facts;
-            if new_facts == 0 {
+            if !grew {
                 return Ok(total);
             }
         }
     }
 }
 
-/// Full (unfocused) evaluation of an extrema rule. When `want_prov`,
-/// `parents` receives each surviving match's parent rows, index-aligned
-/// with the returned head rows.
-fn eval_extrema_full(
-    db: &Database,
-    rule: &Rule,
-    plan: &RulePlan,
-    want_prov: bool,
-    parents: &mut ParentSets,
-) -> Result<Vec<Row>, EngineError> {
-    if !want_prov {
-        return eval_rule_with_extrema_plan(db, rule, plan);
+/// The head rows one rule derives in one round, as dictionary ids,
+/// reused across rules and rounds.
+#[derive(Default)]
+struct Heads {
+    /// Row-major head ids, `arity` cells per row.
+    ids: Vec<u32>,
+    /// Rows derived; counted apart from `ids` so that a zero-arity
+    /// head still inserts one (empty) row per match.
+    rows: usize,
+    /// Whether to record each row's parent rows (an arena is attached).
+    want_parents: bool,
+    /// Rows joined over per derived row, index-aligned with the rows.
+    parents: Vec<Vec<(Symbol, Row)>>,
+}
+
+impl Heads {
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.rows = 0;
+        self.parents.clear();
     }
-    let (rows, frames) = eval_rule_with_extrema_plan_traced(db, rule, plan)?;
-    *parents = frames.iter().map(|b| parent_rows(rule, b)).collect();
-    Ok(rows)
+
+    /// Append the head row of the complete match `b`.
+    fn push(&mut self, rule: &Rule, plan: &RulePlan, b: &Bindings) -> Result<(), EngineError> {
+        plan.push_head_ids(rule, b, &mut self.ids)?;
+        self.rows += 1;
+        if self.want_parents {
+            self.parents.push(parent_rows(rule, b));
+        }
+        Ok(())
+    }
 }
 
 /// Append the head row of every match of a plain rule — focused on
-/// `focus` when given — to `derived` and, when `want_prov`, its parent
-/// rows to `parents`, index-aligned.
+/// `focus` when given — to `heads`.
 fn derive(
     db: &Database,
     rule: &Rule,
     plan: &RulePlan,
     focus: Option<Focus<'_>>,
-    want_prov: bool,
-    derived: &mut Vec<Row>,
-    parents: &mut ParentSets,
+    heads: &mut Heads,
 ) -> Result<(), EngineError> {
     for_each_match_plan(db, None, rule, plan, focus, &mut |b| {
-        derived.push(instantiate_head(rule, b)?);
-        if want_prov {
-            parents.push(parent_rows(rule, b));
-        }
+        heads.push(rule, plan, b)?;
         Ok(true)
     })
 }
@@ -303,6 +308,38 @@ mod tests {
         let added = sn.saturate(&mut db).unwrap();
         // New tc facts: (0,4), (1,4), (2,4), (3,4).
         assert_eq!(added, 4);
+    }
+
+    /// A driver over `rules` whose telemetry records the per-round
+    /// delta sizes.
+    fn with_history(rules: Vec<Rule>) -> (Seminaive, Telemetry) {
+        let tel = Telemetry::enabled();
+        let mut sn = Seminaive::new(rules);
+        sn.set_telemetry(tel.clone());
+        (sn, tel)
+    }
+
+    #[test]
+    fn saturation_stops_at_the_round_that_grew_no_body_predicate() {
+        // src(X) <- e(X, Y): no body reads `src`, so the round that
+        // derives it is the last — no confirming empty round, on the
+        // first call or after the input grows.
+        let (mut sn, tel) = with_history(vec![Rule::new(
+            Atom::new("src", vec![Term::var(0)]),
+            vec![Literal::pos("e", vec![Term::var(0), Term::var(1)])],
+            vec!["X".into(), "Y".into()],
+        )]);
+        let mut db = chain_db(4);
+        sn.saturate(&mut db).unwrap();
+        assert_eq!(tel.snapshot().delta_history, vec![4]);
+        db.insert_values("e", vec![Value::int(4), Value::int(5)]);
+        sn.saturate(&mut db).unwrap();
+        assert_eq!(tel.snapshot().delta_history, vec![4, 1]);
+        // A recursive rule set still ends on the round that derives
+        // nothing: transitive closure of a 4-edge chain.
+        let (mut sn, tel) = with_history(tc_rules());
+        sn.saturate(&mut chain_db(4)).unwrap();
+        assert_eq!(tel.snapshot().delta_history, vec![7, 2, 1, 0]);
     }
 
     #[test]

@@ -244,6 +244,9 @@ fn run(state: &ServerState, req: &Request) -> Response {
     // Feed the metrics plane: per-γ-round latencies merge into the
     // process-lifetime histogram; the run counter ticks once.
     state.metrics.gamma_rounds.merge(&tel.phases.rounds());
+    for (phase, secs, _) in tel.phases.entries() {
+        state.metrics.charge_phase(&phase, (secs * 1e9).round() as u64);
+    }
     state.metrics.runs.inc();
     session.runs.fetch_add(1, Ordering::Relaxed);
 
@@ -252,9 +255,12 @@ fn run(state: &ServerState, req: &Request) -> Response {
     let stats = gbc_core::stats_report(&tel, &dict_base, buffer.as_deref());
     *session.last_stats.write().expect("stats cell") = Some(stats);
 
+    let render = Instant::now();
+    let result = run.db.canonical_form();
+    state.metrics.charge_phase("render", render.elapsed().as_nanos() as u64);
     let body = Json::obj(vec![
         ("session", Json::Str(session.name.clone())),
-        ("result", Json::Str(run.db.canonical_form())),
+        ("result", Json::Str(result)),
         ("gamma_steps", Json::UInt(run.stats.gamma_steps)),
         ("counters", tel.snapshot().to_json()),
     ]);

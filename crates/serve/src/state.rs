@@ -83,6 +83,8 @@ pub struct ServerMetrics {
     pub runs: Arc<Counter>,
     /// Per-γ-round wall time, merged from every run's round histogram.
     pub gamma_rounds: Arc<SharedHist>,
+    /// `gbc_phase_nanoseconds_total{phase=...}` per entry of [`PHASES`].
+    phases: Vec<(&'static str, Arc<Counter>)>,
     /// Loaded sessions.
     pub sessions: Arc<Gauge>,
     /// HTTP worker threads.
@@ -97,6 +99,20 @@ pub struct ServerMetrics {
 /// these names plus the `other` catch-all.
 pub const ENDPOINTS: &[&str] =
     &["/healthz", "/metrics", "/stats", "/journal", "/programs", "/load", "/run", "other"];
+
+/// The evaluation phases `/metrics` accumulates time for: the leaves of
+/// a `/run`'s timing tree, plus `render`, the router's text rendering
+/// of the result.
+pub const PHASES: &[&str] = &[
+    "setup",
+    "run/flat",
+    "run/exit",
+    "run/gamma/feed",
+    "run/gamma/choose",
+    "run/gamma/commit",
+    "run/other",
+    "render",
+];
 
 impl ServerMetrics {
     fn new() -> ServerMetrics {
@@ -115,6 +131,13 @@ impl ServerMetrics {
                 (*ep, registry.hist(&name, "End-to-end request handling latency, by endpoint"))
             })
             .collect();
+        let phases = PHASES
+            .iter()
+            .map(|ph| {
+                let name = format!("gbc_phase_nanoseconds_total{{phase=\"{ph}\"}}");
+                (*ph, registry.counter(&name, "Evaluation wall time across runs, by phase"))
+            })
+            .collect();
         ServerMetrics {
             errors: registry
                 .counter("gbc_http_errors_total", "HTTP requests answered with a non-2xx status"),
@@ -129,7 +152,16 @@ impl ServerMetrics {
                 .gauge("gbc_dictionary_entries", "Entries in the global value dictionary"),
             requests,
             latency,
+            phases,
             registry,
+        }
+    }
+
+    /// Add `nanos` to the counter of `phase`; a phase outside [`PHASES`]
+    /// (a parent such as `run`, or a generic-engine phase) is skipped.
+    pub fn charge_phase(&self, phase: &str, nanos: u64) {
+        if let Some((_, c)) = self.phases.iter().find(|(ph, _)| *ph == phase) {
+            c.add(nanos);
         }
     }
 

@@ -280,8 +280,9 @@ impl RowStore {
         self.arity == Some(ids.len()) && self.probe(ids).is_ok()
     }
 
-    /// Append a row known to be new.
-    fn push(&mut self, ids: &[u32]) {
+    /// Append a row known to be new; `slot` is the empty table slot its
+    /// probe found (`None` while the store is empty).
+    fn push(&mut self, ids: &[u32], slot: Option<usize>) {
         if self.arity.is_none() {
             self.arity = Some(ids.len());
             self.cols = vec![Vec::new(); ids.len()];
@@ -292,11 +293,9 @@ impl RowStore {
         }
         self.n_rows += 1;
         // Grow beyond 7/8 full; re-inserting every row places this one.
-        if self.n_rows * 8 > self.table.len() * 7 {
-            self.rehash((self.table.len() * 2).max(8));
-        } else {
-            let Err(slot) = self.probe(ids) else { unreachable!("pushed a duplicate row") };
-            self.table[slot] = row;
+        match slot {
+            Some(slot) if self.n_rows * 8 <= self.table.len() * 7 => self.table[slot] = row,
+            _ => self.rehash((self.table.len() * 2).max(8)),
         }
     }
 
@@ -404,16 +403,23 @@ impl Relation {
         if let Some(a) = self.rows.arity {
             assert_eq!(a, ids.len(), "relation rows must share an arity");
         }
-        if self.rows.contains(ids) {
-            return false;
-        }
+        // One probe finds both a duplicate and the slot a new row
+        // takes; a copy-on-write copy keeps the table, so the slot
+        // stays valid.
+        let slot = match self.rows.arity {
+            None => None,
+            Some(_) => match self.rows.probe(ids) {
+                Ok(_) => return false,
+                Err(slot) => Some(slot),
+            },
+        };
         let id = self.rows.n_rows as u32;
         for (_, idx) in self.indices.get_mut().expect("index cache lock").iter_mut() {
             idx.insert_row(ids, id);
         }
         let rows = Arc::make_mut(&mut self.rows);
         rows.text.take();
-        rows.push(ids);
+        rows.push(ids, slot);
         true
     }
 

@@ -10,7 +10,7 @@
 //!   every request;
 //! * a `GET /metrics` scrape taken **while runs are in flight** changes
 //!   neither results nor counters, and the scrape itself carries the
-//!   §13 metric families;
+//!   §13 metric families, per-phase evaluation time included;
 //! * `/stats`, `/journal`, `/programs`, `/healthz` answer, and
 //!   malformed requests are a structured 400, not a hang or a crash;
 //! * `/load` takes program text only, reads no server-side files, and
@@ -191,6 +191,27 @@ fn introspection_endpoints_answer_over_tcp() {
         Json::parse(line).unwrap_or_else(|e| panic!("journal line not JSON ({e}): {line}"));
     }
     assert!(lines.iter().any(|l| l.contains("\"type\":\"stage_commit\"")), "{jsonl:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn metrics_accumulate_phase_time_after_a_run() {
+    let (addr, handle) = start_server();
+    load_prim(&addr);
+    let (status, reply) = client::post_json(&addr, "/run", "{\"session\": \"prim\"}").unwrap();
+    assert_eq!(status, 200, "{reply}");
+    let (status, text) = client::get(&addr, "/metrics").unwrap();
+    assert_eq!(status, 200);
+    let nanos = |phase: &str| -> u64 {
+        let series = format!("gbc_phase_nanoseconds_total{{phase=\"{phase}\"}} ");
+        let line = text.lines().find(|l| l.starts_with(&series));
+        let line = line.unwrap_or_else(|| panic!("no `{series}` series in:\n{text}"));
+        line[series.len()..].trim().parse().unwrap()
+    };
+    for phase in gbc_serve::state::PHASES {
+        nanos(phase);
+    }
+    assert!(nanos("run/flat") > 0, "Prim's flat saturation took no time:\n{text}");
     handle.shutdown();
 }
 
