@@ -238,6 +238,12 @@ grep -q '"label": "post-PR24"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR24 run" >&2
     exit 1
 }
+# The post-PR25 record: E1/E2/E3 with facts loaded as a table and
+# encoded once by `compile`.
+grep -q '"label": "post-PR25"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR25 run" >&2
+    exit 1
+}
 for col in dict_entries encode_hits decode_calls; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2

@@ -25,6 +25,7 @@
 
 pub mod diag;
 pub mod error;
+pub mod facts;
 pub mod literal;
 pub mod pretty;
 pub mod program;
@@ -36,8 +37,9 @@ pub mod value;
 
 pub use diag::{Diagnostic, Label, Severity};
 pub use error::AstError;
+pub use facts::{FactGroup, FactTable};
 pub use literal::{Atom, CmpOp, Literal};
-pub use program::Program;
+pub use program::{Clause, Program};
 pub use rule::Rule;
 pub use span::{LiteralSpans, RuleSpans, SourceMap, Span};
 pub use symbol::Symbol;

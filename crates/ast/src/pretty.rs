@@ -7,7 +7,7 @@
 use std::fmt;
 
 use crate::literal::{Atom, CmpOp, Literal};
-use crate::program::Program;
+use crate::program::{Clause, Program};
 use crate::rule::Rule;
 use crate::term::{ArithOp, Expr, Term};
 
@@ -170,9 +170,29 @@ impl fmt::Debug for Atom {
 }
 
 impl fmt::Display for Program {
+    /// One clause per line, in [`Program::clauses`] order: reparsing
+    /// the text gives an equal program.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in &self.rules {
-            writeln!(f, "{r}")?;
+        for c in self.clauses() {
+            match c {
+                Clause::Rule(r) => writeln!(f, "{r}")?,
+                Clause::Facts(g) => {
+                    for (row, _) in g.rows() {
+                        f.write_str(g.pred().as_str())?;
+                        if !row.is_empty() {
+                            f.write_str("(")?;
+                            for (i, v) in row.iter().enumerate() {
+                                if i > 0 {
+                                    f.write_str(",")?;
+                                }
+                                write!(f, "{v}")?;
+                            }
+                            f.write_str(")")?;
+                        }
+                        f.write_str(".\n")?;
+                    }
+                }
+            }
         }
         Ok(())
     }

@@ -1,22 +1,42 @@
-//! Programs: rule collections plus program-level validation.
+//! Programs: rules plus a fact table, and program-level validation.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::diag::Diagnostic;
 use crate::error::AstError;
-use crate::literal::{Atom, Literal};
+use crate::facts::{FactGroup, FactTable};
+use crate::literal::Literal;
 use crate::rule::Rule;
 use crate::span::Span;
 use crate::symbol::Symbol;
 use crate::value::Value;
 
-/// A program: an ordered list of rules (facts included as body-less
-/// rules). EDB facts may also be supplied separately at evaluation time;
+/// A program: its rules, and its ground facts in a [`FactTable`]. EDB
+/// facts may also be supplied separately at evaluation time;
 /// `gbc-engine` merges both.
+///
+/// A ground fact never becomes a [`Rule`]: the parser,
+/// [`Program::from_rules`], [`Program::push`] and
+/// [`Program::push_fact`] all route it into the table. A rule's id is
+/// its index in `rules`, so adding or removing a fact renumbers no rule.
 #[derive(Clone, Default, PartialEq)]
 pub struct Program {
-    /// Rules in source order.
+    /// Rules in source order. A body-less clause that is not ground
+    /// (`p(X).`) stays here, for validation to reject.
     pub rules: Vec<Rule>,
+    /// The ground facts. Shared, so cloning a program or rewriting its
+    /// rules copies no fact.
+    pub facts: Arc<FactTable>,
+}
+
+/// One step of a walk over a program in source order: a rule, or a
+/// predicate's facts, all at the place of its first one.
+pub enum Clause<'a> {
+    /// A rule.
+    Rule(&'a Rule),
+    /// One group of facts.
+    Facts(&'a FactGroup),
 }
 
 impl Program {
@@ -25,30 +45,64 @@ impl Program {
         Program::default()
     }
 
-    /// Build from rules.
+    /// Build from clauses; ground facts go to the fact table.
     pub fn from_rules(rules: Vec<Rule>) -> Program {
-        Program { rules }
+        let mut p = Program::new();
+        for r in rules {
+            p.push(r);
+        }
+        p
     }
 
-    /// Append a rule.
+    /// This program's facts with `rules` in place of its rules (for
+    /// rewritings that keep or extend the rule order).
+    pub fn with_rules(&self, rules: Vec<Rule>) -> Program {
+        Program { rules, facts: Arc::clone(&self.facts) }
+    }
+
+    /// Append a clause: a ground fact to the fact table, anything else
+    /// to the rules.
     pub fn push(&mut self, rule: Rule) {
-        self.rules.push(rule);
+        if rule.is_fact() && rule.head.is_ground() {
+            let span = rule.head_span();
+            let args = rule.head.args.into_iter().map(|t| t.into_value().expect("ground"));
+            let at = self.rules.len();
+            Arc::make_mut(&mut self.facts).push(rule.head.pred, args, span, at);
+        } else {
+            self.rules.push(rule);
+        }
     }
 
     /// Append a ground fact `pred(args)`.
     pub fn push_fact(&mut self, pred: impl Into<Symbol>, args: Vec<Value>) {
-        let atom = Atom::new(pred, args.into_iter().map(crate::term::Term::Const).collect());
-        self.rules.push(Rule::fact(atom));
+        let at = self.rules.len();
+        Arc::make_mut(&mut self.facts).push(pred.into(), args.into_iter(), Span::dummy(), at);
     }
 
-    /// Rules that are not facts.
-    pub fn proper_rules(&self) -> impl Iterator<Item = &Rule> {
-        self.rules.iter().filter(|r| !r.is_fact())
+    /// Every fact as `(pred, args, span)`, predicate by predicate in
+    /// order of first appearance, each in source order.
+    pub fn facts(&self) -> impl Iterator<Item = (Symbol, &[Value], Span)> {
+        self.facts.rows()
     }
 
-    /// Facts only.
-    pub fn facts(&self) -> impl Iterator<Item = &Rule> {
-        self.rules.iter().filter(|r| r.is_fact())
+    /// The number of clauses: rules plus facts.
+    pub fn clause_count(&self) -> usize {
+        self.rules.len() + self.facts.len()
+    }
+
+    /// Rules and fact groups in source order, each group where its
+    /// first fact stood. A predicate's first use, and each arity's,
+    /// come in exactly the order of the source.
+    pub fn clauses(&self) -> impl Iterator<Item = Clause<'_>> {
+        let mut groups = self.facts.groups().iter().peekable();
+        let mut rules = self.rules.iter().enumerate().peekable();
+        std::iter::from_fn(move || match (groups.peek(), rules.peek()) {
+            (Some(g), Some(&(ri, _))) if g.rules_before() > ri => {
+                rules.next().map(|(_, r)| Clause::Rule(r))
+            }
+            (Some(_), _) => groups.next().map(Clause::Facts),
+            (None, _) => rules.next().map(|(_, r)| Clause::Rule(r)),
+        })
     }
 
     /// Every predicate with its arity, in name order.
@@ -69,7 +123,14 @@ impl Program {
                 }
             }
         };
-        for r in &self.rules {
+        for c in self.clauses() {
+            let r = match c {
+                Clause::Facts(g) => {
+                    check(g.pred(), g.arity())?;
+                    continue;
+                }
+                Clause::Rule(r) => r,
+            };
             check(r.head.pred, r.head.arity())?;
             for l in &r.body {
                 if let Literal::Pos(a) | Literal::Neg(a) = l {
@@ -80,12 +141,18 @@ impl Program {
         Ok(sig)
     }
 
-    /// Predicates that appear in some rule head (intensional + facts).
+    /// Predicates that appear in some rule head or fact.
     pub fn head_predicates(&self) -> Vec<Symbol> {
         let mut preds: Vec<Symbol> = self.rules.iter().map(|r| r.head.pred).collect();
+        preds.extend(self.fact_predicates());
         preds.sort();
         preds.dedup();
         preds
+    }
+
+    /// The predicates that have facts, once per arity.
+    pub fn fact_predicates(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.facts.groups().iter().map(FactGroup::pred)
     }
 
     /// Predicates defined only by facts or never defined (extensional).
@@ -93,16 +160,13 @@ impl Program {
         let idb: Vec<Symbol> =
             self.rules.iter().filter(|r| !r.is_fact()).map(|r| r.head.pred).collect();
         let mut edb: Vec<Symbol> = Vec::new();
-        for r in &self.rules {
-            for l in &r.body {
-                if let Literal::Pos(a) | Literal::Neg(a) = l {
-                    if !idb.contains(&a.pred) && !edb.contains(&a.pred) {
-                        edb.push(a.pred);
-                    }
-                }
-            }
-            if r.is_fact() && !idb.contains(&r.head.pred) && !edb.contains(&r.head.pred) {
-                edb.push(r.head.pred);
+        let body_preds = self.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
+            Literal::Pos(a) | Literal::Neg(a) => Some(a.pred),
+            _ => None,
+        });
+        for p in body_preds.chain(self.fact_predicates()) {
+            if !idb.contains(&p) && !edb.contains(&p) {
+                edb.push(p);
             }
         }
         edb.sort();
@@ -149,11 +213,6 @@ impl Program {
         Ok(())
     }
 
-    /// Concatenate two programs (used by the rewriting passes).
-    pub fn extend(&mut self, other: Program) {
-        self.rules.extend(other.rules);
-    }
-
     /// All static-validation failures as span-carrying diagnostics
     /// (codes GBC002–GBC006). Unlike [`Program::validate`], which stops
     /// at the first error, this collects every failure so `gbc check`
@@ -162,7 +221,8 @@ impl Program {
         let mut out = Vec::new();
 
         // GBC002: arity consistency. Remember the first-seen occurrence
-        // of each predicate so the mismatch can point both ways.
+        // of each predicate so the mismatch can point both ways. True
+        // when the use agrees with the first one.
         let mut sig: BTreeMap<Symbol, (usize, Span)> = BTreeMap::new();
         let mut check_arity = |pred: Symbol,
                                arity: usize,
@@ -183,13 +243,28 @@ impl Program {
                     .with_secondary(first_span, format!("arity {first} established here"))
                     .with_note("every predicate must be used with a single arity program-wide"),
                 );
+                false
             }
-            Some(_) => {}
+            Some(_) => true,
             None => {
                 sig.insert(pred, (arity, span));
+                true
             }
         };
-        for r in &self.rules {
+        for c in self.clauses() {
+            let r = match c {
+                Clause::Facts(g) => {
+                    // A group shares one arity: once a fact agrees,
+                    // every later one does.
+                    for (_, span) in g.rows() {
+                        if check_arity(g.pred(), g.arity(), span, &mut out) {
+                            break;
+                        }
+                    }
+                    continue;
+                }
+                Clause::Rule(r) => r,
+            };
             check_arity(r.head.pred, r.head.arity(), r.head_span(), &mut out);
             for (i, l) in r.body.iter().enumerate() {
                 if let Literal::Pos(a) | Literal::Neg(a) = l {
@@ -284,6 +359,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::literal::Atom;
     use crate::term::{Term, VarId};
 
     #[test]

@@ -5,8 +5,10 @@ use crate::literal::{Atom, CmpOp, Literal};
 use crate::span::RuleSpans;
 use crate::term::{Expr, Term, VarId};
 
-/// A rule `head ← body`. Facts are rules with an empty body and a
-/// ground head.
+/// A rule `head ← body`. A fact is a rule with an empty body and a
+/// ground head; a [`Program`](crate::Program) keeps its facts in its
+/// fact table instead, so a body-less rule in `Program.rules` is a
+/// non-ground "fact" that validation rejects.
 ///
 /// Variables are rule-local dense indices ([`VarId`]); their surface
 /// names live in [`Rule::var_names`] so that diagnostics and the
@@ -88,7 +90,7 @@ impl Rule {
         rs.span
     }
 
-    /// True when the rule is a fact.
+    /// True when the rule has no body (a fact, if its head is ground).
     pub fn is_fact(&self) -> bool {
         self.body.is_empty()
     }

@@ -80,6 +80,14 @@ impl Term {
         }
     }
 
+    /// [`Term::as_value`], consuming the term (no clone of a constant).
+    pub fn into_value(self) -> Option<Value> {
+        match self {
+            Term::Const(v) => Some(v),
+            t => t.as_value(),
+        }
+    }
+
     /// Append every variable occurring in the term to `out` (with
     /// repetitions, in left-to-right order).
     pub fn collect_vars(&self, out: &mut Vec<VarId>) {

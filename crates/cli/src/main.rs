@@ -439,11 +439,14 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
         Err(e) => vec![e.to_diagnostic()],
         Ok(program) => {
             let report = gbc_core::check_program(&program);
-            summary.push(format!("rules: {}", program.rules.len()));
+            // A non-ground body-less clause is a rule that counts as a
+            // (rejected) fact.
+            let bodiless = program.rules.iter().filter(|r| r.is_fact()).count();
+            summary.push(format!("rules: {}", program.clause_count()));
             summary.push(format!(
                 "facts: {}, proper rules: {}",
-                program.facts().count(),
-                program.proper_rules().count()
+                program.facts.len() + bodiless,
+                program.rules.len() - bodiless
             ));
             summary.push(format!("class: {}", report.analysis.class.summary()));
             for (i, c) in report.analysis.cliques.iter().enumerate() {
@@ -453,7 +456,7 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
                     preds.join(", "),
                     c.next_rules.len(),
                     c.flat_rules.len(),
-                    c.exit_rules.len(),
+                    c.exit_rules.len() + c.exit_facts,
                     if c.is_stage_clique {
                         if c.stage_stratified {
                             if c.alternating {

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use gbc_ast::{Literal, Program, Rule, Symbol, Term, VarId};
+use gbc_ast::{Clause, FactGroup, Literal, Program, Rule, Symbol, Term, VarId};
 use gbc_engine::graph::DiGraph;
 
 use crate::analysis::constraints::Constraints;
@@ -178,6 +178,8 @@ pub struct CliqueInfo {
     pub flat_rules: Vec<usize>,
     /// Indices of exit rules (head in clique, body free of clique preds).
     pub exit_rules: Vec<usize>,
+    /// The number of facts of clique predicates: exits with no rule.
+    pub exit_facts: usize,
     /// Does this clique contain a stage (next-defined) predicate?
     pub is_stage_clique: bool,
     /// Did every stage-stratification check pass?
@@ -213,7 +215,14 @@ pub fn classify(program: &Program) -> Analysis {
             preds.len() - 1
         })
     };
-    for r in &program.rules {
+    for c in program.clauses() {
+        let r = match c {
+            Clause::Facts(g) => {
+                intern(g.pred(), &mut pred_ids, &mut preds);
+                continue;
+            }
+            Clause::Rule(r) => r,
+        };
         intern(r.head.pred, &mut pred_ids, &mut preds);
         for l in &r.body {
             if let Literal::Pos(a) | Literal::Neg(a) = l {
@@ -269,6 +278,13 @@ fn analyse_clique(program: &Program, stages: &StageInfo, clique: &[Symbol]) -> C
         next_rules: Vec::new(),
         flat_rules: Vec::new(),
         exit_rules: Vec::new(),
+        exit_facts: program
+            .facts
+            .groups()
+            .iter()
+            .filter(|g| clique.contains(&g.pred()))
+            .map(FactGroup::len)
+            .sum(),
         is_stage_clique: false,
         stage_stratified: true,
         alternating: true,

@@ -73,7 +73,8 @@ pub struct ReachInfo {
 
 /// Run both passes.
 pub fn analyze(program: &Program) -> ReachInfo {
-    let defined: BTreeSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
+    let defined: BTreeSet<Symbol> =
+        program.rules.iter().map(|r| r.head.pred).chain(program.fact_predicates()).collect();
 
     // Constant-foldable comparisons.
     let mut const_comparisons = Vec::new();
@@ -93,8 +94,9 @@ pub fn analyze(program: &Program) -> ReachInfo {
         const_comparisons.iter().find(|c| c.rule == ri && !c.value).map(|c| c.lit)
     };
 
-    // Emptiness: least fixpoint over "this rule can support its head".
-    let mut non_empty: BTreeSet<Symbol> = BTreeSet::new();
+    // Emptiness: least fixpoint over "this rule can support its head",
+    // from the predicates that have facts.
+    let mut non_empty: BTreeSet<Symbol> = program.fact_predicates().collect();
     loop {
         let mut changed = false;
         for (ri, rule) in program.rules.iter().enumerate() {
@@ -119,9 +121,6 @@ pub fn analyze(program: &Program) -> ReachInfo {
     // Dead rules.
     let mut dead_rules = Vec::new();
     for (ri, rule) in program.rules.iter().enumerate() {
-        if rule.is_fact() {
-            continue;
-        }
         if let Some(li) = false_lit(ri) {
             dead_rules.push(DeadRule {
                 rule: ri,
@@ -236,7 +235,8 @@ mod tests {
         assert!(r.const_comparisons[0].value);
         assert!(!r.const_comparisons[1].value);
         let (c, d) = (&r.const_comparisons[0], &r.const_comparisons[1]);
-        assert_eq!(((c.rule, c.lit), (d.rule, d.lit)), ((1, 1), (2, 1)));
+        // Rule ids count rules only: the fact `p(1)` takes none.
+        assert_eq!(((c.rule, c.lit), (d.rule, d.lit)), ((0, 1), (1, 1)));
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         let r = info("p(1).\nq(X) <- p(X), 2 < 1.\nout(X) <- q(X).\n");
         assert!(r.empty.contains(&Symbol::intern("q")), "{:?}", r.empty);
         // Both the folded rule and the one reading the empty `q` die.
-        assert_eq!(dead_rules(&r), vec![1, 2]);
+        assert_eq!(dead_rules(&r), vec![0, 1]);
     }
 
     #[test]
@@ -252,7 +252,7 @@ mod tests {
         let r = info("a(X) <- b(X).\nb(X) <- a(X).\nseed(1).\nout(X) <- a(X), seed(X).\n");
         assert!(r.empty.contains(&Symbol::intern("a")));
         assert!(r.empty.contains(&Symbol::intern("b")));
-        assert_eq!(dead_rules(&r), vec![0, 1, 3]);
+        assert_eq!(dead_rules(&r), vec![0, 1, 2]);
     }
 
     #[test]

@@ -160,9 +160,6 @@ pub fn infer_stages(program: &Program) -> StageInfo {
     while changed {
         changed = false;
         for rule in &program.rules {
-            if rule.is_fact() {
-                continue;
-            }
             let stage_vars = rule_stage_vars(rule, &info);
             if stage_vars.is_empty() {
                 continue;

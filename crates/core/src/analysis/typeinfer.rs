@@ -159,9 +159,14 @@ impl TypeInfo {
     }
 }
 
+/// Every predicate a rule head or a fact defines.
+fn defined_preds(program: &Program) -> BTreeSet<Symbol> {
+    program.rules.iter().map(|r| r.head.pred).chain(program.fact_predicates()).collect()
+}
+
 /// Infer column types; seeds come only from in-program facts.
 pub fn infer(program: &Program) -> TypeInfo {
-    let defined: BTreeSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
+    let defined = defined_preds(program);
     let mut referenced: BTreeSet<Symbol> = BTreeSet::new();
     for rule in &program.rules {
         for lit in &rule.body {
@@ -174,6 +179,17 @@ pub fn infer(program: &Program) -> TypeInfo {
         referenced.iter().filter(|p| !defined.contains(p)).copied().collect();
 
     let mut cols: BTreeMap<Symbol, Vec<ColType>> = BTreeMap::new();
+    for g in program.facts.groups() {
+        let entry = cols.entry(g.pred()).or_insert_with(|| vec![ColType::NEVER; g.arity()]);
+        if entry.len() < g.arity() {
+            entry.resize(g.arity(), ColType::NEVER);
+        }
+        for (row, _) in g.rows() {
+            for (col, v) in entry.iter_mut().zip(row) {
+                *col = col.join(ColType::of_value(v));
+            }
+        }
+    }
     loop {
         let mut changed = false;
         for rule in &program.rules {
@@ -375,8 +391,7 @@ fn cmp_symbol(op: CmpOp) -> &'static str {
 /// used by lints that inspect head terms (GBC029) and extremum costs
 /// (GBC030). `None` when the rule reads a provably-empty predicate.
 pub fn final_env(program: &Program, info: &TypeInfo, rule: &Rule) -> Option<Vec<ColType>> {
-    let defined: BTreeSet<Symbol> = program.rules.iter().map(|r| r.head.pred).collect();
-    rule_env(rule, &info.cols, &defined, true)
+    rule_env(rule, &info.cols, &defined_preds(program), true)
 }
 
 /// The refined type of a head term under [`final_env`].

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use gbc_ast::{Diagnostic, Literal, Program, Rule, SourceMap, Symbol, Term, VarId};
+use gbc_ast::{Clause, Diagnostic, Literal, Program, SourceMap, Span, Symbol, Term, VarId};
 use gbc_telemetry::json::Json;
 
 use crate::analysis::classify::{Analysis, ProgramClass, StageViolation};
@@ -168,10 +168,14 @@ fn diagnostics_array(diags: &[Diagnostic], sm: &SourceMap) -> Json {
     )
 }
 
-/// The first rule whose head is `pred`, for anchoring predicate-level
-/// diagnostics.
-fn rule_defining(program: &Program, pred: Symbol) -> Option<&Rule> {
-    program.rules.iter().find(|r| r.head.pred == pred)
+/// The head span of the first clause, rule or fact, whose head is
+/// `pred`: the anchor of a predicate-level diagnostic.
+fn defining_span(program: &Program, pred: Symbol) -> Option<Span> {
+    program.clauses().find_map(|c| match c {
+        Clause::Rule(r) if r.head.pred == pred => Some(r.head_span()),
+        Clause::Facts(g) if g.pred() == pred => Some(g.first_span()),
+        _ => None,
+    })
 }
 
 /// GBC010: unstratified negation/extrema, with the cycle as a
@@ -209,8 +213,8 @@ fn violation_diag(program: &Program, v: &StageViolation) -> Diagnostic {
     let mut d = Diagnostic::warning(v.code(), v.describe(program));
     match v {
         StageViolation::StageConflict(c) => {
-            if let Some(r) = rule_defining(program, c.pred) {
-                d = d.with_label(r.head_span(), format!("`{}` first defined here", c.pred));
+            if let Some(span) = defining_span(program, c.pred) {
+                d = d.with_label(span, format!("`{}` first defined here", c.pred));
             }
             d = d.with_note(
                 "a stage predicate must carry its stage number at a single, \
@@ -218,8 +222,8 @@ fn violation_diag(program: &Program, v: &StageViolation) -> Diagnostic {
             );
         }
         StageViolation::NoStageArg { pred } => {
-            if let Some(r) = rule_defining(program, *pred) {
-                d = d.with_label(r.head_span(), "no argument position carries the stage");
+            if let Some(span) = defining_span(program, *pred) {
+                d = d.with_label(span, "no argument position carries the stage");
             }
             d = d.with_note(
                 "every predicate of a stage clique must record the stage number \
@@ -441,7 +445,8 @@ fn lint_dead_predicates(program: &Program, out: &mut Vec<Diagnostic>) {
     }
     // pred → (has proper rule, every defining proper rule is meta-free).
     let mut defined: HashMap<Symbol, bool> = HashMap::new();
-    for r in program.proper_rules() {
+    // A body-less rule is a non-ground fact (GBC004), exempt like any fact.
+    for r in program.rules.iter().filter(|r| !r.is_fact()) {
         let meta_free = !r.body.iter().any(Literal::is_meta);
         defined
             .entry(r.head.pred)
@@ -455,10 +460,10 @@ fn lint_dead_predicates(program: &Program, out: &mut Vec<Diagnostic>) {
         .collect();
     dead.sort();
     for p in dead {
-        let r = rule_defining(program, p).expect("defined predicate has a rule");
+        let span = defining_span(program, p).expect("defined predicate has a rule");
         out.push(
             Diagnostic::warning("GBC024", format!("predicate `{p}` is defined but never used"))
-                .with_label(r.head_span(), "defined here")
+                .with_label(span, "defined here")
                 .with_help("remove the rule(s), or reference the predicate somewhere"),
         );
     }
@@ -552,10 +557,10 @@ fn lint_dead_rules(program: &Program, reach: &ReachInfo, out: &mut Vec<Diagnosti
 /// is wasted. Disjoint from GBC024, which requires *unreferenced*.
 fn lint_unreachable(program: &Program, reach: &ReachInfo, out: &mut Vec<Diagnostic>) {
     for &p in &reach.unreachable {
-        let Some(r) = rule_defining(program, p) else { continue };
+        let Some(span) = defining_span(program, p) else { continue };
         out.push(
             Diagnostic::warning("GBC028", format!("predicate `{p}` never feeds a program answer"))
-                .with_label(r.head_span(), "defined here")
+                .with_label(span, "defined here")
                 .with_note(format!(
                     "the program's answers are {}",
                     reach.roots.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(", ")

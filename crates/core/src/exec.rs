@@ -36,9 +36,7 @@ use std::sync::Arc;
 
 use gbc_ast::{Atom, Literal, Program, Rule, Symbol, Term, Value, VarId};
 use gbc_engine::bindings::Bindings;
-use gbc_engine::eval::{
-    eval_expr, eval_term, fact_rows, instantiate_head, match_term_id, parent_rows,
-};
+use gbc_engine::eval::{eval_expr, eval_term, instantiate_head, match_term_id, parent_rows};
 use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
@@ -509,12 +507,19 @@ pub struct GreedyExecutor {
     tel: Telemetry,
 }
 
-/// The program's inline facts, encoded into a database of their own:
-/// the fact base an evaluation starts from, next to its EDB.
+/// The program's fact table, encoded into a database of its own: the
+/// fact base an evaluation starts from, next to its EDB. Each cell is
+/// encoded straight from the table, one relation per predicate.
 pub(crate) fn fact_base(program: &Program) -> Database {
     let mut base = Database::new();
-    for (pred, row) in fact_rows(program) {
-        base.insert(pred, row);
+    let mut ids = Vec::new();
+    for g in program.facts.groups() {
+        let rel = base.relation_mut(g.pred());
+        for (row, _) in g.rows() {
+            ids.clear();
+            dictionary::encode_into(row, &mut ids);
+            rel.insert_ids(&ids);
+        }
     }
     base
 }
@@ -550,8 +555,8 @@ impl GreedyExecutor {
         let mut exits = Vec::new();
         let mut exit_memos = Vec::new();
         for (ri, r) in program.rules.iter().enumerate() {
-            if r.is_fact() || r.has_next() {
-                // loaded above / handled by plans
+            if r.has_next() {
+                // handled by plans
             } else if r.has_choice() {
                 let goals = r.body.iter().filter(|l| matches!(l, Literal::Choice { .. })).count();
                 exit_memos.push(vec![FdMap::default(); goals]);

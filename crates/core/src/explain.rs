@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use gbc_ast::{Literal, Program, Rule, SourceMap, Symbol, Value};
+use gbc_ast::{Literal, Program, Rule, SourceMap, Span, Symbol, Value};
 use gbc_engine::bindings::Bindings;
 use gbc_engine::eval::match_term;
 use gbc_storage::{ChoiceCommit, ChoiceRejection, Database, ProvenanceArena, Row, NO_GOAL};
@@ -107,7 +107,11 @@ impl Explainer<'_> {
 
     /// Where a rule lives in the source: `file:line:col`.
     fn cite(&self, rule_idx: usize) -> String {
-        let span = self.program.rules[rule_idx].span();
+        self.cite_span(self.program.rules[rule_idx].span())
+    }
+
+    /// Where a span starts in the source: `file:line:col`.
+    fn cite_span(&self, span: Span) -> String {
         match self.sm.locate(span.start) {
             Some(loc) => format!("{}:{}:{}", loc.file, loc.line, loc.col),
             None => "<no source>".into(),
@@ -223,14 +227,11 @@ impl Explainer<'_> {
     /// A fact with no derivation record: either a program fact (cite
     /// its span) or EDB input.
     fn fact_origin(&self, pred: Symbol, row: &Row) -> String {
-        let fact = self.program.rules.iter().enumerate().find(|(_, r)| {
-            r.is_fact()
-                && r.head.pred == pred
-                && r.head.args.len() == row.arity()
-                && r.head.args.iter().zip(row.iter()).all(|(t, v)| t.as_value().as_ref() == Some(v))
+        let fact = self.program.facts().find(|&(p, args, _)| {
+            p == pred && args.len() == row.arity() && args.iter().eq(row.iter())
         });
         match fact {
-            Some((i, _)) => format!("program fact at {}", self.cite(i)),
+            Some((_, _, span)) => format!("program fact at {}", self.cite_span(span)),
             None => "input fact (EDB)".into(),
         }
     }
@@ -268,7 +269,7 @@ mod tests {
         let (program, sm, db, arena) = sorted_run();
         let out = explain_atom(&program, &sm, &db, &arena, &query("sorted(a, 10, 1)")).unwrap();
         assert!(out.starts_with("sorted(a,10,1)"), "{out}");
-        assert!(out.contains("by rule #1 at sort.dl:2:1"), "{out}");
+        assert!(out.contains("by rule #0 at sort.dl:2:1"), "{out}");
         assert!(out.contains("item(a,10)"), "{out}");
         assert!(out.contains("input fact (EDB)"), "{out}");
         assert!(out.contains("γ step 1"), "{out}");

@@ -56,8 +56,6 @@ pub use exec::{ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
 pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 
-use std::sync::OnceLock;
-
 use gbc_ast::Program;
 use gbc_engine::{ChoiceFixpoint, Chooser, DeterministicFirst};
 use gbc_storage::{dict_stats, Database, DictStats};
@@ -73,14 +71,16 @@ pub struct Compiled {
     analysis: Analysis,
     plans: Vec<exec::NextPlan>,
     plan_error: Option<String>,
-    /// The program's inline facts, encoded by the first greedy
-    /// evaluation and shared by every later one: each run borrows the
+    /// The program's fact table, encoded when the program is compiled
+    /// (empty without a greedy plan, the only evaluator that reads it)
+    /// and shared by every greedy evaluation: each run borrows the
     /// relations copy-on-write, and their rendered text is cached in
     /// the row stores. Clones of a `Compiled` share it too.
-    base: OnceLock<Database>,
+    base: Database,
 }
 
-/// Validate, classify and plan `program`.
+/// Validate, classify and plan `program`, and encode its facts when a
+/// greedy plan exists.
 pub fn compile(program: Program) -> Result<Compiled, CoreError> {
     program.validate()?;
     let analysis = classify(&program);
@@ -94,7 +94,8 @@ pub fn compile(program: Program) -> Result<Compiled, CoreError> {
         }
         other => (Vec::new(), Some(format!("not stage-stratified (class {})", other.summary()))),
     };
-    Ok(Compiled { program, expanded, analysis, plans, plan_error, base: OnceLock::new() })
+    let base = if plan_error.is_none() { exec::fact_base(&program) } else { Database::new() };
+    Ok(Compiled { program, expanded, analysis, plans, plan_error, base })
 }
 
 impl Compiled {
@@ -118,9 +119,9 @@ impl Compiled {
         &self.analysis.class
     }
 
-    /// The encoded fact base, once a greedy evaluation has built it.
-    pub fn fact_base(&self) -> Option<&Database> {
-        self.base.get()
+    /// The encoded fact base every greedy evaluation starts from.
+    pub fn fact_base(&self) -> &Database {
+        &self.base
     }
 
     /// Does a greedy (Section 6) plan exist?
@@ -156,10 +157,9 @@ impl Compiled {
 
     /// [`Compiled::run_greedy_with`] under an explicit [`Telemetry`]
     /// handle: counters, the timing recorder and the trace sink are
-    /// threaded through every executor layer. Executor construction —
-    /// on the first call, encoding the fact base too — is timed as the
-    /// `setup` phase; the executor run as the `run/...` phases, whose
-    /// sum is the `run` phase.
+    /// threaded through every executor layer. Executor construction is
+    /// timed as the `setup` phase; the executor run as the `run/...`
+    /// phases, whose sum is the `run` phase.
     pub fn run_greedy_telemetry(
         &self,
         edb: &Database,
@@ -170,12 +170,11 @@ impl Compiled {
             return Err(CoreError::NoGreedyPlan { detail: e.clone() });
         }
         let ex = tel.phases.time("setup", || {
-            let base = self.base.get_or_init(|| exec::fact_base(&self.program));
             let mut ex = exec::GreedyExecutor::with_base(
                 &self.program,
                 self.plans.clone(),
                 edb,
-                base,
+                &self.base,
                 config,
             );
             ex.set_telemetry(tel.clone());

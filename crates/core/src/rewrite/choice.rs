@@ -73,7 +73,7 @@ pub fn rewrite_choice(program: &Program) -> ChoiceRewrite {
         ordinal += 1;
     }
     top_rules.extend(aux_rules);
-    ChoiceRewrite { program: Program::from_rules(top_rules), chosen_preds, diffchoice_preds }
+    ChoiceRewrite { program: program.with_rules(top_rules), chosen_preds, diffchoice_preds }
 }
 
 fn rewrite_one(

@@ -51,7 +51,7 @@ pub fn rewrite_least(program: &Program) -> LeastRewrite {
         rules.push(rewrite_one(rule, ri, &mut taken, &mut aux, &mut better_preds));
     }
     rules.extend(aux);
-    LeastRewrite { program: Program::from_rules(rules), better_preds }
+    LeastRewrite { program: program.with_rules(rules), better_preds }
 }
 
 fn rewrite_one(

@@ -25,14 +25,15 @@ use crate::rewrite::fresh_var;
 /// Expand every `next` goal in `program`. Non-next rules pass through
 /// untouched; rule order and the numbering of pre-existing variables are
 /// preserved (new variables are appended), so downstream bookkeeping can
-/// correlate original and expanded rules by index.
+/// correlate original and expanded rules by index. The fact table is
+/// shared, not copied.
 pub fn expand_next(program: &Program) -> Result<Program, CoreError> {
     let rules = program
         .rules
         .iter()
         .map(|r| if r.has_next() { expand_rule(r) } else { Ok(r.clone()) })
         .collect::<Result<Vec<Rule>, CoreError>>()?;
-    Ok(Program::from_rules(rules))
+    Ok(program.with_rules(rules))
 }
 
 /// `program` with every next-rule `least`/`most` grouped by the rule's

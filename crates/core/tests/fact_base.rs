@@ -25,7 +25,7 @@ fn eval(compiled: &Compiled, edb: &Database) -> (String, Snapshot) {
 
 /// The base's facts and rendered text.
 fn base_state(compiled: &Compiled) -> (Vec<(Symbol, Vec<Value>)>, String) {
-    let base = compiled.fact_base().expect("built by the first run");
+    let base = compiled.fact_base();
     let facts = base.iter_all().map(|(p, row)| (p, row.to_vec())).collect();
     (facts, base.canonical_form())
 }
@@ -84,12 +84,25 @@ fn a_run_shares_the_facts_it_does_not_write() {
             .expect("programs/matching.dl");
     let compiled = compiled(&text);
     let run = compiled.run_greedy(&Database::new()).unwrap();
-    let base = compiled.fact_base().expect("built by the first run");
+    let base = compiled.fact_base();
     let (g, matching) = (Symbol::intern("g"), Symbol::intern("matching"));
     assert!(run.db.relation(g).shares_rows(base.relation(g)), "the run borrows `g`");
     // `matching` holds a fact and is derived into: the run copied it.
     assert!(!run.db.relation(matching).shares_rows(base.relation(matching)));
     assert_eq!(base.count(matching), 1);
+}
+
+#[test]
+fn compile_encodes_the_base_and_clones_share_it() {
+    let compiled = compiled(DERIVES_INTO_FACTS);
+    let base = compiled.fact_base();
+    // Encoded at compile time: no evaluation has run.
+    assert_eq!(base.canonical_form(), "p(apple,10).\np(pear,30).\nsp(nil,0,0).");
+    let clone = compiled.clone();
+    for pred in ["p", "sp"] {
+        let pred = Symbol::intern(pred);
+        assert!(clone.fact_base().relation(pred).shares_rows(base.relation(pred)));
+    }
 }
 
 #[test]

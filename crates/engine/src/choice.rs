@@ -155,9 +155,6 @@ impl ChoiceFixpoint {
             if r.has_next() {
                 return Err(EngineError::UnexpandedNext { rule: r.to_string() });
             }
-            if r.is_fact() {
-                continue;
-            }
             if r.has_choice() {
                 choice_rules.push(r.clone());
                 choice_rule_ids.push(i);

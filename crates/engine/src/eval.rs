@@ -159,15 +159,10 @@ pub fn match_term_id(t: &Term, id: u32, b: &mut Bindings, trail: &mut Vec<VarId>
     }
 }
 
-/// The `(predicate, row)` of each fact of `program`, in program order.
-///
-/// # Panics
-/// On a non-ground fact; validation rejects those.
+/// The `(predicate, row)` of each fact of `program`'s fact table,
+/// predicate by predicate, each in source order.
 pub fn fact_rows(program: &Program) -> impl Iterator<Item = (Symbol, Row)> + '_ {
-    program.facts().map(|f| {
-        let row = f.head.args.iter().map(|t| t.as_value().expect("validated ground fact"));
-        (f.head.pred, row.collect())
-    })
+    program.facts().map(|(pred, args, _)| (pred, Row::new(args.to_vec())))
 }
 
 /// Instantiate the rule head under a complete body match.

@@ -14,7 +14,7 @@
 //! fact outside `M` disproves stability immediately (and bounds the
 //! fixpoint, so the check terminates even for programs with arithmetic).
 
-use gbc_ast::{Program, Rule};
+use gbc_ast::Program;
 use gbc_storage::Database;
 
 use crate::error::EngineError;
@@ -56,11 +56,10 @@ pub fn is_stable_model(
         }
     }
 
-    let rules: Vec<&Rule> = program.proper_rules().collect();
     loop {
         let mut grew = false;
         let mut escaped = false;
-        for rule in &rules {
+        for rule in &program.rules {
             let mut derived = Vec::new();
             for_each_match_opts(&db, Some(m), rule, None, &mut |b| {
                 derived.push(instantiate_head(rule, b)?);
@@ -97,7 +96,7 @@ pub fn is_stable_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbc_ast::{Atom, Literal, Term, Value};
+    use gbc_ast::{Atom, Literal, Rule, Term, Value};
 
     fn rule(head: Atom, body: Vec<Literal>, vars: &[&str]) -> Rule {
         Rule::new(head, body, vars.iter().map(|s| s.to_string()).collect())

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use gbc_ast::{Literal, Program, Rule, Symbol};
+use gbc_ast::{Clause, Literal, Program, Rule, Symbol};
 use gbc_storage::Database;
 
 use crate::error::EngineError;
@@ -42,8 +42,15 @@ impl DependencyGraph {
                 preds.len() - 1
             })
         };
-        // First pass: number every predicate.
-        for r in &program.rules {
+        // First pass: number every predicate, in source order.
+        for c in program.clauses() {
+            let r = match c {
+                Clause::Facts(g) => {
+                    id(g.pred(), &mut pred_ids, &mut preds);
+                    continue;
+                }
+                Clause::Rule(r) => r,
+            };
             id(r.head.pred, &mut pred_ids, &mut preds);
             for l in &r.body {
                 if let Literal::Pos(a) | Literal::Neg(a) = l {
@@ -135,14 +142,10 @@ pub fn evaluate_stratified(program: &Program, edb: &Database) -> Result<Database
     }
 
     // Saturate stratum by stratum.
-    let rules: Vec<&Rule> = program.proper_rules().collect();
     for comp in &strata {
         let comp_preds: Vec<Symbol> = comp.iter().map(|&i| dg.preds[i]).collect();
-        let stratum_rules: Vec<Rule> = rules
-            .iter()
-            .filter(|r| comp_preds.contains(&r.head.pred))
-            .map(|&r| r.clone())
-            .collect();
+        let stratum_rules: Vec<Rule> =
+            program.rules.iter().filter(|r| comp_preds.contains(&r.head.pred)).cloned().collect();
         if stratum_rules.is_empty() {
             continue;
         }

@@ -53,7 +53,7 @@ fn computed_heads_program() -> Program {
 fn naive(db: &mut Database, program: &Program) {
     loop {
         let mut grew = false;
-        for rule in program.proper_rules() {
+        for rule in &program.rules {
             let rows = if rule.has_extrema() {
                 eval_rule_with_extrema(db, rule).unwrap()
             } else {

@@ -74,6 +74,23 @@ mod tests {
         .symmetric_closure()
     }
 
+    /// The benchmark's `prim_mst` instance (n = 2048, 3n chords) as one
+    /// text: its 16 382 arcs and the exit fact load into the fact
+    /// table, and only the two rules are `Rule`s.
+    #[test]
+    fn the_n_2048_instance_parses_to_two_rules_and_its_facts() {
+        let g = crate::workload::connected_graph(2048, 3 * 2048, 1_000_000, 1);
+        let mut text = program_text(0);
+        for e in &g.edges {
+            text.push_str(&format!("\ng({},{},{}).", e.from, e.to, e.cost));
+        }
+        let program = gbc_parser::parse_program(&text).unwrap();
+        assert_eq!(program.rules.len(), 2);
+        assert_eq!(program.facts.len(), 16_383);
+        let g_rows = program.facts().filter(|(p, _, _)| p.as_str() == "g").count();
+        assert_eq!(g_rows, 16_382);
+    }
+
     #[test]
     fn classifies_as_alternating_stage_stratified() {
         let c = compiled(0);

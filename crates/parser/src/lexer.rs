@@ -1,16 +1,19 @@
 //! Hand-rolled lexer. Tracks line/column for diagnostics.
+//!
+//! Identifier and variable tokens borrow their text from the source, so
+//! lexing a fact of integers and symbols allocates nothing.
 
 use std::fmt;
 
 /// Token kinds.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind<'a> {
     /// Lowercase-initial identifier: predicate name, symbolic constant,
     /// or one of the keyword goals (the parser decides).
-    Ident(String),
+    Ident(&'a str),
     /// Uppercase- or `_`-initial identifier: variable. A bare `_` is the
     /// anonymous variable.
-    Var(String),
+    Var(&'a str),
     /// Integer literal (unsigned; unary minus handled in the parser).
     Int(i64),
     /// Double-quoted string literal (escapes: `\"`, `\\`, `\n`).
@@ -38,7 +41,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -69,15 +72,15 @@ impl fmt::Display for TokenKind {
 /// A token with its source position: 1-based line and column, plus the
 /// half-open byte range `[start, end)` it occupies in the source.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub(crate) struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub line: u32,
     pub col: u32,
     pub start: u32,
     pub end: u32,
 }
 
-impl Token {
+impl Token<'_> {
     /// The token's source span.
     pub fn span(&self) -> gbc_ast::Span {
         gbc_ast::Span::new(self.start, self.end)
@@ -112,37 +115,61 @@ impl std::error::Error for LexError {}
 /// The lexer: yields one token at a time, so the parser holds a single
 /// token of lookahead rather than the whole token stream.
 pub(crate) struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    src: &'a str,
     line: u32,
     col: u32,
     /// Byte offset of the next character.
     offset: u32,
 }
 
+/// Does `c` continue an identifier?
+fn ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
 impl<'a> Lexer<'a> {
     pub(crate) fn new(src: &'a str) -> Self {
-        Lexer { chars: src.chars().peekable(), line: 1, col: 1, offset: 0 }
+        Lexer { src, line: 1, col: 1, offset: 0 }
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        let b = *self.src.as_bytes().get(self.offset as usize)?;
+        if b.is_ascii() {
+            Some(b as char)
+        } else {
+            self.src[self.offset as usize..].chars().next()
+        }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        match c {
-            Some('\n') => {
-                self.line += 1;
-                self.col = 1;
-                self.offset += 1;
-            }
-            Some(c) => {
-                self.col += 1;
-                self.offset += c.len_utf8() as u32;
-            }
-            None => {}
+        let c = self.peek()?;
+        self.offset += c.len_utf8() as u32;
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
         }
-        c
+        Some(c)
+    }
+
+    /// Consume characters while `f` holds.
+    fn bump_while(&mut self, f: impl Fn(char) -> bool) {
+        while self.peek().is_some_and(&f) {
+            self.bump();
+        }
+    }
+
+    /// Consume the ASCII bytes `f` accepts (none of them a newline),
+    /// up to the first it rejects or a non-ASCII byte. Returns the
+    /// offset reached.
+    fn bump_ascii_while(&mut self, f: impl Fn(u8) -> bool) -> usize {
+        let start = self.offset as usize;
+        let bytes = &self.src.as_bytes()[start..];
+        let len = bytes.iter().take_while(|&&b| b.is_ascii() && f(b)).count();
+        self.col += len as u32;
+        self.offset += len as u32;
+        start + len
     }
 
     fn error(&self, message: impl Into<String>) -> LexError {
@@ -151,23 +178,23 @@ impl<'a> Lexer<'a> {
 
     /// The next token, skipping whitespace and comments; at the end of
     /// the source, [`TokenKind::Eof`] (again on every later call).
-    pub(crate) fn next_token(&mut self) -> Result<Token, LexError> {
+    pub(crate) fn next_token(&mut self) -> Result<Token<'a>, LexError> {
         loop {
             let (line, col, start) = (self.line, self.col, self.offset);
             let Some(c) = self.peek() else {
                 return Ok(Token { kind: TokenKind::Eof, line, col, start, end: start });
             };
             let kind = match c {
-                ' ' | '\t' | '\r' | '\n' => {
+                ' ' | '\t' | '\r' => {
+                    self.bump_ascii_while(|b| matches!(b, b' ' | b'\t' | b'\r'));
+                    continue;
+                }
+                '\n' => {
                     self.bump();
                     continue;
                 }
                 '%' => {
-                    while let Some(c2) = self.bump() {
-                        if c2 == '\n' {
-                            break;
-                        }
-                    }
+                    self.bump_while(|c| c != '\n');
                     continue;
                 }
                 _ => self.token_kind(c)?,
@@ -177,7 +204,8 @@ impl<'a> Lexer<'a> {
     }
 
     /// Lex the token starting with `c` (not whitespace or a comment).
-    fn token_kind(&mut self, c: char) -> Result<TokenKind, LexError> {
+    fn token_kind(&mut self, c: char) -> Result<TokenKind<'a>, LexError> {
+        let start = self.offset as usize;
         self.bump();
         let kind = match c {
             '(' => TokenKind::LParen,
@@ -241,11 +269,14 @@ impl<'a> Lexer<'a> {
                 TokenKind::Str(s)
             }
             c if c.is_ascii_digit() => {
-                let mut n = i64::from(c.to_digit(10).expect("a digit"));
-                while let Some(d) = self.peek() {
-                    let Some(dv) = d.to_digit(10) else { break };
-                    self.bump();
-                    n = match n.checked_mul(10).and_then(|m| m.checked_add(dv as i64)) {
+                let mut n = i64::from(c as u8 - b'0');
+                while let Some(d) = self.src.as_bytes().get(self.offset as usize).copied() {
+                    if !d.is_ascii_digit() {
+                        break;
+                    }
+                    self.offset += 1;
+                    self.col += 1;
+                    n = match n.checked_mul(10).and_then(|m| m.checked_add(i64::from(d - b'0'))) {
                         Some(v) => v,
                         None => return Err(self.error("integer literal overflows i64")),
                     };
@@ -253,18 +284,14 @@ impl<'a> Lexer<'a> {
                 TokenKind::Int(n)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::from(c);
-                while let Some(d) = self.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        s.push(d);
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                let end = self.bump_ascii_while(|b| b.is_ascii_alphanumeric() || b == b'_');
+                if self.src.as_bytes().get(end).is_some_and(|b| !b.is_ascii()) {
+                    self.bump_while(ident_char);
                 }
+                let s = &self.src[start..self.offset as usize];
                 if s == "not" {
                     TokenKind::Not
-                } else if s.starts_with(|c: char| c.is_uppercase() || c == '_') {
+                } else if c.is_uppercase() || c == '_' {
                     TokenKind::Var(s)
                 } else {
                     TokenKind::Ident(s)
@@ -286,7 +313,7 @@ mod tests {
     use super::*;
 
     /// Tokenize `src` in full; the final token is always `Eof`.
-    fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+    fn tokenize(src: &str) -> Result<Vec<Token<'_>>, LexError> {
         let mut lx = Lexer::new(src);
         let mut tokens = Vec::new();
         loop {
@@ -299,7 +326,7 @@ mod tests {
         }
     }
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -308,11 +335,11 @@ mod tests {
         assert_eq!(
             kinds("g(a, b, 3)."),
             vec![
-                TokenKind::Ident("g".into()),
+                TokenKind::Ident("g"),
                 TokenKind::LParen,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Comma,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Comma,
                 TokenKind::Int(3),
                 TokenKind::RParen,
@@ -346,11 +373,11 @@ mod tests {
         assert_eq!(
             kinds("Crs takes _ _x I1"),
             vec![
-                TokenKind::Var("Crs".into()),
-                TokenKind::Ident("takes".into()),
-                TokenKind::Var("_".into()),
-                TokenKind::Var("_x".into()),
-                TokenKind::Var("I1".into()),
+                TokenKind::Var("Crs"),
+                TokenKind::Ident("takes"),
+                TokenKind::Var("_"),
+                TokenKind::Var("_x"),
+                TokenKind::Var("I1"),
                 TokenKind::Eof,
             ]
         );
@@ -359,7 +386,7 @@ mod tests {
     #[test]
     fn comments_are_skipped_and_lines_tracked() {
         let toks = tokenize("% header\np(X).\n").unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("p".into()));
+        assert_eq!(toks[0].kind, TokenKind::Ident("p"));
         assert_eq!(toks[0].line, 2);
         assert_eq!(toks[0].col, 1);
     }
@@ -370,11 +397,11 @@ mod tests {
             kinds("not p ~p ¬p"),
             vec![
                 TokenKind::Not,
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::Not,
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::Not,
-                TokenKind::Ident("p".into()),
+                TokenKind::Ident("p"),
                 TokenKind::Eof,
             ]
         );
@@ -407,7 +434,7 @@ mod tests {
     fn positions_point_at_token_start() {
         let toks = tokenize("p(Xy)").unwrap();
         // `Xy` starts at column 3.
-        assert_eq!(toks[2].kind, TokenKind::Var("Xy".into()));
+        assert_eq!(toks[2].kind, TokenKind::Var("Xy"));
         assert_eq!((toks[2].line, toks[2].col), (1, 3));
     }
 
@@ -427,7 +454,7 @@ mod tests {
     fn spans_skip_comments_and_whitespace() {
         let src = "% hdr\n  p(X).";
         let toks = tokenize(src).unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("p".into()));
+        assert_eq!(toks[0].kind, TokenKind::Ident("p"));
         assert_eq!(&src[toks[0].start as usize..toks[0].end as usize], "p");
         assert_eq!(&src[toks[2].start as usize..toks[2].end as usize], "X");
     }

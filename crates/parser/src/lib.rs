@@ -31,14 +31,15 @@
 //! let program = gbc_parser::parse_program(
 //!     "sp(nil, 0, 0). sp(X, C, I) <- next(I), p(X, C), least(C, I).",
 //! ).unwrap();
-//! assert_eq!(program.rules.len(), 2);
-//! assert!(program.rules[1].has_next());
+//! // The ground fact goes to the fact table; only the rule is a `Rule`.
+//! assert_eq!((program.rules.len(), program.facts.len()), (1, 1));
+//! assert!(program.rules[0].has_next());
 //! ```
 
 mod lexer;
 mod parser;
 
-pub use lexer::{LexError, Token, TokenKind};
+pub use lexer::LexError;
 pub use parser::{parse_program, parse_rule, ParseError, MAX_NESTING};
 
 #[cfg(test)]

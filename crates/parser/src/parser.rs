@@ -2,9 +2,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use gbc_ast::term::{ArithOp, Expr};
-use gbc_ast::{Atom, CmpOp, Literal, Program, Rule, Symbol, Term, VarId};
+use gbc_ast::{Atom, CmpOp, FactTable, Literal, Program, Rule, Symbol, Term, VarId};
 use gbc_ast::{Diagnostic, LiteralSpans, RuleSpans, Span};
 
 use crate::lexer::{LexError, Lexer, Token, TokenKind};
@@ -41,22 +42,42 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Parse a full program. Validation (safety, arities) is *not* run here;
-/// call [`gbc_ast::Program::validate`] for that.
+/// Parse a full program: ground facts go straight into its fact table,
+/// everything else becomes a rule. Validation (safety, arities) is *not*
+/// run here; call [`gbc_ast::Program::validate`] for that.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let mut p = Parser::new(src);
-    let rules = p.clauses();
-    p.finish(rules).map(Program::from_rules)
+    let program = p.program();
+    p.finish(program)
 }
 
-/// Parse a single clause (fact or rule), e.g. for tests and REPL-style use.
+/// Parse a single clause (fact or rule) as a [`Rule`], e.g. for tests
+/// and REPL-style use.
 pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
     let mut p = Parser::new(src);
     let rule = match p.clause() {
         Ok(_) if !p.at_eof() => Err(p.err_here("trailing input after clause")),
-        other => other,
+        Ok(Parsed::Rule(r)) => Ok(r),
+        Ok(Parsed::Fact { pred, head }) => {
+            let atom = Atom::new(pred, p.head_args.drain(..).collect());
+            let spans = RuleSpans {
+                span: Span::new(head.start, p.prev_end()),
+                head,
+                head_args: p.head_spans.drain(..).collect(),
+                literals: Vec::new(),
+            };
+            Ok(Rule::fact(atom).with_spans(spans))
+        }
+        Err(e) => Err(e),
     };
     p.finish(rule)
+}
+
+/// One parsed clause. A ground fact's arguments are left in the
+/// parser's head buffers, for the caller to move where they belong.
+enum Parsed {
+    Rule(Rule),
+    Fact { pred: Symbol, head: Span },
 }
 
 /// How deeply terms and expressions may nest (functor arguments,
@@ -70,8 +91,8 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     /// The current token and the one after it: all the lookahead the
     /// grammar needs, so the token stream is never materialised.
-    cur: Token,
-    next: Token,
+    cur: Token<'a>,
+    next: Token<'a>,
     /// Byte offset where the previously consumed token ended.
     prev_end: u32,
     /// The first lex error met; the parser sees `Eof` from there on.
@@ -80,8 +101,14 @@ struct Parser<'a> {
     depth: usize,
     /// Per-clause variable scope.
     var_names: Vec<String>,
-    var_map: HashMap<String, VarId>,
+    var_map: HashMap<&'a str, VarId>,
     anon: Vec<bool>,
+    /// The arguments of the clause head and their spans, reused from
+    /// clause to clause.
+    head_args: Vec<Term>,
+    head_spans: Vec<Span>,
+    /// The last predicate name interned, reused while it repeats.
+    last_pred: Option<(&'a str, Symbol)>,
 }
 
 impl<'a> Parser<'a> {
@@ -97,6 +124,9 @@ impl<'a> Parser<'a> {
             var_names: Vec::new(),
             var_map: HashMap::new(),
             anon: Vec::new(),
+            head_args: Vec::new(),
+            head_spans: Vec::new(),
+            last_pred: None,
         };
         p.cur = p.lex();
         p.next = p.lex();
@@ -104,7 +134,7 @@ impl<'a> Parser<'a> {
     }
 
     /// The lexer's next token; `Eof` at the first lex error and after.
-    fn lex(&mut self) -> Token {
+    fn lex(&mut self) -> Token<'a> {
         if self.lex_error.is_none() {
             match self.lexer.next_token() {
                 Ok(t) => return t,
@@ -116,12 +146,19 @@ impl<'a> Parser<'a> {
     }
 
     /// Every clause up to the end of the source.
-    fn clauses(&mut self) -> Result<Vec<Rule>, ParseError> {
+    fn program(&mut self) -> Result<Program, ParseError> {
         let mut rules = Vec::new();
+        let mut facts = FactTable::new();
         while !self.at_eof() {
-            rules.push(self.clause()?);
+            match self.clause()? {
+                Parsed::Rule(r) => rules.push(r),
+                Parsed::Fact { pred, head } => {
+                    let args = self.head_args.drain(..).map(|t| t.into_value().expect("ground"));
+                    facts.push(pred, args, head, rules.len());
+                }
+            }
         }
-        Ok(rules)
+        Ok(Program { rules, facts: Arc::new(facts) })
     }
 
     /// The result of a parse. A lex error anywhere in the source wins
@@ -154,16 +191,16 @@ impl<'a> Parser<'a> {
         out
     }
 
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.cur.kind
     }
 
-    fn peek2(&self) -> &TokenKind {
+    fn peek2(&self) -> &TokenKind<'a> {
         &self.next.kind
     }
 
     /// Consume the current token; at `Eof`, stay there.
-    fn bump(&mut self) -> TokenKind {
+    fn bump(&mut self) -> TokenKind<'a> {
         if self.cur.kind == TokenKind::Eof {
             return TokenKind::Eof;
         }
@@ -192,7 +229,7 @@ impl<'a> Parser<'a> {
         ParseError { message: msg.into(), line: t.line, col: t.col, span: t.span() }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<(), ParseError> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseError> {
         if *self.peek() == kind {
             self.bump();
             Ok(())
@@ -201,7 +238,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -218,7 +255,7 @@ impl<'a> Parser<'a> {
         self.anon.clear();
     }
 
-    fn var(&mut self, name: &str) -> VarId {
+    fn var(&mut self, name: &'a str) -> VarId {
         if name == "_" {
             let id = VarId(self.var_names.len() as u32);
             self.var_names.push("_".to_owned());
@@ -230,7 +267,7 @@ impl<'a> Parser<'a> {
         }
         let id = VarId(self.var_names.len() as u32);
         self.var_names.push(name.to_owned());
-        self.var_map.insert(name.to_owned(), id);
+        self.var_map.insert(name, id);
         self.anon.push(false);
         id
     }
@@ -241,6 +278,9 @@ impl<'a> Parser<'a> {
     /// identical semantics.
     fn finalize_var_names(&mut self) -> Vec<String> {
         let mut names = std::mem::take(&mut self.var_names);
+        if !self.anon.contains(&true) {
+            return names;
+        }
         let taken: std::collections::HashSet<String> =
             names.iter().zip(&self.anon).filter(|(_, &a)| !a).map(|(n, _)| n.clone()).collect();
         let mut candidates = std::iter::once("_".to_owned())
@@ -256,10 +296,30 @@ impl<'a> Parser<'a> {
 
     // ---- grammar ---------------------------------------------------------
 
-    fn clause(&mut self) -> Result<Rule, ParseError> {
+    /// The interned symbol for predicate name `name`.
+    fn pred_symbol(&mut self, name: &'a str) -> Symbol {
+        match self.last_pred {
+            Some((last, sym)) if last == name => sym,
+            _ => {
+                let sym = Symbol::intern(name);
+                self.last_pred = Some((name, sym));
+                sym
+            }
+        }
+    }
+
+    /// A clause. The head parses into the reused head buffers; a head
+    /// with no variable followed by `.` is a ground fact, and no `Rule`
+    /// is built for it.
+    fn clause(&mut self) -> Result<Parsed, ParseError> {
         self.begin_clause();
         let rule_start = self.tok_start();
-        let (head, head_span, head_args) = self.atom()?;
+        let (pred, head_span) = self.atom_args()?;
+        if self.var_names.is_empty() && self.eat(&TokenKind::Dot) {
+            return Ok(Parsed::Fact { pred, head: head_span });
+        }
+        let head = Atom::new(pred, self.head_args.drain(..).collect());
+        let head_args = self.head_spans.drain(..).collect();
         let mut body = Vec::new();
         let mut literals = Vec::new();
         if self.eat(&TokenKind::Arrow) {
@@ -275,36 +335,44 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::Dot)?;
         let span = Span::new(rule_start, self.prev_end());
         let var_names = self.finalize_var_names();
-        Ok(Rule::new(head, body, var_names).with_spans(RuleSpans {
+        Ok(Parsed::Rule(Rule::new(head, body, var_names).with_spans(RuleSpans {
             span,
             head: head_span,
             head_args,
             literals,
-        }))
+        })))
     }
 
-    /// An atom with its span and the spans of its top-level arguments.
-    fn atom(&mut self) -> Result<(Atom, Span, Vec<Span>), ParseError> {
+    /// An atom's predicate and span; its arguments and their spans go
+    /// to the (cleared) head buffers.
+    fn atom_args(&mut self) -> Result<(Symbol, Span), ParseError> {
+        self.head_args.clear();
+        self.head_spans.clear();
         let start = self.tok_start();
         let name = match self.bump() {
             TokenKind::Ident(s) => s,
             other => return Err(self.err_here(format!("expected predicate name, found {other}"))),
         };
-        let mut args = Vec::new();
-        let mut arg_spans = Vec::new();
+        let pred = self.pred_symbol(name);
         if self.eat(&TokenKind::LParen) && !self.eat(&TokenKind::RParen) {
             loop {
                 let (t, s) = self.term_spanned()?;
-                args.push(t);
-                arg_spans.push(s);
+                self.head_args.push(t);
+                self.head_spans.push(s);
                 if !self.eat(&TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::RParen)?;
         }
-        let span = Span::new(start, self.prev_end());
-        Ok((Atom::new(Symbol::intern(&name), args), span, arg_spans))
+        Ok((pred, Span::new(start, self.prev_end())))
+    }
+
+    /// A body atom with its span and the spans of its top-level arguments.
+    fn atom(&mut self) -> Result<(Atom, Span, Vec<Span>), ParseError> {
+        let (pred, span) = self.atom_args()?;
+        let args = self.head_args.drain(..).collect();
+        Ok((Atom::new(pred, args), span, self.head_spans.drain(..).collect()))
     }
 
     fn literal(&mut self) -> Result<(Literal, LiteralSpans), ParseError> {
@@ -317,7 +385,7 @@ impl<'a> Parser<'a> {
         // Keyword goals: only when the identifier is immediately applied.
         if let TokenKind::Ident(name) = self.peek() {
             if matches!(self.peek2(), TokenKind::LParen) {
-                match name.as_str() {
+                match *name {
                     "choice" => return self.choice_goal(start),
                     "least" => return self.extremum_goal(true, start),
                     "most" => return self.extremum_goal(false, start),
@@ -332,7 +400,7 @@ impl<'a> Parser<'a> {
         // follows instead, the atom re-enters the expression grammar as
         // a functor term (`t(X, Y) = Z`, `f(X) + 1 < C`).
         let lhs = if matches!(self.peek(), TokenKind::Ident(n)
-                if !matches!(n.as_str(), "max" | "min" | "nil"))
+                if !matches!(*n, "max" | "min" | "nil"))
             && matches!(self.peek2(), TokenKind::LParen)
         {
             let (a, span, arg_spans) = self.atom()?;
@@ -416,7 +484,7 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::LParen)?;
         let var_start = self.tok_start();
         let var = match self.bump() {
-            TokenKind::Var(name) => self.var(&name),
+            TokenKind::Var(name) => self.var(name),
             other => {
                 return Err(self.err_here(format!("next(…) takes a single variable, found {other}")))
             }
@@ -460,14 +528,14 @@ impl<'a> Parser<'a> {
 
     fn term(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
-            TokenKind::Var(name) => Ok(Term::Var(self.var(&name))),
+            TokenKind::Var(name) => Ok(Term::Var(self.var(name))),
             TokenKind::Int(i) => Ok(Term::int(i)),
             TokenKind::Minus => match self.bump() {
                 TokenKind::Int(i) => Ok(Term::int(-i)),
                 other => Err(self.err_here(format!("expected integer after `-`, found {other}"))),
             },
             TokenKind::Str(s) => Ok(Term::Const(gbc_ast::Value::str(&s))),
-            TokenKind::Ident(name) if name == "nil" => Ok(Term::Const(gbc_ast::Value::Nil)),
+            TokenKind::Ident("nil") => Ok(Term::Const(gbc_ast::Value::Nil)),
             TokenKind::Ident(name) => {
                 if self.eat(&TokenKind::LParen) {
                     let mut args = Vec::new();
@@ -480,9 +548,9 @@ impl<'a> Parser<'a> {
                         }
                         self.expect(TokenKind::RParen)?;
                     }
-                    Ok(Term::Func(Symbol::intern(&name), args))
+                    Ok(Term::Func(Symbol::intern(name), args))
                 } else {
-                    Ok(Term::sym(&name))
+                    Ok(Term::sym(name))
                 }
             }
             other => Err(self.err_here(format!("expected a term, found {other}"))),
@@ -527,7 +595,7 @@ impl<'a> Parser<'a> {
             let op = match self.peek() {
                 TokenKind::Star => ArithOp::Mul,
                 TokenKind::Slash => ArithOp::Div,
-                TokenKind::Ident(s) if s == "mod" => ArithOp::Mod,
+                TokenKind::Ident("mod") => ArithOp::Mod,
                 _ => break,
             };
             self.bump();
@@ -554,9 +622,9 @@ impl<'a> Parser<'a> {
         // max/min built-ins.
         if let TokenKind::Ident(name) = self.peek() {
             let is_builtin =
-                matches!(name.as_str(), "max" | "min") && matches!(self.peek2(), TokenKind::LParen);
+                matches!(*name, "max" | "min") && matches!(self.peek2(), TokenKind::LParen);
             if is_builtin {
-                let op = if name == "max" { ArithOp::Max } else { ArithOp::Min };
+                let op = if *name == "max" { ArithOp::Max } else { ArithOp::Min };
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let a = self.nested(Parser::expr)?;
@@ -724,7 +792,7 @@ mod tests {
             "% Prim exit rule\nprm(nil, a, 0, 0).\n% recursive rule follows\nnew_g(X,Y,C,J) <- prm(_, X, _, J), g(X,Y,C).\n",
         )
         .unwrap();
-        assert_eq!(p.rules.len(), 2);
+        assert_eq!((p.rules.len(), p.facts.len()), (1, 1));
         assert!(p.validate().is_ok());
     }
 
@@ -844,8 +912,10 @@ mod tests {
     fn multi_rule_spans_use_global_offsets() {
         let src = "p(a).\nq(X) <- p(X).\n";
         let p = parse_program(src).unwrap();
-        let rs = p.rules[1].spans.as_ref().unwrap();
+        let rs = p.rules[0].spans.as_ref().unwrap();
         assert_eq!(snip(src, rs.span), "q(X) <- p(X).");
         assert_eq!(snip(src, rs.head), "q(X)");
+        let (_, _, fact) = p.facts().next().unwrap();
+        assert_eq!(snip(src, fact), "p(a)");
     }
 }

@@ -128,7 +128,7 @@ fn programs(state: &ServerState) -> Response {
             Json::obj(vec![
                 ("name", Json::Str(s.name.clone())),
                 ("source", Json::Str(s.source.clone())),
-                ("rules", Json::UInt(s.compiled.program().rules.len() as u64)),
+                ("rules", Json::UInt(s.compiled.program().clause_count() as u64)),
                 ("class", Json::Str(s.compiled.class().summary())),
                 ("greedy_plan", Json::Bool(s.compiled.has_greedy_plan())),
                 ("edb_facts", Json::UInt(s.edb.total_facts() as u64)),
@@ -179,7 +179,7 @@ fn load(state: &ServerState, req: &Request) -> Response {
     };
     let summary = Json::obj(vec![
         ("loaded", Json::Str(name.to_owned())),
-        ("rules", Json::UInt(compiled.program().rules.len() as u64)),
+        ("rules", Json::UInt(compiled.program().clause_count() as u64)),
         ("class", Json::Str(compiled.class().summary())),
         ("greedy_plan", Json::Bool(compiled.has_greedy_plan())),
     ]);

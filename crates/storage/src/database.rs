@@ -1,26 +1,27 @@
 //! The fact store: predicate symbol → relation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gbc_ast::{Symbol, Value};
 use gbc_telemetry::Metrics;
 
 use crate::dictionary;
+use crate::fx::FxHashMap;
 use crate::provenance::ProvenanceArena;
 use crate::relation::Relation;
 use crate::tuple::Row;
 
-/// A database instance. Relations are keyed by predicate [`Symbol`];
-/// iteration over predicates is in symbol (name) order, which keeps
-/// printed models and test expectations stable.
+/// A database instance. Relations are keyed by predicate [`Symbol`]
+/// id, so a lookup hashes one `u32`; iteration over predicates is in
+/// symbol (name) order, which keeps printed models and test
+/// expectations stable.
 ///
 /// Cloning shares every relation's row store (see [`Relation`]): a
 /// clone costs one `Arc` per relation, and each side copies a store
 /// only when it first writes to it.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    relations: BTreeMap<Symbol, Relation>,
+    relations: FxHashMap<Symbol, Relation>,
     /// Returned by [`Database::relation`] for absent predicates, so
     /// lookups never allocate or panic.
     empty: Relation,
@@ -90,6 +91,14 @@ impl Database {
         self.relations.get(&pred).unwrap_or(&self.empty)
     }
 
+    /// The relations in predicate name order.
+    fn sorted(&self) -> Vec<(Symbol, &Relation)> {
+        let mut rels: Vec<(Symbol, &Relation)> =
+            self.relations.iter().map(|(&p, rel)| (p, rel)).collect();
+        rels.sort_unstable_by_key(|&(p, _)| p);
+        rels
+    }
+
     /// Append every row of `other` after this database's own rows, as
     /// if each were inserted in `other`'s order (duplicates dropped). A
     /// predicate absent here shares `other`'s row store instead of
@@ -127,7 +136,7 @@ impl Database {
 
     /// All predicates with at least one fact, in name order.
     pub fn predicates(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.relations.keys().copied()
+        self.sorted().into_iter().map(|(p, _)| p)
     }
 
     /// Row count for one predicate.
@@ -149,7 +158,7 @@ impl Database {
     /// Iterate over every fact in the database, decoded (a boundary
     /// operation — storage holds dictionary ids).
     pub fn iter_all(&self) -> impl Iterator<Item = (Symbol, Row)> + '_ {
-        self.relations.iter().flat_map(|(&p, rel)| rel.iter().map(move |r| (p, r)))
+        self.sorted().into_iter().flat_map(|(p, rel)| rel.iter().map(move |r| (p, r)))
     }
 
     /// Render the database as sorted ground facts, one per line —
@@ -170,7 +179,7 @@ impl Database {
             .map(|(p, rel)| rel.len() * (p.as_str().len() + 3 + 8 * rel.arity().unwrap_or(0)))
             .sum();
         let mut out = String::with_capacity(estimate);
-        for (&p, rel) in &self.relations {
+        for (p, rel) in self.sorted() {
             let shared = rel.shared_text(|| {
                 let mut text = String::new();
                 render_relation(p, rel, &mut text);

@@ -176,6 +176,27 @@ pub fn encode(v: &Value) -> u32 {
     id
 }
 
+/// [`encode`] every value of `vals` onto the end of `out`, in order.
+/// The values already interned resolve under a single read lock, so a
+/// row of known values costs one lock instead of one per cell.
+pub fn encode_into(vals: &[Value], out: &mut Vec<u32>) {
+    let start = out.len();
+    {
+        let m = map().read().expect("dictionary poisoned");
+        out.extend(vals.iter().map(|v| m.get(v).copied().unwrap_or(DICT_MISS)));
+    }
+    let fresh = &mut out[start..];
+    let misses = fresh.iter().filter(|&&id| id == DICT_MISS).count();
+    ENCODE_HITS.fetch_add((vals.len() - misses) as u64, Ordering::Relaxed);
+    if misses > 0 {
+        for (id, v) in fresh.iter_mut().zip(vals) {
+            if *id == DICT_MISS {
+                *id = encode(v);
+            }
+        }
+    }
+}
+
 /// Lookup-only probe: the id if `v` was ever interned, else
 /// [`DICT_MISS`]. Never assigns an id, so it is safe on any thread.
 pub fn try_encode(v: &Value) -> u32 {
