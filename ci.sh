@@ -141,6 +141,27 @@ cargo test --test diagnostics_golden)" >&2
     }
 done
 
+echo "== admission: gbc run refuses exactly what gbc check rejects =="
+# One admission gate: `gbc run` must refuse every fixture `gbc check`
+# reports an error for. On every other fixture the greedy run and the
+# generic choice fixpoint (`--generic`) must agree in exit status: a
+# planned program never fails for want of a stage fact.
+for fixture in programs/bad/*.dl; do
+    if ./target/release/gbc check "$fixture" >/dev/null 2>&1; then
+        greedy=0
+        ./target/release/gbc run "$fixture" >/dev/null 2>&1 || greedy=$?
+        generic=0
+        ./target/release/gbc run "$fixture" --generic >/dev/null 2>&1 || generic=$?
+        [ "$greedy" = "$generic" ] || {
+            echo "gbc run ($greedy) and gbc run --generic ($generic) disagree on $fixture" >&2
+            exit 1
+        }
+    elif ./target/release/gbc run "$fixture" >/dev/null 2>&1; then
+        echo "gbc run accepted $fixture, which gbc check rejects" >&2
+        exit 1
+    fi
+done
+
 echo "== ci-analyze: whole-program analysis reports match goldens =="
 # `gbc analyze --analysis-json` over every shipped program group must
 # reproduce the committed report byte for byte: column types,
@@ -242,6 +263,11 @@ grep -q '"label": "post-PR24"' BENCH_experiments.json || {
 # encoded once by `compile`.
 grep -q '"label": "post-PR25"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR25 run" >&2
+    exit 1
+}
+# The post-PR26 record: E1/E2/E3 with one admission gate in `compile`.
+grep -q '"label": "post-PR26"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR26 run" >&2
     exit 1
 }
 for col in dict_entries encode_hits decode_calls; do

@@ -14,7 +14,7 @@
 //! | GBC002 | error    | predicate used with inconsistent arities |
 //! | GBC003 | error    | unsafe (non-range-restricted) variable |
 //! | GBC004 | error    | fact with a non-ground head |
-//! | GBC005 | error    | `next(I)` stage variable missing from the rule head |
+//! | GBC005 | error    | `next(I)` stage variable not a bare head argument exactly once |
 //! | GBC006 | error    | more than one `next` goal in a rule |
 //! | GBC010 | error    | negation/extrema through recursion (unstratified) |
 //! | GBC011 | warning  | predicate inferred with conflicting stage positions |
@@ -157,7 +157,7 @@ impl Diagnostic {
     /// Render the diagnostic as a rustc-style snippet block.
     pub fn render(&self, sm: &SourceMap) -> String {
         let mut out = String::new();
-        out.push_str(&format!("{}[{}]: {}\n", self.severity, self.code, self.message));
+        out.push_str(&format!("{self}\n"));
 
         // Gutter width: widest line number among rendered labels.
         let locs: Vec<_> = self
@@ -211,6 +211,13 @@ impl Diagnostic {
             out.push_str(&format!("{pad} = help: {h}\n"));
         }
         out
+    }
+}
+
+impl fmt::Display for Diagnostic {
+    /// The headline: `severity[code]: message`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}]: {}", self.severity, self.code, self.message)
     }
 }
 

@@ -24,7 +24,6 @@
 //! semantics in `gbc-engine` and `gbc-core`.
 
 pub mod diag;
-pub mod error;
 pub mod facts;
 pub mod literal;
 pub mod pretty;
@@ -36,7 +35,6 @@ pub mod term;
 pub mod value;
 
 pub use diag::{Diagnostic, Label, Severity};
-pub use error::AstError;
 pub use facts::{FactGroup, FactTable};
 pub use literal::{Atom, CmpOp, Literal};
 pub use program::{Clause, Program};

@@ -4,12 +4,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::diag::Diagnostic;
-use crate::error::AstError;
 use crate::facts::{FactGroup, FactTable};
 use crate::literal::Literal;
 use crate::rule::Rule;
 use crate::span::Span;
 use crate::symbol::Symbol;
+use crate::term::Term;
 use crate::value::Value;
 
 /// A program: its rules, and its ground facts in a [`FactTable`]. EDB
@@ -105,40 +105,27 @@ impl Program {
         })
     }
 
-    /// Every predicate with its arity, in name order.
-    ///
-    /// Returns an error on inconsistent arity.
-    pub fn signature(&self) -> Result<BTreeMap<Symbol, usize>, AstError> {
+    /// Every predicate with the arity of its first use, in name order.
+    /// Arity clashes are GBC002 errors of [`Program::diagnostics`].
+    pub fn signature(&self) -> BTreeMap<Symbol, usize> {
         let mut sig: BTreeMap<Symbol, usize> = BTreeMap::new();
-        let mut check = |pred: Symbol, arity: usize| -> Result<(), AstError> {
-            match sig.get(&pred) {
-                Some(&a) if a != arity => Err(AstError::ArityMismatch {
-                    pred: pred.as_str().to_owned(),
-                    expected: a,
-                    found: arity,
-                }),
-                _ => {
-                    sig.insert(pred, arity);
-                    Ok(())
-                }
-            }
+        let mut note = |pred: Symbol, arity: usize| {
+            sig.entry(pred).or_insert(arity);
         };
         for c in self.clauses() {
-            let r = match c {
-                Clause::Facts(g) => {
-                    check(g.pred(), g.arity())?;
-                    continue;
-                }
-                Clause::Rule(r) => r,
-            };
-            check(r.head.pred, r.head.arity())?;
-            for l in &r.body {
-                if let Literal::Pos(a) | Literal::Neg(a) = l {
-                    check(a.pred, a.arity())?;
+            match c {
+                Clause::Facts(g) => note(g.pred(), g.arity()),
+                Clause::Rule(r) => {
+                    note(r.head.pred, r.head.arity());
+                    for l in &r.body {
+                        if let Literal::Pos(a) | Literal::Neg(a) = l {
+                            note(a.pred, a.arity());
+                        }
+                    }
                 }
             }
         }
-        Ok(sig)
+        sig
     }
 
     /// Predicates that appear in some rule head or fact.
@@ -173,50 +160,12 @@ impl Program {
         edb
     }
 
-    /// Full static validation: arity consistency, fact groundness, rule
-    /// safety, and `next`-goal well-formedness (at most one per rule;
-    /// the stage variable must appear in the head).
-    pub fn validate(&self) -> Result<(), AstError> {
-        self.signature()?;
-        for r in &self.rules {
-            if r.is_fact() && !r.head.is_ground() {
-                return Err(AstError::NonGroundFact { rule: r.to_string() });
-            }
-            r.check_safety()?;
-            let next_vars: Vec<_> = r
-                .body
-                .iter()
-                .filter_map(|l| match l {
-                    Literal::Next { var } => Some(*var),
-                    _ => None,
-                })
-                .collect();
-            if next_vars.len() > 1 {
-                return Err(AstError::MultipleNext { rule: r.to_string() });
-            }
-            if let Some(v) = next_vars.first() {
-                let head_has = {
-                    let mut hv = Vec::new();
-                    for t in &r.head.args {
-                        t.collect_vars(&mut hv);
-                    }
-                    hv.contains(v)
-                };
-                if !head_has {
-                    return Err(AstError::MalformedNext {
-                        rule: r.to_string(),
-                        detail: "stage variable must appear in the rule head".into(),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// All static-validation failures as span-carrying diagnostics
-    /// (codes GBC002–GBC006). Unlike [`Program::validate`], which stops
-    /// at the first error, this collects every failure so `gbc check`
-    /// can report them in one pass. Empty iff `validate()` returns `Ok`.
+    /// Static validation: every arity clash, non-ground fact, unsafe
+    /// variable and malformed `next` goal as a span-carrying error
+    /// (codes GBC002–GBC006), collected in one pass. This is the only
+    /// implementation of those rules; `gbc_core::compile` admits a
+    /// program only when it, and the stratification check, find no
+    /// error.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
 
@@ -329,27 +278,38 @@ impl Program {
                     ),
                 );
             } else if let Some(&(i, v)) = next_lits.first() {
-                let mut head_vars = Vec::new();
-                for t in &r.head.args {
-                    t.collect_vars(&mut head_vars);
-                }
-                if !head_vars.contains(&v) {
-                    out.push(
-                        Diagnostic::error(
-                            "GBC005",
-                            format!(
-                                "stage variable `{}` of `next` does not appear in the rule head",
-                                r.var_name(v)
-                            ),
-                        )
-                        .with_label(r.literal_span(i), "stage minted here")
-                        .with_secondary(r.head_span(), "head does not receive the stage")
-                        .with_note(
-                            "the stage number must be recorded in the head so the tuple ↔ \
+                // The `next` expansion reads the stage from the one head
+                // argument that is the stage variable itself.
+                let name = r.var_name(v);
+                let bare = r.head.args.iter().filter(|&t| *t == Term::Var(v)).count();
+                let in_head = r.head.args.iter().any(|t| t.vars().contains(&v));
+                let (what, label) = match bare {
+                    1 => continue,
+                    0 if !in_head => (
+                        "does not appear in the rule head".to_owned(),
+                        "head does not receive the stage".to_owned(),
+                    ),
+                    0 => (
+                        "is not a head argument of its own".to_owned(),
+                        format!("`{name}` occurs only inside a compound term here"),
+                    ),
+                    n => (
+                        format!("fills {n} head arguments"),
+                        format!("`{name}` must fill exactly one argument"),
+                    ),
+                };
+                out.push(
+                    Diagnostic::error(
+                        "GBC005",
+                        format!("stage variable `{name}` of `next` {what}"),
+                    )
+                    .with_label(r.literal_span(i), "stage minted here")
+                    .with_secondary(r.head_span(), label)
+                    .with_note(
+                        "the stage number must be recorded in the head so the tuple ↔ \
                              stage bijection of Section 3 exists",
-                        ),
-                    );
-                }
+                    ),
+                );
             }
         }
         out
@@ -360,7 +320,11 @@ impl Program {
 mod tests {
     use super::*;
     use crate::literal::Atom;
-    use crate::term::{Term, VarId};
+    use crate::term::VarId;
+
+    fn codes(p: &Program) -> Vec<&'static str> {
+        p.diagnostics().iter().map(|d| d.code).collect()
+    }
 
     #[test]
     fn signature_collects_arities() {
@@ -371,7 +335,7 @@ mod tests {
             vec![Literal::pos("g", vec![Term::var(0), Term::var(1), Term::var(2)])],
             vec!["X".into(), "Y".into(), "C".into()],
         ));
-        let sig = p.signature().unwrap();
+        let sig = p.signature();
         assert_eq!(sig[&Symbol::intern("g")], 3);
         assert_eq!(sig[&Symbol::intern("reach")], 1);
     }
@@ -381,7 +345,7 @@ mod tests {
         let mut p = Program::new();
         p.push_fact("g", vec![Value::sym("a")]);
         p.push_fact("g", vec![Value::sym("a"), Value::sym("b")]);
-        assert!(matches!(p.signature(), Err(AstError::ArityMismatch { .. })));
+        assert_eq!(codes(&p), ["GBC002"]);
     }
 
     #[test]
@@ -403,7 +367,8 @@ mod tests {
             vec![],
             vec!["X".into()],
         )]);
-        assert!(matches!(p.validate(), Err(AstError::NonGroundFact { .. })));
+        // `X` is unsafe too: nothing binds it.
+        assert_eq!(codes(&p), ["GBC004", "GBC003"]);
     }
 
     #[test]
@@ -414,7 +379,7 @@ mod tests {
             vec![Literal::Next { var: VarId(1) }, Literal::pos("q", vec![Term::var(0)])],
             vec!["X".into(), "I".into()],
         )]);
-        assert!(matches!(p.validate(), Err(AstError::MalformedNext { .. })));
+        assert_eq!(codes(&p), ["GBC005"]);
     }
 
     #[test]
@@ -424,6 +389,23 @@ mod tests {
             vec![Literal::Next { var: VarId(0) }, Literal::Next { var: VarId(1) }],
             vec!["I".into(), "J".into()],
         )]);
-        assert!(matches!(p.validate(), Err(AstError::MultipleNext { .. })));
+        assert_eq!(codes(&p), ["GBC006"]);
+    }
+
+    #[test]
+    fn stage_variable_must_fill_exactly_one_head_argument() {
+        // q(X, I, I) <- next(I), p(X).  and  q(s(I), X) <- next(I), p(X).
+        let twice = Program::from_rules(vec![Rule::new(
+            Atom::new("q", vec![Term::var(0), Term::var(1), Term::var(1)]),
+            vec![Literal::Next { var: VarId(1) }, Literal::pos("p", vec![Term::var(0)])],
+            vec!["X".into(), "I".into()],
+        )]);
+        assert_eq!(codes(&twice), ["GBC005"]);
+        let nested = Program::from_rules(vec![Rule::new(
+            Atom::new("q", vec![Term::Func("s".into(), vec![Term::var(1)]), Term::var(0)]),
+            vec![Literal::Next { var: VarId(1) }, Literal::pos("p", vec![Term::var(0)])],
+            vec!["X".into(), "I".into()],
+        )]);
+        assert_eq!(codes(&nested), ["GBC005"]);
     }
 }

@@ -1,6 +1,5 @@
 //! Rules and their static well-formedness (safety / range restriction).
 
-use crate::error::AstError;
 use crate::literal::{Atom, CmpOp, Literal};
 use crate::span::RuleSpans;
 use crate::term::{Expr, Term, VarId};
@@ -165,7 +164,9 @@ impl Rule {
         out
     }
 
-    /// Safety (range restriction) in the LDL sense.
+    /// Safety (range restriction) in the LDL sense: the variables of
+    /// the rule that are *not* limited, in first-occurrence order. Empty
+    /// iff the rule is safe.
     ///
     /// Every variable must be *limited*: bound by a positive body atom,
     /// or by an `=` goal whose other side is an expression over limited
@@ -175,19 +176,6 @@ impl Rule {
     ///
     /// Variables appearing *only* in negated atoms, comparisons, `choice`
     /// or extrema goals are unsafe.
-    pub fn check_safety(&self) -> Result<(), AstError> {
-        match self.unsafe_vars().first() {
-            None => Ok(()),
-            Some(&v) => Err(AstError::UnsafeVariable {
-                rule: self.to_string(),
-                var: self.var_name(v).to_owned(),
-            }),
-        }
-    }
-
-    /// All variables of the rule that are *not* limited (see
-    /// [`Rule::check_safety`]), in first-occurrence order. Empty iff the
-    /// rule is safe.
     pub fn unsafe_vars(&self) -> Vec<VarId> {
         let mut limited = vec![false; self.num_vars()];
 
@@ -270,7 +258,7 @@ mod tests {
     fn fact_is_safe() {
         let r = Rule::fact(Atom::new("g", vec![Term::sym("a"), Term::int(1)]));
         assert!(r.is_fact());
-        assert!(r.check_safety().is_ok());
+        assert!(r.unsafe_vars().is_empty());
     }
 
     #[test]
@@ -281,7 +269,7 @@ mod tests {
             vec![Literal::pos("q", vec![Term::var(0)])],
             names(1),
         );
-        assert!(r.check_safety().is_ok());
+        assert!(r.unsafe_vars().is_empty());
     }
 
     #[test]
@@ -292,7 +280,7 @@ mod tests {
             vec![Literal::pos("q", vec![Term::var(0)])],
             names(2),
         );
-        assert!(matches!(r.check_safety(), Err(AstError::UnsafeVariable { .. })));
+        assert_eq!(r.unsafe_vars(), [VarId(1)]);
     }
 
     #[test]
@@ -311,7 +299,7 @@ mod tests {
             ],
             names(3),
         );
-        assert!(r.check_safety().is_ok());
+        assert!(r.unsafe_vars().is_empty());
     }
 
     #[test]
@@ -322,7 +310,7 @@ mod tests {
             vec![Literal::pos("q", vec![Term::var(0)]), Literal::neg("r", vec![Term::var(1)])],
             names(2),
         );
-        assert!(r.check_safety().is_err());
+        assert_eq!(r.unsafe_vars(), [VarId(1)]);
     }
 
     #[test]
@@ -349,7 +337,7 @@ mod tests {
             vec![Literal::Next { var: VarId(1) }, Literal::pos("g", vec![Term::var(0)])],
             names(2),
         );
-        assert!(r.check_safety().is_ok());
+        assert!(r.unsafe_vars().is_empty());
         assert!(r.has_next());
         assert!(!r.has_choice());
     }

@@ -57,12 +57,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use gbc_ast::diag::{error_count, render_all, warning_count};
-use gbc_ast::{Diagnostic, Program, SourceMap};
-use gbc_core::{compile, verify_stable_model, Compiled, GreedyRun};
+use gbc_ast::{Program, SourceMap};
+use gbc_core::{verify_stable_model, Compiled, GreedyRun};
 use gbc_engine::enumerate::{all_choice_models_with, EnumerateConfig};
 use gbc_engine::{DeterministicFirst, SeededRandom};
 use gbc_storage::{dict_stats, Database, DictStats, ProvenanceArena};
-use gbc_telemetry::{ChromeTrace, JournalBuffer, StderrTrace, TeeTrace, Telemetry, TraceSink};
+use gbc_telemetry::{
+    ChromeTrace, JournalBuffer, Recorder, StderrTrace, TeeTrace, Telemetry, TraceSink,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -358,9 +360,8 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| file.clone());
-        let sm = read_sources(std::slice::from_ref(file))?;
-        let compiled =
-            gbc_serve::router::compile_source(&sm).map_err(|e| format!("{file}: {e}"))?;
+        let (compiled, _) = load(std::slice::from_ref(file), &Recorder::default())
+            .map_err(|e| format!("{file}: {e}"))?;
         server.state().install(gbc_serve::Session::new(&name, file, compiled, Database::new()));
         eprintln!("loaded session `{name}` from {file}");
     }
@@ -382,22 +383,13 @@ fn read_sources(files: &[String]) -> Result<SourceMap, String> {
     Ok(sm)
 }
 
-/// Render `diags` against `sm` as the failure message for a command
-/// that cannot proceed (parse or validation errors).
-fn render_failure(diags: &[Diagnostic], sm: &SourceMap) -> String {
-    let rendered = render_all(diags, sm);
-    format!("invalid program\n{}{} error(s) emitted", rendered, error_count(diags))
-}
-
-fn load(files: &[String]) -> Result<(Program, SourceMap), String> {
+/// Read `files` and load them through the one loader,
+/// [`gbc_serve::router::compile_source`], timing `parse` and `compile`
+/// into `phases`.
+fn load(files: &[String], phases: &Recorder) -> Result<(Compiled, SourceMap), String> {
     let sm = read_sources(files)?;
-    let program = gbc_parser::parse_program(&sm.source())
-        .map_err(|e| render_failure(&[e.to_diagnostic()], &sm))?;
-    let diags = program.diagnostics();
-    if error_count(&diags) > 0 {
-        return Err(render_failure(&diags, &sm));
-    }
-    Ok((program, sm))
+    let compiled = gbc_serve::router::compile_source(&sm, phases)?;
+    Ok((compiled, sm))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -472,14 +464,10 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
                     }
                 ));
             }
-            if report.errors() == 0 {
-                match compile(program) {
-                    Ok(compiled) => match compiled.plan_error() {
-                        None => summary.push("greedy plan: available (Section 6 executor)".into()),
-                        Some(e) => summary.push(format!("greedy plan: unavailable — {e}")),
-                    },
-                    Err(e) => summary.push(format!("greedy plan: unavailable — {e}")),
-                }
+            match &report.plan {
+                Some(Ok(())) => summary.push("greedy plan: available (Section 6 executor)".into()),
+                Some(Err(e)) => summary.push(format!("greedy plan: unavailable — {e}")),
+                None => {}
             }
             report.diagnostics
         }
@@ -520,8 +508,7 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_analyze(opts: &Options) -> Result<(), String> {
-    let (program, _sm) = load(&opts.files)?;
-    let compiled = compile(program).map_err(|e| e.to_string())?;
+    let (compiled, _sm) = load(&opts.files, &Recorder::default())?;
     let report = compiled.analyze_report();
     match &opts.analysis_json {
         Some(path) => {
@@ -538,15 +525,15 @@ fn cmd_analyze(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `gbc run`: timed as the phases `parse` (reading and parsing the
-/// files), `compile`, `setup` and `run` (the evaluation), `render` (the
-/// canonical text) and `write` (to stdout).
+/// `gbc run`: timed as the phases `parse` (parsing the files, once
+/// read), `compile` (the admission gate and planning), `setup` and `run`
+/// (the evaluation), `render` (the canonical text) and `write` (to
+/// stdout).
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
     let (tel, obs) = opts.telemetry();
     let rec = &tel.phases;
-    let (program, sm) = rec.time("parse", || load(&opts.files))?;
-    let compiled = rec.time("compile", || compile(program)).map_err(|e| e.to_string())?;
+    let (compiled, sm) = load(&opts.files, rec)?;
 
     let run = opts.evaluate(&compiled, &Database::new(), &tel)?;
 
@@ -564,60 +551,57 @@ fn cmd_explain(opts: &Options) -> Result<(), String> {
     let Some(atom) = &opts.query else {
         return Err("explain needs a query: gbc explain FILE... -- 'pred(X, ...)'".into());
     };
-    let (program, sm) = load(&opts.files)?;
+    let (compiled, sm) = load(&opts.files, &Recorder::default())?;
     let query = gbc_parser::parse_rule(&format!("query <- {}.", atom.trim().trim_end_matches('.')))
         .map_err(|e| format!("bad query atom `{atom}`: {e}"))?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
     let mut edb = Database::new();
     let arena = ProvenanceArena::shared();
     edb.set_provenance(Arc::clone(&arena));
     let (tel, _obs) = opts.telemetry();
     let run = opts.evaluate(&compiled, &edb, &tel)?;
-    let out = gbc_core::explain::explain_atom(&program, &sm, &run.db, &arena, &query)?;
+    let out = gbc_core::explain::explain_atom(compiled.program(), &sm, &run.db, &arena, &query)?;
     print!("{out}");
     Ok(())
 }
 
 fn cmd_models(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
-    let (program, sm) = load(&opts.files)?;
-    // The enumerator needs a next-free program.
-    let expanded = gbc_core::rewrite::next::expand_next(&program).map_err(|e| e.to_string())?;
+    let (compiled, sm) = load(&opts.files, &Recorder::default())?;
     let config = EnumerateConfig { max_nodes: 1_000_000, max_models: opts.max_models };
     let (tel, obs) = opts.telemetry();
+    // The enumerator needs a next-free program.
     let models = tel
         .phases
-        .time("models", || all_choice_models_with(&expanded, &Database::new(), config))
+        .time("models", || all_choice_models_with(compiled.expanded(), &Database::new(), config))
         .map_err(|e| e.to_string())?;
     println!("{} model(s)", models.len());
     for (i, m) in models.iter().enumerate() {
         println!("--- model {}", i + 1);
         println!("{}", m.canonical_form());
     }
-    opts.report(&tel, &obs, &program, &sm, &dict_base)?;
+    opts.report(&tel, &obs, compiled.program(), &sm, &dict_base)?;
     Ok(())
 }
 
 fn cmd_rewrite(opts: &Options) -> Result<(), String> {
-    let (program, _sm) = load(&opts.files)?;
-    let fr = gbc_core::rewrite_full(&program).map_err(|e| e.to_string())?;
-    print!("{}", fr.program);
+    let (compiled, _sm) = load(&opts.files, &Recorder::default())?;
+    print!("{}", gbc_core::rewrite_full(compiled.program()).program);
     Ok(())
 }
 
 fn cmd_verify(opts: &Options) -> Result<(), String> {
     let dict_base = dict_stats();
-    let (program, sm) = load(&opts.files)?;
-    let compiled = compile(program.clone()).map_err(|e| e.to_string())?;
+    let (compiled, sm) = load(&opts.files, &Recorder::default())?;
+    let program = compiled.program();
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
     let run = opts.evaluate(&compiled, &edb, &tel)?;
-    let ok = verify_stable_model(&program, &edb, &run).map_err(|e| e.to_string())?;
+    let ok = verify_stable_model(program, &edb, &run).map_err(|e| e.to_string())?;
     println!(
         "stable model check: {}",
         if ok { "PASS (Theorem 1 holds for this run)" } else { "FAIL" }
     );
-    opts.report(&tel, &obs, &program, &sm, &dict_base)?;
+    opts.report(&tel, &obs, program, &sm, &dict_base)?;
     if ok {
         Ok(())
     } else {

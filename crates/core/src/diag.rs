@@ -27,9 +27,8 @@ use crate::analysis::classify::{Analysis, ProgramClass, StageViolation};
 use crate::analysis::reachability::{self, ReachInfo};
 use crate::analysis::stage::rule_stage_vars;
 use crate::analysis::typeinfer::{self, TypeInfo};
-use crate::classify;
 use crate::exec;
-use crate::rewrite::next::expand_next;
+use crate::{admit, expand_and_plan};
 
 /// Everything `gbc check` needs: the diagnostics plus the analysis they
 /// were derived from (for the class/clique summary).
@@ -44,6 +43,9 @@ pub struct CheckReport {
     pub types: TypeInfo,
     /// Reachability/emptiness results (GBC027/028/031 anchors).
     pub reach: ReachInfo,
+    /// `None` when [`crate::compile`] refuses the program (`errors() >
+    /// 0`); otherwise whether it has a greedy plan, or why not.
+    pub plan: Option<Result<(), String>>,
 }
 
 impl CheckReport {
@@ -65,17 +67,15 @@ impl CheckReport {
 
 /// Run every static check over `program`.
 ///
-/// The program need not be pre-validated: validation failures come back
-/// as diagnostics rather than errors, so a single `gbc check` pass
-/// reports everything at once.
+/// The program need not be admitted: the admission gate's errors come
+/// back as diagnostics, and the lints still run, so a single `gbc
+/// check` pass reports everything at once. An admitted program is also
+/// planned, once, as [`crate::compile`] plans it.
 pub fn check_program(program: &Program) -> CheckReport {
-    let mut diagnostics = program.diagnostics();
-    let analysis = classify(program);
+    let (mut diagnostics, analysis) = admit(program);
+    let planned = diagnostics.is_empty().then(|| expand_and_plan(program, &analysis));
 
     match &analysis.class {
-        ProgramClass::Unstratified { cycle } => {
-            diagnostics.push(unstratified_diag(program, cycle));
-        }
         ProgramClass::NotStageStratified { violations } => {
             for v in violations {
                 diagnostics.push(violation_diag(program, v));
@@ -100,9 +100,12 @@ pub fn check_program(program: &Program) -> CheckReport {
     lint_stage_types(program, &analysis, &types, &mut diagnostics);
     lint_extremum_cost_types(program, &types, &mut diagnostics);
     lint_const_comparisons(program, &reach, &mut diagnostics);
-    note_fast_feed(program, &analysis, &mut diagnostics);
 
-    CheckReport { diagnostics, analysis, types, reach }
+    let plan = planned.map(|(_, plans, plan_error)| {
+        note_fast_feed(program, &plans, &mut diagnostics);
+        plan_error.map_or(Ok(()), Err)
+    });
+    CheckReport { diagnostics, analysis, types, reach, plan }
 }
 
 /// Version of the `--diag-json` payload schema. Bump when the shape of
@@ -176,36 +179,6 @@ fn defining_span(program: &Program, pred: Symbol) -> Option<Span> {
         Clause::Facts(g) if g.pred() == pred => Some(g.first_span()),
         _ => None,
     })
-}
-
-/// GBC010: unstratified negation/extrema, with the cycle as a
-/// predicate trace.
-fn unstratified_diag(program: &Program, cycle: &[Symbol]) -> Diagnostic {
-    let mut trace: Vec<String> = cycle.iter().map(|p| p.to_string()).collect();
-    if let Some(first) = trace.first().cloned() {
-        trace.push(first);
-    }
-    let mut d = Diagnostic::error(
-        "GBC010",
-        "negation or extrema through recursion without stage discipline",
-    )
-    .with_note(format!("dependency cycle: {}", trace.join(" → ")))
-    .with_help(
-        "break the cycle, or introduce a `next` stage so each round only \
-         negates the previous stage's facts (Section 4)",
-    );
-    // Anchor: the rule owning the offending dependency (head of the
-    // cycle with a negative or extremum edge into it).
-    if let Some(head) = cycle.first() {
-        let offending = program.rules.iter().find(|r| {
-            r.head.pred == *head
-                && (r.has_extrema() || r.negated_atoms().any(|a| cycle.contains(&a.pred)))
-        });
-        if let Some(r) = offending {
-            d = d.with_label(r.span(), format!("`{head}` depends on itself through this rule"));
-        }
-    }
-    d
 }
 
 /// GBC011–GBC018: one stage-stratification violation as a warning.
@@ -669,16 +642,8 @@ fn lint_const_comparisons(program: &Program, reach: &ReachInfo, out: &mut Vec<Di
 /// GBC032 (note): a `next` rule whose plan feeds its queue by column
 /// ids alone ([`exec::NextPlan::is_fast_feed`]). The plans are the ones
 /// [`crate::compile`] builds, so the note names exactly the rules `gbc
-/// analyze` reports with `fast_feed`; a program with errors or without
-/// stage stratification has no plans.
-fn note_fast_feed(program: &Program, analysis: &Analysis, out: &mut Vec<Diagnostic>) {
-    if gbc_ast::diag::error_count(out) > 0
-        || !matches!(analysis.class, ProgramClass::StageStratified { .. })
-    {
-        return;
-    }
-    let Ok(expanded) = expand_next(program) else { return };
-    let Ok(plans) = exec::build_plans(program, &expanded, &analysis.stages) else { return };
+/// analyze` reports with `fast_feed`.
+fn note_fast_feed(program: &Program, plans: &[exec::NextPlan], out: &mut Vec<Diagnostic>) {
     for plan in plans.iter().filter(|p| p.is_fast_feed()) {
         let r = &program.rules[plan.rule_idx];
         out.push(

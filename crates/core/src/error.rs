@@ -2,24 +2,21 @@
 
 use std::fmt;
 
-use gbc_ast::AstError;
+use gbc_ast::Diagnostic;
 use gbc_engine::EngineError;
 
 /// Errors from `gbc-core`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoreError {
-    /// Static validation failed.
-    Ast(AstError),
+    /// [`crate::compile`] refused the program: every error diagnostic
+    /// of static validation (GBC002–GBC006) and stratification
+    /// (GBC010). `gbc check` reports exactly these as errors.
+    Rejected { diagnostics: Vec<Diagnostic> },
     /// Evaluation failed.
     Engine(EngineError),
-    /// A `next` rule is malformed for expansion (stage variable issues).
-    BadNextRule { rule: String, detail: String },
     /// The program is not a stage program (conflicting stage arguments,
     /// mixed rule kinds in a clique, …).
     NotStageProgram { detail: String },
-    /// The program has stage cliques but fails (strict) stage
-    /// stratification — e.g. the paper's Kruskal program (Example 8).
-    NotStageStratified { detail: String },
     /// No greedy plan exists (a next rule falls outside the Section 6
     /// template); callers should use the generic choice fixpoint.
     NoGreedyPlan { detail: String },
@@ -32,16 +29,13 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::Ast(e) => write!(f, "{e}"),
-            CoreError::Engine(e) => write!(f, "{e}"),
-            CoreError::BadNextRule { rule, detail } => {
-                write!(f, "bad next rule `{rule}`: {detail}")
+            CoreError::Rejected { diagnostics } => {
+                f.write_str("invalid program")?;
+                diagnostics.iter().try_for_each(|d| write!(f, "; {d}"))
             }
+            CoreError::Engine(e) => write!(f, "{e}"),
             CoreError::NotStageProgram { detail } => {
                 write!(f, "not a stage program: {detail}")
-            }
-            CoreError::NotStageStratified { detail } => {
-                write!(f, "not stage-stratified: {detail}")
             }
             CoreError::NoGreedyPlan { detail } => {
                 write!(f, "no greedy plan: {detail}")
@@ -57,12 +51,6 @@ impl fmt::Display for CoreError {
 }
 
 impl std::error::Error for CoreError {}
-
-impl From<AstError> for CoreError {
-    fn from(e: AstError) -> Self {
-        CoreError::Ast(e)
-    }
-}
 
 impl From<EngineError> for CoreError {
     fn from(e: EngineError) -> Self {

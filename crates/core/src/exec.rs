@@ -863,16 +863,11 @@ impl GreedyExecutor {
         let NextState { plan, rql, stage, memos, w_used, frame: b, trail, scratch, .. } =
             &mut nexts[i];
         if *stage == i64::MIN {
-            // No committed stage yet (exit facts absent): nothing to do.
-            if rql.queue_len() == 0 {
-                return Ok(false);
-            }
-            return Err(CoreError::NoGreedyPlan {
-                detail: format!(
-                    "next rule for `{}` has candidates but no initial stage fact",
-                    plan.head_pred
-                ),
-            });
+            // The head holds no stage yet, so the expansion's `p(_, I1)`
+            // goal has no match and no candidate is eligible: the model
+            // the generic fixpoint computes. A later exit fact raises the
+            // stage in `feed`, and the queued candidates wait for it.
+            return Ok(false);
         }
         let next_stage = stage.checked_add(1).ok_or(CoreError::StepLimit { steps: u64::MAX })?;
         // γ bucket accounting: everything up to a commit decision is

@@ -56,7 +56,7 @@ pub use exec::{ChosenRecord, GreedyConfig, GreedyRun, GreedyStats};
 pub use rewrite::{rewrite_full, FullRewrite};
 pub use verify::verify_stable_model;
 
-use gbc_ast::Program;
+use gbc_ast::{Diagnostic, Program, Symbol};
 use gbc_engine::{ChoiceFixpoint, Chooser, DeterministicFirst};
 use gbc_storage::{dict_stats, Database, DictStats};
 use gbc_telemetry::{JournalBuffer, Json, Telemetry};
@@ -79,23 +79,83 @@ pub struct Compiled {
     base: Database,
 }
 
-/// Validate, classify and plan `program`, and encode its facts when a
-/// greedy plan exists.
+/// The admission gate: validate, classify and plan `program`, and
+/// encode its facts when a greedy plan exists.
+///
+/// This is the one function that decides whether a program is
+/// admitted. It refuses the program, with [`CoreError::Rejected`], when
+/// static validation (GBC002–GBC006) or the stratification check
+/// (GBC010) finds an error: exactly the errors `gbc check` reports.
+/// Warnings never block.
 pub fn compile(program: Program) -> Result<Compiled, CoreError> {
-    program.validate()?;
-    let analysis = classify(&program);
-    let expanded = rewrite::next::expand_next(&program)?;
+    let (diagnostics, analysis) = admit(&program);
+    if !diagnostics.is_empty() {
+        return Err(CoreError::Rejected { diagnostics });
+    }
+    let (expanded, plans, plan_error) = expand_and_plan(&program, &analysis);
+    let base = if plan_error.is_none() { exec::fact_base(&program) } else { Database::new() };
+    Ok(Compiled { program, expanded, analysis, plans, plan_error, base })
+}
+
+/// Static validation and classification: the program's errors (every
+/// diagnostic returned is one) and its analysis. A program is admitted
+/// iff the errors are none.
+pub(crate) fn admit(program: &Program) -> (Vec<Diagnostic>, Analysis) {
+    let mut diagnostics = program.diagnostics();
+    let analysis = classify(program);
+    if let ProgramClass::Unstratified { cycle } = &analysis.class {
+        diagnostics.push(unstratified_diag(program, cycle));
+    }
+    (diagnostics, analysis)
+}
+
+/// An admitted program's `next` expansion and greedy plans, or why no
+/// greedy plan exists.
+pub(crate) fn expand_and_plan(
+    program: &Program,
+    analysis: &Analysis,
+) -> (Program, Vec<exec::NextPlan>, Option<String>) {
+    let expanded = rewrite::next::expand_next(program);
     let (plans, plan_error) = match &analysis.class {
         ProgramClass::StageStratified { .. } => {
-            match exec::build_plans(&program, &expanded, &analysis.stages) {
+            match exec::build_plans(program, &expanded, &analysis.stages) {
                 Ok(p) => (p, None),
                 Err(e) => (Vec::new(), Some(e.to_string())),
             }
         }
         other => (Vec::new(), Some(format!("not stage-stratified (class {})", other.summary()))),
     };
-    let base = if plan_error.is_none() { exec::fact_base(&program) } else { Database::new() };
-    Ok(Compiled { program, expanded, analysis, plans, plan_error, base })
+    (expanded, plans, plan_error)
+}
+
+/// GBC010: unstratified negation/extrema, with the cycle as a
+/// predicate trace.
+fn unstratified_diag(program: &Program, cycle: &[Symbol]) -> Diagnostic {
+    let mut trace: Vec<String> = cycle.iter().map(|p| p.to_string()).collect();
+    if let Some(first) = trace.first().cloned() {
+        trace.push(first);
+    }
+    let mut d = Diagnostic::error(
+        "GBC010",
+        "negation or extrema through recursion without stage discipline",
+    )
+    .with_note(format!("dependency cycle: {}", trace.join(" → ")))
+    .with_help(
+        "break the cycle, or introduce a `next` stage so each round only \
+         negates the previous stage's facts (Section 4)",
+    );
+    // Anchor: the rule owning the offending dependency (head of the
+    // cycle with a negative or extremum edge into it).
+    if let Some(head) = cycle.first() {
+        let offending = program.rules.iter().find(|r| {
+            r.head.pred == *head
+                && (r.has_extrema() || r.negated_atoms().any(|a| cycle.contains(&a.pred)))
+        });
+        if let Some(r) = offending {
+            d = d.with_label(r.span(), format!("`{head}` depends on itself through this rule"));
+        }
+    }
+    d
 }
 
 impl Compiled {

@@ -46,8 +46,7 @@ pub struct ChoiceRewrite {
 
 /// Apply the rewriting to every choice rule of `program`.
 pub fn rewrite_choice(program: &Program) -> ChoiceRewrite {
-    let mut taken: Vec<Symbol> =
-        program.signature().map(|sig| sig.keys().copied().collect()).unwrap_or_default();
+    let mut taken: Vec<Symbol> = program.signature().into_keys().collect();
     let mut top_rules = Vec::new();
     let mut aux_rules = Vec::new();
     let mut chosen_preds = Vec::new();
@@ -202,7 +201,7 @@ mod tests {
         assert_eq!(p.rules.len(), 4);
         assert_eq!(out.chosen_preds.len(), 1);
         assert_eq!(out.diffchoice_preds.len(), 2);
-        assert!(p.validate().is_ok(), "rewritten program is valid:\n{p}");
+        assert!(p.diagnostics().is_empty(), "rewritten program is valid:\n{p}");
         // No choice goals remain.
         assert!(p.rules.iter().all(|r| !r.has_choice()));
         // The chosen rule has two negated diffchoice goals.
@@ -227,7 +226,7 @@ mod tests {
         let diff_rules: Vec<&Rule> =
             out.program.rules.iter().filter(|r| r.head.pred == out.diffchoice_preds[0]).collect();
         assert_eq!(diff_rules.len(), 2);
-        assert!(out.program.validate().is_ok(), "{}", out.program);
+        assert!(out.program.diagnostics().is_empty(), "{}", out.program);
     }
 
     #[test]

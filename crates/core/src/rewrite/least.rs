@@ -38,8 +38,7 @@ pub struct LeastRewrite {
 
 /// Rewrite every `least`/`most` goal in `program`.
 pub fn rewrite_least(program: &Program) -> LeastRewrite {
-    let mut taken: Vec<Symbol> =
-        program.signature().map(|sig| sig.keys().copied().collect()).unwrap_or_default();
+    let mut taken: Vec<Symbol> = program.signature().into_keys().collect();
     let mut rules = Vec::new();
     let mut aux = Vec::new();
     let mut better_preds = Vec::new();
@@ -205,7 +204,7 @@ mod tests {
     fn rewritten_program_is_extrema_free_and_valid() {
         let out = rewrite_least(&Program::from_rules(vec![bttm_rule()]));
         assert!(out.program.rules.iter().all(|r| !r.has_extrema()));
-        assert!(out.program.validate().is_ok(), "{}", out.program);
+        assert!(out.program.diagnostics().is_empty(), "{}", out.program);
         assert_eq!(out.better_preds.len(), 1);
     }
 

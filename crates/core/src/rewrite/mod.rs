@@ -3,7 +3,7 @@
 //! obtained by applying first the `next` expansion, then the rewriting
 //! for `choice` and, finally, the rewriting for `least`"):
 //!
-//! 1. [`next::expand_next`] — `next(I)` → `p(_, I1), I = I1 + 1,
+//! 1. `next::expand_next` — `next(I)` → `p(_, I1), I = I1 + 1,
 //!    choice(I, W), choice(W, I)`;
 //! 2. [`choice::rewrite_choice`] — `choice` goals → `chosen_i` /
 //!    `diffchoice_i_j` rules with negation (Saccà–Zaniolo);
@@ -65,12 +65,12 @@ pub struct FullRewrite {
     pub aux_preds: Vec<Symbol>,
 }
 
-/// Run the complete pipeline on a validated program.
-pub fn rewrite_full(program: &gbc_ast::Program) -> Result<FullRewrite, crate::CoreError> {
-    let expanded = next::expand_next(program)?;
+/// Run the complete pipeline on a program [`crate::compile`] admitted.
+pub fn rewrite_full(program: &gbc_ast::Program) -> FullRewrite {
+    let expanded = next::expand_next(program);
     let cr = choice::rewrite_choice(&expanded);
     let lr = least::rewrite_least(&cr.program);
     let mut aux_preds = cr.diffchoice_preds.clone();
     aux_preds.extend(lr.better_preds.iter().copied());
-    Ok(FullRewrite { program: lr.program, chosen_preds: cr.chosen_preds, aux_preds })
+    FullRewrite { program: lr.program, chosen_preds: cr.chosen_preds, aux_preds }
 }

@@ -19,21 +19,18 @@
 use gbc_ast::term::{ArithOp, Expr};
 use gbc_ast::{CmpOp, Literal, Program, Rule, Term};
 
-use crate::error::CoreError;
 use crate::rewrite::fresh_var;
 
-/// Expand every `next` goal in `program`. Non-next rules pass through
-/// untouched; rule order and the numbering of pre-existing variables are
-/// preserved (new variables are appended), so downstream bookkeeping can
+/// Expand every `next` goal in `program`, which [`crate::compile`] has
+/// admitted: GBC005 guarantees each next rule's stage variable fills
+/// exactly one head argument. Non-next rules pass through untouched;
+/// rule order and the numbering of pre-existing variables are preserved
+/// (new variables are appended), so downstream bookkeeping can
 /// correlate original and expanded rules by index. The fact table is
 /// shared, not copied.
-pub fn expand_next(program: &Program) -> Result<Program, CoreError> {
-    let rules = program
-        .rules
-        .iter()
-        .map(|r| if r.has_next() { expand_rule(r) } else { Ok(r.clone()) })
-        .collect::<Result<Vec<Rule>, CoreError>>()?;
-    Ok(program.with_rules(rules))
+pub(crate) fn expand_next(program: &Program) -> Program {
+    let rules = program.rules.iter().map(|r| if r.has_next() { expand_rule(r) } else { r.clone() });
+    program.with_rules(rules.collect())
 }
 
 /// `program` with every next-rule `least`/`most` grouped by the rule's
@@ -60,7 +57,7 @@ pub fn with_stage_groups(program: &Program) -> Program {
     out
 }
 
-fn expand_rule(rule: &Rule) -> Result<Rule, CoreError> {
+fn expand_rule(rule: &Rule) -> Rule {
     let stage_var = rule
         .body
         .iter()
@@ -69,26 +66,12 @@ fn expand_rule(rule: &Rule) -> Result<Rule, CoreError> {
             _ => None,
         })
         .expect("caller checked has_next");
-
-    // The stage variable must occupy exactly one head position.
-    let stage_positions: Vec<usize> = rule
+    let stage_pos = rule
         .head
         .args
         .iter()
-        .enumerate()
-        .filter(|(_, t)| matches!(t, Term::Var(v) if *v == stage_var))
-        .map(|(i, _)| i)
-        .collect();
-    if stage_positions.len() != 1 {
-        return Err(CoreError::BadNextRule {
-            rule: rule.to_string(),
-            detail: format!(
-                "stage variable must appear exactly once in the head (found {} occurrences)",
-                stage_positions.len()
-            ),
-        });
-    }
-    let stage_pos = stage_positions[0];
+        .position(|t| *t == Term::Var(stage_var))
+        .expect("GBC005: the stage variable is a head argument");
 
     // W: the non-stage head argument terms.
     let w_terms: Vec<Term> = rule
@@ -126,7 +109,7 @@ fn expand_rule(rule: &Rule) -> Result<Rule, CoreError> {
     body.push(Literal::Choice { left: vec![Term::Var(stage_var)], right: w_terms.clone() });
     body.push(Literal::Choice { left: w_terms, right: vec![Term::Var(stage_var)] });
 
-    Ok(Rule::new(rule.head.clone(), body, var_names))
+    Rule::new(rule.head.clone(), body, var_names)
 }
 
 #[cfg(test)]
@@ -150,7 +133,7 @@ mod tests {
     #[test]
     fn expansion_matches_the_paper_shape() {
         let p = Program::from_rules(vec![sort_next_rule()]);
-        let e = expand_next(&p).unwrap();
+        let e = expand_next(&p);
         let r = &e.rules[0];
         assert!(!r.has_next());
         assert_eq!(
@@ -159,13 +142,13 @@ mod tests {
              choice((I),(X,C)), choice((X,C),(I))."
         );
         // Expanded rule is safe and the program still validates.
-        assert!(e.validate().is_ok());
+        assert!(e.diagnostics().is_empty());
     }
 
     #[test]
     fn original_variable_ids_are_preserved() {
         let p = Program::from_rules(vec![sort_next_rule()]);
-        let e = expand_next(&p).unwrap();
+        let e = expand_next(&p);
         let r = &e.rules[0];
         // Head still uses vars 0..2 with the original names.
         assert_eq!(&r.var_names[0], "X");
@@ -182,7 +165,7 @@ mod tests {
             vec!["X".into()],
         );
         let p = Program::from_rules(vec![flat.clone()]);
-        let e = expand_next(&p).unwrap();
+        let e = expand_next(&p);
         assert_eq!(e.rules[0], flat);
     }
 
@@ -193,8 +176,12 @@ mod tests {
             vec![Literal::Next { var: gbc_ast::VarId(0) }],
             vec!["I".into()],
         );
-        let p = Program::from_rules(vec![bad]);
-        assert!(matches!(expand_next(&p), Err(CoreError::BadNextRule { .. })));
+        let Err(crate::CoreError::Rejected { diagnostics }) =
+            crate::compile(Program::from_rules(vec![bad]))
+        else {
+            panic!("the gate admits a head with the stage variable twice");
+        };
+        assert_eq!(diagnostics.iter().map(|d| d.code).collect::<Vec<_>>(), ["GBC005"]);
     }
 
     #[test]
@@ -223,7 +210,7 @@ mod tests {
             ],
             vec!["X".into(), "Y".into(), "C".into(), "I".into(), "J".into()],
         );
-        let e = expand_next(&Program::from_rules(vec![r])).unwrap();
+        let e = expand_next(&Program::from_rules(vec![r]));
         let expanded = &e.rules[0];
         let choice_count =
             expanded.body.iter().filter(|l| matches!(l, Literal::Choice { .. })).count();

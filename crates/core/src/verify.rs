@@ -17,7 +17,8 @@ use crate::rewrite::rewrite_full;
 
 /// Check that `run` is a stable model of `program ∪ edb`.
 ///
-/// `program` is the *original* program (with `choice`/`least`/`next`);
+/// `program` is the *original* program (with `choice`/`least`/`next`),
+/// one that [`crate::compile`] admitted;
 /// the rewriting to negation happens here, after each next rule's
 /// extremum is grouped by its stage variable
 /// ([`with_stage_groups`]) — the semantics the greedy executor
@@ -29,7 +30,7 @@ pub fn verify_stable_model(
     run: &GreedyRun,
 ) -> Result<bool, CoreError> {
     let program = &with_stage_groups(program);
-    let fr = rewrite_full(program)?;
+    let fr = rewrite_full(program);
 
     let choice_rules = choice_rule_indices(program);
 

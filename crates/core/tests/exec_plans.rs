@@ -2,7 +2,7 @@
 //! detection, and congruence-key derivation (the Section 6 machinery).
 
 use gbc_ast::Value;
-use gbc_core::{compile, CoreError, GreedyConfig, ProgramClass};
+use gbc_core::{compile, verify_stable_model, CoreError, GreedyConfig, ProgramClass};
 use gbc_storage::Database;
 
 fn compiled(text: &str) -> gbc_core::Compiled {
@@ -133,14 +133,42 @@ fn chain_mode_discards_stale_stages() {
     assert!(run.stats.discarded > 0, "stale J rows must be discarded");
 }
 
+/// A next rule whose head holds no stage yet has no eligible candidate:
+/// the greedy run returns the model without its next facts, which is
+/// the model the generic fixpoint computes and a stable model. When the
+/// EDB supplies the exit fact, the same compiled plan commits stages.
 #[test]
-fn missing_initial_stage_fact_is_reported() {
-    // No exit fact for p: the queue fills but no stage exists.
-    let c = compiled("p(X, I) <- next(I), q(X).");
-    assert!(c.has_greedy_plan());
-    let mut edb = Database::new();
-    edb.insert_values("q", vec![Value::sym("a")]);
-    assert!(matches!(c.run_greedy(&edb), Err(CoreError::NoGreedyPlan { .. })));
+fn missing_initial_stage_fact_yields_the_generic_model() {
+    // (program, EDB facts)
+    let cases = [
+        ("p(a). q(X, I) <- next(I), p(X), least(X, I).", ""),
+        ("p(a, 1). p(b, 2). q(X, C, I) <- next(I), p(X, C), least(C, I).", ""),
+        (
+            "p(a, 1). p(b, 2).
+             q(X, C, I) <- next(I), p(X, C), least(C, I), choice((), (X)), choice(X, C).",
+            "",
+        ),
+        // The exit fact is derived by a rule, not written as a fact.
+        (
+            "p(a). r(go). s(nil, 0) <- r(go). q(X, 0) <- s(X, 0).
+             q(X, I) <- next(I), p(X), least(X, I).",
+            "",
+        ),
+        ("p(X, I) <- next(I), q(X).", "q(a)."),
+        ("p(X, I) <- next(I), q(X).", "q(a). p(nil, 0)."),
+    ];
+    for (text, facts) in cases {
+        let c = compiled(text);
+        assert!(c.has_greedy_plan(), "{text}: {:?}", c.plan_error());
+        let mut edb = Database::new();
+        for (pred, row, _) in gbc_parser::parse_program(facts).unwrap().facts() {
+            edb.insert_values(pred, row.to_vec());
+        }
+        let greedy = c.run_greedy(&edb).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let generic = c.run_generic(&edb).unwrap();
+        assert_eq!(greedy.db.canonical_form(), generic.db.canonical_form(), "{text}");
+        assert!(verify_stable_model(c.program(), &edb, &greedy).unwrap(), "{text}");
+    }
 }
 
 #[test]

@@ -145,7 +145,7 @@ impl ChoiceFixpoint {
         edb: &Database,
         config: ChoiceFixpointConfig,
     ) -> Result<ChoiceFixpoint, EngineError> {
-        program.validate()?;
+        crate::error::validate(program)?;
         let mut db = edb.clone();
         let mut choice_rules = Vec::new();
         let mut choice_rule_ids = Vec::new();
@@ -436,6 +436,24 @@ mod tests {
     use crate::chooser::{DeterministicFirst, Scripted};
     use gbc_ast::Atom;
     use std::collections::HashMap;
+
+    #[test]
+    fn both_entry_points_reject_an_invalid_program() {
+        // p(X) <- q(Y).: nothing binds `X` (GBC003).
+        let program = Program::from_rules(vec![Rule::new(
+            Atom::new("p", vec![Term::var(0)]),
+            vec![Literal::pos("q", vec![Term::var(1)])],
+            vec!["X".into(), "Y".into()],
+        )]);
+        let edb = Database::new();
+        for err in [
+            ChoiceFixpoint::new(&program, &edb).err(),
+            crate::evaluate_stratified(&program, &edb).err(),
+        ] {
+            let Some(EngineError::Rejected { diagnostics }) = err else { panic!("{err:?}") };
+            assert_eq!(diagnostics.iter().map(|d| d.code).collect::<Vec<_>>(), ["GBC003"]);
+        }
+    }
 
     /// The paper's Example 1: one student per course and vice versa.
     fn example1() -> (Program, Database) {

@@ -2,13 +2,14 @@
 
 use std::fmt;
 
-use gbc_ast::AstError;
+use gbc_ast::{Diagnostic, Program};
 
 /// Errors raised during evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// Static validation failed.
-    Ast(AstError),
+    /// The program failed static validation: the error diagnostics of
+    /// [`Program::diagnostics`] (GBC002–GBC006).
+    Rejected { diagnostics: Vec<Diagnostic> },
     /// Arithmetic applied to a non-integer value.
     TypeError { context: String },
     /// Integer division or modulo by zero.
@@ -34,7 +35,10 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Ast(e) => write!(f, "{e}"),
+            EngineError::Rejected { diagnostics } => {
+                f.write_str("invalid program")?;
+                diagnostics.iter().try_for_each(|d| write!(f, "; {d}"))
+            }
             EngineError::TypeError { context } => {
                 write!(f, "type error: arithmetic on non-integer in {context}")
             }
@@ -59,8 +63,13 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-impl From<AstError> for EngineError {
-    fn from(e: AstError) -> Self {
-        EngineError::Ast(e)
+/// The entry check of the engine's public evaluators: `program` must
+/// pass static validation.
+pub(crate) fn validate(program: &Program) -> Result<(), EngineError> {
+    let diagnostics = program.diagnostics();
+    if diagnostics.is_empty() {
+        Ok(())
+    } else {
+        Err(EngineError::Rejected { diagnostics })
     }
 }

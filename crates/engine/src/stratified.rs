@@ -106,7 +106,7 @@ impl DependencyGraph {
 /// strata; no `choice`, no `next`) over `edb`, returning the perfect
 /// model. Facts embedded in the program are honoured as well.
 pub fn evaluate_stratified(program: &Program, edb: &Database) -> Result<Database, EngineError> {
-    program.validate()?;
+    crate::error::validate(program)?;
     for r in &program.rules {
         if r.has_choice() || r.has_next() {
             return Err(EngineError::Unstratified {

@@ -44,7 +44,7 @@ impl From<LexError> for ParseError {
 
 /// Parse a full program: ground facts go straight into its fact table,
 /// everything else becomes a rule. Validation (safety, arities) is *not*
-/// run here; call [`gbc_ast::Program::validate`] for that.
+/// run here; call [`gbc_ast::Program::diagnostics`] for that.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let mut p = Parser::new(src);
     let program = p.program();
@@ -793,7 +793,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((p.rules.len(), p.facts.len()), (1, 1));
-        assert!(p.validate().is_ok());
+        assert!(p.diagnostics().is_empty());
     }
 
     #[test]

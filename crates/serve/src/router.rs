@@ -12,19 +12,19 @@
 //!
 //! Every handler is synchronous and runs on the worker thread that
 //! accepted the connection; `/run` is the only one that does real work.
-//! Malformed input — unparseable HTTP, bad JSON, unknown fields —
-//! answers 400 with an `{"error": ...}` envelope; unknown sessions 404;
-//! evaluation failures 500.
+//! Malformed input — unparseable HTTP, bad JSON, unknown fields, a
+//! program with any error diagnostic — answers 400 with an `{"error":
+//! ...}` envelope; unknown sessions 404; evaluation failures 500.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gbc_ast::diag::{error_count, render_all};
-use gbc_ast::SourceMap;
-use gbc_core::{compile, Compiled};
+use gbc_ast::{Diagnostic, SourceMap};
+use gbc_core::{compile, Compiled, CoreError};
 use gbc_storage::{dict_stats, Database};
-use gbc_telemetry::{JournalBuffer, Json, Telemetry, TraceSink};
+use gbc_telemetry::{JournalBuffer, Json, Recorder, Telemetry, TraceSink};
 
 use crate::http::{Request, Response};
 use crate::state::{ServerState, Session};
@@ -173,7 +173,7 @@ fn load(state: &ServerState, req: &Request) -> Response {
     let source = "<inline>";
     let mut sm = SourceMap::new();
     sm.add_file(source, text);
-    let compiled = match compile_source(&sm) {
+    let compiled = match compile_source(&sm, &Recorder::default()) {
         Ok(c) => c,
         Err(e) => return Response::error(400, &e),
     };
@@ -187,20 +187,22 @@ fn load(state: &ServerState, req: &Request) -> Response {
     Response::json(200, format!("{}\n", summary.pretty()))
 }
 
-/// Parse + validate + compile the sources in `sm`, rendering
-/// diagnostics into the error string exactly like `gbc run` does.
-pub fn compile_source(sm: &SourceMap) -> Result<Compiled, String> {
-    let program = gbc_parser::parse_program(&sm.source())
-        .map_err(|e| render_failure(&[e.to_diagnostic()], sm))?;
-    let diags = program.diagnostics();
-    if error_count(&diags) > 0 {
-        return Err(render_failure(&diags, sm));
-    }
-    compile(program).map_err(|e| e.to_string())
-}
-
-fn render_failure(diags: &[gbc_ast::Diagnostic], sm: &SourceMap) -> String {
-    format!("invalid program\n{}{} error(s) emitted", render_all(diags, sm), error_count(diags))
+/// Load the sources in `sm`: parse them and pass the program through
+/// the admission gate ([`compile`]), timed as the phases `parse` and
+/// `compile` of `phases`. A syntax error or a refusal comes back as
+/// the rendered diagnostics. Every command that loads a program, and
+/// `POST /load`, loads it here.
+pub fn compile_source(sm: &SourceMap, phases: &Recorder) -> Result<Compiled, String> {
+    let failure = |diags: &[Diagnostic]| {
+        format!("invalid program\n{}{} error(s) emitted", render_all(diags, sm), error_count(diags))
+    };
+    let program = phases
+        .time("parse", || gbc_parser::parse_program(&sm.source()))
+        .map_err(|e| failure(&[e.to_diagnostic()]))?;
+    phases.time("compile", || compile(program)).map_err(|e| match e {
+        CoreError::Rejected { diagnostics } => failure(&diagnostics),
+        other => other.to_string(),
+    })
 }
 
 fn run(state: &ServerState, req: &Request) -> Response {

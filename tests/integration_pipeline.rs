@@ -113,7 +113,7 @@ fn chosen_records_cover_every_gamma_step() {
     // Each record is one `chosen_i` fact of the rewritten program. Prim's
     // expanded rule has 3 choice goals, the original choice(Y, X) plus
     // the two stage FDs of the next expansion, over D = (Y, X, I, C).
-    let fr = gbc_core::rewrite_full(compiled.program()).unwrap();
+    let fr = gbc_core::rewrite_full(compiled.program());
     let [chosen] = fr.chosen_preds[..] else { panic!("Prim has one choice rule") };
     let chosen_rule = fr.program.rules.iter().find(|r| r.head.pred == chosen).unwrap();
     assert_eq!(chosen_rule.head.arity(), 4);

@@ -267,6 +267,20 @@ fn load_rejects_bad_programs_with_rendered_diagnostics() {
             .unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("\"error\""), "{body}");
+    // Every error `gbc check` reports refuses the load: unstratified
+    // negation (GBC010) and a stage variable filling two head
+    // arguments (GBC005).
+    for (program, code) in [
+        ("move(a, b). win(X) <- move(X, Y), not win(Y).", "GBC010"),
+        ("p(a). q(nil, 0, 0). q(X, I, I) <- next(I), p(X).", "GBC005"),
+    ] {
+        let req = format!("{{\"name\": \"bad\", \"program\": \"{program}\"}}");
+        let (status, body) = client::post_json(&addr, "/load", &req).unwrap();
+        assert_eq!(status, 400, "{program}: {body}");
+        assert!(body.contains(code), "{program}: {body}");
+    }
+    let (_, programs) = client::get(&addr, "/programs").unwrap();
+    assert!(!programs.contains("\"bad\""), "{programs}");
 
     let session = Session::new(
         "ok",
