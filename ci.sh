@@ -15,6 +15,10 @@ cargo test -q --offline --workspace
 # run, one histogram round per flat pass) must hold in the optimised
 # build too, where the intervals are shortest.
 cargo test --release -q --offline -p gbc-bench --test trace_shape
+# Byte offsets and integer literals wrap silently in release builds,
+# where debug builds panic: the parser's tests, its fuzz test among
+# them, run optimised too.
+cargo test --release -q --offline -p gbc-parser
 
 echo "== lints =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -270,7 +274,13 @@ grep -q '"label": "post-PR26"' BENCH_experiments.json || {
     echo "BENCH_experiments.json is missing the committed post-PR26 run" >&2
     exit 1
 }
-for col in dict_entries encode_hits decode_calls; do
+# The post-PR28 record: E1/E2/E3 with offset-only tokens and batched
+# fact encoding; E1 and E3 rows carry the `load_ns` column.
+grep -q '"label": "post-PR28"' BENCH_experiments.json || {
+    echo "BENCH_experiments.json is missing the committed post-PR28 run" >&2
+    exit 1
+}
+for col in dict_entries encode_hits decode_calls load_ns; do
     grep -q "\"$col\"" BENCH_experiments.json || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1

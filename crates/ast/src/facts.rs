@@ -54,6 +54,12 @@ impl FactGroup {
         self.spans.is_empty()
     }
 
+    /// Every fact's arguments, row-major: `arity` cells per fact, in
+    /// source order.
+    pub fn cells(&self) -> &[Value] {
+        &self.cells
+    }
+
     /// Fact `i`'s arguments.
     pub fn row(&self, i: usize) -> &[Value] {
         &self.cells[i * self.arity..(i + 1) * self.arity]

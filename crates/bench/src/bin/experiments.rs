@@ -50,16 +50,21 @@
 //! E1/E2 rows also carry the value-dictionary movement of one dedicated
 //! run (`dict_entries`/`encode_hits`/`decode_calls`): deterministic
 //! columns certifying that interning work scales with the workload's
-//! distinct values, not with rows scanned.
+//! distinct values, not with rows scanned. E1/E3 rows carry `load_ns`
+//! too: the median parse + compile of the same instance written as one
+//! inline text (the program followed by its `g` facts), the load that
+//! `gbc run FILE` and `POST /load` pay before evaluating.
 
 use gbc_baselines::huffman::{huffman_tree, weighted_path_length as wpl_base};
 use gbc_baselines::kruskal::{kruskal_mst, kruskal_relabel};
 use gbc_baselines::matching::greedy_matching;
 use gbc_baselines::prim::prim_mst;
 use gbc_baselines::sorts::{heapsort, insertion_sort};
-use gbc_baselines::total_cost;
 use gbc_baselines::tsp::{greedy_chain, is_hamiltonian_path, nearest_neighbour};
-use gbc_bench::{fit_exponent, render_table, serve_load_tcp, standard_tenants, Harness, Sample};
+use gbc_baselines::{total_cost, Edge};
+use gbc_bench::{
+    fit_exponent, render_table, serve_load_tcp, standard_tenants, Harness, Sample, Timing,
+};
 use gbc_greedy::{huffman, kruskal, matching, prim, sorting, spanning, student, tsp, workload};
 use gbc_telemetry::Json;
 
@@ -358,6 +363,26 @@ fn secs(s: f64) -> String {
     format!("{:.4}", s)
 }
 
+/// `program` followed by one `g(X,Y,C).` fact per edge: an instance as
+/// one inline text, the shape `gbc run FILE` and `POST /load` read.
+fn inline_text(program: &str, edges: &[Edge]) -> String {
+    let mut text = format!("{program}\n");
+    for e in edges {
+        text.push_str(&format!("g({},{},{}).\n", e.from, e.to, e.cost));
+    }
+    text
+}
+
+/// The timing of loading `text`: parse plus compile, which encodes its
+/// facts.
+fn load_timing(h: &Harness, text: &str) -> Timing {
+    let (_, t) = h.run(|| {
+        let program = gbc_parser::parse_program(text).expect("inline instance parses");
+        gbc_core::compile(program).expect("inline instance compiles")
+    });
+    t
+}
+
 fn e1_prim(quick: bool, rec: &mut Recorder) {
     println!("\n== E1  Prim (Example 4): declarative O(e log e) vs classical O(e log n) ==");
     let sizes: &[usize] = if quick { &[128, 256, 512] } else { &[128, 256, 512, 1024, 2048] };
@@ -371,6 +396,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
         let (compiled, edb) = prim::prepared(&g, 0);
         let (base, t_base) = h.run(|| prim_mst(g.n, &g.edges, 0));
         let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
+        let t_load = load_timing(&h, &inline_text(&prim::program_text(0), &g.edges));
         let decl_edges = prim::decode(&run);
         assert_eq!(total_cost(&decl_edges), total_cost(&base), "MST costs must agree");
         // Machine-independent certificate of O(e log e): total heap
@@ -393,6 +419,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
                 ("e", Json::UInt(e as u64)),
                 ("decl_ns", ns(t_decl.median_secs)),
                 ("classical_ns", ns(t_base.median_secs)),
+                ("load_ns", ns(t_load.median_secs)),
                 ("mst_cost", Json::Int(total_cost(&decl_edges))),
                 ("heap_ops", Json::UInt(heap_ops)),
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
@@ -412,6 +439,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
             secs(t_decl.median_secs),
             secs(t_base.median_secs),
             format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
+            secs(t_load.median_secs),
             total_cost(&decl_edges).to_string(),
             heap_ops.to_string(),
             format!("{:.3}", heap_ops as f64 / elog),
@@ -430,6 +458,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
                 "decl_s",
                 "classical_s",
                 "ratio",
+                "load_s",
                 "mst_cost",
                 "heap_ops",
                 "ops/(e·lg e)",
@@ -544,6 +573,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
         let edb = g.to_edb();
         let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
         let (base, t_base) = h.run(|| greedy_matching(g.n, &g.edges));
+        let t_load = load_timing(&h, &inline_text(matching::PROGRAM, &g.edges));
         let decl = matching::decode(&run);
         assert_eq!(total_cost(&decl), total_cost(&base), "same greedy matching");
         decl_s.push(Sample { size: e as u64, secs: t_decl.median_secs });
@@ -555,6 +585,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 ("matching_size", Json::UInt(decl.len() as u64)),
                 ("decl_ns", ns(t_decl.median_secs)),
                 ("classical_ns", ns(t_base.median_secs)),
+                ("load_ns", ns(t_load.median_secs)),
                 ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
                 ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
@@ -567,6 +598,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
             secs(t_decl.median_secs),
             secs(t_base.median_secs),
             format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
+            secs(t_load.median_secs),
             run.snapshot.heap_ops().to_string(),
             run.snapshot.discarded_pops.to_string(),
             run.snapshot.plan_cache_hits.to_string(),
@@ -581,6 +613,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 "decl_s",
                 "classical_s",
                 "ratio",
+                "load_s",
                 "heap_ops",
                 "discarded",
                 "plan_hits",

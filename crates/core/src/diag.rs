@@ -73,12 +73,13 @@ impl CheckReport {
 /// planned, once, as [`crate::compile`] plans it.
 pub fn check_program(program: &Program) -> CheckReport {
     let (mut diagnostics, analysis) = admit(program);
-    let planned = diagnostics.is_empty().then(|| expand_and_plan(program, &analysis));
+    let admitted = diagnostics.is_empty();
+    let planned = admitted.then(|| expand_and_plan(program, &analysis));
 
     match &analysis.class {
         ProgramClass::NotStageStratified { violations } => {
             for v in violations {
-                diagnostics.push(violation_diag(program, v));
+                diagnostics.push(violation_diag(program, v, admitted));
             }
         }
         ProgramClass::StageStratified { alternating: false } => {
@@ -182,7 +183,9 @@ fn defining_span(program: &Program, pred: Symbol) -> Option<Span> {
 }
 
 /// GBC011–GBC018: one stage-stratification violation as a warning.
-fn violation_diag(program: &Program, v: &StageViolation) -> Diagnostic {
+/// Only an `admitted` program, one with no error, still runs, so only
+/// its warning says so.
+fn violation_diag(program: &Program, v: &StageViolation, admitted: bool) -> Diagnostic {
     let mut d = Diagnostic::warning(v.code(), v.describe(program));
     match v {
         StageViolation::StageConflict(c) => {
@@ -262,6 +265,9 @@ fn violation_diag(program: &Program, v: &StageViolation) -> Diagnostic {
                  stratification",
             );
         }
+    }
+    if !admitted {
+        return d;
     }
     d.with_help(
         "the program still runs under the generic choice fixpoint (Theorem 1), \

@@ -508,17 +508,19 @@ pub struct GreedyExecutor {
 }
 
 /// The program's fact table, encoded into a database of its own: the
-/// fact base an evaluation starts from, next to its EDB. Each cell is
-/// encoded straight from the table, one relation per predicate.
+/// fact base an evaluation starts from, next to its EDB. Each group's
+/// cells are encoded in one pass, under one dictionary read lock, into
+/// a relation sized once for the group's rows.
 pub(crate) fn fact_base(program: &Program) -> Database {
     let mut base = Database::new();
     let mut ids = Vec::new();
     for g in program.facts.groups() {
-        let rel = base.relation_mut(g.pred());
-        for (row, _) in g.rows() {
-            ids.clear();
-            dictionary::encode_into(row, &mut ids);
-            rel.insert_ids(&ids);
+        ids.clear();
+        dictionary::encode_into(g.cells(), &mut ids);
+        let (rel, arity) = (base.relation_mut(g.pred()), g.arity());
+        rel.reserve(arity, g.len());
+        for i in 0..g.len() {
+            rel.insert_ids(&ids[i * arity..(i + 1) * arity]);
         }
     }
     base

@@ -161,3 +161,28 @@ fn concurrent_evaluations_of_one_compiled_agree() {
     assert!(results.iter().all(|r| *r == results[0]));
     assert!(results[0].0.contains("matching(0,1,1,1)."), "{}", results[0].0);
 }
+
+/// A large group with many duplicates, a repeated zero-arity fact and
+/// values new to the dictionary loads exactly as the facts inserted one
+/// by one: the same rows in the same order, the same text.
+#[test]
+fn large_groups_load_as_their_facts_one_by_one() {
+    let mut text = String::from(
+        "sp(nil, 0, 0).\nsp(X, C, I) <- next(I), g(X, _, C), least(C, I).\ndone.\ndone.\n",
+    );
+    let mut want = Database::new();
+    want.insert_values("sp", vec![Value::Nil, Value::int(0), Value::int(0)]);
+    want.insert_values("done", vec![]);
+    for i in 0..5000i64 {
+        let row = [i % 1400, i % 7, 1_000_000_000 + i % 1400];
+        text.push_str(&format!("g({}, {}, {}).\n", row[0], row[1], row[2]));
+        want.insert_values("g", row.iter().map(|&v| Value::int(v)).collect());
+    }
+    let compiled = compiled(&text);
+    let base = compiled.fact_base();
+    let g = Symbol::intern("g");
+    assert_eq!((base.count(g), want.count(g)), (1400, 1400));
+    assert_eq!(base.facts_of(g), want.facts_of(g), "insertion order");
+    assert_eq!(base.count(Symbol::intern("done")), 1);
+    assert_eq!(base.canonical_form(), want.canonical_form());
+}

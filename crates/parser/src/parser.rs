@@ -8,7 +8,7 @@ use gbc_ast::term::{ArithOp, Expr};
 use gbc_ast::{Atom, CmpOp, FactTable, Literal, Program, Rule, Symbol, Term, VarId};
 use gbc_ast::{Diagnostic, LiteralSpans, RuleSpans, Span};
 
-use crate::lexer::{LexError, Lexer, Token, TokenKind};
+use crate::lexer::{int_value, line_col, unescape, LexError, Lexer, Token, TokenKind};
 
 /// Parse error with source position (1-based line/column plus the byte
 /// span of the offending token, for snippet rendering).
@@ -89,14 +89,13 @@ pub const MAX_NESTING: usize = 256;
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    /// The current token and the one after it: all the lookahead the
-    /// grammar needs, so the token stream is never materialised.
-    cur: Token<'a>,
-    next: Token<'a>,
+    /// The current token and, once asked for, the one after it: all
+    /// the lookahead the grammar needs, so the token stream is never
+    /// materialised.
+    cur: Token,
+    next: Option<Token>,
     /// Byte offset where the previously consumed token ended.
     prev_end: u32,
-    /// The first lex error met; the parser sees `Eof` from there on.
-    lex_error: Option<LexError>,
     /// Current term/expression nesting depth.
     depth: usize,
     /// Per-clause variable scope.
@@ -113,13 +112,12 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Parser<'a> {
-        let eof = Token { kind: TokenKind::Eof, line: 1, col: 1, start: 0, end: 0 };
+        let eof = Token { kind: TokenKind::Eof, start: 0, end: 0 };
         let mut p = Parser {
             lexer: Lexer::new(src),
-            cur: eof.clone(),
-            next: eof,
+            cur: eof,
+            next: None,
             prev_end: 0,
-            lex_error: None,
             depth: 0,
             var_names: Vec::new(),
             var_map: HashMap::new(),
@@ -128,21 +126,8 @@ impl<'a> Parser<'a> {
             head_spans: Vec::new(),
             last_pred: None,
         };
-        p.cur = p.lex();
-        p.next = p.lex();
+        p.cur = p.lexer.next_token();
         p
-    }
-
-    /// The lexer's next token; `Eof` at the first lex error and after.
-    fn lex(&mut self) -> Token<'a> {
-        if self.lex_error.is_none() {
-            match self.lexer.next_token() {
-                Ok(t) => return t,
-                Err(e) => self.lex_error = Some(e),
-            }
-        }
-        let e = self.lex_error.as_ref().expect("set above");
-        Token { kind: TokenKind::Eof, line: e.line, col: e.col, start: e.offset, end: e.offset }
     }
 
     /// Every clause up to the end of the source.
@@ -167,10 +152,10 @@ impl<'a> Parser<'a> {
     /// is lexed for one.
     fn finish<T>(mut self, parsed: Result<T, ParseError>) -> Result<T, ParseError> {
         if parsed.is_err() {
-            while self.lex().kind != TokenKind::Eof {}
+            self.lexer.finish();
         }
-        match self.lex_error {
-            Some(e) => Err(e.into()),
+        match self.lexer.error() {
+            Some(e) => Err(e.clone().into()),
             None => parsed,
         }
     }
@@ -191,23 +176,45 @@ impl<'a> Parser<'a> {
         out
     }
 
-    fn peek(&self) -> &TokenKind<'a> {
-        &self.cur.kind
+    fn peek(&self) -> TokenKind {
+        self.cur.kind
     }
 
-    fn peek2(&self) -> &TokenKind<'a> {
-        &self.next.kind
+    /// The kind of the token after the current one.
+    fn peek2(&mut self) -> TokenKind {
+        self.next.get_or_insert_with(|| self.lexer.next_token()).kind
     }
 
-    /// Consume the current token; at `Eof`, stay there.
-    fn bump(&mut self) -> TokenKind<'a> {
-        if self.cur.kind == TokenKind::Eof {
-            return TokenKind::Eof;
+    /// The current token's text.
+    fn cur_text(&self) -> &'a str {
+        self.cur.text(self.lexer.src())
+    }
+
+    /// Consume and return the current token; at `Eof`, stay there.
+    /// Inlined with the lexer's `next_token`, so that a token passes
+    /// from the lexer to the grammar in registers, not through memory.
+    #[inline(always)]
+    fn bump(&mut self) -> Token {
+        let t = self.cur;
+        if t.kind == TokenKind::Eof {
+            return t;
         }
-        let next = self.lex();
-        let t = std::mem::replace(&mut self.cur, std::mem::replace(&mut self.next, next));
+        self.cur = match self.next.take() {
+            Some(next) => next,
+            None => self.lexer.next_token(),
+        };
         self.prev_end = t.end;
-        t.kind
+        t
+    }
+
+    /// Token `t`'s text.
+    fn text(&self, t: Token) -> &'a str {
+        t.text(self.lexer.src())
+    }
+
+    /// How an error message names token `t`.
+    fn describe(&self, t: Token) -> String {
+        t.describe(self.lexer.src())
     }
 
     fn at_eof(&self) -> bool {
@@ -224,21 +231,25 @@ impl<'a> Parser<'a> {
         self.prev_end
     }
 
+    /// An error at the current token; its line and column are counted
+    /// here, from the token's byte offset.
+    #[cold]
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
-        let t = &self.cur;
-        ParseError { message: msg.into(), line: t.line, col: t.col, span: t.span() }
+        let span = self.cur.span();
+        let (line, col) = line_col(self.lexer.src(), span.start);
+        ParseError { message: msg.into(), line, col, span }
     }
 
-    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseError> {
-        if *self.peek() == kind {
+    fn expect(&mut self, kind: TokenKind) -> Result<(), ParseError> {
+        if self.peek() == kind {
             self.bump();
             Ok(())
         } else {
-            Err(self.err_here(format!("expected {kind}, found {}", self.peek())))
+            Err(self.err_here(format!("expected {kind}, found {}", self.describe(self.cur))))
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -315,19 +326,19 @@ impl<'a> Parser<'a> {
         self.begin_clause();
         let rule_start = self.tok_start();
         let (pred, head_span) = self.atom_args()?;
-        if self.var_names.is_empty() && self.eat(&TokenKind::Dot) {
+        if self.var_names.is_empty() && self.eat(TokenKind::Dot) {
             return Ok(Parsed::Fact { pred, head: head_span });
         }
         let head = Atom::new(pred, self.head_args.drain(..).collect());
         let head_args = self.head_spans.drain(..).collect();
         let mut body = Vec::new();
         let mut literals = Vec::new();
-        if self.eat(&TokenKind::Arrow) {
+        if self.eat(TokenKind::Arrow) {
             loop {
                 let (lit, spans) = self.literal()?;
                 body.push(lit);
                 literals.push(spans);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
@@ -349,17 +360,28 @@ impl<'a> Parser<'a> {
         self.head_args.clear();
         self.head_spans.clear();
         let start = self.tok_start();
-        let name = match self.bump() {
-            TokenKind::Ident(s) => s,
-            other => return Err(self.err_here(format!("expected predicate name, found {other}"))),
-        };
+        let t = self.bump();
+        if t.kind != TokenKind::Ident {
+            let found = self.describe(t);
+            return Err(self.err_here(format!("expected predicate name, found {found}")));
+        }
+        let name = self.text(t);
         let pred = self.pred_symbol(name);
-        if self.eat(&TokenKind::LParen) && !self.eat(&TokenKind::RParen) {
+        if self.eat(TokenKind::LParen) && !self.eat(TokenKind::RParen) {
             loop {
-                let (t, s) = self.term_spanned()?;
-                self.head_args.push(t);
-                self.head_spans.push(s);
-                if !self.eat(&TokenKind::Comma) {
+                let start = self.tok_start();
+                // An integer, the commonest fact argument, is built in
+                // place: a `Term` returned from `term` reaches the
+                // vector through a copy in memory.
+                if self.peek() == TokenKind::Int {
+                    let t = self.bump();
+                    self.head_args.push(Term::int(int_value(self.lexer.src(), t)));
+                } else {
+                    let t = self.term()?;
+                    self.head_args.push(t);
+                }
+                self.head_spans.push(Span::new(start, self.prev_end()));
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
@@ -377,21 +399,19 @@ impl<'a> Parser<'a> {
 
     fn literal(&mut self) -> Result<(Literal, LiteralSpans), ParseError> {
         let start = self.tok_start();
-        if self.eat(&TokenKind::Not) {
+        if self.eat(TokenKind::Not) {
             let (a, _, arg_spans) = self.atom()?;
             let span = Span::new(start, self.prev_end());
             return Ok((Literal::Neg(a), LiteralSpans { span, args: arg_spans }));
         }
         // Keyword goals: only when the identifier is immediately applied.
-        if let TokenKind::Ident(name) = self.peek() {
-            if matches!(self.peek2(), TokenKind::LParen) {
-                match *name {
-                    "choice" => return self.choice_goal(start),
-                    "least" => return self.extremum_goal(true, start),
-                    "most" => return self.extremum_goal(false, start),
-                    "next" => return self.next_goal(start),
-                    _ => {}
-                }
+        if self.peek() == TokenKind::Ident && self.peek2() == TokenKind::LParen {
+            match self.cur_text() {
+                "choice" => return self.choice_goal(start),
+                "least" => return self.extremum_goal(true, start),
+                "most" => return self.extremum_goal(false, start),
+                "next" => return self.next_goal(start),
+                _ => {}
             }
         }
         // Positive-atom fast path: an applied identifier directly
@@ -399,9 +419,9 @@ impl<'a> Parser<'a> {
         // `atom()` so its argument spans are recorded. When an operator
         // follows instead, the atom re-enters the expression grammar as
         // a functor term (`t(X, Y) = Z`, `f(X) + 1 < C`).
-        let lhs = if matches!(self.peek(), TokenKind::Ident(n)
-                if !matches!(*n, "max" | "min" | "nil"))
-            && matches!(self.peek2(), TokenKind::LParen)
+        let lhs = if self.peek() == TokenKind::Ident
+            && !matches!(self.cur_text(), "max" | "min" | "nil")
+            && self.peek2() == TokenKind::LParen
         {
             let (a, span, arg_spans) = self.atom()?;
             if matches!(self.peek(), TokenKind::Comma | TokenKind::Dot) {
@@ -465,7 +485,7 @@ impl<'a> Parser<'a> {
         self.expect(TokenKind::LParen)?;
         let (cost, cost_span) = self.term_spanned()?;
         let mut args = vec![cost_span];
-        let group = if self.eat(&TokenKind::Comma) {
+        let group = if self.eat(TokenKind::Comma) {
             let (g, gs) = self.term_tuple()?;
             args.extend(gs);
             g
@@ -483,12 +503,12 @@ impl<'a> Parser<'a> {
         self.bump(); // `next`
         self.expect(TokenKind::LParen)?;
         let var_start = self.tok_start();
-        let var = match self.bump() {
-            TokenKind::Var(name) => self.var(name),
-            other => {
-                return Err(self.err_here(format!("next(…) takes a single variable, found {other}")))
-            }
-        };
+        let t = self.bump();
+        if t.kind != TokenKind::Var {
+            let found = self.describe(t);
+            return Err(self.err_here(format!("next(…) takes a single variable, found {found}")));
+        }
+        let var = self.var(self.text(t));
         let var_span = Span::new(var_start, self.prev_end());
         self.expect(TokenKind::RParen)?;
         let span = Span::new(start, self.prev_end());
@@ -498,15 +518,15 @@ impl<'a> Parser<'a> {
     /// A term or a parenthesised term tuple; `()` is the empty tuple.
     /// Returns per-element spans alongside the terms.
     fn term_tuple(&mut self) -> Result<(Vec<Term>, Vec<Span>), ParseError> {
-        if self.eat(&TokenKind::LParen) {
+        if self.eat(TokenKind::LParen) {
             let mut ts = Vec::new();
             let mut spans = Vec::new();
-            if !self.eat(&TokenKind::RParen) {
+            if !self.eat(TokenKind::RParen) {
                 loop {
                     let (t, s) = self.term_spanned()?;
                     ts.push(t);
                     spans.push(s);
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
                 }
@@ -527,22 +547,32 @@ impl<'a> Parser<'a> {
     }
 
     fn term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            TokenKind::Var(name) => Ok(Term::Var(self.var(name))),
-            TokenKind::Int(i) => Ok(Term::int(i)),
-            TokenKind::Minus => match self.bump() {
-                TokenKind::Int(i) => Ok(Term::int(-i)),
-                other => Err(self.err_here(format!("expected integer after `-`, found {other}"))),
-            },
-            TokenKind::Str(s) => Ok(Term::Const(gbc_ast::Value::str(&s))),
-            TokenKind::Ident("nil") => Ok(Term::Const(gbc_ast::Value::Nil)),
-            TokenKind::Ident(name) => {
-                if self.eat(&TokenKind::LParen) {
+        let t = self.bump();
+        match t.kind {
+            TokenKind::Var => Ok(Term::Var(self.var(self.text(t)))),
+            TokenKind::Int => Ok(Term::int(int_value(self.lexer.src(), t))),
+            TokenKind::Minus => {
+                let n = self.bump();
+                if n.kind != TokenKind::Int {
+                    let found = self.describe(n);
+                    return Err(self.err_here(format!("expected integer after `-`, found {found}")));
+                }
+                Ok(Term::int(-int_value(self.lexer.src(), n)))
+            }
+            TokenKind::Str => {
+                let quoted = self.text(t);
+                let raw = &quoted[1..quoted.len() - 1];
+                Ok(Term::Const(gbc_ast::Value::str(&unescape(raw))))
+            }
+            TokenKind::Ident if self.text(t) == "nil" => Ok(Term::Const(gbc_ast::Value::Nil)),
+            TokenKind::Ident => {
+                let name = self.text(t);
+                if self.eat(TokenKind::LParen) {
                     let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
+                    if !self.eat(TokenKind::RParen) {
                         loop {
                             args.push(self.nested(Parser::term)?);
-                            if !self.eat(&TokenKind::Comma) {
+                            if !self.eat(TokenKind::Comma) {
                                 break;
                             }
                         }
@@ -553,7 +583,7 @@ impl<'a> Parser<'a> {
                     Ok(Term::sym(name))
                 }
             }
-            other => Err(self.err_here(format!("expected a term, found {other}"))),
+            _ => Err(self.err_here(format!("expected a term, found {}", self.describe(t)))),
         }
     }
 
@@ -595,7 +625,7 @@ impl<'a> Parser<'a> {
             let op = match self.peek() {
                 TokenKind::Star => ArithOp::Mul,
                 TokenKind::Slash => ArithOp::Div,
-                TokenKind::Ident("mod") => ArithOp::Mod,
+                TokenKind::Ident if self.cur_text() == "mod" => ArithOp::Mod,
                 _ => break,
             };
             self.bump();
@@ -620,11 +650,11 @@ impl<'a> Parser<'a> {
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         // max/min built-ins.
-        if let TokenKind::Ident(name) = self.peek() {
-            let is_builtin =
-                matches!(*name, "max" | "min") && matches!(self.peek2(), TokenKind::LParen);
+        if self.peek() == TokenKind::Ident {
+            let name = self.cur_text();
+            let is_builtin = matches!(name, "max" | "min") && self.peek2() == TokenKind::LParen;
             if is_builtin {
-                let op = if *name == "max" { ArithOp::Max } else { ArithOp::Min };
+                let op = if name == "max" { ArithOp::Max } else { ArithOp::Min };
                 self.bump();
                 self.expect(TokenKind::LParen)?;
                 let a = self.nested(Parser::expr)?;
@@ -634,7 +664,7 @@ impl<'a> Parser<'a> {
                 return Ok(Expr::binary(op, a, b));
             }
         }
-        if self.eat(&TokenKind::LParen) {
+        if self.eat(TokenKind::LParen) {
             let e = self.nested(Parser::expr)?;
             self.expect(TokenKind::RParen)?;
             return Ok(e);

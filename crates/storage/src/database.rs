@@ -202,33 +202,69 @@ impl Database {
 
 /// Append `rel`'s rows to `out` as sorted ground facts `p(…).`, each
 /// on its own line after whatever `out` already holds.
+///
+/// Row positions sort in the `Value` order of their cells, the order
+/// [`dictionary::cmp_ids`] defines. The first column, which decides
+/// most comparisons, is decoded once per row for the sort; the later
+/// columns are compared only on a tie. Decoding every cell up front
+/// would hold a borrow per cell at once, for no faster sort.
 fn render_relation(p: Symbol, rel: &Relation, out: &mut String) {
-    use std::fmt::Write;
     let rows = rel.rows();
-    let arity = rows.arity();
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        (0..arity)
-            .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    dictionary::count_decodes((rows.len() * arity) as u64);
+    let (n, arity) = (rows.len(), rows.arity());
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    if arity > 0 {
+        let first: Vec<&'static Value> =
+            (0..n).map(|r| dictionary::decode_ref(rows.cell(r, 0))).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            first[a].cmp(first[b]).then_with(|| {
+                (1..arity)
+                    .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            })
+        });
+    }
+    dictionary::count_decodes((n * arity) as u64);
     for r in order {
         if !out.is_empty() {
             out.push('\n');
         }
         out.push_str(p.as_str());
+        for c in 0..arity {
+            out.push(if c == 0 { '(' } else { ',' });
+            push_value(out, dictionary::decode_ref(rows.cell(r as usize, c)));
+        }
         if arity > 0 {
-            for c in 0..arity {
-                out.push(if c == 0 { '(' } else { ',' });
-                write!(out, "{}", dictionary::decode_ref(rows.cell(r, c)))
-                    .expect("writing to a String cannot fail");
-            }
             out.push(')');
         }
         out.push('.');
     }
+}
+
+/// Append `v` as [`Value`]'s `Display` prints it, integers without
+/// going through the formatter.
+fn push_value(out: &mut String, v: &Value) {
+    use std::fmt::Write;
+    let Value::Int(i) = *v else {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+        return;
+    };
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut m = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 impl std::fmt::Display for Database {
@@ -381,6 +417,15 @@ mod tests {
         assert!(base.count(r1) > 0);
         assert!(db.relation(r1).shares_rows(base.relation(r1)));
         assert_eq!(base.canonical_form(), base_text);
+    }
+
+    #[test]
+    fn integers_render_as_display_prints_them() {
+        for i in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN, i64::MIN + 1] {
+            let mut out = String::new();
+            push_value(&mut out, &Value::int(i));
+            assert_eq!(out, i.to_string());
+        }
     }
 
     #[test]

@@ -299,6 +299,26 @@ impl RowStore {
         }
     }
 
+    /// Room for `rows` more rows of `arity` cells: the columns and the
+    /// dedup table take them without growing.
+    fn reserve(&mut self, arity: usize, rows: usize) {
+        if self.arity.is_none() {
+            self.arity = Some(arity);
+            self.cols = vec![Vec::new(); arity];
+        }
+        for col in &mut self.cols {
+            col.reserve(rows);
+        }
+        let need = self.n_rows + rows;
+        let mut slots = self.table.len().max(8);
+        while need * 8 > slots * 7 {
+            slots *= 2;
+        }
+        if slots > self.table.len() {
+            self.rehash(slots);
+        }
+    }
+
     /// Rebuild the table with `slots` slots.
     fn rehash(&mut self, slots: usize) {
         self.table = vec![EMPTY; slots];
@@ -421,6 +441,21 @@ impl Relation {
         rows.text.take();
         rows.push(ids, slot);
         true
+    }
+
+    /// Make room for `rows` more rows of `arity` cells, so that
+    /// inserting them grows neither the columns nor the dedup table. On
+    /// an empty relation this fixes the arity, as a first insert would.
+    ///
+    /// # Panics
+    /// Panics when `arity` differs from the relation's.
+    pub fn reserve(&mut self, arity: usize, rows: usize) {
+        if let Some(a) = self.rows.arity {
+            assert_eq!(a, arity, "relation rows must share an arity");
+        }
+        if rows > 0 {
+            Arc::make_mut(&mut self.rows).reserve(arity, rows);
+        }
     }
 
     /// Membership test.
@@ -748,6 +783,29 @@ mod tests {
         assert_eq!(r.arity(), Some(0));
         assert_eq!(r.rows().len(), 1);
         assert_eq!(r.get(0), Some(Row::new(vec![])));
+    }
+
+    /// Rows inserted after a `reserve` land as without it, and neither
+    /// the columns nor the dedup table grow while they do.
+    #[test]
+    fn reserve_sizes_columns_and_table_once() {
+        let rows: Vec<Row> = (0..300).map(|i| row(&[i % 200, i % 7])).collect();
+        let plain: Relation = rows.iter().cloned().collect();
+        let mut sized = Relation::new();
+        sized.reserve(2, rows.len());
+        let (slots, capacity) = (sized.rows.table.len(), sized.rows.cols[0].capacity());
+        for r in &rows {
+            sized.insert(r.clone());
+        }
+        assert_eq!(sized.rows(), plain.rows());
+        assert_eq!((sized.rows.table.len(), sized.rows.cols[0].capacity()), (slots, capacity));
+        // Zero-arity facts reserve too, and still count one row.
+        let mut done = Relation::new();
+        done.reserve(0, 3);
+        for _ in 0..3 {
+            done.insert_ids(&[]);
+        }
+        assert_eq!((done.len(), done.arity()), (1, Some(0)));
     }
 
     /// Columns ≥ 64 can't participate in the index-cache bitmask; the
