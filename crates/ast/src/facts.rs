@@ -14,6 +14,20 @@ use crate::span::Span;
 use crate::symbol::Symbol;
 use crate::value::Value;
 
+/// Cells per chunk of a group, at most: a chunk's cells stay below
+/// the allocator's 128 KiB threshold for a fresh mapping.
+const CHUNK_CELLS: usize = 4096;
+
+/// Consecutive facts of a group, [`FactGroup::chunk_rows`] of them in
+/// every chunk but the last.
+#[derive(Clone)]
+struct Chunk {
+    /// Row-major cells, `arity` per fact.
+    cells: Vec<Value>,
+    /// One span per fact (the head atom's; dummy when built in code).
+    spans: Vec<Span>,
+}
+
 /// The facts of one predicate at one arity, in source order.
 #[derive(Clone)]
 pub struct FactGroup {
@@ -22,10 +36,10 @@ pub struct FactGroup {
     /// How many rules precede the group's first fact: where the group
     /// sits among the rules in source order.
     rules_before: usize,
-    /// Row-major cells, `arity` per fact.
-    cells: Vec<Value>,
-    /// One span per fact (the head atom's; dummy when built in code).
-    spans: Vec<Span>,
+    /// The facts, a chunk at a time: a large group grows by a chunk, so
+    /// its facts are never copied into a buffer twice their size.
+    chunks: Vec<Chunk>,
+    len: usize,
 }
 
 impl FactGroup {
@@ -46,33 +60,42 @@ impl FactGroup {
 
     /// The number of facts.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.len
     }
 
     /// True when the group holds no fact (never, once built).
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len == 0
+    }
+
+    /// Facts per chunk.
+    fn chunk_rows(&self) -> usize {
+        (CHUNK_CELLS / self.arity.max(1)).max(1)
     }
 
     /// Every fact's arguments, row-major: `arity` cells per fact, in
-    /// source order.
-    pub fn cells(&self) -> &[Value] {
-        &self.cells
+    /// source order, as slices of whole facts (empty for arity 0).
+    pub fn chunks(&self) -> impl Iterator<Item = &[Value]> {
+        self.chunks.iter().map(|c| c.cells.as_slice())
     }
 
     /// Fact `i`'s arguments.
     pub fn row(&self, i: usize) -> &[Value] {
-        &self.cells[i * self.arity..(i + 1) * self.arity]
+        let (rows, arity) = (self.chunk_rows(), self.arity);
+        &self.chunks[i / rows].cells[i % rows * arity..][..arity]
     }
 
     /// Each fact's arguments and span, in source order.
     pub fn rows(&self) -> impl Iterator<Item = (&[Value], Span)> {
-        self.spans.iter().enumerate().map(|(i, &span)| (self.row(i), span))
+        let arity = self.arity;
+        self.chunks.iter().flat_map(move |c| {
+            c.spans.iter().enumerate().map(move |(j, &span)| (&c.cells[j * arity..][..arity], span))
+        })
     }
 
     /// The span of the group's first fact.
     pub fn first_span(&self) -> Span {
-        self.spans[0]
+        self.chunks[0].spans[0]
     }
 }
 
@@ -111,15 +134,26 @@ impl FactTable {
                     pred,
                     arity,
                     rules_before,
-                    cells: Vec::new(),
-                    spans: Vec::new(),
+                    chunks: Vec::new(),
+                    len: 0,
                 });
                 self.groups.len() - 1
             }),
         };
         let g = &mut self.groups[gi];
-        g.cells.extend(args);
-        g.spans.push(span);
+        if g.len % g.chunk_rows() == 0 {
+            // A group's first chunk grows as needed; a group past it
+            // fills whole chunks, which are sized exactly.
+            let rows = if g.chunks.is_empty() { 0 } else { g.chunk_rows() };
+            g.chunks.push(Chunk {
+                cells: Vec::with_capacity(rows * arity),
+                spans: Vec::with_capacity(rows),
+            });
+        }
+        let chunk = g.chunks.last_mut().expect("a chunk with room");
+        chunk.cells.extend(args);
+        chunk.spans.push(span);
+        g.len += 1;
         self.len += 1;
     }
 
@@ -153,7 +187,7 @@ impl PartialEq for FactTable {
             && self.groups.len() == other.groups.len()
             && self.groups.iter().zip(&other.groups).all(|(a, b)| {
                 (a.pred, a.arity, a.rules_before) == (b.pred, b.arity, b.rules_before)
-                    && a.cells == b.cells
+                    && a.chunks().eq(b.chunks())
             })
     }
 }
@@ -181,5 +215,33 @@ mod tests {
         assert_eq!(t.len(), 4);
         // Zero-arity facts still count as rows.
         assert_eq!(t.rows().filter(|(_, row, _)| row.is_empty()).count(), 1);
+    }
+
+    #[test]
+    fn large_groups_keep_their_rows_across_chunks() {
+        let mut t = FactTable::new();
+        let n = 3 * CHUNK_CELLS;
+        for i in 0..n as i64 {
+            push(&mut t, "g", vec![Value::int(i), Value::int(-i), Value::int(2 * i)], 0);
+        }
+        let g = &t.groups()[0];
+        assert_eq!(g.len(), n);
+        assert!(g.chunks().all(|c| c.len() % 3 == 0 && c.len() <= CHUNK_CELLS));
+        let cells: Vec<&Value> = g.chunks().flatten().collect();
+        assert_eq!(cells.len(), 3 * n);
+        assert_eq!(cells[3 * 1365], &Value::int(1365));
+        assert_eq!(g.rows().count(), n);
+        for (i, (row, _)) in g.rows().enumerate() {
+            assert_eq!(row, g.row(i));
+            let i = i as i64;
+            assert_eq!(row, &[Value::int(i), Value::int(-i), Value::int(2 * i)]);
+        }
+        // Zero-arity facts are chunked by their spans alone.
+        let mut t = FactTable::new();
+        for _ in 0..n {
+            push(&mut t, "done", vec![], 0);
+        }
+        assert_eq!((t.groups()[0].len(), t.rows().count()), (n, n));
+        assert!(t.groups()[0].chunks().all(|c| c.is_empty()));
     }
 }

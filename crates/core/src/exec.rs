@@ -508,19 +508,27 @@ pub struct GreedyExecutor {
 }
 
 /// The program's fact table, encoded into a database of its own: the
-/// fact base an evaluation starts from, next to its EDB. Each group's
-/// cells are encoded in one pass, under one dictionary read lock, into
-/// a relation sized once for the group's rows.
+/// fact base an evaluation starts from, next to its EDB. Each group
+/// goes into a relation sized once for its facts, and each chunk of
+/// its cells is encoded in one pass, under one dictionary read lock.
 pub(crate) fn fact_base(program: &Program) -> Database {
     let mut base = Database::new();
     let mut ids = Vec::new();
     for g in program.facts.groups() {
-        ids.clear();
-        dictionary::encode_into(g.cells(), &mut ids);
         let (rel, arity) = (base.relation_mut(g.pred()), g.arity());
+        if arity == 0 {
+            // Every zero-arity fact is the one empty row.
+            rel.insert_ids(&[]);
+            continue;
+        }
+        // An upper bound: duplicate facts take no row.
         rel.reserve(arity, g.len());
-        for i in 0..g.len() {
-            rel.insert_ids(&ids[i * arity..(i + 1) * arity]);
+        for chunk in g.chunks() {
+            ids.clear();
+            dictionary::encode_into(chunk, &mut ids);
+            for row in ids.chunks_exact(arity) {
+                rel.insert_ids(row);
+            }
         }
     }
     base
