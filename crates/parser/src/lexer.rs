@@ -197,18 +197,24 @@ pub struct LexError {
     pub col: u32,
     /// Byte offset of the offending character.
     pub offset: u32,
+    /// Byte offset just past it: `offset` itself at the end of the
+    /// source, so the span never leaves it.
+    pub end: u32,
 }
 
 impl LexError {
-    /// An error at byte `offset` of `src`.
+    /// An error at byte `offset` of `src`, a character boundary.
     fn new(src: &str, offset: u32, message: impl Into<String>) -> LexError {
         let (line, col) = line_col(src, offset);
-        LexError { message: message.into(), line, col, offset }
+        let rest = src.get(offset as usize..).unwrap_or_default();
+        let width = rest.chars().next().map_or(0, char::len_utf8);
+        LexError { message: message.into(), line, col, offset, end: offset + width as u32 }
     }
 
-    /// The error's source span (one character wide).
+    /// The error's source span: the whole offending character, or the
+    /// empty span at the end of the source.
     pub fn span(&self) -> gbc_ast::Span {
-        gbc_ast::Span::new(self.offset, self.offset + 1)
+        gbc_ast::Span::new(self.offset, self.end)
     }
 }
 

@@ -231,11 +231,17 @@ impl<'a> Parser<'a> {
         self.prev_end
     }
 
-    /// An error at the current token; its line and column are counted
-    /// here, from the token's byte offset.
+    /// An error at the current token.
     #[cold]
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
-        let span = self.cur.span();
+        self.err_at(self.cur, msg)
+    }
+
+    /// An error at token `t`, already consumed or current; its line and
+    /// column are counted here, from the token's byte offset.
+    #[cold]
+    fn err_at(&self, t: Token, msg: impl Into<String>) -> ParseError {
+        let span = t.span();
         let (line, col) = line_col(self.lexer.src(), span.start);
         ParseError { message: msg.into(), line, col, span }
     }
@@ -363,7 +369,7 @@ impl<'a> Parser<'a> {
         let t = self.bump();
         if t.kind != TokenKind::Ident {
             let found = self.describe(t);
-            return Err(self.err_here(format!("expected predicate name, found {found}")));
+            return Err(self.err_at(t, format!("expected predicate name, found {found}")));
         }
         let name = self.text(t);
         let pred = self.pred_symbol(name);
@@ -506,7 +512,7 @@ impl<'a> Parser<'a> {
         let t = self.bump();
         if t.kind != TokenKind::Var {
             let found = self.describe(t);
-            return Err(self.err_here(format!("next(…) takes a single variable, found {found}")));
+            return Err(self.err_at(t, format!("next(…) takes a single variable, found {found}")));
         }
         let var = self.var(self.text(t));
         let var_span = Span::new(var_start, self.prev_end());
@@ -555,7 +561,9 @@ impl<'a> Parser<'a> {
                 let n = self.bump();
                 if n.kind != TokenKind::Int {
                     let found = self.describe(n);
-                    return Err(self.err_here(format!("expected integer after `-`, found {found}")));
+                    return Err(
+                        self.err_at(n, format!("expected integer after `-`, found {found}"))
+                    );
                 }
                 Ok(Term::int(-int_value(self.lexer.src(), n)))
             }
@@ -583,7 +591,7 @@ impl<'a> Parser<'a> {
                     Ok(Term::sym(name))
                 }
             }
-            _ => Err(self.err_here(format!("expected a term, found {}", self.describe(t)))),
+            _ => Err(self.err_at(t, format!("expected a term, found {}", self.describe(t)))),
         }
     }
 

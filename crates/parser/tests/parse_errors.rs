@@ -131,15 +131,14 @@ fn line_col(src: &str, offset: usize) -> (u32, u32) {
     (line, 1 + before[line_start..].chars().count() as u32)
 }
 
-/// An error must point inside the source, at a character boundary,
-/// name that byte's line and column, and render as a diagnostic.
+/// An error must span whole characters inside the source, name its
+/// first byte's line and column, and render as a diagnostic.
 fn check_error(src: &str, e: &ParseError) {
     let Span { start, end } = e.span;
     let (start, end) = (start as usize, end as usize);
-    assert!(start <= end && start <= src.len(), "span {start}..{end} of {}: {e}", src.len());
-    // A lex error is one byte wide, so at the end it reaches one past.
-    assert!(end <= src.len().max(start + 1), "span {start}..{end} of {}: {e}", src.len());
-    assert!(src.is_char_boundary(start), "span starts inside a character: {e}");
+    // The span lies inside the source, on character boundaries, so a
+    // diagnostic can slice the source by it.
+    assert!(src.get(start..end).is_some(), "span {start}..{end} of {}: {e}", src.len());
     assert_eq!((e.line, e.col), line_col(src, start), "{e}");
     let rendered = e.to_diagnostic().render(&SourceMap::single("fuzz.dl", src));
     assert!(rendered.contains("GBC001"), "{rendered}");
@@ -176,8 +175,8 @@ const POSITIONS: [(&str, &str, (u32, u32)); 16] = [
     ("p(é, ö) q.", "parse error at 1:9: expected `.`, found identifier `q`", (10, 11)),
     (
         "q(X) <- p(X), ¬ r(X), ¬ 5.",
-        "parse error at 1:26: expected predicate name, found integer `5`",
-        (27, 28),
+        "parse error at 1:25: expected predicate name, found integer `5`",
+        (26, 27),
     ),
     ("\tp(a).\n\tq(\t#).", "parse error at 2:5: unexpected character `#`", (11, 12)),
     (
@@ -185,17 +184,17 @@ const POSITIONS: [(&str, &str, (u32, u32)); 16] = [
         "parse error at 3:6: expected `.`, found identifier `d`",
         (19, 20),
     ),
-    ("p(a).\r\n\r!", "parse error at 2:3: expected `=` after `!`", (9, 10)),
+    ("p(a).\r\n\r!", "parse error at 2:3: expected `=` after `!`", (9, 9)),
     ("p(a).\nq(b)", "parse error at 2:5: expected `.`, found end of input", (10, 10)),
-    ("p(a).\nq(\"ab", "parse error at 2:6: unterminated string literal", (11, 12)),
-    ("p(a).\nq(€).", "parse error at 2:3: unexpected character `€`", (8, 9)),
+    ("p(a).\nq(\"ab", "parse error at 2:6: unterminated string literal", (11, 11)),
+    ("p(a).\nq(€).", "parse error at 2:3: unexpected character `€`", (8, 11)),
     ("p(\"a\\tb\").", "parse error at 1:7: unsupported escape `\\Some('t')`", (6, 7)),
     ("p(9223372036854775808).", "parse error at 1:22: integer literal overflows i64", (21, 22)),
     ("p(\"a\nb\") q.", "parse error at 2:5: expected `.`, found identifier `q`", (9, 10)),
     ("p(a) \"x\\\"y\".", "parse error at 1:6: expected `.`, found string \"x\\\"y\"", (5, 11)),
-    ("p(Ä) <- q(Ä), Ä < .", "parse error at 1:20: expected a term, found `.`", (22, 22)),
-    ("p(a).\r\n\tq(ß,\t¬).", "parse error at 2:8: expected a term, found `not`", (16, 17)),
-    ("p(ünï) :", "parse error at 1:9: expected `-` after `:`", (10, 11)),
+    ("p(Ä) <- q(Ä), Ä < .", "parse error at 1:19: expected a term, found `.`", (21, 22)),
+    ("p(a).\r\n\tq(ß,\t¬).", "parse error at 2:7: expected a term, found `not`", (14, 16)),
+    ("p(ünï) :", "parse error at 1:9: expected `-` after `:`", (10, 10)),
     ("née(X) <- p(X), X = (((1).", "parse error at 1:26: expected `)`, found `.`", (26, 27)),
 ];
 

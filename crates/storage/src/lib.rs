@@ -14,12 +14,16 @@
 //!   `R_r`, laid out as one id arena of class rows, an open-addressed
 //!   class table and a heap of inline nodes. Insertion and
 //!   retrieve-least are `O(log |Q|)`;
+//! * [`fdtable::FdTable`] — one choice goal's committed FD pairs in id
+//!   space, each left tuple heading the chain of queued classes a
+//!   commit of it may block;
 //! * [`provenance::ProvenanceArena`] — an optional derivation record
 //!   (rule id, γ step, parent rows, choice commits and rejections) the
 //!   executors populate when one is attached to the [`Database`].
 
 pub mod database;
 pub mod dictionary;
+pub mod fdtable;
 pub mod fx;
 pub mod index;
 pub mod provenance;
@@ -29,6 +33,7 @@ pub mod tuple;
 
 pub use database::Database;
 pub use dictionary::{dict_stats, DictStats, DictionaryFull, DICT_MISS};
+pub use fdtable::FdTable;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use provenance::{ChoiceCommit, ChoiceRejection, Derivation, ProvenanceArena, NO_GOAL};
 pub use relation::{ColumnBuf, Relation, RowsView};

@@ -14,7 +14,10 @@
 //! * `R_r` — the redundant facts, which can never fire the rule again.
 //!
 //! The insertion operation implements the paper's case analysis
-//! verbatim; both insertion and retrieve-least are `O(log |Q|)`.
+//! verbatim; both insertion and retrieve-least are `O(log |Q|)`. A
+//! queued candidate that a commit has blocked for good leaves `Q_r`
+//! for `R_r` at that commit ([`Rql::retire`], `O(log |Q|)`), so
+//! retrieve-least never reaches it.
 //!
 //! The structure is columnar. Every congruence class the rule has seen
 //! owns one row of a single **id arena**: the class's current queued,
@@ -126,6 +129,7 @@ struct Counts {
     dominated: u64,
     used_blocked: u64,
     pops: u64,
+    retired: u64,
     int_fast_compares: u64,
 }
 
@@ -145,9 +149,9 @@ pub struct Rql {
     /// `Q_r`: a binary min-heap under [`Rql::cmp_cost`], then the row.
     heap: Vec<Node>,
     /// Open-addressed class table (linear probing, power-of-two size),
-    /// indexed by the top `64 - shift` bits of the key hash.
+    /// indexed by the low bits of the key hash, which spread dense
+    /// dictionary ids (see [`crate::fdtable`]).
     table: Vec<u32>,
-    shift: u32,
     /// |L_r|.
     used: usize,
     /// |R_r|. The paper keeps `R_r` only to argue redundant tuples are
@@ -166,7 +170,7 @@ impl Rql {
     /// the projection onto `key_cols`. Retrieve yields the least cost.
     pub fn new(arity: usize, key_cols: &[usize]) -> Rql {
         debug_assert!(key_cols.iter().all(|&c| c < arity), "key column out of range");
-        const INITIAL_SLOTS: u32 = 16;
+        const INITIAL_SLOTS: usize = 16;
         Rql {
             arity,
             key_cols: key_cols.to_vec(),
@@ -175,8 +179,7 @@ impl Rql {
             state: Vec::new(),
             pos: Vec::new(),
             heap: Vec::new(),
-            table: vec![EMPTY; INITIAL_SLOTS as usize],
-            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
+            table: vec![EMPTY; INITIAL_SLOTS],
             used: 0,
             redundant: 0,
             peak: 0,
@@ -212,6 +215,7 @@ impl Rql {
         m.rql_dominated.add(counts.dominated);
         m.rql_used_blocked.add(counts.used_blocked);
         m.heap_pops.add(counts.pops);
+        m.rql_retired.add(counts.retired);
         m.heap_int_fast_compares.add(counts.int_fast_compares);
         m.queue_peak.observe(self.peak as u64);
     }
@@ -314,6 +318,58 @@ impl Rql {
         self.redundant += 1;
     }
 
+    /// Move queued class `class` from `Q_r` to `R_r`: a commit blocked
+    /// its candidate for good. Like a [`Rql::discard`], a congruent fact
+    /// may be queued again later. Returns the candidate's cost id.
+    pub fn retire(&mut self, class: u32) -> u32 {
+        let class = class as usize;
+        assert_eq!(self.state[class], State::Queued, "only a queued class retires");
+        let slot = self.pos[class] as usize;
+        let cost = self.heap[slot].id;
+        let last = self.heap.len() - 1;
+        self.swap_slots(slot, last);
+        self.heap.pop();
+        if slot < last {
+            // The node moved into the hole may belong above or below it.
+            let moved = self.heap[slot].class();
+            self.sift_up(slot);
+            self.sift_down(self.pos[moved] as usize);
+        }
+        self.state[class] = State::Idle;
+        self.redundant += 1;
+        self.counts.retired += 1;
+        cost
+    }
+
+    /// The number of congruence classes seen. Classes are numbered in
+    /// creation order, so an insert that creates one creates the class
+    /// numbered by the count before it.
+    pub fn classes(&self) -> usize {
+        self.state.len()
+    }
+
+    /// Is class `class`'s candidate in `Q_r`?
+    pub fn is_queued(&self, class: u32) -> bool {
+        self.state[class as usize] == State::Queued
+    }
+
+    /// Class `class`'s current row: its queued, pending, used or last
+    /// candidate.
+    pub fn class_row(&self, class: u32) -> &[u32] {
+        self.row_of(class as usize)
+    }
+
+    /// Would this structure's next pop come before `other`'s, in this
+    /// structure's retrieval order (cost, then row)? True when only
+    /// `other` is empty. Counts no compare.
+    pub fn first_before(&self, other: &Rql) -> bool {
+        let Some(&a) = self.heap.first() else { return false };
+        let Some(&b) = other.heap.first() else { return true };
+        self.cost_order(a, b)
+            .then_with(|| cmp_id_rows(self.row_of(a.class()), other.row_of(b.class())))
+            == Ordering::Less
+    }
+
     /// |Q_r|.
     pub fn queue_len(&self) -> usize {
         self.heap.len()
@@ -347,7 +403,7 @@ impl Rql {
     /// row a copy of `row`) when the key is new.
     fn class_of(&mut self, row: &[u32]) -> usize {
         let mask = self.table.len() - 1;
-        let mut i = (self.hash(row) >> self.shift) as usize;
+        let mut i = self.hash(row) as usize & mask;
         loop {
             match self.table[i] {
                 EMPTY => break,
@@ -377,10 +433,9 @@ impl Rql {
     /// Double the table and re-insert every class from its arena row.
     fn grow_table(&mut self) {
         self.table = vec![EMPTY; self.table.len() * 2];
-        self.shift -= 1;
         let mask = self.table.len() - 1;
         for class in 0..self.state.len() {
-            let mut i = (self.hash(self.row_of(class)) >> self.shift) as usize;
+            let mut i = self.hash(self.row_of(class)) as usize & mask;
             while self.table[i] != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -390,12 +445,20 @@ impl Rql {
 
     // -- the heap --
 
-    /// Compare two costs in retrieval order: two integers inline
-    /// (counted in `heap_int_fast_compares`), anything else by decoded
-    /// value; reversed for a descending structure.
+    /// [`Rql::cost_order`], counting a compare of two integers in
+    /// `heap_int_fast_compares`.
     fn cmp_cost(&mut self, a: Node, b: Node) -> Ordering {
-        let ord = if (a.class | b.class) & NOT_INT == 0 {
+        if (a.class | b.class) & NOT_INT == 0 {
             self.counts.int_fast_compares += 1;
+        }
+        self.cost_order(a, b)
+    }
+
+    /// Compare two costs in retrieval order: two integers inline,
+    /// anything else by decoded value; reversed for a descending
+    /// structure.
+    fn cost_order(&self, a: Node, b: Node) -> Ordering {
+        let ord = if (a.class | b.class) & NOT_INT == 0 {
             a.int.cmp(&b.int)
         } else {
             cmp_ids(a.id, b.id)
@@ -593,6 +656,138 @@ mod tests {
         assert_eq!(pops(&mut each), pops(&mut once));
         assert_eq!(m_each.snapshot(), m_once.snapshot());
         assert_eq!(m_once.snapshot().queue_peak, 2);
+    }
+
+    #[test]
+    fn retire_takes_a_class_out_of_the_queue() {
+        let mut d = keyed_on_first();
+        d.insert(cost(5), &row(&[1, 5]));
+        d.insert(cost(3), &row(&[2, 3]));
+        d.insert(cost(4), &row(&[3, 4]));
+        // Class 1 is `[2, 3]`, the least: retiring it leaves the rest.
+        assert!(d.is_queued(1));
+        assert_eq!(d.retire(1), cost(3));
+        assert!(!d.is_queued(1));
+        assert_eq!(d.class_row(1), row(&[2, 3]));
+        assert_eq!(d.redundant_count(), 1);
+        // Like a discard, a congruent fact may queue again.
+        assert_eq!(d.insert(cost(9), &row(&[2, 9])), RqlOutcome::Queued);
+        assert_eq!(
+            pops(&mut d),
+            vec![(cost(4), row(&[3, 4])), (cost(5), row(&[1, 5])), (cost(9), row(&[2, 9]))]
+        );
+    }
+
+    /// Assert the heap invariants: every node is queued and found by
+    /// its class's `pos`, no node orders before its parent, and only
+    /// heap nodes are queued.
+    fn check_heap(d: &Rql) {
+        for (slot, node) in d.heap.iter().enumerate() {
+            assert_eq!(d.pos[node.class()] as usize, slot, "pos of class {}", node.class());
+            assert_eq!(d.state[node.class()], State::Queued);
+            if slot > 0 {
+                let parent = d.heap[(slot - 1) / 2];
+                let order = d
+                    .cost_order(*node, parent)
+                    .then_with(|| cmp_id_rows(d.row_of(node.class()), d.row_of(parent.class())));
+                assert_eq!(order, Ordering::Greater, "slot {slot} orders before its parent");
+            }
+        }
+        assert_eq!(d.state.iter().filter(|&&s| s == State::Queued).count(), d.heap.len());
+    }
+
+    /// A seeded mix of inserts (fresh, replacing, dominated), pops with
+    /// commit or discard, and retirements, over tied and distinct costs
+    /// in both directions. After every step the heap must be ordered,
+    /// `pos` must find every node, and each class's state, cost and row
+    /// must match a model that applies the case analysis by scanning.
+    #[test]
+    fn retire_keeps_heap_order_and_positions() {
+        use gbc_telemetry::rng::Rng;
+        let mut rng = Rng::new(0x5EED_0032);
+        for case in 0..300 {
+            let descending = case % 2 == 1;
+            let tied = rng.bool();
+            let mut d = if descending { Rql::new_descending(3, &[0]) } else { Rql::new(3, &[0]) };
+            // Per class, in creation order: state, cost id, row.
+            let mut model: Vec<(State, u32, Vec<u32>)> = Vec::new();
+            let order = |a: (u32, &[u32]), b: (u32, &[u32])| {
+                let by_cost = decode_ref(a.0).cmp(decode_ref(b.0));
+                if descending { by_cost.reverse() } else { by_cost }
+                    .then_with(|| cmp_id_rows(a.1, b.1))
+            };
+            for _ in 0..1 + rng.below_usize(120) {
+                match rng.below(10) {
+                    0..=4 => {
+                        let c = if tied { rng.range_i64(0, 3) } else { rng.range_i64(-500, 500) };
+                        let r = row(&[rng.range_i64(0, 12), c, rng.range_i64(0, 2)]);
+                        let class = match model.iter().position(|m| m.2[0] == r[0]) {
+                            Some(class) => class,
+                            None => {
+                                model.push((State::Idle, r[1], r.clone()));
+                                model.len() - 1
+                            }
+                        };
+                        let m = &mut model[class];
+                        let want = match m.0 {
+                            State::Used => RqlOutcome::CongruentUsed,
+                            State::Queued if order((r[1], &r), (m.1, &m.2)) == Ordering::Less => {
+                                (m.1, m.2) = (r[1], r.clone());
+                                RqlOutcome::ReplacedQueued
+                            }
+                            State::Queued => RqlOutcome::DominatedInQueue,
+                            State::Idle | State::Popped => {
+                                *m = (State::Queued, r[1], r.clone());
+                                RqlOutcome::Queued
+                            }
+                        };
+                        assert_eq!(d.insert(r[1], &r), want, "case {case}");
+                    }
+                    5..=7 => {
+                        let least = (0..model.len())
+                            .filter(|&c| model[c].0 == State::Queued)
+                            .min_by(|&a, &b| {
+                                order((model[a].1, &model[a].2), (model[b].1, &model[b].2))
+                            });
+                        let popped = d.pop_least();
+                        assert_eq!(popped.map(|p| p.class as usize), least, "case {case}");
+                        if let Some(p) = popped {
+                            assert_eq!(
+                                (p.cost, d.row(&p)),
+                                (model[p.class as usize].1, &model[p.class as usize].2[..])
+                            );
+                            if rng.bool() {
+                                d.commit(p);
+                                model[p.class as usize].0 = State::Used;
+                            } else {
+                                d.discard(p);
+                                model[p.class as usize].0 = State::Idle;
+                            }
+                        }
+                    }
+                    _ => {
+                        if model.is_empty() {
+                            continue;
+                        }
+                        let class = rng.below_usize(model.len());
+                        assert_eq!(d.is_queued(class as u32), model[class].0 == State::Queued);
+                        if model[class].0 == State::Queued {
+                            assert_eq!(d.retire(class as u32), model[class].1, "case {case}");
+                            model[class].0 = State::Idle;
+                        }
+                    }
+                }
+                check_heap(&d);
+                assert_eq!(d.classes(), model.len(), "case {case}");
+                for (class, m) in model.iter().enumerate() {
+                    assert_eq!(d.state[class], m.0, "case {case}, class {class}");
+                    if m.0 == State::Queued {
+                        assert_eq!(d.heap[d.pos[class] as usize].id, m.1, "case {case}");
+                        assert_eq!(d.class_row(class as u32), m.2, "case {case}");
+                    }
+                }
+            }
+        }
     }
 
     /// Pop every entry of `d` as `(cost, row)`.

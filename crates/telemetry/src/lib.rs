@@ -62,7 +62,8 @@ pub use trace::{BufferTrace, DiscardReason, StderrTrace, TraceEvent, TraceSink};
 /// `workers`/`merge_secs` fields with the intra-evaluation worker pool;
 /// v5 dropped the row-clone counter, which only the removed
 /// value-keyed relation probe incremented. Since v5, every timed
-/// report carries `profile` and `latency` (additive).
+/// report carries `profile` and `latency`, and `counters` carries
+/// `rql_retired` (both additive).
 pub const STATS_SCHEMA_VERSION: u64 = 5;
 
 /// The instrumentation bundle threaded through the executors.

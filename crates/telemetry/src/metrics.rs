@@ -86,6 +86,10 @@ pub struct Metrics {
     /// Inserts blocked because the congruence class already fired
     /// (`∈ L_r`).
     pub rql_used_blocked: Counter,
+    /// Queued candidates moved from `Q_r` to `R_r` by a commit whose
+    /// choice FD blocked them for good (`Rql::retire`). When every
+    /// queue drains, `heap_inserts == heap_pops + rql_retired`.
+    pub rql_retired: Counter,
     /// Largest `|Q_r|` observed across all rules.
     pub queue_peak: MaxGauge,
     /// Heap cost comparisons between two entries whose costs are both
@@ -97,8 +101,9 @@ pub struct Metrics {
     pub gamma_steps: Counter,
     /// Candidates popped from some `Q_r` and discarded to `R_r`.
     pub discarded_pops: Counter,
-    /// Discards caused specifically by the on-the-fly `diffChoice`
-    /// functional-dependency test.
+    /// Candidates rejected by the on-the-fly `diffChoice`
+    /// functional-dependency test: popped and discarded, or retired
+    /// from `Q_r` by the commit that blocked them.
     pub diffchoice_rejections: Counter,
     /// Discards caused by the next-expansion's `choice(W, I)` goal
     /// (the tuple ↔ stage bijection of Section 3).
@@ -148,6 +153,7 @@ impl Metrics {
             congruence_replacements: self.congruence_replacements.get(),
             rql_dominated: self.rql_dominated.get(),
             rql_used_blocked: self.rql_used_blocked.get(),
+            rql_retired: self.rql_retired.get(),
             queue_peak: self.queue_peak.get(),
             heap_int_fast_compares: self.heap_int_fast_compares.get(),
             gamma_steps: self.gamma_steps.get(),
@@ -175,6 +181,7 @@ pub struct Snapshot {
     pub congruence_replacements: u64,
     pub rql_dominated: u64,
     pub rql_used_blocked: u64,
+    pub rql_retired: u64,
     pub queue_peak: u64,
     pub heap_int_fast_compares: u64,
     pub gamma_steps: u64,
@@ -198,6 +205,7 @@ impl Snapshot {
             ("congruence_replacements", self.congruence_replacements),
             ("rql_dominated", self.rql_dominated),
             ("rql_used_blocked", self.rql_used_blocked),
+            ("rql_retired", self.rql_retired),
             ("queue_peak", self.queue_peak),
             ("heap_int_fast_compares", self.heap_int_fast_compares),
             ("discarded_pops", self.discarded_pops),
@@ -261,6 +269,7 @@ impl Snapshot {
             congruence_replacements: field("congruence_replacements")?,
             rql_dominated: field("rql_dominated")?,
             rql_used_blocked: field("rql_used_blocked")?,
+            rql_retired: field("rql_retired")?,
             queue_peak: field("queue_peak")?,
             heap_int_fast_compares: field("heap_int_fast_compares")?,
             gamma_steps: field("gamma_steps")?,
