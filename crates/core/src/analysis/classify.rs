@@ -3,8 +3,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use gbc_ast::{Clause, FactGroup, Literal, Program, Rule, Symbol, Term, VarId};
+use gbc_ast::{FactGroup, Literal, Program, Rule, Symbol, Term, VarId};
 use gbc_engine::graph::DiGraph;
+use gbc_engine::stratified::DependencyGraph;
 
 use crate::analysis::constraints::Constraints;
 use crate::analysis::stage::{infer_stages, StageConflict, StageInfo};
@@ -205,42 +206,12 @@ pub struct Analysis {
 pub fn classify(program: &Program) -> Analysis {
     let stages = infer_stages(program);
 
-    // Dependency graph with self-edges for next rules (the expanded
+    // The dependency graph, plus a self-edge per next rule (the expanded
     // rule reads its own head predicate for the previous stage).
-    let mut pred_ids: HashMap<Symbol, usize> = HashMap::new();
-    let mut preds: Vec<Symbol> = Vec::new();
-    let intern = |s: Symbol, pred_ids: &mut HashMap<Symbol, usize>, preds: &mut Vec<Symbol>| {
-        *pred_ids.entry(s).or_insert_with(|| {
-            preds.push(s);
-            preds.len() - 1
-        })
-    };
-    for c in program.clauses() {
-        let r = match c {
-            Clause::Facts(g) => {
-                intern(g.pred(), &mut pred_ids, &mut preds);
-                continue;
-            }
-            Clause::Rule(r) => r,
-        };
-        intern(r.head.pred, &mut pred_ids, &mut preds);
-        for l in &r.body {
-            if let Literal::Pos(a) | Literal::Neg(a) = l {
-                intern(a.pred, &mut pred_ids, &mut preds);
-            }
-        }
-    }
-    let mut graph = DiGraph::new(preds.len());
-    for r in &program.rules {
+    let DependencyGraph { pred_ids, preds, mut graph, .. } = DependencyGraph::build(program);
+    for r in program.rules.iter().filter(|r| r.has_next()) {
         let h = pred_ids[&r.head.pred];
-        if r.has_next() {
-            graph.add_edge(h, h);
-        }
-        for l in &r.body {
-            if let Literal::Pos(a) | Literal::Neg(a) = l {
-                graph.add_edge(h, pred_ids[&a.pred]);
-            }
-        }
+        graph.add_edge(h, h);
     }
     let sccs = graph.sccs();
     let mut comp_of = vec![usize::MAX; preds.len()];

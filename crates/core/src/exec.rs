@@ -43,7 +43,7 @@ use gbc_engine::extrema::{collect_matches_plan, filter_extrema};
 use gbc_engine::plan::{columnar_feed_spec, FeedCheck, PlanCache};
 use gbc_engine::seminaive::Seminaive;
 use gbc_storage::dictionary::{self, decode_ref};
-use gbc_storage::fdtable::Chain;
+use gbc_storage::idtable::Chain;
 use gbc_storage::{Database, FdTable, ProvenanceArena, Row, Rql, DICT_MISS, NO_GOAL};
 use gbc_telemetry::{DiscardReason, Recorder, Snapshot, Telemetry, TraceEvent};
 

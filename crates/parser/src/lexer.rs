@@ -452,7 +452,8 @@ impl<'a> Lexer<'a> {
                 Some('"') => break,
                 Some('\\') => match self.bump() {
                     Some('"' | '\\' | 'n') => {}
-                    other => return self.fail_here(format!("unsupported escape `\\{other:?}`")),
+                    Some(c) => return self.fail_here(format!("unsupported escape `\\{c}`")),
+                    None => return self.fail_here("unterminated string literal"),
                 },
                 Some(_) => {}
             }

@@ -4,9 +4,9 @@
 //! commit bound the same left ids `X̄` to different right ids `Ȳ`
 //! (the paper's `diffChoice`). An [`FdTable`] holds the committed
 //! pairs: left and right ids live in two flat arenas, one entry per
-//! distinct left tuple, found through an open-addressed table in the
-//! style of [`crate::rql::Rql`]'s class table. A probe or a commit
-//! allocates nothing; the arenas and the table only grow, amortised.
+//! distinct left tuple, found through an [`IdTable`] keyed by the left
+//! arena. A probe or a commit allocates nothing; the arenas and the
+//! table only grow, amortised.
 //!
 //! Each entry also heads a **chain** of (R,Q,L) congruence classes
 //! whose left tuple it is, linked in when the class is created
@@ -15,21 +15,18 @@
 //! the executor retires from `Q_r` at once instead of popping them
 //! later. The links are one `u32` per class, held in one vector.
 
-use std::hash::Hasher;
-
-use crate::fx::FxHasher;
-
-/// An empty slot, and the end of a chain.
-const NONE: u32 = u32::MAX;
+use crate::idtable::{Chain, IdTable, Vacant, NONE};
 
 /// The committed pairs of one choice goal, plus the chains of queued
 /// classes per left tuple. See the module docs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FdTable {
     left_arity: usize,
     right_arity: usize,
     /// Entry `e`'s left ids: `lefts[e * left_arity..][..left_arity]`.
     lefts: Vec<u32>,
+    /// The entries, keyed by their left ids.
+    table: IdTable,
     /// Entry `e`'s committed right ids, meaningful once `committed[e]`.
     rights: Vec<u32>,
     committed: Vec<bool>,
@@ -37,35 +34,19 @@ pub struct FdTable {
     heads: Vec<u32>,
     /// The class after class `c` in its chain, or [`NONE`].
     links: Vec<u32>,
-    /// Open-addressed entry table (linear probing, power-of-two size),
-    /// indexed by the low bits of the left tuple's hash. Fx multiplies
-    /// by an odd constant, so one id's low bits are a permutation of
-    /// the id's: dense dictionary ids fill the table without clashing,
-    /// where the top bits cluster them.
-    slots: Vec<u32>,
 }
 
 impl FdTable {
     /// An empty table for a goal with `left_arity` left and
     /// `right_arity` right terms.
     pub fn new(left_arity: usize, right_arity: usize) -> FdTable {
-        const INITIAL_SLOTS: usize = 16;
-        FdTable {
-            left_arity,
-            right_arity,
-            lefts: Vec::new(),
-            rights: Vec::new(),
-            committed: Vec::new(),
-            heads: Vec::new(),
-            links: Vec::new(),
-            slots: vec![NONE; INITIAL_SLOTS],
-        }
+        FdTable { left_arity, right_arity, ..FdTable::default() }
     }
 
     /// The right ids committed for `left`, if any.
     pub fn get(&self, left: &[u32]) -> Option<&[u32]> {
-        let e = self.slots[self.find(left)];
-        (e != NONE && self.committed[e as usize]).then(|| self.right_of(e as usize))
+        let e = self.find(left).ok()? as usize;
+        self.committed[e].then(|| self.right_of(e))
     }
 
     /// Commit `left → right`. The first commit of `left` returns the
@@ -83,7 +64,7 @@ impl FdTable {
             self.rights[e * self.right_arity..][..self.right_arity].copy_from_slice(right);
             self.heads[e]
         };
-        Chain { links: &self.links, next: head }
+        Chain::new(&self.links, head)
     }
 
     /// Link `class`, the newest congruence class, into the chain of its
@@ -101,89 +82,32 @@ impl FdTable {
         self.links.reserve(additional);
     }
 
-    fn left_of(&self, e: usize) -> &[u32] {
-        &self.lefts[e * self.left_arity..][..self.left_arity]
-    }
-
     fn right_of(&self, e: usize) -> &[u32] {
         &self.rights[e * self.right_arity..][..self.right_arity]
     }
 
-    fn hash(left: &[u32]) -> u64 {
-        let mut h = FxHasher::default();
-        for &id in left {
-            h.write_u32(id);
-        }
-        h.finish()
-    }
-
-    /// The slot holding `left`'s entry, or the empty slot where it
-    /// would go.
-    fn find(&self, left: &[u32]) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = FdTable::hash(left) as usize & mask;
-        loop {
-            match self.slots[i] {
-                NONE => return i,
-                e if self.left_of(e as usize).iter().zip(left).all(|(a, b)| a == b) => return i,
-                _ => i = (i + 1) & mask,
-            }
-        }
+    fn find(&self, left: &[u32]) -> Result<u32, Vacant> {
+        let (lefts, arity) = (&self.lefts, self.left_arity);
+        self.table.find(left.iter().copied(), |e| {
+            lefts[e as usize * arity..].iter().zip(left).all(|(a, b)| a == b)
+        })
     }
 
     /// `left`'s entry, created uncommitted and with an empty chain when
     /// the tuple is new.
     fn entry(&mut self, left: &[u32]) -> usize {
         assert_eq!(left.len(), self.left_arity, "left arity");
-        let i = self.find(left);
-        if self.slots[i] != NONE {
-            return self.slots[i] as usize;
-        }
-        let e = self.committed.len();
-        assert!(e < NONE as usize, "more than 2^32 - 1 left tuples");
+        let at = match self.find(left) {
+            Ok(e) => return e as usize,
+            Err(at) => at,
+        };
         self.lefts.extend_from_slice(left);
         self.rights.resize(self.rights.len() + self.right_arity, 0);
         self.committed.push(false);
         self.heads.push(NONE);
-        self.slots[i] = e as u32;
-        if self.committed.len() * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        e
-    }
-
-    /// Double the table and re-insert every entry from its left ids.
-    fn grow(&mut self) {
-        self.slots = vec![NONE; self.slots.len() * 2];
-        let mask = self.slots.len() - 1;
-        for e in 0..self.committed.len() {
-            let mut i = FdTable::hash(self.left_of(e)) as usize & mask;
-            while self.slots[i] != NONE {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = e as u32;
-        }
-    }
-}
-
-/// The classes linked under one left tuple, most recent first; see
-/// [`FdTable::commit`].
-#[derive(Clone, Debug)]
-pub struct Chain<'a> {
-    links: &'a [u32],
-    next: u32,
-}
-
-impl Iterator for Chain<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        let class = self.next;
-        if class == NONE {
-            return None;
-        }
-        self.next = self.links[class as usize];
-        Some(class)
+        let (lefts, arity) = (&self.lefts, self.left_arity);
+        self.table.insert(at, move |e| lefts[e as usize * arity..][..arity].iter().copied())
+            as usize
     }
 }
 

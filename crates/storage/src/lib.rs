@@ -3,6 +3,9 @@
 //! Storage structures for the Greedy-by-Choice engine:
 //!
 //! * [`tuple::Row`] — immutable, cheaply-clonable fact tuples;
+//! * [`idtable::IdTable`] — the one open-addressed table from id tuples
+//!   to dense entry numbers, behind every lookup below: relation dedup,
+//!   index keys, congruence classes and FD memo entries;
 //! * [`relation::Relation`] — insertion-ordered duplicate-free fact sets
 //!   with lazily built, incrementally maintained hash indices
 //!   ([`index::Index`]) on arbitrary column subsets;
@@ -11,9 +14,9 @@
 //! * [`rql::Rql`] — the paper's **D_r = (R_r, Q_r, L_r)** structure: a
 //!   priority queue of candidate facts with one representative per
 //!   *r-congruence* class, the used set `L_r`, and the redundant set
-//!   `R_r`, laid out as one id arena of class rows, an open-addressed
-//!   class table and a heap of inline nodes. Insertion and
-//!   retrieve-least are `O(log |Q|)`;
+//!   `R_r`, laid out as one id arena of class rows, a class table and
+//!   a heap of inline nodes. Insertion and retrieve-least are
+//!   `O(log |Q|)`;
 //! * [`fdtable::FdTable`] — one choice goal's committed FD pairs in id
 //!   space, each left tuple heading the chain of queued classes a
 //!   commit of it may block;
@@ -25,6 +28,7 @@ pub mod database;
 pub mod dictionary;
 pub mod fdtable;
 pub mod fx;
+pub mod idtable;
 pub mod index;
 pub mod provenance;
 pub mod relation;

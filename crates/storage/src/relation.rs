@@ -6,16 +6,16 @@
 //! boxed value rows: cell `(i, c)` of the relation is `cols[c][i]`, a
 //! dense dictionary id (see [`crate::dictionary`]). Scans and joins
 //! walk these contiguous id arrays and compare plain integers; values
-//! are only decoded at output boundaries.
+//! are only decoded at output boundaries. The dedup table and the
+//! cached indices are [`IdTable`]s over those columns.
 
-use std::hash::Hasher;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use gbc_ast::Value;
 use gbc_telemetry::Metrics;
 
 use crate::dictionary::{self, DICT_MISS};
-use crate::fx::FxHasher;
+use crate::idtable::{IdTable, Vacant};
 use crate::index::Index;
 use crate::tuple::Row;
 
@@ -201,9 +201,8 @@ impl FromIterator<Row> for ColumnBuf {
 #[derive(Debug, Default)]
 pub struct Relation {
     rows: Arc<RowStore>,
-    /// Cached indices, keyed by their column bitmask (bit i ⇒ column i
-    /// participates, in ascending column order).
-    indices: RwLock<Vec<(u64, Index)>>,
+    /// Cached indices, found by their key columns.
+    indices: RwLock<Vec<Index>>,
     /// Shared counter registry; index builds/probes are reported here
     /// when attached.
     metrics: Option<Arc<Metrics>>,
@@ -214,15 +213,12 @@ pub struct Relation {
 struct RowStore {
     /// One `Vec<u32>` per attribute; all the same length.
     cols: Vec<Vec<u32>>,
-    /// Row count, tracked separately so zero-arity relations (no
-    /// columns) still count their single row.
-    n_rows: usize,
     /// Arity, fixed by the first inserted row.
     arity: Option<usize>,
-    /// Dedup table: open-addressed (linear probing, power-of-two size)
-    /// row positions, indexed by the top bits of the row's Fx hash and
-    /// compared against the columns; empty until the first insert.
-    table: Vec<u32>,
+    /// Dedup table: the rows, keyed by their cells. Its length is the
+    /// row count, so zero-arity relations (no columns) still count
+    /// their single row.
+    table: IdTable,
     /// The rows' canonical text, rendered on first use while the store
     /// is shared ([`Relation::shared_text`]); a store only ever serves
     /// one predicate, whose name the text carries.
@@ -235,7 +231,6 @@ impl Clone for RowStore {
     fn clone(&self) -> Self {
         RowStore {
             cols: self.cols.clone(),
-            n_rows: self.n_rows,
             arity: self.arity,
             table: self.table.clone(),
             text: OnceLock::new(),
@@ -243,93 +238,50 @@ impl Clone for RowStore {
     }
 }
 
-/// An empty dedup-table slot.
-const EMPTY: u32 = u32::MAX;
-
-fn row_hash(cells: impl Iterator<Item = u32>) -> u64 {
-    let mut h = FxHasher::default();
-    for c in cells {
-        h.write_u32(c);
-    }
-    h.finish()
-}
-
 impl RowStore {
-    /// The table slot of the row equal to `ids` (`Ok`), or the empty
-    /// slot where it would go (`Err`). The table must not be empty.
-    fn probe(&self, ids: &[u32]) -> Result<usize, usize> {
-        let mask = self.table.len() - 1;
-        let mut i = self.slot_of(row_hash(ids.iter().copied()));
-        loop {
-            match self.table[i] {
-                EMPTY => return Err(i),
-                r if self.cols.iter().zip(ids).all(|(col, &id)| col[r as usize] == id) => {
-                    return Ok(i)
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
+    fn len(&self) -> usize {
+        self.table.len()
     }
 
-    /// The home slot of `hash`: its top bits.
-    fn slot_of(&self, hash: u64) -> usize {
-        (hash >> (64 - self.table.len().trailing_zeros())) as usize
+    /// The row equal to `ids` (`Ok`), or where it would go (`Err`).
+    fn probe(&self, ids: &[u32]) -> Result<u32, Vacant> {
+        let cols = &self.cols;
+        self.table.find(ids.iter().copied(), |r| {
+            cols.iter().zip(ids).all(|(col, &id)| col[r as usize] == id)
+        })
     }
 
     fn contains(&self, ids: &[u32]) -> bool {
         self.arity == Some(ids.len()) && self.probe(ids).is_ok()
     }
 
-    /// Append a row known to be new; `slot` is the empty table slot its
-    /// probe found (`None` while the store is empty).
-    fn push(&mut self, ids: &[u32], slot: Option<usize>) {
+    /// Fix the arity of a store that has none yet.
+    fn set_arity(&mut self, arity: usize) {
         if self.arity.is_none() {
-            self.arity = Some(ids.len());
-            self.cols = vec![Vec::new(); ids.len()];
+            self.arity = Some(arity);
+            self.cols = vec![Vec::new(); arity];
         }
-        let row = self.n_rows as u32;
+    }
+
+    /// Append a row known to be new; `at` is where its probe missed.
+    fn push(&mut self, ids: &[u32], at: Vacant) {
+        self.set_arity(ids.len());
         for (col, &cell) in self.cols.iter_mut().zip(ids) {
             col.push(cell);
         }
-        self.n_rows += 1;
-        // Grow beyond 7/8 full; re-inserting every row places this one.
-        match slot {
-            Some(slot) if self.n_rows * 8 <= self.table.len() * 7 => self.table[slot] = row,
-            _ => self.rehash((self.table.len() * 2).max(8)),
-        }
+        let cols = &self.cols;
+        self.table.insert(at, move |r| cols.iter().map(move |col| col[r as usize]));
     }
 
     /// Room for `rows` more rows of `arity` cells: the columns and the
     /// dedup table take them without growing.
     fn reserve(&mut self, arity: usize, rows: usize) {
-        if self.arity.is_none() {
-            self.arity = Some(arity);
-            self.cols = vec![Vec::new(); arity];
-        }
+        self.set_arity(arity);
         for col in &mut self.cols {
             col.reserve(rows);
         }
-        let need = self.n_rows + rows;
-        let mut slots = self.table.len().max(8);
-        while need * 8 > slots * 7 {
-            slots *= 2;
-        }
-        if slots > self.table.len() {
-            self.rehash(slots);
-        }
-    }
-
-    /// Rebuild the table with `slots` slots.
-    fn rehash(&mut self, slots: usize) {
-        self.table = vec![EMPTY; slots];
-        let mask = slots - 1;
-        for r in 0..self.n_rows {
-            let mut i = self.slot_of(row_hash(self.cols.iter().map(|col| col[r])));
-            while self.table[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.table[i] = r as u32;
-        }
+        let cols = &self.cols;
+        self.table.reserve(rows, move |r| cols.iter().map(move |col| col[r as usize]));
     }
 }
 
@@ -346,20 +298,6 @@ impl Clone for Relation {
     }
 }
 
-/// The column bitmask identifying a cached index, or `None` when a
-/// column is beyond the 64 the mask can represent — such column sets
-/// are served by a linear scan instead of an index.
-fn mask_of(cols: &[usize]) -> Option<u64> {
-    let mut mask = 0u64;
-    for &c in cols {
-        if c >= 64 {
-            return None;
-        }
-        mask |= 1 << c;
-    }
-    Some(mask)
-}
-
 impl Relation {
     /// Empty relation.
     pub fn new() -> Relation {
@@ -373,12 +311,12 @@ impl Relation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.n_rows
+        self.rows.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.n_rows == 0
+        self.rows.len() == 0
     }
 
     /// Arity, once the first row fixed it.
@@ -426,20 +364,17 @@ impl Relation {
         // One probe finds both a duplicate and the slot a new row
         // takes; a copy-on-write copy keeps the table, so the slot
         // stays valid.
-        let slot = match self.rows.arity {
-            None => None,
-            Some(_) => match self.rows.probe(ids) {
-                Ok(_) => return false,
-                Err(slot) => Some(slot),
-            },
+        let at = match self.rows.probe(ids) {
+            Ok(_) => return false,
+            Err(at) => at,
         };
-        let id = self.rows.n_rows as u32;
-        for (_, idx) in self.indices.get_mut().expect("index cache lock").iter_mut() {
+        let id = self.len() as u32;
+        for idx in self.indices.get_mut().expect("index cache lock").iter_mut() {
             idx.insert_row(ids, id);
         }
         let rows = Arc::make_mut(&mut self.rows);
         rows.text.take();
-        rows.push(ids, slot);
+        rows.push(ids, at);
         true
     }
 
@@ -502,21 +437,20 @@ impl Relation {
     /// The insertion-ordered columnar arena. Row ids produced by
     /// [`Relation::select_ids_into`] index into this view.
     pub fn rows(&self) -> RowsView<'_> {
-        RowsView { cols: &self.rows.cols, start: 0, end: self.rows.n_rows }
+        RowsView { cols: &self.rows.cols, start: 0, end: self.len() }
     }
 
     /// Rows inserted at or after position `from` (used for deltas).
     pub fn since(&self, from: usize) -> RowsView<'_> {
-        let n = self.rows.n_rows;
+        let n = self.len();
         RowsView { cols: &self.rows.cols, start: from.min(n), end: n }
     }
 
     /// Collect into `out` the arena ids of rows whose projection on
     /// `cols` (ascending column order) equals the encoded `key`; `out`
     /// is cleared first. Builds and caches an index for `cols` on
-    /// first use; subsequent inserts maintain it. Column sets reaching
-    /// past column 63 cannot be masked into the index cache key and
-    /// fall back to an unindexed linear scan.
+    /// first use; subsequent inserts maintain it. A column past the
+    /// relation's arity matches nothing, and builds no index.
     ///
     /// A key containing [`DICT_MISS`] (a constant the dictionary has
     /// never seen) probes normally and matches nothing — stored rows
@@ -530,47 +464,36 @@ impl Relation {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
         debug_assert_eq!(cols.len(), key.len());
         out.clear();
-        let n_rows = self.rows.n_rows;
-        if cols.is_empty() {
-            out.extend(0..n_rows as u32);
+        let Some(&last) = cols.last() else {
+            out.extend(0..self.len() as u32);
             return;
-        }
+        };
         if let Some(m) = &self.metrics {
             m.index_probes.inc();
         }
-        let Some(mask) = mask_of(cols) else {
-            for i in 0..n_rows {
-                if cols
-                    .iter()
-                    .zip(key)
-                    .all(|(&c, &k)| self.rows.cols.get(c).map(|col| col[i]) == Some(k))
-                {
-                    out.push(i as u32);
-                }
-            }
+        if self.rows.arity.is_some_and(|arity| last >= arity) {
             return;
+        }
+        let cached = |cache: &[Index], out: &mut Vec<u32>| {
+            let idx = cache.iter().find(|idx| idx.key_cols() == cols);
+            idx.map(|idx| out.extend(idx.get(key))).is_some()
         };
-        {
-            let cache = self.indices.read().expect("index cache lock");
-            if let Some((_, idx)) = cache.iter().find(|(m, _)| *m == mask) {
-                out.extend_from_slice(idx.get(key));
-                return;
-            }
+        if cached(&self.indices.read().expect("index cache lock"), out) {
+            return;
         }
         let mut cache = self.indices.write().expect("index cache lock");
         // Double-check under the write lock: a concurrent request may
         // have built the same index while we waited, and the build must
         // happen (and be counted) exactly once.
-        if let Some((_, idx)) = cache.iter().find(|(m, _)| *m == mask) {
-            out.extend_from_slice(idx.get(key));
+        if cached(&cache, out) {
             return;
         }
         if let Some(m) = &self.metrics {
             m.index_builds.inc();
         }
         let idx = Index::build(cols.to_vec(), self.rows());
-        out.extend_from_slice(idx.get(key));
-        cache.push((mask, idx));
+        out.extend(idx.get(key));
+        cache.push(idx);
     }
 
     /// Number of cached indices (for tests).
@@ -793,12 +716,12 @@ mod tests {
         let plain: Relation = rows.iter().cloned().collect();
         let mut sized = Relation::new();
         sized.reserve(2, rows.len());
-        let (slots, capacity) = (sized.rows.table.len(), sized.rows.cols[0].capacity());
+        let (slots, capacity) = (sized.rows.table.capacity(), sized.rows.cols[0].capacity());
         for r in &rows {
             sized.insert(r.clone());
         }
         assert_eq!(sized.rows(), plain.rows());
-        assert_eq!((sized.rows.table.len(), sized.rows.cols[0].capacity()), (slots, capacity));
+        assert_eq!((sized.rows.table.capacity(), sized.rows.cols[0].capacity()), (slots, capacity));
         // Zero-arity facts reserve too, and still count one row.
         let mut done = Relation::new();
         done.reserve(0, 3);
@@ -808,10 +731,10 @@ mod tests {
         assert_eq!((done.len(), done.arity()), (1, Some(0)));
     }
 
-    /// Columns ≥ 64 can't participate in the index-cache bitmask; the
-    /// select must fall back to a linear scan instead of panicking.
+    /// Wide relations get an index like any other, and a column past
+    /// the arity matches nothing without building one.
     #[test]
-    fn wide_relations_fall_back_to_linear_scan() {
+    fn wide_relations_get_an_index() {
         let mut r = Relation::new();
         let mut wide: Vec<i64> = (0..70).collect();
         r.insert(Row::new(wide.iter().map(|&v| Value::int(v)).collect()));
@@ -820,9 +743,10 @@ mod tests {
         let hits = select(&r, &[0, 69], &[0, 69]);
         assert_eq!(hits, vec![0]);
         assert_eq!(r.rows().decode_row(0)[69], Value::int(69));
-        assert_eq!(r.num_indices(), 0, "no index cached for unmaskable columns");
-        // Also out-of-range columns simply match nothing.
+        assert_eq!(r.num_indices(), 1);
+        // Out-of-range columns simply match nothing.
         assert!(select(&r, &[0, 200], &[0, 0]).is_empty());
+        assert_eq!(r.num_indices(), 1, "no index is built past the arity");
     }
 
     /// Seeded sweep: after any interleaving of inserts and probes, the
@@ -853,7 +777,11 @@ mod tests {
                     let mut cached = Vec::new();
                     r.select_ids_into(&[key_col], &key, &mut cached);
                     let fresh = Index::build(vec![key_col], r.rows());
-                    assert_eq!(cached, fresh.get(&key), "case {case} col {key_col} key {k}");
+                    assert_eq!(
+                        cached,
+                        fresh.get(&key).collect::<Vec<_>>(),
+                        "case {case} col {key_col} key {k}"
+                    );
                 }
             }
         }

@@ -22,13 +22,14 @@
 //! The structure is columnar. Every congruence class the rule has seen
 //! owns one row of a single **id arena**: the class's current queued,
 //! pending or used fact. A class's key is its row projected onto the
-//! key columns, so no key is stored apart from the row. An
-//! open-addressed **class table** finds a class from a row, and a
-//! binary heap of 16-byte **inline nodes** (`{int, id, class}`) orders
-//! the queued classes. Classes are never removed during an evaluation,
-//! so the table never deletes. No insert or pop allocates for its
-//! candidate: the arena, table and heap only grow, amortised, and
-//! [`Rql::reserve`] sizes them for a whole feed pass up front.
+//! key columns, so no key is stored apart from the row. A **class
+//! table** ([`IdTable`], keyed by the arena rows' key columns) finds a
+//! class from a row, and a binary heap of 16-byte **inline nodes**
+//! (`{int, id, class}`) orders the queued classes. Classes are never
+//! removed during an evaluation, so the table never deletes. No insert
+//! or pop allocates for its candidate: the arena, table and heap only
+//! grow, amortised, and [`Rql::reserve`] sizes them for a whole feed
+//! pass up front.
 //!
 //! Costs and rows are **dictionary ids**, and the ordering contract is
 //! [`cmp_ids`]: ids order by their *decoded* value. A node
@@ -41,14 +42,13 @@
 //! keeps this module reusable for all of the paper's greedy programs.
 
 use std::cmp::Ordering;
-use std::hash::Hasher;
 use std::sync::Arc;
 
 use gbc_ast::Value;
 use gbc_telemetry::Metrics;
 
 use crate::dictionary::{cmp_id_rows, cmp_ids, decode_ref};
-use crate::fx::FxHasher;
+use crate::idtable::IdTable;
 
 /// Result of an [`Rql::insert`], mirroring the paper's case analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,9 +96,6 @@ enum State {
 /// [`Node::int`] is meaningless and the cost compares by dictionary.
 const NOT_INT: u32 = 1 << 31;
 
-/// An empty class-table slot.
-const EMPTY: u32 = u32::MAX;
-
 /// A heap node: the cost inline, and the class whose arena row breaks
 /// cost ties.
 #[derive(Clone, Copy, Debug)]
@@ -133,8 +130,13 @@ struct Counts {
     int_fast_compares: u64,
 }
 
+/// The congruence key of `row`: its ids at `key_cols`.
+fn key_of<'a>(key_cols: &'a [usize], row: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    key_cols.iter().map(|&k| row[k])
+}
+
 /// The (R,Q,L) structure. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Rql {
     arity: usize,
     /// Row columns forming the congruence key.
@@ -148,10 +150,8 @@ pub struct Rql {
     pos: Vec<u32>,
     /// `Q_r`: a binary min-heap under [`Rql::cmp_cost`], then the row.
     heap: Vec<Node>,
-    /// Open-addressed class table (linear probing, power-of-two size),
-    /// indexed by the low bits of the key hash, which spread dense
-    /// dictionary ids (see [`crate::fdtable`]).
-    table: Vec<u32>,
+    /// The classes, keyed by their arena rows' key columns.
+    table: IdTable,
     /// |L_r|.
     used: usize,
     /// |R_r|. The paper keeps `R_r` only to argue redundant tuples are
@@ -170,22 +170,7 @@ impl Rql {
     /// the projection onto `key_cols`. Retrieve yields the least cost.
     pub fn new(arity: usize, key_cols: &[usize]) -> Rql {
         debug_assert!(key_cols.iter().all(|&c| c < arity), "key column out of range");
-        const INITIAL_SLOTS: usize = 16;
-        Rql {
-            arity,
-            key_cols: key_cols.to_vec(),
-            descending: false,
-            rows: Vec::new(),
-            state: Vec::new(),
-            pos: Vec::new(),
-            heap: Vec::new(),
-            table: vec![EMPTY; INITIAL_SLOTS],
-            used: 0,
-            redundant: 0,
-            peak: 0,
-            counts: Counts::default(),
-            metrics: None,
-        }
+        Rql { arity, key_cols: key_cols.to_vec(), ..Rql::default() }
     }
 
     /// A structure whose retrieve operation yields the *maximum* cost —
@@ -227,9 +212,8 @@ impl Rql {
         self.rows.reserve(additional * self.arity);
         self.state.reserve(additional);
         self.pos.reserve(additional);
-        while self.over_load(self.state.len() + additional) {
-            self.grow_table();
-        }
+        let (key_cols, rows, arity) = (&self.key_cols, &self.rows, self.arity);
+        self.table.reserve(additional, move |c| key_of(key_cols, &rows[c as usize * arity..]));
     }
 
     /// The paper's insertion operation: `row` (the fact, as ids) with
@@ -389,58 +373,25 @@ impl Rql {
         &self.rows[class * self.arity..][..self.arity]
     }
 
-    // -- the class table --
-
-    fn hash(&self, row: &[u32]) -> u64 {
-        let mut h = FxHasher::default();
-        for &c in &self.key_cols {
-            h.write_u32(row[c]);
-        }
-        h.finish()
-    }
-
     /// The class of `row`'s key, created [`State::Idle`] (its arena
     /// row a copy of `row`) when the key is new.
     fn class_of(&mut self, row: &[u32]) -> usize {
-        let mask = self.table.len() - 1;
-        let mut i = self.hash(row) as usize & mask;
-        loop {
-            match self.table[i] {
-                EMPTY => break,
-                c if self.key_cols.iter().all(|&k| self.row_of(c as usize)[k] == row[k]) => {
-                    return c as usize
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
+        let (key_cols, rows, arity) = (&self.key_cols, &self.rows, self.arity);
+        let found = self.table.find(key_of(key_cols, row), |c| {
+            key_cols.iter().all(|&k| rows[c as usize * arity + k] == row[k])
+        });
+        let at = match found {
+            Ok(class) => return class as usize,
+            Err(at) => at,
+        };
         let class = self.state.len();
         assert!(class < NOT_INT as usize, "more than 2^31 congruence classes");
         self.rows.extend_from_slice(row);
         self.state.push(State::Idle);
         self.pos.push(0);
-        self.table[i] = class as u32;
-        if self.over_load(self.state.len()) {
-            self.grow_table();
-        }
+        let (key_cols, rows) = (&self.key_cols, &self.rows);
+        self.table.insert(at, move |c| key_of(key_cols, &rows[c as usize * arity..]));
         class
-    }
-
-    /// True when `classes` would fill the table beyond 7/8.
-    fn over_load(&self, classes: usize) -> bool {
-        classes * 8 > self.table.len() * 7
-    }
-
-    /// Double the table and re-insert every class from its arena row.
-    fn grow_table(&mut self) {
-        self.table = vec![EMPTY; self.table.len() * 2];
-        let mask = self.table.len() - 1;
-        for class in 0..self.state.len() {
-            let mut i = self.hash(self.row_of(class)) as usize & mask;
-            while self.table[i] != EMPTY {
-                i = (i + 1) & mask;
-            }
-            self.table[i] = class as u32;
-        }
     }
 
     // -- the heap --
