@@ -129,7 +129,8 @@ echo "== verify: shipped runs are stable models (Theorem 1) =="
 # kruskal is left out: its generic-fixpoint run fails the check (an open
 # correctness item in ROADMAP.md). Each group is verified again under
 # `--generic`, the reference Choice Fixpoint, except huffman: the generic
-# engine reads its `least(C)` literally (ROADMAP.md item 7).
+# engine reads its `least(C)` literally (ROADMAP.md, "One meaning for
+# `least`/`most` and choice in all three engines").
 for group in "${check_groups[@]}"; do
     for engine in "" --generic; do
         [ "$engine" = --generic ] && [ "$group" = programs/huffman.dl ] && continue
@@ -221,13 +222,13 @@ cargo test --release -q --offline -p gbc-bench --test oracle_equivalence
 # the columnar feed, counters included.
 cargo test --release -q --offline -p gbc-bench --test analysis_equivalence
 
-echo "== bench: machine-readable experiment record + ratio gate =="
-# Quick (0-warmup, median-of-3) run of the paper experiments, appended
-# as a labelled run to a copy of BENCH_experiments.json under target/,
-# next to the committed pre/post-PR records, so CI leaves the committed
-# file untouched. The workflow's ci-load re-check reads the same copy.
-# --ratio-gate fails the build when the n-max declarative/classical
-# wall-clock ratio breaches the ceilings committed in experiments.rs.
+echo "== bench: experiment record, ratio gate and regression gate =="
+# Quick (0-warmup, median-of-3) run of the paper experiments E1-E3,
+# appended as a labelled run to a copy of BENCH_experiments.json under
+# target/, next to the committed records, so CI leaves the committed
+# file untouched. --ratio-gate fails the build when the n-max
+# declarative/classical wall-clock ratio breaches the ceilings committed
+# in experiments.rs.
 bench_json=target/ci/BENCH_experiments.json
 mkdir -p "$(dirname "$bench_json")"
 cp BENCH_experiments.json "$bench_json"
@@ -236,86 +237,41 @@ cp BENCH_experiments.json "$bench_json"
     echo "declarative/classical ratio gate failed (see experiments.rs ceilings)" >&2
     exit 1
 }
-grep -q '"label": "ci-quick"' "$bench_json" || {
-    echo "experiments run did not land in $bench_json" >&2
-    exit 1
-}
-# The committed post-PR7 record must exist and carry the dictionary
-# counter columns introduced with the columnar storage layer.
-grep -q '"label": "post-PR7"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR7 run" >&2
-    exit 1
-}
-# The committed post-PR8 record (whole-program analysis + Int cost
-# heap) must exist too.
-grep -q '"label": "post-PR8"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR8 run" >&2
-    exit 1
-}
-# And the post-PR10 record (batched γ feed), the --compare baseline below.
-grep -q '"label": "post-PR10"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR10 run" >&2
-    exit 1
-}
-# The post-PR16 record: the first E1/E2 baseline measured on 2 cores.
-grep -q '"label": "post-PR16"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR16 run" >&2
-    exit 1
-}
-# The post-PR19 record: E1/E2/E3 after the columnar (R,Q,L) rewrite.
-grep -q '"label": "post-PR19"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR19 run" >&2
-    exit 1
-}
-# The post-PR23 record: E1/E2/E3 with each compiled program's facts
-# encoded once and shared by its evaluations.
-grep -q '"label": "post-PR23"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR23 run" >&2
-    exit 1
-}
-# The post-PR24 record: E1/E2/E3 with flat saturation in id space and no
-# confirming flat round (E1's flat_rounds column halves).
-grep -q '"label": "post-PR24"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR24 run" >&2
-    exit 1
-}
-# The post-PR25 record: E1/E2/E3 with facts loaded as a table and
-# encoded once by `compile`.
-grep -q '"label": "post-PR25"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR25 run" >&2
-    exit 1
-}
-# The post-PR26 record: E1/E2/E3 with one admission gate in `compile`.
-grep -q '"label": "post-PR26"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR26 run" >&2
-    exit 1
-}
-# The post-PR28 record: E1/E2/E3 with offset-only tokens and batched
-# fact encoding; E1 and E3 rows carry the `load_ns` column.
-grep -q '"label": "post-PR28"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR28 run" >&2
-    exit 1
-}
-# The post-PR29 record: E3 with blocked candidates retired at commit
-# (`discarded` 0 at every size).
-grep -q '"label": "post-PR29"' "$bench_json" || {
-    echo "BENCH_experiments.json is missing the committed post-PR29 run" >&2
-    exit 1
-}
+# The fresh run and the committed records the trail must keep, the last
+# of them the baseline of the regression gate below.
+for label in ci-quick post-PR7 post-PR8 post-PR10 post-PR16 post-PR19 post-PR23 \
+    post-PR24 post-PR25 post-PR26 post-PR28 post-PR29 quick-baseline; do
+    grep -q "\"label\": \"$label\"" "$bench_json" || {
+        echo "$bench_json is missing the \"$label\" run" >&2
+        exit 1
+    }
+done
 for col in dict_entries encode_hits decode_calls load_ns; do
     grep -q "\"$col\"" "$bench_json" || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1
     }
 done
+# The regression gate: the ci-quick run against the committed quick
+# record of the same three experiments. Semantic counters must match
+# exactly; timing columns only warn, because shared CI boxes cannot
+# hard-gate wall-clock. A change that moves a counter on purpose
+# appends a new quick-baseline record (the gate reads the latest one).
+./target/release/experiments --compare quick-baseline \
+    --json "$bench_json" --tolerance 75 || {
+    echo "ci-quick counters drifted from the committed quick-baseline record" >&2
+    exit 1
+}
 
 echo "== ci-serve: gbc serve endpoint sweep over real TCP =="
 # Boot the actual `gbc serve` binary on an ephemeral port and exercise
 # every endpoint through raw TCP streams (bash /dev/tcp): liveness,
 # load, concurrent-safe evaluation, stats, journal, programs, the
 # Prometheus scrape, and the malformed-request 400 path. The in-process
-# TcpStream coverage (byte-identity with `gbc run`, mid-run scrapes)
-# lives in tests/serve_smoke.rs, which `cargo test` above already ran.
+# TcpStream coverage (byte-identity with `gbc run`, mid-run scrapes,
+# several tenants served concurrently with every counter equal to an
+# in-process run) lives in tests/serve_smoke.rs, which `cargo test`
+# above already ran.
 ./target/release/gbc serve 127.0.0.1:0 programs/sort.dl --threads 2 \
     2>"$serve_log" &
 serve_pid=$!
@@ -368,25 +324,5 @@ http_get /nowhere | head -1 | grep -q '404' || {
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
-
-echo "== ci-load: end-to-end serve-load smoke + regression gate =="
-# A small multi-tenant closed-loop load run (2 sessions × 2 workers,
-# quick request count) driven through a real gbc-serve server over TCP,
-# appended to the bench trail's copy, then gated against the committed
-# post-PR10 record: semantic counters must match exactly; timing columns
-# only warn (75% tolerance — shared CI boxes cannot hard-gate
-# wall-clock, and the TCP path adds connect + framing latency that the
-# pre-PR9 in-process serve-baseline rows never paid).
-./target/release/experiments --serve-load 2x2 --quick \
-    --json "$bench_json" --label "ci-load" >/dev/null
-grep -q '"label": "ci-load"' "$bench_json" || {
-    echo "serve-load run did not land in $bench_json" >&2
-    exit 1
-}
-./target/release/experiments --compare post-PR10 \
-    --json "$bench_json" --tolerance 75 || {
-    echo "serve-load regression gate failed against post-PR10" >&2
-    exit 1
-}
 
 echo "CI OK"

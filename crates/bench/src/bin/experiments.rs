@@ -4,8 +4,7 @@
 //! experiments [prim|sort|matching|kruskal|models|huffman|tsp|spanning|
 //!              scheduling|ablation|seminaive|all]...
 //!             [--quick] [--json <path>] [--label <name>]
-//!             [--serve-load SESSIONSxTHREADS] [--compare LABEL]
-//!             [--tolerance PCT] [--ratio-gate]
+//!             [--compare LABEL] [--tolerance PCT] [--ratio-gate]
 //! ```
 //!
 //! Each experiment prints problem sizes, wall-clock medians (in-tree
@@ -24,21 +23,11 @@
 //! carries a `meta` block (core count, OS/arch) so numbers from
 //! different machines are never compared blind.
 //!
-//! `--serve-load SESSIONSxTHREADS` (also accepts `×`) runs the
-//! multi-tenant closed-loop harness from `gbc_bench::serve` **through a
-//! real `gbc-serve` server over TCP**: tenants are installed as
-//! sessions on an ephemeral-port server and every request is a `POST
-//! /run` via the in-tree HTTP client, so the p50/p90/p99 and
-//! requests-per-second columns measure the end-to-end path a deployed
-//! client sees (connect + framing + evaluation + serialization).
-//! Semantic counter columns are reconstructed from the responses and
-//! stay byte-compatible with the pre-PR9 in-process rows.
-//!
 //! `--compare LABEL` diffs the **newest** run in the `--json` file
 //! against the most recent *earlier* run labelled `LABEL`. Semantic
 //! counters must match exactly (hard failure, exit 1); timing columns
-//! (`*_ns`, `req_per_sec`) only warn beyond `--tolerance PCT` (default
-//! 25), because 1-CPU CI boxes cannot hard-gate wall-clock.
+//! (`*_ns`) only warn beyond `--tolerance PCT` (default 25), because
+//! shared CI boxes cannot hard-gate wall-clock.
 //!
 //! `--ratio-gate` checks the freshly measured largest-size rows of
 //! E1/E2/E3: declarative wall-clock over classical (`classical_ns` for
@@ -62,9 +51,7 @@ use gbc_baselines::prim::prim_mst;
 use gbc_baselines::sorts::{heapsort, insertion_sort};
 use gbc_baselines::tsp::{greedy_chain, is_hamiltonian_path, nearest_neighbour};
 use gbc_baselines::{total_cost, Edge};
-use gbc_bench::{
-    fit_exponent, render_table, serve_load_tcp, standard_tenants, Harness, Sample, Timing,
-};
+use gbc_bench::{fit_exponent, render_table, Harness, Sample, Timing};
 use gbc_greedy::{huffman, kruskal, matching, prim, sorting, spanning, student, tsp, workload};
 use gbc_telemetry::Json;
 
@@ -77,8 +64,7 @@ fn usage(err: &str) -> ! {
         "usage: experiments [prim|sort|matching|kruskal|models|huffman|tsp|spanning|\n\
          \u{20}                   scheduling|ablation|seminaive|all]...\n\
          \u{20}                  [--quick] [--json <path>] [--label <name>]\n\
-         \u{20}                  [--serve-load SESSIONSxTHREADS] [--compare LABEL]\n\
-         \u{20}                  [--tolerance PCT] [--ratio-gate]"
+         \u{20}                  [--compare LABEL] [--tolerance PCT] [--ratio-gate]"
     );
     std::process::exit(2);
 }
@@ -88,25 +74,11 @@ fn require_value(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &str) 
     it.next().cloned().unwrap_or_else(|| usage(&format!("{flag} needs {what}")))
 }
 
-/// `SESSIONSxTHREADS` → `(sessions, threads)`; accepts `x` or `×`.
-fn parse_serve_spec(spec: &str) -> (usize, usize) {
-    let parts: Vec<&str> = spec.split(['x', '×']).collect();
-    let both = match parts.as_slice() {
-        [s, t] => s.trim().parse::<usize>().ok().zip(t.trim().parse::<usize>().ok()),
-        _ => None,
-    };
-    match both {
-        Some((s, t)) if s >= 1 && t >= 1 => (s, t),
-        _ => usage(&format!("bad --serve-load spec `{spec}` (want e.g. 8x4)")),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut json_path: Option<String> = None;
     let mut label = "run".to_owned();
-    let mut serve: Option<(usize, usize)> = None;
     let mut compare: Option<String> = None;
     let mut tolerance = 25.0f64;
     let mut gate = false;
@@ -118,10 +90,6 @@ fn main() {
             "--ratio-gate" => gate = true,
             "--json" => json_path = Some(require_value(&mut it, "--json", "a path")),
             "--label" => label = require_value(&mut it, "--label", "a run label"),
-            "--serve-load" => {
-                let spec = require_value(&mut it, "--serve-load", "SESSIONSxTHREADS (e.g. 8x4)");
-                serve = Some(parse_serve_spec(&spec));
-            }
             "--compare" => compare = Some(require_value(&mut it, "--compare", "a baseline label")),
             "--tolerance" => {
                 let pct = require_value(&mut it, "--tolerance", "a percentage");
@@ -140,7 +108,7 @@ fn main() {
         std::process::exit(compare_runs(&path, &baseline, tolerance));
     }
 
-    if names.is_empty() && serve.is_none() {
+    if names.is_empty() {
         names.push("all".to_owned());
     }
 
@@ -179,9 +147,6 @@ fn main() {
     if run("seminaive") {
         a2_seminaive(quick);
     }
-    if let Some((sessions, workers)) = serve {
-        sl_serve_load(quick, sessions, workers, &mut rec);
-    }
 
     // Gate before the record is consumed, exit after it is appended:
     // a breached ceiling still lands in the JSON history for forensics.
@@ -212,9 +177,10 @@ impl Recorder {
 
     fn into_run(self, label: &str) -> Json {
         Json::obj(vec![
-            // v2: serve-load rows (p50_ns/p90_ns/p99_ns/req_per_sec) may
-            // appear; v1 rows are unchanged, so readers only need the
-            // version to know which columns can exist.
+            // v2: older records in the trail also carry load-test rows
+            // (p50_ns/p90_ns/p99_ns/req_per_sec); v1 rows are unchanged,
+            // so readers only need the version to know which columns
+            // can exist.
             ("schema_version", Json::UInt(2)),
             ("label", Json::Str(label.to_owned())),
             ("meta", run_meta()),
@@ -927,102 +893,18 @@ fn a2_seminaive(quick: bool) {
     );
 }
 
-fn sl_serve_load(quick: bool, sessions: usize, workers: usize, rec: &mut Recorder) {
-    println!(
-        "\n== SL  Serve-load: {sessions} sessions × {workers} workers, multi-tenant over TCP =="
-    );
-    let requests: u64 = if quick { 4 } else { 25 };
-    let tenants = standard_tenants();
-    let report = serve_load_tcp(&tenants, sessions, workers, requests);
-    let mut rows = Vec::new();
-    for t in &report.tenants {
-        // With fewer sessions than tenants, the tail tenants serve none;
-        // skip them so baseline and CI rows always line up.
-        if t.requests == 0 {
-            continue;
-        }
-        rec.push(
-            "serve_load",
-            vec![
-                ("tenant", Json::Str(t.name.to_owned())),
-                ("sessions", Json::UInt(t.sessions as u64)),
-                ("threads", Json::UInt(workers as u64)),
-                ("requests", Json::UInt(t.requests)),
-                ("gamma_steps", Json::UInt(t.per_request.gamma_steps)),
-                ("heap_ops", Json::UInt(t.per_request.heap_ops())),
-                ("tuples_derived", Json::UInt(t.per_request.tuples_derived)),
-                ("p50_ns", Json::UInt(t.latency.p50())),
-                ("p90_ns", Json::UInt(t.latency.p90())),
-                ("p99_ns", Json::UInt(t.latency.p99())),
-            ],
-        );
-        rows.push(vec![
-            t.name.to_owned(),
-            t.sessions.to_string(),
-            t.requests.to_string(),
-            (t.latency.p50() / 1_000).to_string(),
-            (t.latency.p90() / 1_000).to_string(),
-            (t.latency.p99() / 1_000).to_string(),
-            t.per_request.gamma_steps.to_string(),
-            t.per_request.heap_ops().to_string(),
-            t.per_request.tuples_derived.to_string(),
-        ]);
-    }
-    let all = report.merged_latency();
-    rec.push(
-        "serve_load",
-        vec![
-            ("tenant", Json::Str("all".to_owned())),
-            ("sessions", Json::UInt(report.sessions as u64)),
-            ("threads", Json::UInt(report.threads as u64)),
-            ("requests", Json::UInt(report.total_requests())),
-            ("p50_ns", Json::UInt(all.p50())),
-            ("p90_ns", Json::UInt(all.p90())),
-            ("p99_ns", Json::UInt(all.p99())),
-            ("wall_ns", ns(report.wall_secs)),
-            ("req_per_sec", Json::Float((report.req_per_sec() * 10.0).round() / 10.0)),
-        ],
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "tenant",
-                "sessions",
-                "requests",
-                "p50_µs",
-                "p90_µs",
-                "p99_µs",
-                "γ_steps/req",
-                "heap_ops/req",
-                "tuples/req",
-            ],
-            &rows
-        )
-    );
-    println!(
-        "aggregate: {} requests in {:.3}s = {:.1} req/s (p50 {}µs, p99 {}µs); counter columns \
-         are per-request constants, asserted identical within and across sessions",
-        report.total_requests(),
-        report.wall_secs,
-        report.req_per_sec(),
-        all.p50() / 1_000,
-        all.p99() / 1_000,
-    );
-}
-
 // ---------------------------------------------------------------------
 // `--compare`: the perf-regression gate.
 // ---------------------------------------------------------------------
 
 /// Fields that identify a row within an experiment. Everything else in
 /// the row is a measurement and gets compared.
-const KEY_FIELDS: &[&str] = &["n", "e", "threads", "tenant", "sessions", "requests", "seed"];
+const KEY_FIELDS: &[&str] = &["n", "e", "threads", "seed"];
 
 /// Timing columns move with the machine and load; they warn instead of
 /// failing. Everything else is a machine-independent semantic counter.
 fn is_timing_field(name: &str) -> bool {
-    name.ends_with("_ns") || name == "req_per_sec"
+    name.ends_with("_ns")
 }
 
 /// Human-readable identity of a row, built from whichever key fields it
@@ -1116,8 +998,7 @@ fn compare_runs(path: &str, baseline_label: &str, tolerance: f64) -> i32 {
                         continue;
                     };
                     // Sub-microsecond nanosecond baselines are noise; 1µs floor.
-                    let floor = if field.ends_with("_ns") { 1_000.0 } else { 1e-9 };
-                    let pct = (n - b).abs() / b.abs().max(floor) * 100.0;
+                    let pct = (n - b).abs() / b.abs().max(1_000.0) * 100.0;
                     if pct > tolerance {
                         eprintln!(
                             "warn [{name}] {{{key}}}: `{field}` drifted {pct:.1}% ({b} → {n})"

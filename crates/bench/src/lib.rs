@@ -13,9 +13,7 @@
 //! scaling-exponent fits, and table rendering.
 
 pub mod measure;
-pub mod serve;
 pub mod table;
 
 pub use measure::{fit_exponent, time_once, Harness, Sample, Timing};
-pub use serve::{serve_load, serve_load_tcp, standard_tenants, LoadReport, Tenant, TenantReport};
 pub use table::render_table;

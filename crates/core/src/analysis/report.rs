@@ -31,8 +31,9 @@ pub struct PlanFacts {
     pub source: Symbol,
     /// Source column of the extremum cost, if any.
     pub cost_col: Option<usize>,
-    /// The cost column is proved `int`: every heap compare of the rule
-    /// reads inline `i64`s instead of the dictionary.
+    /// Type inference proves the cost column `int`. A fact for the
+    /// report only: the heap compares integer costs inline value by
+    /// value, whatever the column's inferred type.
     pub int_cost: bool,
     /// The feed loop can skip per-row `Bindings` (the GBC032 shape).
     pub fast_feed: bool,
@@ -51,7 +52,7 @@ pub struct AnalyzeReport {
     pub types: TypeInfo,
     /// Reachability, emptiness, dead rules, constant comparisons.
     pub reach: ReachInfo,
-    /// Per-greedy-plan specializations (empty when no plan exists).
+    /// Static facts per greedy plan (empty when no plan exists).
     pub plans: Vec<PlanFacts>,
 }
 

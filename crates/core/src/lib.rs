@@ -195,8 +195,8 @@ impl Compiled {
     }
 
     /// The whole-program analysis report (`gbc analyze`): column types,
-    /// reachability/dead-rule facts, and the executor specializations
-    /// each greedy plan would receive.
+    /// reachability/dead-rule facts, and static facts about each greedy
+    /// plan. The executor reads none of them.
     pub fn analyze_report(&self) -> AnalyzeReport {
         analysis::analyze_program(&self.program, &self.analysis.class, &self.plans)
     }

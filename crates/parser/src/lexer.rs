@@ -447,12 +447,24 @@ impl<'a> Lexer<'a> {
     /// consumed: its escapes are checked, not decoded.
     fn string(&mut self) -> TokenKind {
         loop {
+            let at = self.offset;
             match self.bump() {
                 None => return self.fail_here("unterminated string literal"),
                 Some('"') => break,
                 Some('\\') => match self.bump() {
                     Some('"' | '\\' | 'n') => {}
-                    Some(c) => return self.fail_here(format!("unsupported escape `\\{c}`")),
+                    // Pointed at the backslash; a character that does not
+                    // print, a line break above all, is named by its
+                    // escape, so the message stays on one line.
+                    Some(c) => {
+                        let named: String = c.escape_debug().collect();
+                        let message = if named.chars().eq([c]) {
+                            format!("unsupported escape `\\{c}`")
+                        } else {
+                            format!("unsupported escape: `\\` followed by `{named}`")
+                        };
+                        return self.fail(at, message);
+                    }
                     None => return self.fail_here("unterminated string literal"),
                 },
                 Some(_) => {}

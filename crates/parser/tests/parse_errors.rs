@@ -171,7 +171,7 @@ fn mutated_sources_parse_or_fail_cleanly() {
 /// `(source, rendered error, span)`: lex and parse errors on lines
 /// holding non-ASCII identifiers, `¬`, tabs and CRLF line ends, and on
 /// a last line with no newline.
-const POSITIONS: [(&str, &str, (u32, u32)); 17] = [
+const POSITIONS: [(&str, &str, (u32, u32)); 19] = [
     ("p(é, ö) q.", "parse error at 1:9: expected `.`, found identifier `q`", (10, 11)),
     (
         "q(X) <- p(X), ¬ r(X), ¬ 5.",
@@ -188,8 +188,10 @@ const POSITIONS: [(&str, &str, (u32, u32)); 17] = [
     ("p(a).\nq(b)", "parse error at 2:5: expected `.`, found end of input", (10, 10)),
     ("p(a).\nq(\"ab", "parse error at 2:6: unterminated string literal", (11, 11)),
     ("p(a).\nq(€).", "parse error at 2:3: unexpected character `€`", (8, 11)),
-    ("p(\"a\\tb\").", "parse error at 1:7: unsupported escape `\\t`", (6, 7)),
+    ("p(\"a\\tb\").", "parse error at 1:5: unsupported escape `\\t`", (4, 5)),
+    ("p(\"a\\\nb\").", "parse error at 1:5: unsupported escape: `\\` followed by `\\n`", (4, 5)),
     ("p(\"a\\", "parse error at 1:6: unterminated string literal", (5, 5)),
+    ("p(\"a\\\n", "parse error at 1:5: unsupported escape: `\\` followed by `\\n`", (4, 5)),
     ("p(9223372036854775808).", "parse error at 1:22: integer literal overflows i64", (21, 22)),
     ("p(\"a\nb\") q.", "parse error at 2:5: expected `.`, found identifier `q`", (9, 10)),
     ("p(a) \"x\\\"y\".", "parse error at 1:6: expected `.`, found string \"x\\\"y\"", (5, 11)),

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client over `std::net::TcpStream` — enough
-//! to drive every `gbc serve` endpoint from the bench harness, the
-//! smoke tests and CI without shelling out to curl (which keeps the
-//! end-to-end path measurable and the zero-dependency policy intact).
+//! to drive every `gbc serve` endpoint from the smoke tests and CI
+//! without shelling out to curl (which keeps the zero-dependency policy
+//! intact).
 //!
 //! One request per connection, mirroring the server's one-shot model:
 //! connect, write, read to EOF, parse. Returned errors are plain

@@ -1,6 +1,6 @@
 //! # gbc-serve — the long-running Greedy-by-Choice evaluation service
 //!
-//! ROADMAP item 1: load `.dl` programs **once** into shared state
+//! Load `.dl` programs **once** into shared state
 //! (compiled plans + interned EDBs behind `Arc`), then answer
 //! evaluation requests from concurrent clients over plain HTTP/JSON —
 //! built entirely on `std::net`, keeping the workspace's
@@ -16,7 +16,7 @@
 //! * [`router`] — endpoint dispatch (`/healthz`, `/metrics`, `/stats`,
 //!   `/journal`, `/programs`, `/load`, `/run`);
 //! * [`client`] — a tiny blocking HTTP client over `TcpStream`, used by
-//!   the bench harness, the smoke tests and CI (no curl dependency).
+//!   the smoke tests and CI (no curl dependency).
 //!
 //! Concurrency model: one acceptor thread, a fixed pool of request
 //! workers fed over an `mpsc` channel, one request per connection
@@ -76,7 +76,7 @@ impl Server {
     }
 
     /// The shared state, for pre-installing sessions (the CLI preloads
-    /// `.dl` files; the bench harness installs its tenants directly).
+    /// its `.dl` files this way).
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
     }

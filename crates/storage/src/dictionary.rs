@@ -26,7 +26,8 @@
 //!   `u32::MAX` ids and the next new value panics with
 //!   [`DictionaryFull`]'s message. No realistic workload reaches that
 //!   ceiling before it exhausts memory; making a long-lived server
-//!   survive it is ROADMAP item 6.
+//!   survive it belongs to ROADMAP.md's "Values belong to a fact base,
+//!   not the process".
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,16 +5,16 @@
 //! `2^BITS` land in exact unit buckets, and each octave above is split
 //! into `2^BITS` sub-buckets, so every recorded value is reproduced to
 //! a relative error of at most `2^-BITS` at any scale. That bound is
-//! what makes the quantile columns of the serve-load bench trustworthy
-//! without storing raw samples.
+//! what makes the γ-round quantiles of `--stats-json`, `/stats` and
+//! `/metrics` trustworthy without storing raw samples.
 //!
 //! The representation is **mergeable**: every histogram shares one
 //! bucket boundary grid, so [`Histogram::merge`] adds bucket counts and
-//! is exact — merging per-worker histograms at
-//! the end of a load run loses nothing relative to recording every
+//! is exact — `gbc serve` merging each run's round histogram into its
+//! process-lifetime one loses nothing relative to recording every
 //! sample into one shared (contended) histogram. Merge is associative
-//! and commutative by construction, which lets the serve-load harness
-//! combine per-session histograms in any order.
+//! and commutative by construction, so concurrent runs may merge in
+//! any order.
 //!
 //! No atomics: recording is single-writer per histogram. Concurrent
 //! use is per-thread histograms merged after the fact — the cheap,

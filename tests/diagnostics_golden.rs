@@ -143,8 +143,9 @@ const GROUPS: [&[&str]; 9] = [
 ];
 
 /// Groups whose greedy and generic runs are known to differ: the
-/// generic engine reads huffman's `least(C)` literally (ROADMAP.md
-/// item 1). Their runs must still agree on success.
+/// generic engine reads huffman's `least(C)` literally (ROADMAP.md,
+/// "One meaning for `least`/`most` and choice in all three engines").
+/// Their runs must still agree on success.
 const KNOWN_ENGINE_GAPS: [&str; 1] = ["programs/huffman.dl"];
 
 /// On every fixture and shipped group, `gbc check` and the admission

@@ -6,8 +6,11 @@
 //!
 //! * a program loaded over `POST /load` and evaluated by **concurrent**
 //!   `/run` sessions returns results **byte-identical** to `gbc run`
-//!   on the same files, with identical pinned semantic counters on
+//!   on the same files, with the whole counter snapshot identical on
 //!   every request;
+//! * several tenants loaded into one server and run from interleaved
+//!   clients each answer exactly what an in-process evaluation of the
+//!   same text gives: result text and every counter;
 //! * a `GET /metrics` scrape taken **while runs are in flight** changes
 //!   neither results nor counters, and the scrape itself carries the
 //!   §13 metric families, per-phase evaluation time included;
@@ -20,6 +23,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gbc_greedy::graph::Graph;
+use gbc_greedy::{matching, prim, sorting, workload};
 use gbc_serve::{client, Server, Session};
 use gbc_storage::{dict_stats, Database};
 use gbc_telemetry::{JournalBuffer, Json, Telemetry};
@@ -40,15 +45,49 @@ fn prim_source() -> String {
     source
 }
 
-/// What `gbc run programs/prim.dl programs/graph_small.dl` prints
-/// (minus the trailing newline), plus its counter snapshot — computed
-/// in-process through the same layers the CLI uses.
-fn expected_prim_run() -> (String, Json) {
-    let program = gbc_parser::parse_program(&prim_source()).unwrap();
+/// Three tenants as inline program text: Prim's MST on a seeded
+/// 64-node graph, the paper's sort over 256 items, and greedy matching
+/// over 256 arcs (two choice FDs).
+fn tenant_sources() -> [(&'static str, String); 3] {
+    let with_arcs = |program: &str, graph: &Graph| {
+        let mut text = format!("{program}\n");
+        for e in &graph.edges {
+            text.push_str(&format!("g({}, {}, {}).\n", e.from, e.to, e.cost));
+        }
+        text
+    };
+    let mut sort = format!("{}\n", sorting::PROGRAM);
+    for (x, c) in workload::random_items(256, 42) {
+        sort.push_str(&format!("p({x}, {c}).\n"));
+    }
+    [
+        ("prim", with_arcs(&prim::program_text(0), &workload::connected_graph(64, 192, 1000, 42))),
+        ("sort", sort),
+        ("matching", with_arcs(matching::PROGRAM, &workload::random_arcs(64, 256, 42))),
+    ]
+}
+
+/// What `gbc run` prints for `source` (minus the trailing newline),
+/// plus its counter snapshot — computed in-process through the same
+/// layers the CLI and `/run` use.
+fn in_process_run(source: &str) -> (String, Json) {
+    let program = gbc_parser::parse_program(source).unwrap();
     let compiled = gbc_core::compile(program).unwrap();
     let tel = Telemetry::enabled();
     let run = compiled.run_telemetry(&Database::new(), &tel).unwrap();
     (run.db.canonical_form(), tel.snapshot().to_json())
+}
+
+/// One `POST /run` on `session`: the reply's result text and counters.
+fn run_session(addr: &str, session: &str) -> (String, Json) {
+    let body = format!("{{\"session\": \"{session}\"}}");
+    let (status, reply) = client::post_json(addr, "/run", &body).expect("POST /run");
+    assert_eq!(status, 200, "{reply}");
+    let json = Json::parse(reply.trim()).unwrap();
+    (
+        json.get("result").and_then(|r| r.as_str()).unwrap().to_owned(),
+        json.get("counters").unwrap().clone(),
+    )
 }
 
 /// The keys of a JSON object (empty for anything else).
@@ -79,7 +118,7 @@ fn load_prim(addr: &str) {
 
 #[test]
 fn concurrent_runs_match_gbc_run_byte_for_byte() {
-    let (expected_result, expected_counters) = expected_prim_run();
+    let (expected_result, expected_counters) = in_process_run(&prim_source());
     let (addr, handle) = start_server();
     load_prim(&addr);
 
@@ -89,21 +128,7 @@ fn concurrent_runs_match_gbc_run_byte_for_byte() {
         let clients: Vec<_> = (0..4)
             .map(|_| {
                 let addr = addr.clone();
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..2 {
-                        let (status, reply) =
-                            client::post_json(&addr, "/run", "{\"session\": \"prim\"}")
-                                .expect("POST /run");
-                        assert_eq!(status, 200, "{reply}");
-                        let json = Json::parse(reply.trim()).unwrap();
-                        out.push((
-                            json.get("result").and_then(|r| r.as_str()).unwrap().to_owned(),
-                            json.get("counters").unwrap().clone(),
-                        ));
-                    }
-                    out
-                })
+                s.spawn(move || (0..2).map(|_| run_session(&addr, "prim")).collect::<Vec<_>>())
             })
             .collect();
         let scraper = {
@@ -123,14 +148,10 @@ fn concurrent_runs_match_gbc_run_byte_for_byte() {
     assert_eq!(results.len(), 8);
     for (result, counters) in &results {
         assert_eq!(result, &expected_result, "server result differs from `gbc run`");
-        let pinned = ["gamma_steps", "heap_pops", "tuples_derived", "flat_rounds"];
-        for key in pinned {
-            assert_eq!(
-                counters.get(key),
-                expected_counters.get(key),
-                "pinned counter `{key}` drifted under concurrency + mid-run scrape"
-            );
-        }
+        assert_eq!(
+            counters, &expected_counters,
+            "counters drifted under concurrency + mid-run scrape"
+        );
     }
 
     // After the storm: the metrics plane saw every run.
@@ -140,6 +161,49 @@ fn concurrent_runs_match_gbc_run_byte_for_byte() {
     assert!(text.contains("gbc_http_requests_total{endpoint=\"/run\"} 8\n"));
     assert!(text.contains("gbc_gamma_round_nanoseconds_count"));
     assert!(text.contains("gbc_sessions_loaded 1\n"));
+    handle.shutdown();
+}
+
+#[test]
+fn tenants_served_concurrently_match_in_process_runs() {
+    let tenants = tenant_sources();
+    let (addr, handle) = start_server();
+    for (name, source) in &tenants {
+        let (status, reply) = client::post_json(&addr, "/load", &load_body(name, source)).unwrap();
+        assert_eq!(status, 200, "loading `{name}`: {reply}");
+    }
+
+    // Six clients, two per tenant and interleaved, three requests each:
+    // every tenant is evaluated while the others are in flight.
+    let replies: Vec<(&str, String, Json)> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..6)
+            .map(|c| {
+                let (name, addr) = (tenants[c % tenants.len()].0, addr.as_str());
+                s.spawn(move || {
+                    (0..3)
+                        .map(|_| {
+                            let (result, counters) = run_session(addr, name);
+                            (name, result, counters)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+
+    assert_eq!(replies.len(), 18);
+    for (name, source) in &tenants {
+        let (result, counters) = in_process_run(source);
+        let gamma_steps = counters.get("gamma_steps").and_then(Json::as_u64);
+        assert!(gamma_steps > Some(0), "tenant `{name}` did no γ work");
+        let served: Vec<_> = replies.iter().filter(|(n, ..)| n == name).collect();
+        assert_eq!(served.len(), 6, "tenant `{name}`");
+        for (_, served_result, served_counters) in served {
+            assert_eq!(served_result, &result, "tenant `{name}`: result differs in-process");
+            assert_eq!(served_counters, &counters, "tenant `{name}`: counters differ in-process");
+        }
+    }
     handle.shutdown();
 }
 
