@@ -240,13 +240,13 @@ cp BENCH_experiments.json "$bench_json"
 # The fresh run and the committed records the trail must keep, the last
 # of them the baseline of the regression gate below.
 for label in ci-quick post-PR7 post-PR8 post-PR10 post-PR16 post-PR19 post-PR23 \
-    post-PR24 post-PR25 post-PR26 post-PR28 post-PR29 quick-baseline; do
+    post-PR24 post-PR25 post-PR26 post-PR28 post-PR29 pre-PR32 post-PR32 quick-baseline; do
     grep -q "\"label\": \"$label\"" "$bench_json" || {
         echo "$bench_json is missing the \"$label\" run" >&2
         exit 1
     }
 done
-for col in dict_entries encode_hits decode_calls load_ns; do
+for col in dict_entries encode_hits decode_calls load_ns render_ns; do
     grep -q "\"$col\"" "$bench_json" || {
         echo "BENCH_experiments.json rows lack column: $col" >&2
         exit 1

@@ -362,6 +362,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
         let (compiled, edb) = prim::prepared(&g, 0);
         let (base, t_base) = h.run(|| prim_mst(g.n, &g.edges, 0));
         let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
+        let (_, t_render) = h.run(|| run.db.canonical_form());
         let t_load = load_timing(&h, &inline_text(&prim::program_text(0), &g.edges));
         let decl_edges = prim::decode(&run);
         assert_eq!(total_cost(&decl_edges), total_cost(&base), "MST costs must agree");
@@ -386,6 +387,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
                 ("decl_ns", ns(t_decl.median_secs)),
                 ("classical_ns", ns(t_base.median_secs)),
                 ("load_ns", ns(t_load.median_secs)),
+                ("render_ns", ns(t_render.median_secs)),
                 ("mst_cost", Json::Int(total_cost(&decl_edges))),
                 ("heap_ops", Json::UInt(heap_ops)),
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
@@ -406,6 +408,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
             secs(t_base.median_secs),
             format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
             secs(t_load.median_secs),
+            secs(t_render.median_secs),
             total_cost(&decl_edges).to_string(),
             heap_ops.to_string(),
             format!("{:.3}", heap_ops as f64 / elog),
@@ -425,6 +428,7 @@ fn e1_prim(quick: bool, rec: &mut Recorder) {
                 "classical_s",
                 "ratio",
                 "load_s",
+                "render_s",
                 "mst_cost",
                 "heap_ops",
                 "ops/(e·lg e)",
@@ -538,6 +542,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
         let compiled = matching::compiled();
         let edb = g.to_edb();
         let (run, t_decl) = h.run(|| compiled.run_greedy(&edb).unwrap());
+        let (_, t_render) = h.run(|| run.db.canonical_form());
         let (base, t_base) = h.run(|| greedy_matching(g.n, &g.edges));
         let t_load = load_timing(&h, &inline_text(matching::PROGRAM, &g.edges));
         let decl = matching::decode(&run);
@@ -552,6 +557,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 ("decl_ns", ns(t_decl.median_secs)),
                 ("classical_ns", ns(t_base.median_secs)),
                 ("load_ns", ns(t_load.median_secs)),
+                ("render_ns", ns(t_render.median_secs)),
                 ("heap_ops", Json::UInt(run.snapshot.heap_ops())),
                 ("gamma_steps", Json::UInt(run.snapshot.gamma_steps)),
                 ("discarded_pops", Json::UInt(run.snapshot.discarded_pops)),
@@ -565,6 +571,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
             secs(t_base.median_secs),
             format!("{:.1}", t_decl.median_secs / t_base.median_secs.max(1e-9)),
             secs(t_load.median_secs),
+            secs(t_render.median_secs),
             run.snapshot.heap_ops().to_string(),
             run.snapshot.discarded_pops.to_string(),
             run.snapshot.plan_cache_hits.to_string(),
@@ -580,6 +587,7 @@ fn e3_matching(quick: bool, rec: &mut Recorder) {
                 "classical_s",
                 "ratio",
                 "load_s",
+                "render_s",
                 "heap_ops",
                 "discarded",
                 "plan_hits",

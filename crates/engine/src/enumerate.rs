@@ -9,7 +9,7 @@
 //! databases. Exponential in general, it is meant for the small
 //! instances used to validate semantics (experiment V2).
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use gbc_ast::Program;
 use gbc_storage::Database;
@@ -49,19 +49,17 @@ pub fn all_choice_models_with(
         edb,
         ChoiceFixpointConfig { max_gamma_steps: config.max_nodes },
     )?;
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut models: Vec<Database> = Vec::new();
+    // Keyed by canonical form: the text that dedups the models also
+    // orders them, so each model renders once.
+    let mut models: BTreeMap<String, Database> = BTreeMap::new();
     let mut nodes: u64 = 0;
-    dfs(root, &mut seen, &mut models, &mut nodes, &config)?;
-    // Deterministic order: sort by canonical form.
-    models.sort_by_key(Database::canonical_form);
-    Ok(models)
+    dfs(root, &mut models, &mut nodes, &config)?;
+    Ok(models.into_values().collect())
 }
 
 fn dfs(
     mut state: ChoiceFixpoint,
-    seen: &mut BTreeSet<String>,
-    models: &mut Vec<Database>,
+    models: &mut BTreeMap<String, Database>,
     nodes: &mut u64,
     config: &EnumerateConfig,
 ) -> Result<(), EngineError> {
@@ -72,19 +70,19 @@ fn dfs(
     state.saturate_flat()?;
     let cands = state.candidates()?;
     if cands.is_empty() {
-        let canon = state.database().canonical_form();
-        if seen.insert(canon) {
-            if models.len() >= config.max_models {
+        let full = models.len() >= config.max_models;
+        if let Entry::Vacant(slot) = models.entry(state.database().canonical_form()) {
+            if full {
                 return Err(EngineError::StepLimit { steps: *nodes });
             }
-            models.push(state.into_database());
+            slot.insert(state.into_database());
         }
         return Ok(());
     }
     for cand in &cands {
         let mut branch = state.clone();
         branch.commit(cand);
-        dfs(branch, seen, models, nodes, config)?;
+        dfs(branch, models, nodes, config)?;
     }
     Ok(())
 }

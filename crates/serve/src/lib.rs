@@ -43,6 +43,7 @@ pub mod state;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -118,9 +119,7 @@ impl Server {
                             Ok(s) => s,
                             Err(_) => break, // acceptor gone, drain done
                         };
-                        state.metrics.pool_busy.add(1);
-                        handle_connection(&state, stream);
-                        state.metrics.pool_busy.add(-1);
+                        serve_connection(&state, stream, router::dispatch);
                     }
                 });
             }
@@ -145,21 +144,40 @@ impl Server {
     }
 }
 
-/// Answer one connection: read a request, dispatch it, write the
-/// response, close. Unparseable requests answer 400; an empty
-/// connection (probe) just closes.
-fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+/// Answer one connection on a worker, counted busy meanwhile: read a
+/// request, `dispatch` it, write the response, close. Unparseable
+/// requests answer 400; an empty connection (probe) just closes. A
+/// panic in `dispatch` answers 500 and counts in
+/// `gbc_worker_panics_total`, and the worker goes on to its next
+/// connection.
+fn serve_connection(
+    state: &ServerState,
+    mut stream: TcpStream,
+    dispatch: impl FnOnce(&ServerState, &http::Request) -> http::Response,
+) {
+    state.metrics.pool_busy.add(1);
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match http::read_request(&mut stream) {
-        Ok(None) => return,
-        Ok(Some(req)) => router::dispatch(state, &req),
+        Ok(None) => None,
+        // The state a panicking dispatch leaves behind is the shared
+        // session table and metrics, each behind its own lock or atomic.
+        Ok(Some(req)) => Some(
+            panic::catch_unwind(AssertUnwindSafe(|| dispatch(state, &req))).unwrap_or_else(|_| {
+                state.metrics.worker_panics.inc();
+                state.metrics.errors.inc();
+                http::Response::error(500, "internal error: the request's handler panicked")
+            }),
+        ),
         Err(e) => {
             state.metrics.errors.inc();
-            http::Response::error(400, &format!("malformed request: {e}"))
+            Some(http::Response::error(400, &format!("malformed request: {e}")))
         }
     };
-    let _ = response.write(&mut stream);
+    if let Some(response) = response {
+        let _ = response.write(&mut stream);
+    }
+    state.metrics.pool_busy.add(-1);
 }
 
 /// A running server: address, shared state, and the stop switch.
@@ -265,5 +283,34 @@ mod tests {
         assert_eq!(status, 400);
         assert!(reply.contains("\"error\""));
         handle.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_dispatch_answers_500_and_keeps_the_worker() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap().to_string();
+        let state = ServerState::new();
+        let metrics = &state.metrics;
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| client::post_json(&addr, "/run", "{}"));
+            let (stream, _) = listener.accept().unwrap();
+            serve_connection(&state, stream, |_, _| panic!("dispatch blew up"));
+            let (status, body) = client.join().unwrap().unwrap();
+            assert_eq!(status, 500);
+            assert!(body.contains("panicked"), "{body}");
+        });
+        assert_eq!(metrics.worker_panics.get(), 1);
+        assert_eq!(metrics.errors.get(), 1);
+        assert_eq!(metrics.pool_busy.get(), 0, "the busy gauge is restored");
+        // The same worker answers its next connection.
+        std::thread::scope(|scope| {
+            let client = scope.spawn(|| client::get(&addr, "/healthz"));
+            let (stream, _) = listener.accept().unwrap();
+            serve_connection(&state, stream, router::dispatch);
+            assert_eq!(client.join().unwrap().unwrap().0, 200);
+        });
+        assert_eq!(metrics.worker_panics.get(), 1);
+        assert_eq!(metrics.pool_busy.get(), 0);
+        assert!(metrics.registry.render_prometheus().contains("gbc_worker_panics_total 1"));
     }
 }

@@ -79,6 +79,8 @@ pub struct ServerMetrics {
     latency: Vec<(&'static str, Arc<SharedHist>)>,
     /// Requests answered with a non-2xx status.
     pub errors: Arc<Counter>,
+    /// Requests whose handler panicked (each answered 500).
+    pub worker_panics: Arc<Counter>,
     /// Completed evaluation runs, across sessions.
     pub runs: Arc<Counter>,
     /// Per-γ-round wall time, merged from every run's round histogram.
@@ -141,6 +143,8 @@ impl ServerMetrics {
         ServerMetrics {
             errors: registry
                 .counter("gbc_http_errors_total", "HTTP requests answered with a non-2xx status"),
+            worker_panics: registry
+                .counter("gbc_worker_panics_total", "Requests whose handler panicked"),
             runs: registry.counter("gbc_runs_total", "Completed evaluation runs"),
             gamma_rounds: registry
                 .hist("gbc_gamma_round_nanoseconds", "Per-gamma-round wall time across runs"),

@@ -8,7 +8,7 @@ use gbc_telemetry::Metrics;
 use crate::dictionary;
 use crate::fx::FxHashMap;
 use crate::provenance::ProvenanceArena;
-use crate::relation::Relation;
+use crate::relation::{Relation, RowsView};
 use crate::tuple::Row;
 
 /// A database instance. Relations are keyed by predicate [`Symbol`]
@@ -165,106 +165,167 @@ impl Database {
     /// the canonical form used in golden tests.
     ///
     /// Rows are ordered in id space: each relation's row positions sort
-    /// by the `Value` order of their cells ([`dictionary::cmp_ids`]),
-    /// which is the order of the decoded rows, and the cells print
-    /// straight from their dictionary borrows into one output buffer.
-    /// Like a decoded-row render, it counts one `decode_calls` per
-    /// printed cell. A relation whose row store is shared (a compiled
-    /// program's facts, a caller's EDB) prints from the store's cached
-    /// text, rendered — and counted — on first use only.
+    /// on one machine-word key per row (see `sort_run`) into the
+    /// `Value` order of their cells ([`dictionary::cmp_ids`]), which is
+    /// the order of the decoded rows, and the cells print straight into
+    /// one byte buffer, sized once. Like a decoded-row render, it
+    /// counts one `decode_calls` per printed cell. A relation whose row
+    /// store is shared (a compiled program's facts, a caller's EDB)
+    /// prints from the store's cached text, rendered — and counted — on
+    /// first use only.
     pub fn canonical_form(&self) -> String {
         let estimate: usize = self
             .relations
             .iter()
             .map(|(p, rel)| rel.len() * (p.as_str().len() + 3 + 8 * rel.arity().unwrap_or(0)))
             .sum();
-        let mut out = String::with_capacity(estimate);
+        let mut out = Vec::with_capacity(estimate);
         for (p, rel) in self.sorted() {
             let shared = rel.shared_text(|| {
-                let mut text = String::new();
+                let mut text = Vec::new();
                 render_relation(p, rel, &mut text);
-                text
+                String::from_utf8(text).expect("a render writes UTF-8")
             });
             match shared {
                 Some("") => {}
                 Some(text) => {
                     if !out.is_empty() {
-                        out.push('\n');
+                        out.push(b'\n');
                     }
-                    out.push_str(text);
+                    out.extend_from_slice(text.as_bytes());
                 }
                 None => render_relation(p, rel, &mut out),
             }
         }
-        out
+        String::from_utf8(out).expect("a render writes UTF-8")
     }
 }
 
 /// Append `rel`'s rows to `out` as sorted ground facts `p(…).`, each
 /// on its own line after whatever `out` already holds.
-///
-/// Row positions sort in the `Value` order of their cells, the order
-/// [`dictionary::cmp_ids`] defines. The first column, which decides
-/// most comparisons, is decoded once per row for the sort; the later
-/// columns are compared only on a tie. Decoding every cell up front
-/// would hold a borrow per cell at once, for no faster sort.
-fn render_relation(p: Symbol, rel: &Relation, out: &mut String) {
+fn render_relation(p: Symbol, rel: &Relation, out: &mut Vec<u8>) {
     let rows = rel.rows();
     let (n, arity) = (rows.len(), rows.arity());
     let mut order: Vec<u32> = (0..n as u32).collect();
     if arity > 0 {
-        let first: Vec<&'static Value> =
-            (0..n).map(|r| dictionary::decode_ref(rows.cell(r, 0))).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            first[a].cmp(first[b]).then_with(|| {
-                (1..arity)
-                    .map(|c| dictionary::cmp_ids(rows.cell(a, c), rows.cell(b, c)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        });
+        sort_run(&rows, &mut vec![0; n], &mut order, 0);
     }
     dictionary::count_decodes((n * arity) as u64);
     for r in order {
         if !out.is_empty() {
-            out.push('\n');
+            out.push(b'\n');
         }
-        out.push_str(p.as_str());
+        out.extend_from_slice(p.as_str().as_bytes());
         for c in 0..arity {
-            out.push(if c == 0 { '(' } else { ',' });
+            out.push(if c == 0 { b'(' } else { b',' });
             push_value(out, dictionary::decode_ref(rows.cell(r as usize, c)));
         }
         if arity > 0 {
-            out.push(')');
+            out.push(b')');
         }
-        out.push('.');
+        out.push(b'.');
     }
 }
 
+/// Flips an integer's sign bit, so that unsigned key order is signed
+/// integer order.
+const SIGN: u64 = 1 << 63;
+
+/// Sort `run`, row positions whose rows agree on every column before
+/// `col`, into the `Value` order of columns `col..`. `keys` holds one
+/// sort key per row of `rows`.
+///
+/// Each row's cell in `col` is read once, into its key: the run splits
+/// into `nil`s, integers and the rest, which is `Value`'s shape order.
+/// Integers sort as machine integers on the key; symbols, strings and
+/// functors keep their id as the key and sort by
+/// [`dictionary::cmp_ids`]. Every stretch of equal keys (all the
+/// `nil`s are one) then sorts on the next column the same way, so a
+/// later column is read only for rows tied on the earlier ones, and
+/// the sort holds one key per row whatever the arity.
+fn sort_run(rows: &RowsView<'_>, keys: &mut [u64], run: &mut [u32], col: usize) {
+    let (mut nils, mut at, mut rest) = (0, 0, run.len());
+    while at < rest {
+        let row = run[at] as usize;
+        let id = rows.cell(row, col);
+        match *dictionary::decode_ref(id) {
+            Value::Nil => {
+                run.swap(nils, at);
+                nils += 1;
+                at += 1;
+            }
+            Value::Int(i) => {
+                keys[row] = i as u64 ^ SIGN;
+                at += 1;
+            }
+            _ => {
+                keys[row] = u64::from(id);
+                rest -= 1;
+                run.swap(at, rest);
+            }
+        }
+    }
+    let (nil_run, keyed) = run.split_at_mut(nils);
+    let (ints, others) = keyed.split_at_mut(rest - nils);
+    ints.sort_unstable_by_key(|&r| keys[r as usize]);
+    others.sort_unstable_by(|&a, &b| {
+        dictionary::cmp_ids(keys[a as usize] as u32, keys[b as usize] as u32)
+    });
+    if col + 1 == rows.arity() {
+        return;
+    }
+    if nil_run.len() > 1 {
+        sort_run(rows, keys, nil_run, col + 1);
+    }
+    for keyed in [ints, others] {
+        let mut start = 0;
+        while start < keyed.len() {
+            let key = keys[keyed[start] as usize];
+            let len = keyed[start..].iter().take_while(|&&r| keys[r as usize] == key).count();
+            if len > 1 {
+                sort_run(rows, keys, &mut keyed[start..start + len], col + 1);
+            }
+            start += len;
+        }
+    }
+}
+
+/// Two-digit groups `00`–`99`, for printing integers.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
 /// Append `v` as [`Value`]'s `Display` prints it, integers without
 /// going through the formatter.
-fn push_value(out: &mut String, v: &Value) {
-    use std::fmt::Write;
+fn push_value(out: &mut Vec<u8>, v: &Value) {
+    use std::io::Write;
     let Value::Int(i) = *v else {
-        write!(out, "{v}").expect("writing to a String cannot fail");
+        write!(out, "{v}").expect("writing to a Vec cannot fail");
         return;
     };
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     let mut m = i.unsigned_abs();
-    loop {
+    while m >= 100 {
+        let pair = (m % 100) as usize * 2;
+        m /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if m >= 10 {
+        let pair = m as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        digits[at] = b'0' + (m % 10) as u8;
-        m /= 10;
-        if m == 0 {
-            break;
-        }
+        digits[at] = b'0' + m as u8;
     }
     if i < 0 {
-        out.push('-');
+        out.push(b'-');
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[at..]);
 }
 
 impl std::fmt::Display for Database {
@@ -328,13 +389,23 @@ mod tests {
         const STRS: [&str; 4] = ["", "x y", "quote\"d", "tab\tnew\nline"];
         match rng.below(if depth == 0 { 4 } else { 5 }) {
             0 => Value::Nil,
-            1 => Value::int(rng.range_i64(-50, 50)),
+            1 => random_int(rng),
             2 => Value::sym(SYMS[rng.below_usize(SYMS.len())]),
             3 => Value::str(STRS[rng.below_usize(STRS.len())]),
             _ => {
                 let args = (0..rng.below(3)).map(|_| random_value(rng, depth - 1)).collect();
                 Value::func(["t", "f"][rng.below_usize(2)], args)
             }
+        }
+    }
+
+    /// A random integer: often one of the extremes of `i64` or the
+    /// values around zero, else a small one.
+    fn random_int(rng: &mut gbc_telemetry::Rng) -> Value {
+        const EDGES: [i64; 5] = [i64::MIN, i64::MAX, -1, 0, 1];
+        match rng.below(4) {
+            0 => Value::int(EDGES[rng.below_usize(EDGES.len())]),
+            _ => Value::int(rng.range_i64(-50, 50)),
         }
     }
 
@@ -351,16 +422,40 @@ mod tests {
         lines.join("\n")
     }
 
-    /// A database of four random relations `r0`–`r3`, relation `ri` of
-    /// arity `i` (so zero-arity facts mix in), up to `max_rows` rows each.
+    /// A database of random relations, up to `max_rows` rows each:
+    /// - `r0`–`r3`, relation `ri` of arity `i`, cells of every shape;
+    /// - `done`, a second zero-arity relation;
+    /// - `nil_int`, `nil` mixed with integers in every column, the shape
+    ///   of an exit row `prm(nil, 0, 0, 0)` among its stage rows;
+    /// - `int_first`, integers in the first column, any shape after it;
+    /// - `runs`, up to four times as many rows over two first cells, so
+    ///   long runs of equal first cells sort on the later columns.
     fn random_database(rng: &mut gbc_telemetry::Rng, max_rows: u64) -> Database {
         let mut db = Database::new();
         for (i, pred) in ["r0", "r1", "r2", "r3"].into_iter().enumerate() {
-            let arity = if i == 0 { 0 } else { i };
             for _ in 0..rng.below(max_rows) {
-                let row = (0..arity).map(|_| random_value(rng, 2)).collect();
+                let row = (0..i).map(|_| random_value(rng, 2)).collect();
                 db.insert_values(pred, row);
             }
+        }
+        if rng.bool() {
+            db.insert_values("done", vec![]);
+        }
+        for _ in 0..rng.below(max_rows) {
+            let row = (0..4)
+                .map(|_| if rng.below(4) == 0 { Value::Nil } else { random_int(rng) })
+                .collect();
+            db.insert_values("nil_int", row);
+        }
+        for _ in 0..rng.below(max_rows) {
+            let mut row = vec![random_int(rng)];
+            row.extend((0..2).map(|_| random_value(rng, 1)));
+            db.insert_values("int_first", row);
+        }
+        for _ in 0..rng.below(4 * max_rows) {
+            let first = [Value::int(7), Value::sym("a")][rng.below_usize(2)].clone();
+            let row = vec![first, Value::int(rng.range_i64(-2, 2)), random_value(rng, 1)];
+            db.insert_values("runs", row);
         }
         db
     }
@@ -422,9 +517,9 @@ mod tests {
     #[test]
     fn integers_render_as_display_prints_them() {
         for i in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN, i64::MIN + 1] {
-            let mut out = String::new();
+            let mut out = Vec::new();
             push_value(&mut out, &Value::int(i));
-            assert_eq!(out, i.to_string());
+            assert_eq!(out, i.to_string().as_bytes());
         }
     }
 
