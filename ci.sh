@@ -141,6 +141,13 @@ for group in "${check_groups[@]}"; do
         }
     done
 done
+# `--stats` times the check itself as a `verify` phase next to `setup`
+# and `run`.
+./target/release/gbc verify programs/scheduling.dl --stats 2>&1 >/dev/null \
+    | grep -q '^verify ' || {
+    echo "gbc verify --stats printed no verify phase" >&2
+    exit 1
+}
 
 echo "== check: negative corpus matches the JSON goldens =="
 # Each programs/bad fixture re-renders to exactly its committed
@@ -217,6 +224,10 @@ done
 # here (`cargo test` above ran them in debug), so the optimised heap is
 # checked against the oracle too.
 cargo test --release -q --offline -p gbc-bench --test oracle_equivalence
+# The V1 verdict suite: shipped runs must pass the Theorem 1 check and
+# tampered copies of them (an extra head fact, a deleted commit, a
+# dropped chosen record) must fail it, in the optimised build too.
+cargo test --release -q --offline -p gbc-bench --test integration_semantics
 # Hand-made twins: dead rules and a constant-true comparison must leave
 # the model and the choices unchanged, and a framed-feed twin must match
 # the columnar feed, counters included.

@@ -1,6 +1,6 @@
 //! Timing and scaling-fit utilities: single-shot timers, a
-//! warmup + median-of-k repetition harness (the in-tree replacement for
-//! criterion), and log-log scaling fits.
+//! warmup + median-of-k repetition harness with a minimum timed window
+//! (the in-tree replacement for criterion), and log-log scaling fits.
 
 use std::time::Instant;
 
@@ -20,8 +20,13 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// The repetition harness: `warmup` unmeasured runs, then `reps` timed
-/// runs reported as their median.
+/// Seconds of timed work [`Harness::new`] collects at least: it keeps
+/// repeating past `reps` until the timed runs add up to this, so one
+/// short spell of host load cannot set the median of a fast workload.
+const MIN_WINDOW_SECS: f64 = 0.5;
+
+/// The repetition harness: `warmup` unmeasured runs, then at least
+/// `reps` timed runs reported as their median.
 ///
 /// The median is robust against the one-off outliers (allocator warmup,
 /// scheduler preemption) that make min/mean noisy on shared machines,
@@ -30,8 +35,13 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
 pub struct Harness {
     /// Unmeasured warmup executions before timing starts.
     pub warmup: usize,
-    /// Timed repetitions; the median is reported. Must be ≥ 1.
+    /// Least number of timed repetitions; the median is reported. Must
+    /// be ≥ 1.
     pub reps: usize,
+    /// Least total of the timed repetitions, seconds:
+    /// [`MIN_WINDOW_SECS`] for [`Harness::new`], zero for
+    /// [`Harness::quick`].
+    window_secs: f64,
 }
 
 /// The result of a [`Harness::run`]: the last value `f` produced plus
@@ -47,14 +57,15 @@ pub struct Timing {
 }
 
 impl Harness {
-    /// The default harness: 1 warmup run, median of 5.
+    /// The default harness: 1 warmup run, then the median of at least
+    /// 5 runs that together take at least half a second.
     pub fn new() -> Harness {
-        Harness { warmup: 1, reps: 5 }
+        Harness { warmup: 1, reps: 5, window_secs: MIN_WINDOW_SECS }
     }
 
     /// A reduced harness for `--quick` sweeps: no warmup, median of 3.
     pub fn quick() -> Harness {
-        Harness { warmup: 0, reps: 3 }
+        Harness { warmup: 0, reps: 3, window_secs: 0.0 }
     }
 
     /// Run `f` under the harness, returning its last result and the
@@ -65,10 +76,11 @@ impl Harness {
             f();
         }
         let mut times = Vec::with_capacity(self.reps);
-        let mut out = None;
-        for _ in 0..self.reps {
+        let (mut out, mut timed) = (None, 0.0);
+        while times.len() < self.reps || timed < self.window_secs {
             let (v, secs) = time_once(&mut f);
             out = Some(v);
+            timed += secs;
             times.push(secs);
         }
         times.sort_by(f64::total_cmp);
@@ -152,7 +164,7 @@ mod tests {
     #[test]
     fn harness_runs_warmup_plus_reps_and_reports_median() {
         let mut calls = 0u32;
-        let h = Harness { warmup: 2, reps: 5 };
+        let h = Harness { warmup: 2, reps: 5, ..Harness::quick() };
         let (last, timing) = h.run(|| {
             calls += 1;
             calls
@@ -161,6 +173,18 @@ mod tests {
         assert_eq!(last, 7);
         assert!(timing.min_secs <= timing.median_secs);
         assert!(timing.median_secs <= timing.max_secs);
+    }
+
+    #[test]
+    fn default_harness_samples_its_whole_window() {
+        // Five 20 ms runs fall short of the window, so sampling goes
+        // on; 25 runs of at least 20 ms fill it, so it stops by then.
+        let mut calls = 0u32;
+        Harness::new().run(|| {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        });
+        assert!((1 + 6..=1 + 25).contains(&calls), "{calls} calls");
     }
 
     #[test]

@@ -596,7 +596,10 @@ fn cmd_verify(opts: &Options) -> Result<(), String> {
     let edb = Database::new();
     let (tel, obs) = opts.telemetry();
     let run = opts.evaluate(&compiled, &edb, &tel)?;
-    let ok = verify_stable_model(program, &edb, &run).map_err(|e| e.to_string())?;
+    let ok = tel
+        .phases
+        .time("verify", || verify_stable_model(program, &edb, &run))
+        .map_err(|e| e.to_string())?;
     println!(
         "stable model check: {}",
         if ok { "PASS (Theorem 1 holds for this run)" } else { "FAIL" }

@@ -118,8 +118,6 @@ pub struct GreedyStats {
     pub gamma_steps: u64,
     /// Candidates popped from some `Q_r` and discarded to `R_r`.
     pub discarded: u64,
-    /// Facts derived by flat-rule saturation.
-    pub flat_new_facts: u64,
     /// Largest `Q_r` size observed.
     pub queue_peak: usize,
 }
@@ -692,7 +690,6 @@ impl GreedyExecutor {
         loop {
             rec.enter("run/flat");
             let new_facts = self.flat.saturate(&mut self.db)?;
-            self.stats.flat_new_facts += new_facts;
             flat_round += 1;
             self.tel.trace_with(|| TraceEvent::FlatRound { round: flat_round, new_facts });
             rec.enter("run/exit");

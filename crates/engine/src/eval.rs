@@ -195,27 +195,12 @@ pub fn for_each_match(
     focus: Option<Focus<'_>>,
     on_match: &mut dyn FnMut(&Bindings) -> Result<bool, EngineError>,
 ) -> Result<(), EngineError> {
-    for_each_match_opts(db, None, rule, focus, on_match)
-}
-
-/// Like [`for_each_match`], but negated atoms are tested against
-/// `neg_db` instead of `db` when it is given. This is the primitive
-/// behind the Gelfond–Lifschitz reduct evaluation in [`crate::stable`]:
-/// positives grow a least-model candidate while negatives stay fixed to
-/// the model being checked.
-pub fn for_each_match_opts(
-    db: &Database,
-    neg_db: Option<&Database>,
-    rule: &Rule,
-    focus: Option<Focus<'_>>,
-    on_match: &mut dyn FnMut(&Bindings) -> Result<bool, EngineError>,
-) -> Result<(), EngineError> {
     // One-shot path: compile only the variant this call needs and run
     // it. Hot-path callers hold a [`crate::plan::PlanCache`] and go
     // through [`crate::plan::for_each_match_plan`] instead, paying the
     // compile exactly once per rule.
     let variant = crate::plan::JoinPlan::compile(rule, focus.map(|f| f.literal))?;
-    crate::plan::execute(db, neg_db, rule, &variant, focus, on_match)
+    crate::plan::execute(db, rule, &variant, focus, on_match)
 }
 
 /// Evaluate a rule completely (no extrema/choice handling): collect the

@@ -46,7 +46,7 @@ pub fn collect_matches_plan(
     focus: Option<Focus<'_>>,
 ) -> Result<Vec<Bindings>, EngineError> {
     let mut frames = Vec::new();
-    for_each_match_plan(db, None, rule, plan, focus, &mut |b| {
+    for_each_match_plan(db, rule, plan, focus, &mut |b| {
         frames.push(b.clone());
         Ok(true)
     })?;

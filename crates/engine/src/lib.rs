@@ -20,7 +20,8 @@
 //! * [`enumerate`] — exhaustive exploration of every γ instantiation,
 //!   producing **all** choice models of small programs (Lemma 1/2);
 //! * [`stable`] — a Gelfond–Lifschitz stable-model checker for negative
-//!   programs (used to validate Theorem 1 on executor outputs).
+//!   programs (used to validate Theorem 1 on executor outputs), built on
+//!   [`stratified`] and the matcher rather than a fixpoint of its own.
 //!
 //! The engine evaluates programs containing `choice`, `least`, `most`,
 //! negation and comparisons. `next` goals must be macro-expanded first

@@ -329,26 +329,22 @@ impl RulePlan {
 }
 
 /// Enumerate all satisfying bindings of `rule` by executing a compiled
-/// plan. Negated atoms are tested against `neg_db` when given (the
-/// Gelfond–Lifschitz reduct hook), `db` otherwise. `on_match` returning
-/// `false` stops the enumeration early.
+/// plan. `on_match` returning `false` stops the enumeration early.
 pub fn for_each_match_plan(
     db: &Database,
-    neg_db: Option<&Database>,
     rule: &Rule,
     plan: &RulePlan,
     focus: Option<Focus<'_>>,
     on_match: &mut dyn FnMut(&Bindings) -> Result<bool, EngineError>,
 ) -> Result<(), EngineError> {
     let variant = plan.variant(focus.map(|f| f.literal));
-    execute(db, neg_db, rule, variant, focus, on_match)
+    execute(db, rule, variant, focus, on_match)
 }
 
 /// Execute one plan variant. `variant` must have been compiled from
 /// `rule` with the same focus literal as `focus`.
 pub(crate) fn execute<'a>(
     db: &'a Database,
-    neg_db: Option<&'a Database>,
     rule: &'a Rule,
     variant: &'a JoinPlan,
     focus: Option<Focus<'a>>,
@@ -356,7 +352,6 @@ pub(crate) fn execute<'a>(
 ) -> Result<(), EngineError> {
     let mut exec = Exec {
         db,
-        neg_db: neg_db.unwrap_or(db),
         rule,
         steps: &variant.steps,
         focus_rows: focus.map_or(RowsView::empty(), |f| f.rows),
@@ -373,7 +368,6 @@ pub(crate) fn execute<'a>(
 
 struct Exec<'a> {
     db: &'a Database,
-    neg_db: &'a Database,
     rule: &'a Rule,
     steps: &'a [PlanStep],
     focus_rows: RowsView<'a>,
@@ -437,13 +431,12 @@ impl Exec<'_> {
                 let Literal::Neg(a) = &rule.body[*lit] else {
                     unreachable!("NegCheck step on non-negation");
                 };
-                let neg_db = self.neg_db;
                 let mut vals = std::mem::take(&mut self.val_buf);
                 vals.clear();
                 for t in &a.args {
                     vals.push(eval_term(t, &self.bindings).expect("compiled as ground"));
                 }
-                let present = neg_db.relation(a.pred).contains_values(&vals);
+                let present = self.db.relation(a.pred).contains_values(&vals);
                 self.val_buf = vals;
                 if !present {
                     self.run_step(d + 1)?;
@@ -732,7 +725,7 @@ mod tests {
         let db = db_edges(&[("a", "b", 1), ("b", "c", 2), ("b", "d", 3)]);
         let plan = RulePlan::compile(&rule).unwrap();
         let mut via_plan = Vec::new();
-        for_each_match_plan(&db, None, &rule, &plan, None, &mut |b| {
+        for_each_match_plan(&db, &rule, &plan, None, &mut |b| {
             via_plan.push(instantiate_head(&rule, b).unwrap());
             Ok(true)
         })
@@ -752,7 +745,6 @@ mod tests {
             out.clear();
             for_each_match_plan(
                 &db,
-                None,
                 &rule,
                 &plan,
                 Some(Focus { literal: li, rows: delta.view() }),
@@ -779,7 +771,7 @@ mod tests {
         let db = db_edges(&[("a", "b", 1), ("a", "c", 2), ("b", "d", 1)]);
         let plan = RulePlan::compile(&rule).unwrap();
         let mut out = Vec::new();
-        for_each_match_plan(&db, None, &rule, &plan, None, &mut |b| {
+        for_each_match_plan(&db, &rule, &plan, None, &mut |b| {
             out.push(instantiate_head(&rule, b).unwrap());
             Ok(true)
         })
@@ -821,7 +813,7 @@ mod tests {
         let collect = |rule: &Rule| {
             let plan = RulePlan::compile(rule).unwrap();
             let mut out = Vec::new();
-            for_each_match_plan(&db, None, rule, &plan, None, &mut |b| {
+            for_each_match_plan(&db, rule, &plan, None, &mut |b| {
                 out.push(instantiate_head(rule, b).unwrap());
                 Ok(true)
             })
@@ -870,7 +862,7 @@ mod tests {
         let mut db = Database::new();
         db.insert_values("q", vec![Value::int(4)]);
         let plan = RulePlan::compile(&rule).unwrap();
-        let r = for_each_match_plan(&db, None, &rule, &plan, None, &mut |_| Ok(true));
+        let r = for_each_match_plan(&db, &rule, &plan, None, &mut |_| Ok(true));
         assert_eq!(r, Err(EngineError::DivideByZero));
     }
 }

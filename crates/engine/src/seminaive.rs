@@ -241,7 +241,7 @@ fn derive(
     focus: Option<Focus<'_>>,
     heads: &mut Heads,
 ) -> Result<(), EngineError> {
-    for_each_match_plan(db, None, rule, plan, focus, &mut |b| {
+    for_each_match_plan(db, rule, plan, focus, &mut |b| {
         heads.push(rule, plan, b)?;
         Ok(true)
     })

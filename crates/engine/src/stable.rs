@@ -6,19 +6,17 @@
 //! form, completes the candidate model with the `chosen`/`diffChoice`
 //! facts, and calls [`is_stable_model`].
 //!
-//! The check avoids explicit grounding: the GL reduct `P^M` is the
-//! positive program whose negated atoms are *tested against the fixed
-//! candidate `M`*, so its least model is computed by an ordinary
-//! fixpoint with [`crate::eval::for_each_match_opts`] pointing negation
-//! at `M`. `M` is stable iff that least model equals `M`. Any derived
-//! fact outside `M` disproves stability immediately (and bounds the
-//! fixpoint, so the check terminates even for programs with arithmetic).
+//! The check grounds nothing and has no fixpoint loop of its own: the
+//! reduct's least model is computed by [`crate::evaluate_stratified`],
+//! and closure under the reduct is one pass of the ordinary matcher
+//! over the candidate model.
 
-use gbc_ast::Program;
+use gbc_ast::{Atom, Literal, Program, Symbol};
 use gbc_storage::Database;
 
 use crate::error::EngineError;
-use crate::eval::{fact_rows, for_each_match_opts, instantiate_head};
+use crate::eval::{fact_rows, for_each_match, instantiate_head};
+use crate::stratified::evaluate_stratified;
 
 /// Is `m` a stable model of `program ∪ edb`?
 ///
@@ -26,6 +24,30 @@ use crate::eval::{fact_rows, for_each_match_opts, instantiate_head};
 /// `choice`, `least`, `most` and `next` must have been rewritten away
 /// (that is precisely the reduction the paper uses to *define* their
 /// semantics). `m` must contain the EDB facts.
+///
+/// `m` is stable iff it equals `L`, the least model of the reduct
+/// `P^M` over the EDB and the program's facts. Once those base facts
+/// are known to lie in `m`, two checks decide it:
+///
+/// * **(a) every fact of `m` is derivable.** Each negated atom
+///   `not q(t)` reads a frozen copy of `m`'s `q` (the row stores are
+///   shared, under a name the parser cannot produce), and each rule
+///   also requires its head to be in the frozen copy of `m`. The least
+///   model `L_a` of this guarded reduct is computed by the stratified
+///   seminaive evaluator; it is stratified whatever `program` is, since
+///   only rule-less frozen predicates are negated, and finite, since it
+///   never leaves `m`. (a) holds iff `L_a` has exactly `|m|` facts.
+/// * **(b) `m` is closed under the reduct.** One pass of every rule over
+///   `m` itself, with negation read from `m`, derives no fact outside
+///   `m`.
+///
+/// Why (a) ∧ (b) ⇔ `m = L`: if `m = L`, `m` is a fixpoint of the
+/// reduct, so (b) holds; every stage of `L`'s derivation stays inside
+/// `m`, so the guard removes nothing and `L_a = L = m`. Conversely,
+/// (b) makes `m` a model of the reduct, so `L ⊆ m`; then, again, no
+/// stage of `L` is cut by the guard, so `L_a = L`, and (a) gives
+/// `L = m`. (b) runs only once (a) has passed: either failure decides
+/// the verdict.
 pub fn is_stable_model(
     program: &Program,
     edb: &Database,
@@ -40,57 +62,44 @@ pub fn is_stable_model(
             });
         }
     }
-
-    // Least model of the reduct, seeded with EDB and program facts.
-    let mut db = edb.clone();
-    for (pred, row) in fact_rows(program) {
-        if !m.contains(pred, &row) {
-            return Ok(false); // a fact of the program is missing from M
-        }
-        db.insert(pred, row);
+    // The EDB and the program's facts must be inside M.
+    if !fact_rows(program).chain(edb.iter_all()).all(|(pred, row)| m.contains(pred, &row)) {
+        return Ok(false);
     }
-    // EDB must be inside M as well.
-    for (pred, row) in edb.iter_all() {
-        if !m.contains(pred, &row) {
+
+    // (a): the guarded reduct's least model must be all of M.
+    let frozen = |pred: Symbol| Symbol::intern(&format!("{pred}'M"));
+    let mut base = edb.clone();
+    for pred in m.predicates() {
+        *base.relation_mut(frozen(pred)) = m.relation(pred).share();
+    }
+    let mut reduct = program.clone();
+    for rule in &mut reduct.rules {
+        for lit in &mut rule.body {
+            if let Literal::Neg(a) = lit {
+                a.pred = frozen(a.pred);
+            }
+        }
+        let guard = Atom { pred: frozen(rule.head.pred), args: rule.head.args.clone() };
+        rule.body.push(Literal::Pos(guard));
+    }
+    let lm = evaluate_stratified(&reduct, &base)?;
+    if m.predicates().map(|p| lm.count(p)).sum::<usize>() != m.total_facts() {
+        return Ok(false);
+    }
+
+    // (b): one pass of every rule over M derives nothing outside M.
+    for rule in &program.rules {
+        let mut closed = true;
+        for_each_match(m, rule, None, &mut |b| {
+            closed = m.contains(rule.head.pred, &instantiate_head(rule, b)?);
+            Ok(closed)
+        })?;
+        if !closed {
             return Ok(false);
         }
     }
-
-    loop {
-        let mut grew = false;
-        let mut escaped = false;
-        for rule in &program.rules {
-            let mut derived = Vec::new();
-            for_each_match_opts(&db, Some(m), rule, None, &mut |b| {
-                derived.push(instantiate_head(rule, b)?);
-                Ok(true)
-            })?;
-            for row in derived {
-                if !m.contains(rule.head.pred, &row) {
-                    // The reduct derives something outside M: M is not a
-                    // model of the reduct (or not minimal-equal) — in
-                    // either case not stable.
-                    escaped = true;
-                    break;
-                }
-                if db.insert(rule.head.pred, row) {
-                    grew = true;
-                }
-            }
-            if escaped {
-                break;
-            }
-        }
-        if escaped {
-            return Ok(false);
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // db ⊆ m by construction; equality ⇔ equal cardinality.
-    Ok(db.total_facts() == m.total_facts())
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -184,6 +193,34 @@ mod tests {
         // Add junk: a model, but not minimal.
         m.insert_values("tc", vec![Value::int(3), Value::int(1)]);
         assert!(!is_stable_model(&p, &edb, &m).unwrap());
+    }
+
+    #[test]
+    fn infinite_reduct_model_is_rejected() {
+        // n(0).  n(Y) <- n(X), Y = X + 1.  The reduct's least model is
+        // infinite, so no finite M is stable; {n(0), n(1)} is all
+        // derivable but not closed.
+        let mut p = Program::from_rules(vec![rule(
+            Atom::new("n", vec![Term::var(1)]),
+            vec![
+                Literal::pos("n", vec![Term::var(0)]),
+                Literal::cmp(
+                    gbc_ast::CmpOp::Eq,
+                    gbc_ast::term::Expr::var(1),
+                    gbc_ast::term::Expr::binary(
+                        gbc_ast::term::ArithOp::Add,
+                        gbc_ast::term::Expr::var(0),
+                        gbc_ast::term::Expr::int(1),
+                    ),
+                ),
+            ],
+            &["X", "Y"],
+        )]);
+        p.push_fact("n", vec![Value::int(0)]);
+        let mut m = Database::new();
+        m.insert_values("n", vec![Value::int(0)]);
+        m.insert_values("n", vec![Value::int(1)]);
+        assert!(!is_stable_model(&p, &Database::new(), &m).unwrap());
     }
 
     #[test]

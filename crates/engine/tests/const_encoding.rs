@@ -37,7 +37,7 @@ fn db_with(n: i64) -> Database {
 
 fn run(db: &Database, plan: &RulePlan, rule: &Rule, focus: Option<Focus<'_>>) -> usize {
     let mut n = 0;
-    for_each_match_plan(db, None, rule, plan, focus, &mut |b| {
+    for_each_match_plan(db, rule, plan, focus, &mut |b| {
         let _ = instantiate_head(rule, b)?;
         n += 1;
         Ok(true)

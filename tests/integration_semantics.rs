@@ -7,10 +7,10 @@
 //!   models on small instances, and every enumerated model passes the
 //!   same stability check.
 
-use gbc_ast::Value;
+use gbc_ast::{Symbol, Value};
 use gbc_core::{compile, verify_stable_model};
 use gbc_greedy::{matching, prim, sorting, spanning, tsp, workload, Graph};
-use gbc_storage::Database;
+use gbc_storage::{Database, Row};
 
 /// Run `program_text` both ways on `edb` and assert stability of both
 /// results.
@@ -80,6 +80,75 @@ fn v1_tampered_model_fails_the_check() {
     let mut run = compiled.run_greedy(&edb).unwrap();
     run.db.insert_values("sp", vec![Value::int(99), Value::int(99), Value::int(99)]);
     assert!(!verify_stable_model(compiled.program(), &edb, &run).unwrap());
+}
+
+/// A greedy run of `program_text` that verifies, and the predicate and
+/// row of its last committed head fact (the one with the highest stage,
+/// the last column).
+fn verified_greedy_run(
+    program_text: &str,
+    head: &str,
+) -> (gbc_core::Compiled, gbc_core::GreedyRun, Symbol, Row) {
+    let compiled = compile(gbc_parser::parse_program(program_text).unwrap()).unwrap();
+    let edb = Database::new();
+    let run = compiled.run_greedy(&edb).unwrap();
+    assert!(verify_stable_model(compiled.program(), &edb, &run).unwrap());
+    let pred = Symbol::intern(head);
+    let last = run.db.facts_of(pred).into_iter().max_by_key(|r| r[r.len() - 1].clone()).unwrap();
+    (compiled, run, pred, last)
+}
+
+/// `last` moved to the next, fresh stage.
+fn at_fresh_stage(last: &Row) -> Row {
+    let mut vals: Vec<Value> = last.iter().cloned().collect();
+    let Some(Value::Int(stage)) = vals.pop() else { panic!("stage column must be an integer") };
+    vals.push(Value::int(stage + 1));
+    Row::new(vals)
+}
+
+/// `db` without the fact `pred(row)`.
+fn without(db: &Database, pred: Symbol, row: &Row) -> Database {
+    let mut out = Database::new();
+    for (p, r) in db.iter_all().filter(|(p, r)| (*p, r) != (pred, row)) {
+        out.insert(p, r);
+    }
+    out
+}
+
+const PRIM_SMALL: &str =
+    concat!(include_str!("../programs/prim.dl"), include_str!("../programs/graph_small.dl"));
+const MATCHING: &str = include_str!("../programs/matching.dl");
+
+#[test]
+fn v1_extra_head_fact_at_a_fresh_stage_fails_the_check() {
+    // No chosen record supports the extra fact, so the reduct cannot
+    // derive it: check (a), every fact of M is derivable, rejects it.
+    for (text, head) in [(PRIM_SMALL, "prm"), (MATCHING, "matching")] {
+        let (compiled, mut run, pred, last) = verified_greedy_run(text, head);
+        assert!(run.db.insert(pred, at_fresh_stage(&last)));
+        assert!(
+            !verify_stable_model(compiled.program(), &Database::new(), &run).unwrap(),
+            "{head}"
+        );
+    }
+}
+
+#[test]
+fn v1_deleted_last_commit_fails_the_check() {
+    // The last committed head fact is removed but its chosen record
+    // kept. Prim's `new_g` facts read from the removed `prm` fact are
+    // no longer derivable: check (a) rejects it. Matching derives
+    // nothing from its heads, so every remaining fact is derivable and
+    // check (b), M closed under the reduct, rejects it: the kept
+    // `chosen` fact derives the missing head.
+    for (text, head) in [(PRIM_SMALL, "prm"), (MATCHING, "matching")] {
+        let (compiled, mut run, pred, last) = verified_greedy_run(text, head);
+        run.db = without(&run.db, pred, &last);
+        assert!(
+            !verify_stable_model(compiled.program(), &Database::new(), &run).unwrap(),
+            "{head}"
+        );
+    }
 }
 
 #[test]
